@@ -25,7 +25,6 @@
 // DIMMER_BENCH_SCALE shrinks the epoch count for smoke runs; the topology
 // stays at 1024 nodes / 8 cells (the point of the bench).
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -48,13 +47,6 @@ namespace {
 
 constexpr int kNodes = 1024;
 constexpr int kCells = 8;
-
-int fed_workers() {
-  const char* w = std::getenv("DIMMER_FED_WORKERS");
-  if (!w) return 1;
-  int v = std::atoi(w);
-  return v >= 1 ? v : 1;
-}
 
 std::unique_ptr<core::AdaptivityController> cell_controller(
     const std::string& protocol) {
@@ -81,7 +73,7 @@ int deepest_cell(const core::Federation& fed) {
 int main() {
   const int epochs = bench::scaled(240, 20);  // 16 min of 4 s rounds
   const int kill_epoch = epochs / 3;
-  const int workers = fed_workers();
+  const int workers = bench::fed_workers();
   const char* protocols[] = {"lwb", "pid"};
   const char* scenarios[] = {"steady", "coord-kill"};
   const int runs = bench::scaled(2, 1);

@@ -1,18 +1,18 @@
-// Flood scaling benchmark: sparse (culled CSR) vs dense link backends on
-// 1000+-node campus topologies.
+// Flood scaling benchmark: culled vs unculled CSR link rows on 1000+-node
+// campus topologies.
 //
-// For each size the harness builds a make_campus_topology(n) deployment and
-// times cycling-initiator floods through (a) GlossyFlood over the default
-// CachedLinkModel (dense N^2 matrix, every listener swept every step) and
+// For each size the harness times cycling-initiator floods through (a)
+// GlossyFlood over SparseLinkModel::no_culling on make_campus_topology(n)
+// (every link kept: full N-entry rows, every listener swept every step) and
 // (b) GlossyFlood over SparseLinkModel with the default 20 dB culling margin
-// (CSR scatter + zero-power listener skip). The sparse leg runs on a
+// (CSR scatter + zero-power listener skip). The culled leg runs on a
 // construction-culled Topology (make_campus_topology_culled with the
 // matching gain floor), so neither the topology nor the link model ever
-// materializes an 8*N^2 matrix. It reports ns/step, floods/sec and delivery
+// materializes N^2 entries. It reports ns/step, floods/sec and delivery
 // ratio for both, plus the storage story at both layers: link-model nnz/CSR
-// bytes and topology gain nnz/bytes against the dense 8*N^2. The dense leg
-// is skipped above kDenseMaxNodes — holding (and sweeping) the full matrix
-// at 4096 nodes is exactly the cost the sparse backend exists to avoid.
+// bytes and topology gain nnz/bytes against a dense 8*N^2 matrix. The
+// unculled leg is skipped above kUnculledMaxNodes — holding (and sweeping)
+// every link at 4096 nodes is exactly the cost culling exists to avoid.
 //
 // Timing fields here are measurements, not simulation outputs: this file is
 // exempt from the byte-identity rule that covers the figure benches.
@@ -27,7 +27,6 @@
 #include "exp/json.hpp"
 #include "flood/glossy.hpp"
 #include "flood/workspace.hpp"
-#include "phy/link_model.hpp"
 #include "phy/sparse_link_model.hpp"
 #include "phy/topology.hpp"
 #include "util/json.hpp"
@@ -39,9 +38,9 @@ using namespace dimmer;
 
 namespace {
 
-/// Largest size the dense comparison leg still runs at (8*N^2 = 32 MiB of
-/// matrix; beyond this the dense engine is measured as absent, not slow).
-constexpr int kDenseMaxNodes = 2048;
+/// Largest size the unculled comparison leg still runs at (N^2 = 4M links,
+/// 48 MiB of CSR; beyond this it is measured as absent, not slow).
+constexpr int kUnculledMaxNodes = 2048;
 
 struct Timing {
   double seconds = 0.0;
@@ -103,8 +102,8 @@ int main() {
 
   std::printf("simd backend: %s\n\n", util::simd::backend_name());
   std::printf("%-6s %10s %12s %12s %12s %10s %10s %8s %9s %9s\n", "nodes",
-              "nnz", "sparse B", "topo B", "dense B", "sp ns/st", "dn ns/st",
-              "speedup", "sp deliv", "dn deliv");
+              "nnz", "sparse B", "topo B", "dense B", "sp ns/st", "un ns/st",
+              "speedup", "sp deliv", "un deliv");
 
   std::string rows;
   bool ok = true;
@@ -124,34 +123,36 @@ int main() {
 
     const auto un = static_cast<std::size_t>(n);
     const std::size_t dense_bytes = sizeof(double) * un * un;
-    const bool run_dense = n <= kDenseMaxNodes;
-    Timing dn;
-    if (run_dense) {
-      phy::Topology dense_topo = phy::make_campus_topology(n);
-      flood::GlossyFlood dense_engine(dense_topo, field);
-      dn = time_engine(dense_engine, n, floods, seed);
+    const bool run_unculled = n <= kUnculledMaxNodes;
+    Timing uc;
+    if (run_unculled) {
+      phy::Topology full_topo = phy::make_campus_topology(n);
+      phy::SparseLinkModel unculled(
+          full_topo, phy::SparseLinkModel::Config::no_culling());
+      flood::GlossyFlood unculled_engine(unculled, field);
+      uc = time_engine(unculled_engine, n, floods, seed);
     }
 
     const double speedup =
-        run_dense && sp.ns_per_step() > 0.0
-            ? dn.ns_per_step() / sp.ns_per_step()
+        run_unculled && sp.ns_per_step() > 0.0
+            ? uc.ns_per_step() / sp.ns_per_step()
             : 0.0;
     std::printf("%-6d %10zu %12zu %12zu %12zu %10.1f %10s %7s %9.3f %9s\n", n,
                 sparse_links.nnz(), sparse_links.storage_bytes(),
                 topo.gain_storage_bytes(), dense_bytes, sp.ns_per_step(),
-                run_dense ? std::to_string(static_cast<long long>(
-                                dn.ns_per_step()))
+                run_unculled ? std::to_string(static_cast<long long>(
+                                uc.ns_per_step()))
                                 .c_str()
                           : "-",
-                run_dense
+                run_unculled
                     ? (std::to_string(speedup).substr(0, 5) + "x").c_str()
                     : "-",
                 sp.mean_delivery(),
-                run_dense
-                    ? std::to_string(dn.mean_delivery()).substr(0, 5).c_str()
+                run_unculled
+                    ? std::to_string(uc.mean_delivery()).substr(0, 5).c_str()
                     : "-");
 
-    // The point of the backend: storage scales with survivors, not N^2. At
+    // The point of culling: storage scales with survivors, not N^2. At
     // smoke sizes (a 128-node campus fits inside one culling radius) the CSR
     // bookkeeping can exceed the tiny dense matrix, so the bar only binds at
     // the campaign's real scales.
@@ -185,14 +186,14 @@ int main() {
             util::json_number(sp.floods_per_sec()) +
             ", \"ns_per_step\": " + util::json_number(sp.ns_per_step()) +
             ", \"delivery_ratio\": " + util::json_number(sp.mean_delivery()) +
-            "}, \"dense\": " +
-            (run_dense
+            "}, \"unculled\": " +
+            (run_unculled
                  ? "{\"floods_per_sec\": " +
-                       util::json_number(dn.floods_per_sec()) +
+                       util::json_number(uc.floods_per_sec()) +
                        ", \"ns_per_step\": " +
-                       util::json_number(dn.ns_per_step()) +
+                       util::json_number(uc.ns_per_step()) +
                        ", \"delivery_ratio\": " +
-                       util::json_number(dn.mean_delivery()) + "}"
+                       util::json_number(uc.mean_delivery()) + "}"
                  : std::string("null")) +
             ", \"speedup_ns_per_step\": " + util::json_number(speedup) + "}";
   }

@@ -1,9 +1,10 @@
 // Shared helpers for the figure-reproduction benches.
 //
-// Scaling: every harness honours DIMMER_BENCH_SCALE (a float; default 1.0).
-// Values below 1 shrink run lengths / model counts proportionally for quick
-// smoke runs (e.g. DIMMER_BENCH_SCALE=0.25); values above 1 extend them
-// toward the paper's full durations.
+// Scaling: every harness honours DIMMER_BENCH_SCALE (a positive number;
+// default 1.0, anything else fails loudly). Values below 1 shrink run
+// lengths / model counts proportionally for quick smoke runs (e.g.
+// DIMMER_BENCH_SCALE=0.25); values above 1 extend them toward the paper's
+// full durations.
 //
 // The trained policy is cached in ./dimmer_dqn.mlp (or $DIMMER_POLICY): the
 // first bench that needs it trains once, subsequent benches reuse it — the
@@ -13,6 +14,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,14 +26,24 @@
 #include "exp/runner.hpp"
 #include "phy/topology.hpp"
 #include "rl/quantized.hpp"
+#include "util/check.hpp"
 
 namespace dimmer::bench {
 
+/// DIMMER_BENCH_SCALE, strictly parsed (exp::env_positive_double): the old
+/// std::atof read "0.1x" as 0.1 and silently ran "0" or "abc" at full scale.
 inline double scale() {
-  const char* s = std::getenv("DIMMER_BENCH_SCALE");
-  if (!s) return 1.0;
-  double v = std::atof(s);
-  return v > 0.0 ? v : 1.0;
+  return exp::env_positive_double("DIMMER_BENCH_SCALE").value_or(1.0);
+}
+
+/// Federation worker threads for the city-scale bench: DIMMER_FED_WORKERS
+/// if set (exp::env_count, at most 999), else 1. The old std::atoi read
+/// "2x" as 2 and silently ran "0" or "-1" on one worker.
+inline int fed_workers() {
+  const std::optional<long> v = exp::env_count("DIMMER_FED_WORKERS");
+  if (!v) return 1;
+  DIMMER_REQUIRE(*v <= 999, "DIMMER_FED_WORKERS out of [1, 999]");
+  return static_cast<int>(*v);
 }
 
 /// max(lo, round(x * scale)).

@@ -87,7 +87,7 @@ class CrystalNetwork {
   std::deque<Pending> queue_;
   sim::TimeUs time_ = 0;
   std::uint64_t epoch_idx_ = 0;
-  // Persistent flood engine (keeps the mW link-matrix cache warm across
+  // Persistent flood engine (keeps the mW link-row cache warm across
   // epochs) plus reused per-flood scratch/result buffers.
   flood::GlossyFlood engine_;
   flood::FloodWorkspace ws_;

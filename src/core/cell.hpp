@@ -47,8 +47,9 @@ struct CellConfig {
   /// the cell coordinator). fault_plan node ids are cell-LOCAL: fault plans
   /// are authored against one cell's own timeline.
   ProtocolConfig protocol;
-  /// Back the flood engine with a SparseLinkModel over the cell topology
-  /// (city scale) instead of the dense per-cell CachedLinkModel.
+  /// Cull sub-floor links: back the flood engine with a SparseLinkModel at
+  /// its default 20 dB margin over the cell topology (city scale) instead
+  /// of the engine's own unculled one. Either way the links are CSR rows.
   bool sparse_links = false;
   /// This cell's round-start offset inside the federation round period.
   /// Neighboring cells get opposite parity offsets so a shared gateway is

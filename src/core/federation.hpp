@@ -61,7 +61,7 @@ struct FederationConfig {
   /// Global sink node; its stripe becomes the root cell. Also the delivery
   /// target of every flow.
   phy::NodeId sink = 0;
-  /// Cells back their flood engines with SparseLinkModel (city scale).
+  /// Cells cull sub-floor links (CellConfig::sparse_links; city scale).
   bool sparse_links = true;
   /// Per-cell backup coordinators auto-assigned (the next N lowest own-node
   /// ids after the coordinator; the cell's own gateway is never picked for

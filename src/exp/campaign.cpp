@@ -11,7 +11,6 @@
 #include <sys/prctl.h>
 #endif
 
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -45,21 +44,6 @@ void ensure_dir(const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) return;
   DIMMER_REQUIRE(false, "campaign: cannot create directory '" + dir +
                             "': " + std::strerror(errno));
-}
-
-/// Strict-parsed positive integer from the environment (same discipline as
-/// jobs_from_env); std::nullopt when the variable is unset.
-std::optional<long> env_count(const char* name) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s, &end, 10);
-  const bool parsed = end != s && *end == '\0' && errno != ERANGE &&
-                      !std::isspace(static_cast<unsigned char>(*s));
-  DIMMER_REQUIRE(parsed, std::string(name) + " is not a valid integer");
-  DIMMER_REQUIRE(v >= 1, std::string(name) + " must be >= 1");
-  return v;
 }
 
 /// Newline count of a file (== its record count for our JSONL formats,

@@ -16,40 +16,59 @@
 
 namespace dimmer::exp {
 
+namespace {
+
+/// True when strtol/strtod consumed all of `s` without overflow. Both skip
+/// leading whitespace themselves; " 8" is still a typo here.
+bool parsed_fully(const char* s, const char* end) {
+  return end != s && *end == '\0' && errno != ERANGE &&
+         !std::isspace(static_cast<unsigned char>(*s));
+}
+
+}  // namespace
+
+std::optional<long> env_count(const char* name) {
+  const char* s = std::getenv(name);
+  if (s == nullptr) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  DIMMER_REQUIRE(parsed_fully(s, end),
+                 std::string(name) + " is not a valid integer");
+  DIMMER_REQUIRE(v >= 1, std::string(name) + " must be >= 1");
+  return v;
+}
+
+std::optional<double> env_positive_double(const char* name) {
+  const char* s = std::getenv(name);
+  if (s == nullptr) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s, &end);
+  DIMMER_REQUIRE(parsed_fully(s, end),
+                 std::string(name) + " is not a valid number");
+  DIMMER_REQUIRE(std::isfinite(v) && v > 0.0,
+                 std::string(name) + " must be a positive finite number");
+  return v;
+}
+
 int jobs_from_env() {
-  if (const char* s = std::getenv("DIMMER_JOBS")) {
-    // Strict full-string parse. The old std::atoi silently accepted trailing
-    // garbage ("8x" -> 8), read "0x10" as 0 (a silent hardware-concurrency
-    // fallback), and is undefined on out-of-range input — all three now fail
-    // loudly so a mistyped override can't run a sweep at the wrong
-    // parallelism unnoticed.
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(s, &end, 10);
-    // strtol itself skips leading whitespace; " 8" is still a typo here.
-    const bool parsed = end != s && *end == '\0' && errno != ERANGE &&
-                        !std::isspace(static_cast<unsigned char>(*s));
-    DIMMER_REQUIRE(parsed, "DIMMER_JOBS is not a valid integer");
-    DIMMER_REQUIRE(v >= 1 && v <= std::numeric_limits<int>::max(),
+  // Strict full-string parse. The old std::atoi silently accepted trailing
+  // garbage ("8x" -> 8), read "0x10" as 0 (a silent hardware-concurrency
+  // fallback), and is undefined on out-of-range input — all three now fail
+  // loudly so a mistyped override can't run a sweep at the wrong
+  // parallelism unnoticed.
+  if (const std::optional<long> v = env_count("DIMMER_JOBS")) {
+    DIMMER_REQUIRE(*v <= std::numeric_limits<int>::max(),
                    "DIMMER_JOBS out of range [1, INT_MAX]");
-    return static_cast<int>(v);
+    return static_cast<int>(*v);
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 double trial_timeout_from_env() {
-  const char* s = std::getenv("DIMMER_TRIAL_TIMEOUT_S");
-  if (s == nullptr) return 0.0;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s, &end);
-  const bool parsed = end != s && *end == '\0' && errno != ERANGE &&
-                      !std::isspace(static_cast<unsigned char>(*s));
-  DIMMER_REQUIRE(parsed, "DIMMER_TRIAL_TIMEOUT_S is not a valid number");
-  DIMMER_REQUIRE(std::isfinite(v) && v > 0.0,
-                 "DIMMER_TRIAL_TIMEOUT_S must be a positive finite number");
-  return v;
+  return env_positive_double("DIMMER_TRIAL_TIMEOUT_S").value_or(0.0);
 }
 
 std::vector<util::Pcg32> fork_trial_rngs(const std::vector<TrialSpec>& specs,

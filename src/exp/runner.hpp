@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,7 +77,18 @@ struct Trial {
 /// not touch global mutable state; it may read shared const inputs.
 using TrialFn = std::function<TrialResult(const TrialSpec&, util::Pcg32&)>;
 
-/// Worker count: DIMMER_JOBS if set to a positive integer, else
+/// Strict-parsed positive integer from the environment variable `name`:
+/// the whole string must be a base-10 integer (no leading whitespace, no
+/// trailing characters, no overflow) and >= 1, else util::RequireError
+/// naming the variable. std::nullopt when the variable is unset.
+std::optional<long> env_count(const char* name);
+
+/// Strict-parsed positive finite number from the environment variable
+/// `name` (same full-string discipline as env_count); std::nullopt when the
+/// variable is unset.
+std::optional<double> env_positive_double(const char* name);
+
+/// Worker count: DIMMER_JOBS if set (env_count, at most INT_MAX), else
 /// std::thread::hardware_concurrency() (at least 1).
 int jobs_from_env();
 

@@ -6,6 +6,7 @@
 #include "phy/batched.hpp"
 #include "phy/per.hpp"
 #include "phy/propagation.hpp"
+#include "phy/sparse_link_model.hpp"
 #include "util/check.hpp"
 #include "util/simd/simd.hpp"
 
@@ -49,7 +50,8 @@ FloodResult FloodResult::silent(int n_nodes, phy::NodeId initiator) {
 
 GlossyFlood::GlossyFlood(const phy::Topology& topo,
                          const phy::InterferenceField& interf)
-    : owned_links_(std::make_unique<phy::CachedLinkModel>(topo)),
+    : owned_links_(std::make_unique<phy::SparseLinkModel>(
+          topo, phy::SparseLinkModel::Config::no_culling())),
       links_(owned_links_.get()),
       interf_(&interf) {}
 
@@ -99,7 +101,7 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   const phy::Topology& topo = links_->topology();
   const int n = topo.size();
   // Full argument validation happens here, once per flood; the per-link
-  // lookups inside the loop index the precomputed matrix with ids generated
+  // lookups inside the loop index the precomputed rows with ids generated
   // below, so they carry debug-only assertions (see util/check.hpp).
   DIMMER_REQUIRE(initiator >= 0 && initiator < n, "initiator out of range");
   DIMMER_REQUIRE(static_cast<int>(configs.size()) == n,
@@ -129,18 +131,9 @@ void GlossyFlood::run_into(phy::NodeId initiator,
       static_cast<sim::TimeUs>(std::llround(radio.airtime_us(params.payload_bytes)));
   const double coherence_gain = params.coherence_gain;
 
-  // Linear-domain link powers for this flood's TX power; cached across
-  // floods by the LinkModel (recomputed only when the power changes).
-  // Sparse backends (culled CSR rows, DESIGN.md §13) are probed first: the
-  // step loop then scatters per-transmitter rows instead of sweeping dense
-  // ones and skips listeners no surviving link reaches. With culling
-  // disabled every link survives, both deviations are no-ops, and the
-  // engine is bit-identical to the dense path — FloodResult and RNG
-  // end-state (tests/flood/test_sparse_differential.cpp).
-  const phy::SparseLinkView* sparse =
-      links_->prepare_sparse(params.tx_power_dbm);
-  phy::LinkMatrixView links{};
-  if (sparse == nullptr) links = links_->prepare(params.tx_power_dbm);
+  // Linear-domain link powers for this flood's TX power as CSR rows; cached
+  // across floods by the LinkModel (recomputed only when the power changes).
+  const phy::SparseLinkView& links = links_->prepare(params.tx_power_dbm);
 
   // Per-node dynamic state, in caller-owned scratch.
   const auto un = static_cast<std::size_t>(n);
@@ -216,39 +209,26 @@ void GlossyFlood::run_into(phy::NodeId initiator,
     const sim::TimeUs t0 = params.slot_start_us + t * step_len;
     const sim::TimeUs t1 = t0 + airtime_us;
 
-    // 3a. Concurrent powers at every node: one contiguous matrix-row sweep
-    //     per transmitter. Per-listener accumulation visits transmitters in
-    //     the same ascending order as the historical per-listener loop, so
-    //     the floating-point sums are bit-identical.
+    // 3a. Concurrent powers at every node: one pass over each
+    //     transmitter's CSR row, transmitters ascending, listeners ascending
+    //     within a row — so every listener accumulates its transmitters in
+    //     the same ascending order as the historical per-listener loop, and
+    //     the floating-point sums are bit-identical (DESIGN.md §10).
     if (any_tx) {
       std::fill(ws.total_mw.begin(), ws.total_mw.end(), 0.0);
       std::fill(ws.strongest_mw.begin(), ws.strongest_mw.end(), 0.0);
-      if (sparse != nullptr) {
-        // Sparse scatter: each transmitter's CSR row holds only surviving
-        // links, listeners ascending. Transmitters are visited in the same
-        // ascending order as the dense sweep, so every listener accumulates
-        // its surviving transmitters with the exact adds/maxes the dense
-        // loop would perform — culled links are the only difference.
-        double* total = ws.total_mw.data();
-        double* strongest = ws.strongest_mw.data();
-        for (phy::NodeId tx : ws.transmitters) {
-          const std::size_t row_end = sparse->row_end(tx);
-          for (std::size_t k = sparse->row_begin(tx); k < row_end; ++k) {
-            const double p_mw = sparse->mw[k];
-            const auto rx = static_cast<std::size_t>(sparse->col[k]);
-            total[rx] += p_mw;
-            strongest[rx] = std::max(strongest[rx], p_mw);
-          }
-        }
-      } else {
-        for (phy::NodeId tx : ws.transmitters) {
-          const double* row = links.row(tx);
-          double* total = ws.total_mw.data();
-          double* strongest = ws.strongest_mw.data();
-          // Lanewise add/max over the contiguous row, transmitters in the
-          // same ascending order as the historical per-listener loop: exact
-          // IEEE ops with no cross-lane reduction, so this site is
-          // bit-identical on every backend (DESIGN.md §12).
+      double* total = ws.total_mw.data();
+      double* strongest = ws.strongest_mw.data();
+      for (phy::NodeId tx : ws.transmitters) {
+        const std::size_t begin = links.row_begin(tx);
+        const std::size_t end = links.row_end(tx);
+        if (end - begin == un) {
+          // A full row: columns are strictly ascending in [0, n), so
+          // col[k] == k and the row is a contiguous mW vector. Lanewise
+          // add/max with no cross-lane reduction performs the exact IEEE ops
+          // of the scatter below, so this branch is bit-identical on every
+          // backend (DESIGN.md §12).
+          const double* row = links.mw + begin;
           using util::simd::vdouble;
           constexpr int kW = util::simd::native_width;
           int i = 0;
@@ -265,6 +245,14 @@ void GlossyFlood::run_into(phy::NodeId initiator,
             const double p_mw = row[i];
             total[i] += p_mw;
             strongest[i] = std::max(strongest[i], p_mw);
+          }
+        } else {
+          // A partial row (culled, or links that do not exist): scatter.
+          for (std::size_t k = begin; k < end; ++k) {
+            const double p_mw = links.mw[k];
+            const auto rx = static_cast<std::size_t>(links.col[k]);
+            total[rx] += p_mw;
+            strongest[rx] = std::max(strongest[rx], p_mw);
           }
         }
       }
@@ -285,15 +273,15 @@ void GlossyFlood::run_into(phy::NodeId initiator,
       s.radio_on += step_len;  // TX or RX, the radio is on this step
       if (ws.is_tx[static_cast<std::size_t>(i)] || !any_tx) continue;
       if (s.has_packet) continue;  // re-receptions only maintain sync
-      // Sparse backends: a listener no surviving link reaches sees exactly
+      // Culling backends: a listener no surviving link reaches sees exactly
       // zero concurrent power, so its success probability is < 1e-86 —
       // reachable only by a uniform() draw of exactly 0.0 (p = 2^-53).
       // Skipping it before the interference sample and both RNG draws is
       // what makes the step cost scale with the flood frontier instead of
-      // N. With culling disabled every stored power is positive, this never
-      // fires, and the RNG stream stays bit-identical to the dense engine.
-      if (sparse != nullptr &&
-          ws.strongest_mw[static_cast<std::size_t>(i)] == 0.0)
+      // N. Without a culling floor the view holds every physical link, so
+      // the listener is drawn for exactly as the direct-Topology loop does
+      // and the RNG stream stays bit-identical to it.
+      if (links.culled && ws.strongest_mw[static_cast<std::size_t>(i)] == 0.0)
         continue;
 
       const auto r = static_cast<std::size_t>(n_rx);

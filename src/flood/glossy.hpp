@@ -15,16 +15,15 @@
 // DESIGN.md ("Substitutions") for why slot-level behaviour is what Dimmer's
 // control loop observes.
 //
-// Hot path (DESIGN.md §10): link powers come from a phy::LinkModel — a
-// precomputed linear-domain (mW) matrix — rather than per-reception
+// Hot path (DESIGN.md §10, §13): link powers come from a phy::LinkModel —
+// precomputed linear-domain (mW) CSR rows — rather than per-reception
 // dBm->mW conversions, and all per-flood scratch lives in a caller-owned
-// FloodWorkspace so `run_into` allocates nothing in steady state. Results
-// are bit-identical to the historical direct-Topology engine (asserted by
-// tests/flood/test_differential.cpp against a frozen reference copy).
-// Sparse backends (DESIGN.md §13): when the LinkModel offers a culled CSR
-// view (prepare_sparse), the step loop scatters per-transmitter rows and
-// skips unreachable listeners; with culling disabled this path is proven
-// bit-identical to the dense one (tests/flood/test_sparse_differential.cpp).
+// FloodWorkspace so `run_into` allocates nothing in steady state. Full rows
+// are swept lanewise, partial rows scattered; a culling backend's view also
+// lets the step loop skip listeners no surviving link reaches. Without
+// culling, results are bit-identical to the historical direct-Topology
+// engine (asserted by tests/flood/test_differential.cpp against a frozen
+// reference copy).
 #pragma once
 
 #include <memory>
@@ -125,7 +124,9 @@ struct [[nodiscard]] FloodResult {
 /// from multiple threads; independent trials own independent engines.
 class GlossyFlood {
  public:
-  /// Convenience: binds an internally-owned CachedLinkModel over `topo`.
+  /// Convenience: binds an internally-owned SparseLinkModel over `topo`
+  /// with culling disabled (every existing link, bit-identical to the
+  /// direct-Topology loop).
   GlossyFlood(const phy::Topology& topo, const phy::InterferenceField& interf);
 
   /// Binds an external LinkModel backend (non-owning; must outlive the
@@ -164,9 +165,8 @@ class GlossyFlood {
   void record(const FloodResult& result, const FloodParams& params,
               double exposure_sum, std::uint64_t exposure_n) const;
 
-  std::unique_ptr<phy::CachedLinkModel> owned_links_;  // only for the
-                                                       // Topology convenience
-                                                       // constructor
+  // Only for the Topology convenience constructor.
+  std::unique_ptr<phy::LinkModel> owned_links_;
   phy::LinkModel* links_;
   const phy::InterferenceField* interf_;
   obs::Instrumentation instr_;

@@ -99,7 +99,7 @@ struct [[nodiscard]] RoundResult {
 
 /// Executes LWB rounds over a persistent flood engine.
 ///
-/// The executor owns the engine (and through it the cached mW link matrix)
+/// The executor owns the engine (and through it the cached mW link rows)
 /// plus a FloodWorkspace and per-slot config scratch, so steady-state rounds
 /// perform no per-flood heap allocations; see DESIGN.md §10. One executor
 /// serves one simulation thread — run_round reuses internal scratch, so
@@ -110,9 +110,9 @@ class RoundExecutor {
   RoundExecutor(const phy::Topology& topo,
                 const phy::InterferenceField& interference, RoundConfig cfg);
 
-  /// Binds an external LinkModel backend instead of the internally-owned
-  /// dense cache (non-owning; must outlive the executor). This is how a
-  /// federation cell runs its rounds over a SparseLinkModel at city scale.
+  /// Binds an external LinkModel backend instead of the engine's own
+  /// unculled one (non-owning; must outlive the executor). This is how a
+  /// federation cell runs its rounds over a culling SparseLinkModel.
   RoundExecutor(phy::LinkModel& links,
                 const phy::InterferenceField& interference, RoundConfig cfg);
 

@@ -3,53 +3,47 @@
 // The flood engine's inner loop needs one number per (tx, rx) pair: the
 // received power in mW when `tx` transmits at the flood's TX power. Computing
 // it from the Topology on every reception costs a pow(10, x/10) per listener
-// per transmitter per step. A LinkModel answers the same question through a
-// precomputed row-major matrix instead: `prepare(tx_power_dbm)` returns a
-// LinkMatrixView whose entries are computed *once* per (topology, power) with
+// per transmitter per step. A LinkModel answers the same question through
+// precomputed CSR rows instead: `prepare(tx_power_dbm)` returns a
+// SparseLinkView whose entries are computed *once* per (topology, power) with
 // the exact same expression the direct path used —
 //
 //     dbm_to_mw(topo.rx_power_dbm(tx, rx, tx_power_dbm))
 //
 // — so flood results stay bit-identical to evaluating the Topology inline.
+// CSR is the only link format: a backend that keeps every link simply
+// stores full rows, which the engine sweeps lanewise (DESIGN.md §10, §13).
 //
 // The seam also decouples the flood engine from the Topology class itself:
 // alternate backends (trace-driven gain matrices, GPU-resident batches,
-// time-varying channels) only need to produce a LinkMatrixView.
+// time-varying channels) only need to produce a SparseLinkView.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "phy/topology.hpp"
 
 namespace dimmer::phy {
 
-/// Non-owning view of a row-major n*n linear-domain (mW) link-power matrix.
-/// `row(tx)[rx]` is the received power at `rx` for a transmission from `tx`
-/// at the power the view was prepared for. Valid until the next `prepare()`
-/// call on (or destruction of) the model that produced it.
-struct LinkMatrixView {
-  const double* mw = nullptr;
-  int n = 0;
-
-  const double* row(NodeId tx) const {
-    return mw + static_cast<std::size_t>(tx) * static_cast<std::size_t>(n);
-  }
-};
-
-/// Non-owning CSR view of a *culled* link-power matrix: per transmitter, only
-/// the links whose rx power survived the backend's culling floor, as parallel
-/// (col, mw) arrays. Listener ids are strictly ascending within a row, and
-/// every stored power is positive (dbm_to_mw never produces 0 for a finite
-/// dBm value) — the flood engine relies on both to keep its per-listener
-/// accumulation order identical to the dense sweep and to use "accumulated
-/// power == 0.0" as "no surviving transmitter reaches this listener".
-/// Same validity rule as LinkMatrixView: good until the next prepare call.
+/// Non-owning CSR view of a link-power matrix: per transmitter, the links
+/// that exist at the power the view was prepared for, as parallel (col, mw)
+/// arrays. Listener ids are strictly ascending within a row, and every
+/// stored power is positive (dbm_to_mw never produces 0 for a finite dBm
+/// value; links that do not exist are simply absent). The flood engine
+/// relies on both to keep its per-listener accumulation order identical to
+/// the historical per-listener loop. Valid until the next `prepare()` call on
+/// (or destruction of) the model that produced it.
 struct SparseLinkView {
   const std::size_t* row_ptr = nullptr;  ///< n+1 offsets into col/mw
   const NodeId* col = nullptr;           ///< listener ids, ascending per row
   const double* mw = nullptr;            ///< received powers, parallel to col
   int n = 0;
+  /// True when the backend dropped links above -infinity dBm (a finite
+  /// culling floor). Only then may the engine skip a listener whose
+  /// accumulated power is exactly 0.0: with no such floor the view holds
+  /// every physical link, and the engine must draw for unreachable listeners
+  /// exactly as the direct-Topology loop does.
+  bool culled = false;
 
   std::size_t nnz() const {
     return row_ptr == nullptr ? 0 : row_ptr[static_cast<std::size_t>(n)];
@@ -72,45 +66,12 @@ class LinkModel {
   virtual ~LinkModel() = default;
 
   /// The topology this model describes (radio constants, interference
-  /// geometry). Every view has exactly `topology().size()` rows/columns.
+  /// geometry). Every view has exactly `topology().size()` rows.
   virtual const Topology& topology() const = 0;
 
-  /// Returns the mW link matrix for `tx_power_dbm`. Implementations cache:
+  /// Returns the mW link rows for `tx_power_dbm`. Implementations cache:
   /// repeated calls with the same power are O(1).
-  virtual LinkMatrixView prepare(double tx_power_dbm) = 0;
-
-  /// Optional sparse path: backends that cull sub-floor links return a CSR
-  /// view for `tx_power_dbm` (same caching contract as prepare); dense-only
-  /// backends return nullptr and callers fall back to the matrix view. The
-  /// flood engine probes this first, so a sparse backend never has to
-  /// materialize the O(N^2) matrix on the simulation path.
-  virtual const SparseLinkView* prepare_sparse(double tx_power_dbm) {
-    (void)tx_power_dbm;
-    return nullptr;
-  }
-};
-
-/// The standard backend: caches one matrix keyed by the last-prepared TX
-/// power. Recomputes only when the power changes (floods within a protocol
-/// run virtually always share one TX power, so steady state is one compute
-/// per topology).
-class CachedLinkModel final : public LinkModel {
- public:
-  explicit CachedLinkModel(const Topology& topo);
-
-  const Topology& topology() const override { return *topo_; }
-  LinkMatrixView prepare(double tx_power_dbm) override;
-
-  /// Number of full matrix recomputations so far (test/bench introspection).
-  int rebuilds() const { return rebuilds_; }
-
- private:
-  const Topology* topo_;
-  std::vector<double> mw_;        // row-major size*size
-  std::vector<double> dbm_row_;   // rebuild scratch: one row of dBm powers
-  double cached_power_dbm_ = 0.0;
-  bool valid_ = false;
-  int rebuilds_ = 0;
+  virtual const SparseLinkView& prepare(double tx_power_dbm) = 0;
 };
 
 }  // namespace dimmer::phy

@@ -50,6 +50,7 @@ void SparseLinkModel::rebuild(double tx_power_dbm) {
   const int n = topo_->size();
   const auto un = static_cast<std::size_t>(n);
   const double floor_dbm = cull_floor_dbm();  // -inf when culling is disabled
+  const bool culled = std::isfinite(floor_dbm);
 
   row_ptr_.assign(un + 1, 0);
   col_.clear();
@@ -58,17 +59,19 @@ void SparseLinkModel::rebuild(double tx_power_dbm) {
   keep_dbm_.resize(un);
 
   for (NodeId tx = 0; tx < n; ++tx) {
-    // The exact dense expression: rx_power_dbm per listener, survivors
-    // compacted, then the same batch dBm->mW kernel CachedLinkModel uses.
-    // The kernel is lanewise pure (DESIGN.md §12), so a survivor's mW bits
-    // do not depend on which other listeners sit beside it in the batch.
+    // The exact direct expression: rx_power_dbm per listener, survivors
+    // compacted, then the batch dBm->mW kernel. The kernel is lanewise pure
+    // (DESIGN.md §12), so a survivor's mW bits do not depend on which other
+    // listeners sit beside it in the batch.
     for (NodeId rx = 0; rx < n; ++rx)
       dbm_row_[static_cast<std::size_t>(rx)] =
           topo_->rx_power_dbm(tx, rx, tx_power_dbm);
     int kept = 0;
     for (NodeId rx = 0; rx < n; ++rx) {
       const double dbm = dbm_row_[static_cast<std::size_t>(rx)];
-      if (dbm >= floor_dbm) {
+      // A -infinity pair (culled at Topology construction) is a link that
+      // does not exist: it would pass `>= -inf` and be stored as 0.0 mW.
+      if (std::isfinite(dbm) && dbm >= floor_dbm) {
         col_.push_back(rx);
         keep_dbm_[static_cast<std::size_t>(kept++)] = dbm;
       }
@@ -79,12 +82,12 @@ void SparseLinkModel::rebuild(double tx_power_dbm) {
     row_ptr_[static_cast<std::size_t>(tx) + 1] = mw_.size();
   }
 
-  view_ = SparseLinkView{row_ptr_.data(), col_.data(), mw_.data(), n};
+  view_ = SparseLinkView{row_ptr_.data(), col_.data(), mw_.data(), n, culled};
 }
 
-const SparseLinkView* SparseLinkModel::prepare_sparse(double tx_power_dbm) {
-  // Same NaN rejection as CachedLinkModel: NaN != NaN defeats the cache
-  // check and would rebuild the CSR on every flood.
+const SparseLinkView& SparseLinkModel::prepare(double tx_power_dbm) {
+  // NaN != NaN would defeat the cache check and rebuild the CSR on every
+  // flood (and fill it with NaN that poisons SINR/PER downstream).
   DIMMER_REQUIRE(std::isfinite(tx_power_dbm), "tx_power_dbm must be finite");
   if (!valid_ || tx_power_dbm != cached_power_dbm_) {
     rebuild(tx_power_dbm);
@@ -92,19 +95,7 @@ const SparseLinkView* SparseLinkModel::prepare_sparse(double tx_power_dbm) {
     valid_ = true;
     ++rebuilds_;
   }
-  return &view_;
-}
-
-LinkMatrixView SparseLinkModel::prepare(double tx_power_dbm) {
-  const SparseLinkView* v = prepare_sparse(tx_power_dbm);
-  const auto un = static_cast<std::size_t>(v->n);
-  dense_.assign(un * un, 0.0);
-  for (NodeId tx = 0; tx < v->n; ++tx) {
-    double* row = dense_.data() + static_cast<std::size_t>(tx) * un;
-    for (std::size_t k = v->row_begin(tx); k < v->row_end(tx); ++k)
-      row[static_cast<std::size_t>(v->col[k])] = v->mw[k];
-  }
-  return LinkMatrixView{dense_.data(), v->n};
+  return view_;
 }
 
 }  // namespace dimmer::phy

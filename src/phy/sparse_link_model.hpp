@@ -1,22 +1,26 @@
-// Sparse (culled CSR) LinkModel backend for large topologies.
+// SparseLinkModel: the CSR LinkModel backend, with optional culling.
 //
-// A dense link matrix costs 8*N^2 bytes and makes every flood step sweep
-// mostly-irrelevant rows: at city scale almost all (tx, rx) pairs are so far
-// apart that their received power is orders of magnitude below the noise
-// floor and can never influence a reception decision. SparseLinkModel culls
+// Every flood runs on CSR rows (phy/link_model.hpp). With culling disabled
+// (Config::no_culling) a row holds every link that physically exists — all
+// n listeners on a dense Topology — and the flood engine sweeps full rows
+// lanewise. At city scale almost all (tx, rx) pairs are so far apart that
+// their received power is orders of magnitude below the noise floor and can
+// never influence a reception decision; with culling enabled the model drops
 // those links at build time — a link survives iff its rx power (dBm) is at
-// or above a configurable floor relative to the radio's noise floor —
-// and stores the survivors as CSR rows per transmitter.
+// or above a configurable floor relative to the radio's noise floor.
 //
 // Determinism contract (DESIGN.md §13):
-//  - Surviving links hold the *exact* double the dense CachedLinkModel would
-//    hold: the same rx_power_dbm expression fed through the same
-//    dbm_to_mw_batch kernel (which is lanewise pure, so compacting survivors
-//    before the batch conversion cannot change their bits).
-//  - With culling disabled (Config::no_culling), every link survives, rows
-//    are full, and a flood engine driven by this backend is bit-identical to
-//    one driven by CachedLinkModel — FloodResult AND RNG end-state
-//    (tests/flood/test_sparse_differential.cpp).
+//  - Stored links hold the *exact* double of the direct expression
+//    dbm_to_mw(topo.rx_power_dbm(tx, rx, power)) on the scalar backend, and
+//    the same dbm_to_mw_batch bits on every backend (the kernel is lanewise
+//    pure, so compacting survivors before the batch conversion cannot change
+//    their bits).
+//  - Links that do not exist (a -infinity dBm pair of a construction-culled
+//    Topology) are never stored, whatever the config: every stored power is
+//    positive.
+//  - With culling disabled, a flood engine driven by this backend is
+//    bit-identical to the frozen direct-Topology reference loop — FloodResult
+//    AND RNG end-state (tests/flood/test_differential.cpp).
 //  - With culling enabled, the total culled power any listener could ever
 //    lose is bounded by cull_floor_mw * fan-in (each culled link is below
 //    the floor; tests/phy/test_sparse_link_model.cpp proves the bound), so a
@@ -39,9 +43,9 @@ class SparseLinkModel final : public LinkModel {
     /// dropped. Must be positive; +infinity keeps every link.
     double cull_margin_db = 20.0;
 
-    /// Culling disabled: every link survives and results are bit-identical
-    /// to CachedLinkModel (the point of this config is the differential
-    /// suite; it stores N^2 entries, so only use it at small N).
+    /// Culling disabled: every existing link survives and results are
+    /// bit-identical to the direct-Topology loop. Stores N^2 entries on a
+    /// dense Topology and Topology::gain_nnz() on a construction-culled one.
     static Config no_culling();
 
     /// A margin guaranteeing that the *summed* culled power at any listener
@@ -58,18 +62,13 @@ class SparseLinkModel final : public LinkModel {
 
   const Topology& topology() const override { return *topo_; }
 
-  /// Dense compatibility fallback: scatters the CSR rows into an internally
-  /// held row-major matrix (culled entries read as exactly 0.0 mW). Costs
-  /// O(N^2) memory — the flood engine never calls it when prepare_sparse is
-  /// available; it exists for dense-only consumers and tests.
-  LinkMatrixView prepare(double tx_power_dbm) override;
-
-  const SparseLinkView* prepare_sparse(double tx_power_dbm) override;
+  const SparseLinkView& prepare(double tx_power_dbm) override;
 
   /// Number of full CSR recomputations so far (test/bench introspection).
   int rebuilds() const { return rebuilds_; }
 
-  /// Culling floor in dBm (noise floor minus the configured margin).
+  /// Culling floor in dBm (noise floor minus the configured margin;
+  /// -infinity with culling disabled).
   double cull_floor_dbm() const;
 
   /// Survived-link count of the last prepared view (0 before any prepare).
@@ -89,7 +88,6 @@ class SparseLinkModel final : public LinkModel {
   std::vector<double> mw_;            // nnz received powers
   std::vector<double> dbm_row_;       // rebuild scratch: one full dBm row
   std::vector<double> keep_dbm_;      // rebuild scratch: compacted survivors
-  std::vector<double> dense_;         // lazily sized only if prepare() runs
   SparseLinkView view_;
   double cached_power_dbm_ = 0.0;
   bool valid_ = false;

@@ -1,0 +1,59 @@
+// Strict parsing of the bench harnesses' environment knobs, which go
+// through the shared exp::env_count / exp::env_positive_double parsers.
+// Every malformed value must fail loudly instead of silently running a
+// sweep at the wrong scale or parallelism.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <string>
+
+#include "bench/common.hpp"
+#include "util/check.hpp"
+
+namespace dimmer::bench {
+namespace {
+
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    ::setenv(name, value.c_str(), 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+
+ private:
+  const char* name_;
+};
+
+TEST(BenchEnv, ScaleIsStrictlyParsed) {
+  // Regression: std::atof accepted "0.1x" as 0.1 and turned "0" and "abc"
+  // into a silent full-scale (1.0) run.
+  ::unsetenv("DIMMER_BENCH_SCALE");
+  EXPECT_DOUBLE_EQ(scale(), 1.0);
+  {
+    ScopedEnv env("DIMMER_BENCH_SCALE", "0.1");
+    EXPECT_DOUBLE_EQ(scale(), 0.1);
+    EXPECT_EQ(scaled(100), 10);
+  }
+  for (const char* bad : {"0.1x", "0", "abc", "-2"}) {
+    ScopedEnv env("DIMMER_BENCH_SCALE", bad);
+    EXPECT_THROW((void)scale(), util::RequireError) << bad;
+  }
+}
+
+TEST(BenchEnv, FedWorkersAreStrictlyParsed) {
+  // Regression: std::atoi read "2x" as 2 and turned "0" and "-1" into a
+  // silent single worker.
+  ::unsetenv("DIMMER_FED_WORKERS");
+  EXPECT_EQ(fed_workers(), 1);
+  {
+    ScopedEnv env("DIMMER_FED_WORKERS", "3");
+    EXPECT_EQ(fed_workers(), 3);
+  }
+  for (const char* bad : {"2x", "0", "-1", "1000", "three"}) {
+    ScopedEnv env("DIMMER_FED_WORKERS", bad);
+    EXPECT_THROW((void)fed_workers(), util::RequireError) << bad;
+  }
+}
+
+}  // namespace
+}  // namespace dimmer::bench

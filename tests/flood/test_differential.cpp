@@ -1,17 +1,32 @@
-// Differential bit-identity suite for the hot-path refactor (DESIGN.md §10).
+// Differential bit-identity suite for the hot-path refactor (DESIGN.md §10,
+// §13).
 //
 // Every case runs the frozen pre-refactor loop (reference_glossy.cpp) and
 // the shipped engine from identical RNG states and asserts that (a) every
 // FloodResult field is exactly equal — including floating-point-derived
 // radio timings — and (b) the two RNG streams end in the same state, so a
 // longer simulation embedding the flood would stay bit-identical too.
+//
+// Each input runs through two engines, which between them pin both step-3a
+// branches: the owning engine (unculled CSR, full rows on a dense topology,
+// so the lanewise sweep; partial rows on the construction-culled campus, so
+// the scatter and the draws for unreachable listeners) and one over
+// DiagonalFreeLinkModel, whose rows are n-1 long, so every input also takes
+// the scatter.
+//
+// The SparseDifferential cases compare those two engines directly, scatter
+// against full-row sweep, from identical RNG states: the branch choice must
+// be invisible in every FloodResult field and in the RNG end-state.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "core/scenarios.hpp"
 #include "flood/glossy.hpp"
 #include "flood/workspace.hpp"
+#include "phy/link_model.hpp"
+#include "phy/sparse_link_model.hpp"
 #include "phy/topology.hpp"
 #include "reference_glossy.hpp"
 #include "util/rng.hpp"
@@ -42,6 +57,48 @@ void expect_same_rng_state(util::Pcg32& a, util::Pcg32& b) {
   for (int i = 0; i < 3; ++i) EXPECT_EQ(a.normal(), b.normal());
 }
 
+/// The unculled CSR rows without the diagonal. Exact: a transmitter's own
+/// accumulators are never read in its TX step, so dropping its self-link
+/// changes nothing observable — but rows become n-1 long, which moves every
+/// flood off the full-row sweep and onto the scatter.
+class DiagonalFreeLinkModel final : public phy::LinkModel {
+ public:
+  explicit DiagonalFreeLinkModel(const phy::Topology& topo)
+      : inner_(topo, phy::SparseLinkModel::Config::no_culling()) {}
+
+  const phy::Topology& topology() const override { return inner_.topology(); }
+
+  const phy::SparseLinkView& prepare(double tx_power_dbm) override {
+    const phy::SparseLinkView& full = inner_.prepare(tx_power_dbm);
+    row_ptr_.assign(1, 0);
+    col_.clear();
+    mw_.clear();
+    for (phy::NodeId tx = 0; tx < full.n; ++tx) {
+      for (std::size_t k = full.row_begin(tx); k < full.row_end(tx); ++k) {
+        if (full.col[k] == tx) continue;
+        col_.push_back(full.col[k]);
+        mw_.push_back(full.mw[k]);
+      }
+      row_ptr_.push_back(col_.size());
+    }
+    view_ = phy::SparseLinkView{row_ptr_.data(), col_.data(), mw_.data(),
+                                full.n, full.culled};
+    return view_;
+  }
+
+ private:
+  phy::SparseLinkModel inner_;
+  std::vector<std::size_t> row_ptr_;
+  std::vector<phy::NodeId> col_;
+  std::vector<double> mw_;
+  phy::SparseLinkView view_;
+};
+
+/// Culled campus floor: links weaker than -80 dB (~21 m at the office
+/// path-loss exponent) do not exist, so on the ~70 m wide 60-node campus
+/// most listeners have no link to the initiator's corner.
+constexpr double kCampusGainFloorDb = -80.0;
+
 struct Case {
   phy::Topology topo;
   phy::InterferenceField field;
@@ -51,8 +108,28 @@ phy::Topology topo_for(const std::string& name) {
   if (name == "line") return phy::make_line_topology(8, 12.0);
   if (name == "grid") return phy::make_grid_topology(4, 4, 10.0);
   if (name == "office18") return phy::make_office18_topology();
+  if (name == "campus") return phy::make_campus_topology(60);
+  if (name == "campus-culled")
+    return phy::make_campus_topology_culled(60, 1, kCampusGainFloorDb);
   return phy::make_dcube48_topology();
 }
+
+/// The engines every input runs through (see the file comment).
+struct Engines {
+  explicit Engines(const Case& c)
+      : diag_free_links(c.topo),
+        owning(c.topo, c.field),
+        diag_free(diag_free_links, c.field) {}
+
+  DiagonalFreeLinkModel diag_free_links;
+  GlossyFlood owning;
+  GlossyFlood diag_free;
+
+  static constexpr const char* kNames[] = {"owning", "diagonal-free"};
+  const GlossyFlood& operator[](int i) const {
+    return i == 0 ? owning : diag_free;
+  }
+};
 
 Case make_case(const std::string& name, double jam_duty) {
   Case c{topo_for(name), phy::InterferenceField{}};
@@ -60,8 +137,8 @@ Case make_case(const std::string& name, double jam_duty) {
       (name == "office18" || name == "dcube48")) {
     core::add_static_jamming(c.field, c.topo, jam_duty);
   } else if (jam_duty > 0.0) {
-    // Line/grid topologies have no office jammer positions; use ambient
-    // office noise as the interference source instead.
+    // Line/grid/campus topologies have no office jammer positions; use
+    // ambient office noise as the interference source instead.
     core::add_office_ambient(c.field, c.topo);
   }
   return c;
@@ -74,16 +151,19 @@ void run_differential(const std::string& topo_name, double jam_duty,
   Case c = make_case(topo_name, jam_duty);
   ASSERT_EQ(static_cast<int>(configs.size()), c.topo.size());
 
-  util::Pcg32 rng_ref(seed);
-  FloodResult want =
-      reference::run(c.topo, c.field, initiator, configs, params, rng_ref);
+  Engines engines(c);
+  for (int e = 0; e < 2; ++e) {
+    SCOPED_TRACE(Engines::kNames[e]);
+    util::Pcg32 rng_ref(seed);
+    FloodResult want =
+        reference::run(c.topo, c.field, initiator, configs, params, rng_ref);
 
-  GlossyFlood engine(c.topo, c.field);
-  util::Pcg32 rng_new(seed);
-  FloodResult got = engine.run(initiator, configs, params, rng_new);
+    util::Pcg32 rng_new(seed);
+    FloodResult got = engines[e].run(initiator, configs, params, rng_new);
 
-  expect_identical(want, got);
-  expect_same_rng_state(rng_ref, rng_new);
+    expect_identical(want, got);
+    expect_same_rng_state(rng_ref, rng_new);
+  }
 }
 
 std::vector<NodeFloodConfig> uniform_configs(int n, int n_tx) {
@@ -91,8 +171,17 @@ std::vector<NodeFloodConfig> uniform_configs(int n, int n_tx) {
                                       NodeFloodConfig{n_tx, true});
 }
 
+TEST(FloodDifferential, CulledCampusHasUnreachableListeners) {
+  // The culled input only exercises the unreachable-listener draws if some
+  // link is missing — here, from the initiator (node 0) to the far corner.
+  Case c = make_case("campus-culled", 0.0);
+  const phy::NodeId far = c.topo.size() - 1;
+  EXPECT_EQ(c.topo.gain_db(0, far), -std::numeric_limits<double>::infinity());
+}
+
 TEST(FloodDifferential, CleanTopologies) {
-  for (const char* name : {"line", "grid", "office18", "dcube48"}) {
+  for (const char* name :
+       {"line", "grid", "office18", "dcube48", "campus", "campus-culled"}) {
     SCOPED_TRACE(name);
     Case c = make_case(name, 0.0);
     const int n = c.topo.size();
@@ -104,7 +193,8 @@ TEST(FloodDifferential, CleanTopologies) {
 }
 
 TEST(FloodDifferential, JammedTopologies) {
-  for (const char* name : {"line", "grid", "office18", "dcube48"}) {
+  for (const char* name :
+       {"line", "grid", "office18", "dcube48", "campus", "campus-culled"}) {
     SCOPED_TRACE(name);
     Case c = make_case(name, 0.3);
     const int n = c.topo.size();
@@ -160,18 +250,21 @@ TEST(FloodDifferential, AlternatingTxPowerRebindsCache) {
   const int n = c.topo.size();
   auto cfgs = uniform_configs(n, 3);
 
-  GlossyFlood engine(c.topo, c.field);
-  util::Pcg32 rng_new(55);
-  util::Pcg32 rng_ref(55);
-  for (double power : {0.0, -7.0, 0.0, 3.0, -7.0}) {
-    SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
-    FloodParams p;
-    p.tx_power_dbm = power;
-    FloodResult want = reference::run(c.topo, c.field, 0, cfgs, p, rng_ref);
-    FloodResult got = engine.run(0, cfgs, p, rng_new);
-    expect_identical(want, got);
+  Engines engines(c);
+  for (int e = 0; e < 2; ++e) {
+    SCOPED_TRACE(Engines::kNames[e]);
+    util::Pcg32 rng_new(55);
+    util::Pcg32 rng_ref(55);
+    for (double power : {0.0, -7.0, 0.0, 3.0, -7.0}) {
+      SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
+      FloodParams p;
+      p.tx_power_dbm = power;
+      FloodResult want = reference::run(c.topo, c.field, 0, cfgs, p, rng_ref);
+      FloodResult got = engines[e].run(0, cfgs, p, rng_new);
+      expect_identical(want, got);
+    }
+    expect_same_rng_state(rng_ref, rng_new);
   }
-  expect_same_rng_state(rng_ref, rng_new);
 }
 
 TEST(FloodDifferential, RunIntoReusedBuffersMatchFreshRuns) {
@@ -183,23 +276,137 @@ TEST(FloodDifferential, RunIntoReusedBuffersMatchFreshRuns) {
   cfgs[4].n_tx = 0;
   cfgs[9].participates = false;
 
-  GlossyFlood engine(c.topo, c.field);
+  Engines engines(c);
+  for (int e = 0; e < 2; ++e) {
+    SCOPED_TRACE(Engines::kNames[e]);
+    FloodWorkspace ws;
+    FloodResult reused;
+    util::Pcg32 rng_ref(88);
+    util::Pcg32 rng_new(88);
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      FloodParams p;
+      p.slot_start_us = round * sim::ms(40);
+      phy::NodeId init = static_cast<phy::NodeId>((round * 3) % n);
+      if (!cfgs[static_cast<std::size_t>(init)].participates) init += 1;
+      FloodResult want =
+          reference::run(c.topo, c.field, init, cfgs, p, rng_ref);
+      engines[e].run_into(init, cfgs, p, rng_new, ws, reused);
+      expect_identical(want, reused);
+    }
+    expect_same_rng_state(rng_ref, rng_new);
+  }
+}
+
+/// Runs the owning engine (full rows on an unculled topology: the sweep) and
+/// the diagonal-free engine (the scatter) from identical RNG states and
+/// asserts bit-identity.
+void run_sparse_differential(const std::string& topo_name, double jam_duty,
+                             const std::vector<NodeFloodConfig>& configs,
+                             phy::NodeId initiator, const FloodParams& params,
+                             std::uint64_t seed) {
+  Case c = make_case(topo_name, jam_duty);
+  ASSERT_EQ(static_cast<int>(configs.size()), c.topo.size());
+
+  Engines engines(c);
+  util::Pcg32 rng_dense(seed);
+  FloodResult want = engines.owning.run(initiator, configs, params, rng_dense);
+  util::Pcg32 rng_sparse(seed);
+  FloodResult got =
+      engines.diag_free.run(initiator, configs, params, rng_sparse);
+
+  expect_identical(want, got);
+  expect_same_rng_state(rng_dense, rng_sparse);
+}
+
+TEST(SparseDifferential, CleanTopologies) {
+  for (const char* name : {"line", "grid", "office18", "dcube48", "campus"}) {
+    SCOPED_TRACE(name);
+    Case c = make_case(name, 0.0);
+    const int n = c.topo.size();
+    for (std::uint64_t seed : {1ULL, 77ULL, 4242ULL}) {
+      run_sparse_differential(name, 0.0, uniform_configs(n, 3), 0,
+                              FloodParams{}, seed);
+    }
+  }
+}
+
+TEST(SparseDifferential, JammedTopologies) {
+  for (const char* name : {"line", "grid", "office18", "dcube48"}) {
+    SCOPED_TRACE(name);
+    Case c = make_case(name, 0.3);
+    const int n = c.topo.size();
+    for (std::uint64_t seed : {9ULL, 1234ULL}) {
+      FloodParams p;
+      p.slot_start_us = sim::seconds(5);  // land inside jammer bursts
+      run_sparse_differential(name, 0.3, uniform_configs(n, 3), n / 2, p,
+                              seed);
+    }
+  }
+}
+
+TEST(SparseDifferential, MixedBudgetsAndPassiveReceivers) {
+  Case probe = make_case("dcube48", 0.0);
+  const int n = probe.topo.size();
+  auto cfgs = uniform_configs(n, 3);
+  for (int i = 0; i < n; ++i) {
+    cfgs[static_cast<std::size_t>(i)].n_tx = i % 4;  // includes n_tx = 0
+  }
+  for (int i = 0; i < n; i += 7)
+    cfgs[static_cast<std::size_t>(i)].participates = false;
+  cfgs[3].participates = true;  // keep the initiator participating
+  for (std::uint64_t seed : {3ULL, 31ULL, 314ULL}) {
+    run_sparse_differential("dcube48", 0.0, cfgs, 3, FloodParams{}, seed);
+    run_sparse_differential("dcube48", 0.3, cfgs, 3, FloodParams{}, seed);
+  }
+}
+
+TEST(SparseDifferential, AlternatingTxPowerRebindsCsr) {
+  // Back-to-back floods at different TX powers through ONE engine per
+  // branch: both rebind their CSR rows per power.
+  Case c = make_case("office18", 0.3);
+  const int n = c.topo.size();
+  auto cfgs = uniform_configs(n, 3);
+
+  Engines engines(c);
+  util::Pcg32 rng_dense(55);
+  util::Pcg32 rng_sparse(55);
+  for (double power : {0.0, -7.0, 0.0, 3.0, -7.0}) {
+    SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
+    FloodParams p;
+    p.tx_power_dbm = power;
+    FloodResult want = engines.owning.run(0, cfgs, p, rng_dense);
+    FloodResult got = engines.diag_free.run(0, cfgs, p, rng_sparse);
+    expect_identical(want, got);
+  }
+  expect_same_rng_state(rng_dense, rng_sparse);
+}
+
+TEST(SparseDifferential, RunIntoReusedBuffersMatchDense) {
+  // Reused workspace/result buffers through the scatter must be as
+  // invisible as fresh run()s through the full-row sweep.
+  Case c = make_case("dcube48", 0.3);
+  const int n = c.topo.size();
+  auto cfgs = uniform_configs(n, 3);
+  cfgs[4].n_tx = 0;
+  cfgs[9].participates = false;
+
+  Engines engines(c);
   FloodWorkspace ws;
   FloodResult reused;
-  util::Pcg32 rng_ref(88);
-  util::Pcg32 rng_new(88);
+  util::Pcg32 rng_dense(88);
+  util::Pcg32 rng_sparse(88);
   for (int round = 0; round < 6; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     FloodParams p;
     p.slot_start_us = round * sim::ms(40);
     phy::NodeId init = static_cast<phy::NodeId>((round * 3) % n);
     if (!cfgs[static_cast<std::size_t>(init)].participates) init += 1;
-    FloodResult want =
-        reference::run(c.topo, c.field, init, cfgs, p, rng_ref);
-    engine.run_into(init, cfgs, p, rng_new, ws, reused);
+    FloodResult want = engines.owning.run(init, cfgs, p, rng_dense);
+    engines.diag_free.run_into(init, cfgs, p, rng_sparse, ws, reused);
     expect_identical(want, reused);
   }
-  expect_same_rng_state(rng_ref, rng_new);
+  expect_same_rng_state(rng_dense, rng_sparse);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "flood/glossy.hpp"
 #include "phy/link_model.hpp"
 #include "phy/propagation.hpp"
+#include "phy/sparse_link_model.hpp"
 #include "phy/topology.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -15,25 +16,31 @@
 namespace dimmer::phy {
 namespace {
 
-TEST(CachedLinkModel, EntriesMatchTopologyPerBackendContract) {
+TEST(LinkModel, EntriesMatchTopologyPerBackendContract) {
   Topology topo = make_office18_topology();
-  CachedLinkModel model(topo);
+  const int n = topo.size();
+  SparseLinkModel model(topo, SparseLinkModel::Config::no_culling());
   for (double power : {0.0, -7.0, 3.5}) {
     SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
-    LinkMatrixView v = model.prepare(power);
-    ASSERT_EQ(v.n, topo.size());
-    for (NodeId tx = 0; tx < topo.size(); ++tx) {
-      for (NodeId rx = 0; rx < topo.size(); ++rx) {
+    const SparseLinkView& v = model.prepare(power);
+    ASSERT_EQ(v.n, n);
+    EXPECT_FALSE(v.culled);
+    for (NodeId tx = 0; tx < n; ++tx) {
+      // Every link of a dense topology exists: full rows, col[k] == k.
+      ASSERT_EQ(v.row_end(tx) - v.row_begin(tx), static_cast<std::size_t>(n));
+      for (NodeId rx = 0; rx < n; ++rx) {
+        const std::size_t k = v.row_begin(tx) + static_cast<std::size_t>(rx);
+        ASSERT_EQ(v.col[k], rx);
         double want = dbm_to_mw(topo.rx_power_dbm(tx, rx, power));
         if (util::simd::native_width == 1) {
-          // Scalar backend: bit-identity, not tolerance — the matrix must
+          // Scalar backend: bit-identity, not tolerance — the rows must
           // hold the exact double the historical per-reception expression
           // produced (DESIGN.md §12).
-          EXPECT_EQ(v.row(tx)[rx], want) << "tx=" << tx << " rx=" << rx;
+          EXPECT_EQ(v.mw[k], want) << "tx=" << tx << " rx=" << rx;
         } else {
-          // Vector backends rebuild rows through the bounded-ulp exp10
+          // Vector backends build rows through the bounded-ulp exp10
           // kernel; DESIGN.md §12 documents this site as tolerance-checked.
-          EXPECT_NEAR(v.row(tx)[rx], want, std::abs(want) * 1e-13)
+          EXPECT_NEAR(v.mw[k], want, std::abs(want) * 1e-13)
               << "tx=" << tx << " rx=" << rx;
         }
       }
@@ -41,20 +48,29 @@ TEST(CachedLinkModel, EntriesMatchTopologyPerBackendContract) {
   }
 }
 
+// The link cache GlossyFlood's convenience constructor owns (an unculled
+// SparseLinkModel), driven through the engine as callers drive it.
+const SparseLinkModel& owned_links(const flood::GlossyFlood& engine) {
+  return dynamic_cast<const SparseLinkModel&>(engine.link_model());
+}
+
 TEST(CachedLinkModel, PrepareRejectsNonFiniteTxPower) {
-  // Regression: prepare() cached the last power with `power != cached_`.
-  // NaN != NaN is always true, so a NaN tx power rebuilt the O(n^2) matrix
-  // on EVERY flood (and filled it with NaN mW). Non-finite powers now
-  // REQUIRE-fail instead.
+  // Regression: the cache once keyed on `power != cached_`. NaN != NaN is
+  // always true, so a NaN tx power rebuilt every link on EVERY flood (and
+  // filled them with NaN mW). Non-finite powers now REQUIRE-fail.
   Topology topo = make_line_topology(5, 10.0);
-  CachedLinkModel model(topo);
-  EXPECT_THROW(model.prepare(std::numeric_limits<double>::quiet_NaN()),
-               util::RequireError);
-  EXPECT_THROW(model.prepare(std::numeric_limits<double>::infinity()),
-               util::RequireError);
-  EXPECT_THROW(model.prepare(-std::numeric_limits<double>::infinity()),
-               util::RequireError);
-  EXPECT_EQ(model.rebuilds(), 0);  // rejected before touching the cache
+  InterferenceField field;
+  flood::GlossyFlood engine(topo, field);
+  std::vector<flood::NodeFloodConfig> cfgs(5, flood::NodeFloodConfig{2, true});
+  util::Pcg32 rng(5);
+  for (double power : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    flood::FloodParams p;
+    p.tx_power_dbm = power;
+    EXPECT_THROW((void)engine.run(0, cfgs, p, rng), util::RequireError);
+  }
+  EXPECT_EQ(owned_links(engine).rebuilds(), 0);  // rejected before caching
 }
 
 TEST(CachedLinkModel, RebuildsStayFlatAcrossSamePowerFloods) {
@@ -62,54 +78,63 @@ TEST(CachedLinkModel, RebuildsStayFlatAcrossSamePowerFloods) {
   // power must hit the cache every time after the first build.
   Topology topo = make_office18_topology();
   InterferenceField field;
-  CachedLinkModel model(topo);
-  flood::GlossyFlood engine(model, field);
+  flood::GlossyFlood engine(topo, field);
   std::vector<flood::NodeFloodConfig> cfgs(
       18, flood::NodeFloodConfig{2, true});
   util::Pcg32 rng(5);
   for (int i = 0; i < 8; ++i) {
     flood::FloodResult r = engine.run(0, cfgs, flood::FloodParams{}, rng);
     (void)r.receiver_count();
-    EXPECT_EQ(model.rebuilds(), 1) << "flood " << i;
+    EXPECT_EQ(owned_links(engine).rebuilds(), 1) << "flood " << i;
   }
 }
 
 TEST(CachedLinkModel, RebuildsOnlyOnPowerChange) {
   Topology topo = make_line_topology(5, 10.0);
-  CachedLinkModel model(topo);
-  EXPECT_EQ(model.rebuilds(), 0);
-
-  model.prepare(0.0);
-  EXPECT_EQ(model.rebuilds(), 1);
-  model.prepare(0.0);
-  model.prepare(0.0);
-  EXPECT_EQ(model.rebuilds(), 1);  // cache hit
-
-  model.prepare(-5.0);
-  EXPECT_EQ(model.rebuilds(), 2);
-  model.prepare(0.0);  // single-entry cache: going back recomputes
-  EXPECT_EQ(model.rebuilds(), 3);
-  model.prepare(0.0);
-  EXPECT_EQ(model.rebuilds(), 3);
+  InterferenceField field;
+  flood::GlossyFlood engine(topo, field);
+  std::vector<flood::NodeFloodConfig> cfgs(5, flood::NodeFloodConfig{2, true});
+  util::Pcg32 rng(9);
+  EXPECT_EQ(owned_links(engine).rebuilds(), 0);
+  // Single-entry cache: going back to an earlier power recomputes.
+  const double powers[] = {0.0, 0.0, 0.0, -5.0, 0.0, 0.0};
+  const int want_rebuilds[] = {1, 1, 1, 2, 3, 3};
+  for (int i = 0; i < 6; ++i) {
+    flood::FloodParams p;
+    p.tx_power_dbm = powers[i];
+    (void)engine.run(0, cfgs, p, rng);
+    EXPECT_EQ(owned_links(engine).rebuilds(), want_rebuilds[i])
+        << "flood " << i;
+  }
 }
 
-// A custom backend proving the seam: uniform link power everywhere except
-// self-links, regardless of the underlying topology's path loss.
+// A custom backend proving the seam: uniform link power between every pair
+// of distinct nodes, regardless of the underlying topology's path loss. Rows
+// are n-1 long (no self-links), so the engine scatters them.
 class UniformLinkModel final : public LinkModel {
  public:
   UniformLinkModel(const Topology& topo, double mw) : topo_(&topo) {
-    const auto n = static_cast<std::size_t>(topo.size());
-    mw_.assign(n * n, mw);
-    for (std::size_t i = 0; i < n; ++i) mw_[i * n + i] = 0.0;
+    const int n = topo.size();
+    row_ptr_.push_back(0);
+    for (NodeId tx = 0; tx < n; ++tx) {
+      for (NodeId rx = 0; rx < n; ++rx) {
+        if (rx == tx) continue;
+        col_.push_back(rx);
+        mw_.push_back(mw);
+      }
+      row_ptr_.push_back(col_.size());
+    }
+    view_ = SparseLinkView{row_ptr_.data(), col_.data(), mw_.data(), n};
   }
   const Topology& topology() const override { return *topo_; }
-  LinkMatrixView prepare(double) override {
-    return LinkMatrixView{mw_.data(), topo_->size()};
-  }
+  const SparseLinkView& prepare(double) override { return view_; }
 
  private:
   const Topology* topo_;
+  std::vector<std::size_t> row_ptr_;
+  std::vector<NodeId> col_;
   std::vector<double> mw_;
+  SparseLinkView view_;
 };
 
 TEST(LinkModel, CustomBackendDrivesFloodEngine) {
@@ -142,7 +167,7 @@ TEST(LinkModel, CustomBackendDrivesFloodEngine) {
 TEST(LinkModel, OwningAndSeamConstructorsAgree) {
   Topology topo = make_office18_topology();
   InterferenceField field;
-  CachedLinkModel model(topo);
+  SparseLinkModel model(topo, SparseLinkModel::Config::no_culling());
 
   flood::GlossyFlood via_seam(model, field);
   flood::GlossyFlood owning(topo, field);

@@ -1,26 +1,46 @@
 // SparseLinkModel unit + property suite (DESIGN.md §13).
 //
-// Three contracts are pinned here: (a) with culling disabled every CSR row is
-// full and bitwise equal to the dense CachedLinkModel matrix, (b) with
+// Four contracts are pinned here: (a) with culling disabled every CSR row of
+// a dense topology is full and bitwise equal to the full-row dBm->mW batch
+// conversion, and links that do not exist are never stored, (b) with
 // culling enabled the model drops exactly the links below the configured
-// floor — survivors keep their dense bits — and (c) the culled power any
+// floor — survivors keep their full-row bits — (c) the culled power any
 // listener could lose is provably bounded: each culled link sits below the
 // floor, so the per-listener sum is below floor_mw * fan-in, which a
-// Config::bounded_influence margin keeps under the noise floor itself.
+// Config::bounded_influence margin keeps under the noise floor itself, and
+// (d) that bound shows up end to end: culled floods deliver like unculled
+// ones.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <vector>
 
+#include "core/scenarios.hpp"
+#include "flood/glossy.hpp"
+#include "flood/workspace.hpp"
+#include "phy/batched.hpp"
 #include "phy/link_model.hpp"
 #include "phy/propagation.hpp"
 #include "phy/sparse_link_model.hpp"
 #include "phy/topology.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace dimmer::phy {
 namespace {
+
+/// Every listener's mW power for a transmission from `tx`: the full dBm row
+/// through the batch kernel, the expression an unculled row stores.
+std::vector<double> full_row_mw(const Topology& topo, NodeId tx,
+                                double power) {
+  const auto un = static_cast<std::size_t>(topo.size());
+  std::vector<double> dbm(un), mw(un);
+  for (NodeId rx = 0; rx < topo.size(); ++rx)
+    dbm[static_cast<std::size_t>(rx)] = topo.rx_power_dbm(tx, rx, power);
+  dbm_to_mw_batch(dbm.data(), mw.data(), topo.size());
+  return mw;
+}
 
 TEST(SparseLinkModel, NoCullingRowsBitwiseMatchDense) {
   for (int which : {0, 1}) {
@@ -30,30 +50,56 @@ TEST(SparseLinkModel, NoCullingRowsBitwiseMatchDense) {
     const int n = topo.size();
     const auto un = static_cast<std::size_t>(n);
 
-    CachedLinkModel dense(topo);
     SparseLinkModel sparse(topo, SparseLinkModel::Config::no_culling());
 
     for (double power : {0.0, -7.0, 3.0}) {
       SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
-      LinkMatrixView want = dense.prepare(power);
-      const SparseLinkView* got = sparse.prepare_sparse(power);
-      ASSERT_NE(got, nullptr);
-      ASSERT_EQ(got->n, n);
-      ASSERT_EQ(got->nnz(), un * un);  // every link survives
+      const SparseLinkView& got = sparse.prepare(power);
+      ASSERT_EQ(got.n, n);
+      ASSERT_EQ(got.nnz(), un * un);  // every link survives
+      EXPECT_FALSE(got.culled);
       for (NodeId tx = 0; tx < n; ++tx) {
-        const double* row = want.row(tx);
-        const std::size_t begin = got->row_begin(tx);
-        ASSERT_EQ(got->row_end(tx) - begin, un);
+        const std::vector<double> row = full_row_mw(topo, tx, power);
+        const std::size_t begin = got.row_begin(tx);
+        ASSERT_EQ(got.row_end(tx) - begin, un);
         for (NodeId rx = 0; rx < n; ++rx) {
           const std::size_t k = begin + static_cast<std::size_t>(rx);
-          EXPECT_EQ(got->col[k], rx);  // full row, ascending listener ids
+          EXPECT_EQ(got.col[k], rx);  // full row, ascending listener ids
           // Exact bits, not NEAR: same rx_power_dbm expression through the
           // same dbm_to_mw_batch kernel.
-          EXPECT_EQ(got->mw[k], row[rx]) << "tx " << tx << " rx " << rx;
+          EXPECT_EQ(got.mw[k], row[static_cast<std::size_t>(rx)])
+              << "tx " << tx << " rx " << rx;
         }
       }
     }
   }
+}
+
+TEST(SparseLinkModel, NoCullingStoresOnlyExistingLinks) {
+  // Regression: with no_culling (floor -inf) the keep test `dbm >= floor`
+  // also passed the -inf dBm pairs a construction-culled Topology reports
+  // for links that do not exist, so the CSR held N^2 entries, the missing
+  // links as 0.0 mW. Only finite-dBm links may be stored.
+  const double floor_db = gain_cull_floor_db(RadioConstants{}, 20.0);
+  Topology topo = make_campus_topology_culled(256, 1, floor_db);
+  ASSERT_LT(topo.gain_nnz(), static_cast<std::size_t>(256) * 256);
+  SparseLinkModel sparse(topo, SparseLinkModel::Config::no_culling());
+  const SparseLinkView& view = sparse.prepare(0.0);
+  EXPECT_EQ(sparse.nnz(), topo.gain_nnz());
+  EXPECT_FALSE(view.culled);  // no floor: the engine draws every listener
+  for (std::size_t k = 0; k < view.nnz(); ++k) EXPECT_GT(view.mw[k], 0.0);
+}
+
+TEST(SparseLinkModel, CulledFlagFollowsTheFloor) {
+  Topology topo = make_office18_topology();
+  SparseLinkModel unculled(topo, SparseLinkModel::Config::no_culling());
+  SparseLinkModel culled(topo);
+  EXPECT_FALSE(unculled.prepare(0.0).culled);
+  // Office links all clear the 20 dB margin, so rows stay full — the flag
+  // keys on the configured floor, not on whether anything was dropped.
+  const SparseLinkView& v = culled.prepare(0.0);
+  EXPECT_TRUE(v.culled);
+  EXPECT_EQ(v.nnz(), static_cast<std::size_t>(18) * 18);
 }
 
 TEST(SparseLinkModel, CullingDropsExactlySubFloorLinks) {
@@ -62,11 +108,9 @@ TEST(SparseLinkModel, CullingDropsExactlySubFloorLinks) {
   Topology topo = make_line_topology(64, 12.0);
   const int n = topo.size();
   SparseLinkModel sparse(topo);
-  CachedLinkModel dense(topo);
 
   const double power = 0.0;
-  const SparseLinkView* view = sparse.prepare_sparse(power);
-  LinkMatrixView want = dense.prepare(power);
+  const SparseLinkView& view = sparse.prepare(power);
   const double floor_dbm = sparse.cull_floor_dbm();
   EXPECT_EQ(floor_dbm, topo.radio().noise_floor_dbm - 20.0);
 
@@ -74,17 +118,19 @@ TEST(SparseLinkModel, CullingDropsExactlySubFloorLinks) {
   ASSERT_GT(sparse.nnz(), 0u);
 
   for (NodeId tx = 0; tx < n; ++tx) {
-    std::size_t k = view->row_begin(tx);
-    const std::size_t end = view->row_end(tx);
+    const std::vector<double> want = full_row_mw(topo, tx, power);
+    std::size_t k = view.row_begin(tx);
+    const std::size_t end = view.row_end(tx);
     NodeId prev = -1;
     for (NodeId rx = 0; rx < n; ++rx) {
-      const bool kept = k < end && view->col[k] == rx;
+      const bool kept = k < end && view.col[k] == rx;
       if (topo.rx_power_dbm(tx, rx, power) >= floor_dbm) {
         ASSERT_TRUE(kept) << "survivor culled: tx " << tx << " rx " << rx;
-        EXPECT_GT(view->col[k], prev);  // ascending within the row
-        EXPECT_GT(view->mw[k], 0.0);
-        EXPECT_EQ(view->mw[k], want.row(tx)[rx]);  // dense bits preserved
-        prev = view->col[k];
+        EXPECT_GT(view.col[k], prev);  // ascending within the row
+        EXPECT_GT(view.mw[k], 0.0);
+        // Full-row bits preserved.
+        EXPECT_EQ(view.mw[k], want[static_cast<std::size_t>(rx)]);
+        prev = view.col[k];
         ++k;
       } else {
         ASSERT_FALSE(kept) << "sub-floor link kept: tx " << tx << " rx " << rx;
@@ -107,11 +153,9 @@ TEST(SparseLinkModel, CulledPowerIsBoundedBelowNoiseFloor) {
     const int n = topo.size();
     SparseLinkModel sparse(
         topo, SparseLinkModel::Config::bounded_influence(n, headroom_db));
-    CachedLinkModel dense(topo);
 
     const double power = 0.0;
-    const SparseLinkView* view = sparse.prepare_sparse(power);
-    LinkMatrixView full = dense.prepare(power);
+    const SparseLinkView& view = sparse.prepare(power);
     const double floor_mw = dbm_to_mw(sparse.cull_floor_dbm());
     const double noise_mw = dbm_to_mw(topo.radio().noise_floor_dbm);
 
@@ -121,14 +165,15 @@ TEST(SparseLinkModel, CulledPowerIsBoundedBelowNoiseFloor) {
 
     std::vector<double> culled_sum(static_cast<std::size_t>(n), 0.0);
     for (NodeId tx = 0; tx < n; ++tx) {
-      std::size_t k = view->row_begin(tx);
-      const std::size_t end = view->row_end(tx);
+      const std::vector<double> full = full_row_mw(topo, tx, power);
+      std::size_t k = view.row_begin(tx);
+      const std::size_t end = view.row_end(tx);
       for (NodeId rx = 0; rx < n; ++rx) {
-        if (k < end && view->col[k] == rx) {
+        if (k < end && view.col[k] == rx) {
           ++k;  // survivor
           continue;
         }
-        const double lost = full.row(tx)[rx];
+        const double lost = full[static_cast<std::size_t>(rx)];
         EXPECT_LT(lost, floor_mw);  // every culled link sits below the floor
         culled_sum[static_cast<std::size_t>(rx)] += lost;
       }
@@ -141,39 +186,18 @@ TEST(SparseLinkModel, CulledPowerIsBoundedBelowNoiseFloor) {
   }
 }
 
-TEST(SparseLinkModel, DenseFallbackMatchesCsrScatter) {
-  Topology topo = make_line_topology(48, 12.0);
-  const int n = topo.size();
-  SparseLinkModel sparse(topo);
-  CachedLinkModel dense(topo);
-
-  LinkMatrixView got = sparse.prepare(0.0);
-  LinkMatrixView want = dense.prepare(0.0);
-  const double floor_dbm = sparse.cull_floor_dbm();
-  ASSERT_EQ(got.n, n);
-  for (NodeId tx = 0; tx < n; ++tx) {
-    for (NodeId rx = 0; rx < n; ++rx) {
-      if (topo.rx_power_dbm(tx, rx, 0.0) >= floor_dbm) {
-        EXPECT_EQ(got.row(tx)[rx], want.row(tx)[rx]);
-      } else {
-        EXPECT_EQ(got.row(tx)[rx], 0.0);  // culled entries read as exact zero
-      }
-    }
-  }
-}
-
 TEST(SparseLinkModel, CachesByPreparedPower) {
   Topology topo = make_office18_topology();
   SparseLinkModel sparse(topo, SparseLinkModel::Config::no_culling());
   EXPECT_EQ(sparse.rebuilds(), 0);
-  (void)sparse.prepare_sparse(0.0);
-  (void)sparse.prepare_sparse(0.0);
+  (void)sparse.prepare(0.0);
+  (void)sparse.prepare(0.0);
   EXPECT_EQ(sparse.rebuilds(), 1);
-  (void)sparse.prepare_sparse(-7.0);
+  (void)sparse.prepare(-7.0);
   EXPECT_EQ(sparse.rebuilds(), 2);
-  (void)sparse.prepare_sparse(0.0);  // cache keys on the last power only
+  (void)sparse.prepare(0.0);  // cache keys on the last power only
   EXPECT_EQ(sparse.rebuilds(), 3);
-  (void)sparse.prepare_sparse(0.0);
+  (void)sparse.prepare(0.0);
   EXPECT_EQ(sparse.rebuilds(), 3);
 }
 
@@ -182,10 +206,9 @@ TEST(SparseLinkModel, RejectsNonFinitePowerWithoutRebuilding) {
   SparseLinkModel sparse(topo);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW((void)sparse.prepare_sparse(nan), util::RequireError);
-  EXPECT_THROW((void)sparse.prepare_sparse(inf), util::RequireError);
-  EXPECT_THROW((void)sparse.prepare_sparse(-inf), util::RequireError);
   EXPECT_THROW((void)sparse.prepare(nan), util::RequireError);
+  EXPECT_THROW((void)sparse.prepare(inf), util::RequireError);
+  EXPECT_THROW((void)sparse.prepare(-inf), util::RequireError);
   EXPECT_EQ(sparse.rebuilds(), 0);
 }
 
@@ -219,10 +242,46 @@ TEST(SparseLinkModel, StorageScalesWithSurvivorsNotNodes) {
   Topology topo = make_line_topology(256, 12.0);
   const auto un = static_cast<std::size_t>(topo.size());
   SparseLinkModel sparse(topo);
-  (void)sparse.prepare_sparse(0.0);
+  (void)sparse.prepare(0.0);
   EXPECT_GT(sparse.nnz(), 0u);
   EXPECT_LT(sparse.nnz(), un * un / 8);
   EXPECT_LT(sparse.storage_bytes(), sizeof(double) * un * un / 4);
+}
+
+TEST(SparseLinkModel, CullingPreservesDeliveryRatioOnDcube48) {
+  // With real culling the per-reception outcomes may differ (interference
+  // sums lose sub-floor terms and RNG streams drift after the first skipped
+  // listener), but the culled power is below the noise floor, so the
+  // *aggregate* delivery ratio must stay put.
+  Topology topo = make_dcube48_topology();
+  InterferenceField field;
+  core::add_static_jamming(field, topo, 0.3);
+  const int n = topo.size();
+  const std::vector<flood::NodeFloodConfig> cfgs(
+      static_cast<std::size_t>(n), flood::NodeFloodConfig{2, true});
+
+  flood::GlossyFlood unculled_engine(topo, field);
+  SparseLinkModel links(topo, SparseLinkModel::Config::bounded_influence(n));
+  flood::GlossyFlood culled_engine(links, field);
+
+  const int kFloods = 200;
+  util::Pcg32 rng_unculled(2026);
+  util::Pcg32 rng_culled(2026);
+  flood::FloodWorkspace ws_unculled, ws_culled;
+  flood::FloodResult r_unculled, r_culled;
+  double sum_unculled = 0.0, sum_culled = 0.0;
+  for (int k = 0; k < kFloods; ++k) {
+    flood::FloodParams p;
+    p.slot_start_us = k * sim::ms(25);
+    const NodeId init = static_cast<NodeId>(k % n);
+    unculled_engine.run_into(init, cfgs, p, rng_unculled, ws_unculled,
+                             r_unculled);
+    culled_engine.run_into(init, cfgs, p, rng_culled, ws_culled, r_culled);
+    sum_unculled += r_unculled.delivery_ratio();
+    sum_culled += r_culled.delivery_ratio();
+  }
+  EXPECT_NEAR(sum_culled / kFloods, sum_unculled / kFloods, 0.05);
+  EXPECT_GT(sum_culled / kFloods, 0.5);  // the culled floods actually flood
 }
 
 }  // namespace
