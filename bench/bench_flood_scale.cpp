@@ -110,7 +110,7 @@ int main() {
   for (int n : sizes) {
     // Construction-culled topology with the floor matching the link model's
     // default 20 dB margin at 0 dBm TX: surviving gains are bit-identical to
-    // make_campus_topology(n), and the dense gain matrix is never built.
+    // make_campus_topology(n), and sub-floor links are never stored.
     const double gain_floor =
         phy::gain_cull_floor_db(phy::RadioConstants{}, 20.0);
     phy::Topology topo =

@@ -54,7 +54,7 @@ inline int scaled(int x, int lo = 1) {
 
 inline std::string policy_cache_path() {
   const char* p = std::getenv("DIMMER_POLICY");
-  return p ? p : "dimmer_dqn.mlp";
+  return p != nullptr && *p != '\0' ? p : "dimmer_dqn.mlp";
 }
 
 inline rl::Mlp shared_policy() {

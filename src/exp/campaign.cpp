@@ -184,10 +184,7 @@ class DirLock {
     // shard's: every trial's stream is independent of the shard count.
     std::vector<util::Pcg32> rngs = fork_trial_rngs(ck.specs, opt.master_seed);
 
-    const double timeout = opt.trial_timeout_s < 0.0
-                               ? trial_timeout_from_env()
-                               : opt.trial_timeout_s;
-    TrialWatchdog watchdog(timeout);
+    TrialWatchdog watchdog(resolve_trial_timeout(opt.trial_timeout_s));
 
     long records_written = 0;
     auto after_record = [&] {
@@ -218,26 +215,8 @@ class DirLock {
       // kills the process, the next worker knows whom to blame.
       attempts_log.append_line(attempt_record(i, prior + 1));
 
-      std::ostringstream label;
-      label << ck.specs[i].scenario << "#" << i;
-      TrialResult r;
-      util::Stopwatch sw;
-      {
-        TrialWatchdog::Scope deadline = watchdog.watch(label.str());
-        try {
-          r = fn(ck.specs[i], rngs[i]);
-        } catch (const std::exception& e) {
-          r = TrialResult{};
-          r.ok = false;
-          r.error = e.what();
-        } catch (...) {  // NOLINT-DIMMER(err-swallow): recorded, not
-                         // swallowed — the journal carries ok=false.
-          r = TrialResult{};
-          r.ok = false;
-          r.error = "unknown exception";
-        }
-      }
-      r.wall_seconds = sw.seconds();
+      const TrialResult r =
+          execute_trial(fn, ck.specs[i], i, rngs[i], watchdog);
       journal.append_line(done_record(i, digest, r));
       after_record();
     }

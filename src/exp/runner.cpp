@@ -7,7 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
-#include <sstream>
+#include <string>
 #include <thread>
 
 #include "exp/watchdog.hpp"
@@ -71,6 +71,36 @@ double trial_timeout_from_env() {
   return env_positive_double("DIMMER_TRIAL_TIMEOUT_S").value_or(0.0);
 }
 
+double resolve_trial_timeout(double trial_timeout_s) {
+  return trial_timeout_s < 0.0 ? trial_timeout_from_env() : trial_timeout_s;
+}
+
+TrialResult execute_trial(const TrialFn& fn, const TrialSpec& spec,
+                          std::size_t index, util::Pcg32& rng,
+                          TrialWatchdog& watchdog) {
+  std::string label;
+  if (watchdog.enabled()) label = spec.scenario + "#" + std::to_string(index);
+  util::Stopwatch sw;
+  TrialResult r;
+  {
+    TrialWatchdog::Scope deadline = watchdog.watch(std::move(label));
+    try {
+      r = fn(spec, rng);
+    } catch (const std::exception& e) {
+      r = TrialResult{};
+      r.ok = false;
+      r.error = e.what();
+    } catch (...) {  // NOLINT-DIMMER(err-swallow): recorded, not swallowed —
+                     // ok=false reaches require_all_ok and the journal.
+      r = TrialResult{};
+      r.ok = false;
+      r.error = "unknown exception";
+    }
+  }
+  r.wall_seconds = sw.seconds();
+  return r;
+}
+
 std::vector<util::Pcg32> fork_trial_rngs(const std::vector<TrialSpec>& specs,
                                          std::uint64_t master_seed) {
   util::Pcg32 root(master_seed);
@@ -86,8 +116,7 @@ Runner::Runner() : Runner(Options{}) {}
 Runner::Runner(Options opt)
     : jobs_(opt.jobs > 0 ? opt.jobs : jobs_from_env()),
       master_seed_(opt.master_seed),
-      trial_timeout_s_(opt.trial_timeout_s < 0.0 ? trial_timeout_from_env()
-                                                 : opt.trial_timeout_s) {}
+      trial_timeout_s_(resolve_trial_timeout(opt.trial_timeout_s)) {}
 
 std::vector<Trial> Runner::run(std::vector<TrialSpec> specs,
                                const TrialFn& fn) const {
@@ -98,34 +127,12 @@ std::vector<Trial> Runner::run(std::vector<TrialSpec> specs,
   for (std::size_t i = 0; i < specs.size(); ++i)
     out[i].spec = std::move(specs[i]);
 
-  // One watchdog for the whole sweep; armed per trial below. Disabled (no
-  // thread at all) unless a deadline was configured.
-  std::optional<TrialWatchdog> watchdog;
-  if (trial_timeout_s_ > 0.0) watchdog.emplace(trial_timeout_s_);
+  // One watchdog for the whole sweep; armed per trial. Disabled (no thread
+  // at all) unless a deadline was configured.
+  TrialWatchdog watchdog(trial_timeout_s_);
 
   auto run_one = [&](std::size_t i) {
-    std::optional<TrialWatchdog::Scope> deadline;
-    if (watchdog) {
-      std::ostringstream label;
-      label << out[i].spec.scenario << "#" << i;
-      deadline.emplace(watchdog->watch(label.str()));
-    }
-    util::Stopwatch sw;
-    TrialResult r;
-    try {
-      r = fn(out[i].spec, rngs[i]);
-    } catch (const std::exception& e) {
-      r = TrialResult{};
-      r.ok = false;
-      r.error = e.what();
-    } catch (...) {  // NOLINT-DIMMER(err-swallow): recorded, not swallowed —
-                     // the trial is marked failed and require_all_ok aborts.
-      r = TrialResult{};
-      r.ok = false;
-      r.error = "unknown exception";
-    }
-    r.wall_seconds = sw.seconds();
-    out[i].result = std::move(r);
+    out[i].result = execute_trial(fn, out[i].spec, i, rngs[i], watchdog);
   };
 
   std::size_t n_workers = static_cast<std::size_t>(jobs_);

@@ -16,6 +16,7 @@
 //      drains, walking trials in spec order.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -96,6 +97,20 @@ int jobs_from_env();
 /// (strict full-string parse; must be a positive finite number), else 0
 /// (watchdog disabled). Same loud-failure discipline as jobs_from_env().
 double trial_timeout_from_env();
+
+/// A configured per-trial deadline resolved: < 0 = trial_timeout_from_env(),
+/// otherwise itself (0 = disabled).
+double resolve_trial_timeout(double trial_timeout_s);
+
+class TrialWatchdog;  // exp/watchdog.hpp
+
+/// Executes trial `index` of a sweep: `fn(spec, rng)` under a `watchdog`
+/// deadline labelled "<scenario>#<index>", timed into wall_seconds, with any
+/// exception recorded into ok/error instead of propagated. The one trial
+/// executor behind Runner::run and the campaign shard workers.
+TrialResult execute_trial(const TrialFn& fn, const TrialSpec& spec,
+                          std::size_t index, util::Pcg32& rng,
+                          TrialWatchdog& watchdog);
 
 /// Fork every trial's generator from one root in spec order: the stream a
 /// trial sees is a function of (master_seed, its index, its seed) only,

@@ -6,15 +6,23 @@
 
 namespace dimmer::lwb {
 
+namespace {
+RoundConfig validated(RoundConfig cfg) {
+  DIMMER_REQUIRE(phy::is_valid_channel(cfg.control_channel),
+                 "invalid control channel");
+  for (phy::Channel c : cfg.hop_sequence)
+    DIMMER_REQUIRE(phy::is_valid_channel(c), "invalid hopping channel");
+  DIMMER_REQUIRE(cfg.max_sync_age >= 0, "max_sync_age must be >= 0");
+  return cfg;
+}
+}  // namespace
+
 RoundExecutor::RoundExecutor(const phy::Topology& topo,
                              const phy::InterferenceField& interference,
                              RoundConfig cfg)
-    : topo_(&topo), cfg_(std::move(cfg)), engine_(topo, interference) {
-  DIMMER_REQUIRE(phy::is_valid_channel(cfg_.control_channel),
-                 "invalid control channel");
-  for (phy::Channel c : cfg_.hop_sequence)
-    DIMMER_REQUIRE(phy::is_valid_channel(c), "invalid hopping channel");
-  DIMMER_REQUIRE(cfg_.max_sync_age >= 0, "max_sync_age must be >= 0");
+    : topo_(&topo),
+      cfg_(validated(std::move(cfg))),
+      engine_(topo, interference) {
   ws_.reserve(topo.size());
 }
 
@@ -22,13 +30,8 @@ RoundExecutor::RoundExecutor(phy::LinkModel& links,
                              const phy::InterferenceField& interference,
                              RoundConfig cfg)
     : topo_(&links.topology()),
-      cfg_(std::move(cfg)),
+      cfg_(validated(std::move(cfg))),
       engine_(links, interference) {
-  DIMMER_REQUIRE(phy::is_valid_channel(cfg_.control_channel),
-                 "invalid control channel");
-  for (phy::Channel c : cfg_.hop_sequence)
-    DIMMER_REQUIRE(phy::is_valid_channel(c), "invalid hopping channel");
-  DIMMER_REQUIRE(cfg_.max_sync_age >= 0, "max_sync_age must be >= 0");
   ws_.reserve(topo_->size());
 }
 

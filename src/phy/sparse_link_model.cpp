@@ -55,24 +55,19 @@ void SparseLinkModel::rebuild(double tx_power_dbm) {
   row_ptr_.assign(un + 1, 0);
   col_.clear();
   mw_.clear();
-  dbm_row_.resize(un);
   keep_dbm_.resize(un);
 
   for (NodeId tx = 0; tx < n; ++tx) {
-    // The exact direct expression: rx_power_dbm per listener, survivors
-    // compacted, then the batch dBm->mW kernel. The kernel is lanewise pure
-    // (DESIGN.md §12), so a survivor's mW bits do not depend on which other
-    // listeners sit beside it in the batch.
-    for (NodeId rx = 0; rx < n; ++rx)
-      dbm_row_[static_cast<std::size_t>(rx)] =
-          topo_->rx_power_dbm(tx, rx, tx_power_dbm);
+    // The exact direct expression rx_power_dbm (TX power + stored gain) per
+    // link the topology stores, survivors compacted, then the batch dBm->mW
+    // kernel. The kernel is lanewise pure (DESIGN.md §12), so a survivor's mW
+    // bits do not depend on which other listeners sit beside it in the batch.
+    const GainRow row = topo_->gain_row(tx);
     int kept = 0;
-    for (NodeId rx = 0; rx < n; ++rx) {
-      const double dbm = dbm_row_[static_cast<std::size_t>(rx)];
-      // A -infinity pair (culled at Topology construction) is a link that
-      // does not exist: it would pass `>= -inf` and be stored as 0.0 mW.
-      if (std::isfinite(dbm) && dbm >= floor_dbm) {
-        col_.push_back(rx);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      const double dbm = tx_power_dbm + row.gain_db[k];
+      if (dbm >= floor_dbm) {
+        col_.push_back(row.col[k]);
         keep_dbm_[static_cast<std::size_t>(kept++)] = dbm;
       }
     }

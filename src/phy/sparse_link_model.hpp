@@ -1,13 +1,14 @@
 // SparseLinkModel: the CSR LinkModel backend, with optional culling.
 //
 // Every flood runs on CSR rows (phy/link_model.hpp). With culling disabled
-// (Config::no_culling) a row holds every link that physically exists — all
-// n listeners on a dense Topology — and the flood engine sweeps full rows
-// lanewise. At city scale almost all (tx, rx) pairs are so far apart that
-// their received power is orders of magnitude below the noise floor and can
-// never influence a reception decision; with culling enabled the model drops
-// those links at build time — a link survives iff its rx power (dBm) is at
-// or above a configurable floor relative to the radio's noise floor.
+// (Config::no_culling) a row holds every link the Topology stores — all n
+// listeners when nothing was culled at construction — and the flood engine
+// sweeps full rows lanewise. At city scale almost all (tx, rx) pairs are so
+// far apart that their received power is orders of magnitude below the noise
+// floor and can never influence a reception decision; with culling enabled
+// the model drops those links at build time — a link survives iff its rx
+// power (dBm) is at or above a configurable floor relative to the radio's
+// noise floor.
 //
 // Determinism contract (DESIGN.md §13):
 //  - Stored links hold the *exact* double of the direct expression
@@ -15,8 +16,8 @@
 //    the same dbm_to_mw_batch bits on every backend (the kernel is lanewise
 //    pure, so compacting survivors before the batch conversion cannot change
 //    their bits).
-//  - Links that do not exist (a -infinity dBm pair of a construction-culled
-//    Topology) are never stored, whatever the config: every stored power is
+//  - Links that do not exist (pairs a construction-culled Topology does not
+//    store) are never stored, whatever the config: every stored power is
 //    positive.
 //  - With culling disabled, a flood engine driven by this backend is
 //    bit-identical to the frozen direct-Topology reference loop — FloodResult
@@ -44,8 +45,8 @@ class SparseLinkModel final : public LinkModel {
     double cull_margin_db = 20.0;
 
     /// Culling disabled: every existing link survives and results are
-    /// bit-identical to the direct-Topology loop. Stores N^2 entries on a
-    /// dense Topology and Topology::gain_nnz() on a construction-culled one.
+    /// bit-identical to the direct-Topology loop. Stores exactly the
+    /// Topology's gain_nnz() links.
     static Config no_culling();
 
     /// A margin guaranteeing that the *summed* culled power at any listener
@@ -86,7 +87,6 @@ class SparseLinkModel final : public LinkModel {
   std::vector<std::size_t> row_ptr_;  // n+1 offsets
   std::vector<NodeId> col_;           // nnz listener ids
   std::vector<double> mw_;            // nnz received powers
-  std::vector<double> dbm_row_;       // rebuild scratch: one full dBm row
   std::vector<double> keep_dbm_;      // rebuild scratch: compacted survivors
   SparseLinkView view_;
   double cached_power_dbm_ = 0.0;

@@ -20,37 +20,56 @@ double hashed_normal(std::uint64_t h) {
 }  // namespace
 
 Topology::Topology(std::vector<Vec2> positions, PathLossModel model,
-                   RadioConstants radio, std::uint64_t shadow_seed)
+                   RadioConstants radio, std::uint64_t shadow_seed,
+                   double gain_floor_db)
     : positions_(std::move(positions)),
       model_(model),
       radio_(radio),
-      shadow_seed_(shadow_seed) {
+      shadow_seed_(shadow_seed),
+      gain_floor_db_(gain_floor_db) {
   DIMMER_REQUIRE(positions_.size() >= 2, "topology needs at least two nodes");
-  int n = size();
-  gain_.assign(static_cast<std::size_t>(n) * n, 0.0);
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = a + 1; b < n; ++b) {
-      double d = distance(positions_[a], positions_[b]);
-      double shadow =
-          model_.shadowing_sigma_db *
-          hashed_normal(util::hash_u64(shadow_seed_, static_cast<std::uint64_t>(a),
-                                       static_cast<std::uint64_t>(b)));
-      double g = -model_.path_loss_db(d) + shadow;
-      gain_at(a, b) = g;
-      gain_at(b, a) = g;  // symmetric links
+  DIMMER_REQUIRE(!std::isnan(gain_floor_db), "gain_floor_db must not be NaN");
+  const auto un = positions_.size();
+  row_ptr_.assign(un + 1, 0);
+  // Every link survives a -infinity floor; otherwise reserve a typical mesh
+  // survivor count. Rows append without a dense intermediate, so peak memory
+  // is O(nnz).
+  const std::size_t expected =
+      gain_floor_db == -std::numeric_limits<double>::infinity() ? un * un
+                                                                 : un * 16;
+  col_.reserve(expected);
+  gain_.reserve(expected);
+  // Links are symmetric, so row a's entries below the diagonal are the
+  // column-a entries of the rows already built, met in ascending row order.
+  // next[b] is row b's first entry not yet mirrored into a later row.
+  std::vector<std::size_t> next(un, 0);
+  for (std::size_t a = 0; a < un; ++a) {
+    const auto node = static_cast<NodeId>(a);
+    for (std::size_t b = 0; b < a; ++b) {
+      const std::size_t k = next[b];
+      if (k == row_ptr_[b + 1] || col_[k] != node) continue;
+      const double g = gain_[k];
+      col_.push_back(static_cast<NodeId>(b));
+      gain_.push_back(g);
+      ++next[b];
     }
-    gain_at(a, a) = 0.0;
+    // The diagonal (0.0 self-gain) always survives.
+    col_.push_back(node);
+    gain_.push_back(0.0);
+    next[a] = col_.size();
+    for (std::size_t b = a + 1; b < un; ++b) {
+      // NaN floors are rejected above, so `>=` is a total predicate.
+      const double g = pair_gain(node, static_cast<NodeId>(b));
+      if (g >= gain_floor_db) {
+        col_.push_back(static_cast<NodeId>(b));
+        gain_.push_back(g);
+      }
+    }
+    row_ptr_[a + 1] = col_.size();
   }
 }
 
-double Topology::pair_gain(NodeId a, NodeId b) const {
-  if (a == b) return 0.0;
-  // Evaluate with the lower id first: distance() is bitwise symmetric
-  // ((x-y)^2 == (y-x)^2 exactly) and the dense constructor keys the
-  // shadowing hash on (min, max), so this reproduces its bits for either
-  // argument order.
-  const NodeId lo = a < b ? a : b;
-  const NodeId hi = a < b ? b : a;
+double Topology::pair_gain(NodeId lo, NodeId hi) const {
   const double d = distance(positions_[static_cast<std::size_t>(lo)],
                             positions_[static_cast<std::size_t>(hi)]);
   const double shadow =
@@ -60,67 +79,38 @@ double Topology::pair_gain(NodeId a, NodeId b) const {
   return -model_.path_loss_db(d) + shadow;
 }
 
-Topology::Topology(std::vector<Vec2> positions, PathLossModel model,
-                   RadioConstants radio, std::uint64_t shadow_seed,
-                   double gain_floor_db)
-    : positions_(std::move(positions)),
-      model_(model),
-      radio_(radio),
-      shadow_seed_(shadow_seed),
-      culled_(true),
-      gain_floor_db_(gain_floor_db) {
-  DIMMER_REQUIRE(positions_.size() >= 2, "topology needs at least two nodes");
-  DIMMER_REQUIRE(!std::isnan(gain_floor_db), "gain_floor_db must not be NaN");
-  const int n = size();
-  const auto un = static_cast<std::size_t>(n);
-  row_ptr_.assign(un + 1, 0);
-  // Typical mesh survivor count; rows append without a dense intermediate,
-  // which is the point: peak memory is O(nnz), never O(N^2).
-  col_.reserve(un * 16);
-  cgain_.reserve(un * 16);
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = 0; b < n; ++b) {
-      // The diagonal (0.0 self-gain) always survives, matching the dense
-      // matrix; NaN floors are rejected above so `>=` is a total predicate.
-      const double g = pair_gain(a, b);
-      if (a == b || g >= gain_floor_db) {
-        col_.push_back(b);
-        cgain_.push_back(g);
-      }
-    }
-    row_ptr_[static_cast<std::size_t>(a) + 1] = col_.size();
-  }
-}
-
 Vec2 Topology::position(NodeId n) const {
   DIMMER_REQUIRE(n >= 0 && n < size(), "node id out of range");
   return positions_[static_cast<std::size_t>(n)];
 }
 
-std::size_t Topology::gain_nnz() const {
-  return culled_ ? cgain_.size() : gain_.size();
+std::size_t Topology::gain_storage_bytes() const {
+  return row_ptr_.size() * sizeof(std::size_t) + col_.size() * sizeof(NodeId) +
+         gain_.size() * sizeof(double);
 }
 
-std::size_t Topology::gain_storage_bytes() const {
-  if (!culled_) return gain_.size() * sizeof(double);
-  return row_ptr_.size() * sizeof(std::size_t) + col_.size() * sizeof(NodeId) +
-         cgain_.size() * sizeof(double);
+GainRow Topology::gain_row(NodeId tx) const {
+  DIMMER_DEBUG_ASSERT(tx >= 0 && tx < size(), "node id out of range");
+  const std::size_t begin = row_ptr_[static_cast<std::size_t>(tx)];
+  return GainRow{col_.data() + begin, gain_.data() + begin,
+                 row_ptr_[static_cast<std::size_t>(tx) + 1] - begin};
 }
 
 double Topology::gain_db(NodeId tx, NodeId rx) const {
-  // Hot accessor: called O(n^2) per link-matrix build and per BFS sweep.
-  // Bounds are validated at the enclosing API boundaries (flood entry,
-  // hop_counts), so the per-call check is debug-only.
+  // Hot accessor: called per pair by the frozen reference flood loop and
+  // the federation's gateway scan. Bounds are validated at the enclosing API
+  // boundaries (flood entry), so the per-call check is debug-only.
   DIMMER_DEBUG_ASSERT(tx >= 0 && tx < size() && rx >= 0 && rx < size(),
                       "node id out of range");
-  if (!culled_) return gain_[static_cast<std::size_t>(tx) * size() + rx];
-  // CSR row binary search; a culled pair is a link that does not exist.
-  const NodeId* lo = col_.data() + row_ptr_[static_cast<std::size_t>(tx)];
-  const NodeId* hi = col_.data() + row_ptr_[static_cast<std::size_t>(tx) + 1];
-  const NodeId* it = std::lower_bound(lo, hi, rx);
-  if (it == hi || *it != rx)
-    return -std::numeric_limits<double>::infinity();
-  return cgain_[static_cast<std::size_t>(it - col_.data())];
+  const GainRow row = gain_row(tx);
+  // A full row holds every column in order: index it directly.
+  if (row.size == positions_.size())
+    return row.gain_db[static_cast<std::size_t>(rx)];
+  // A partial row is searched; an absent pair is a link that does not exist.
+  const NodeId* end = row.col + row.size;
+  const NodeId* it = std::lower_bound(row.col, end, rx);
+  if (it == end || *it != rx) return -std::numeric_limits<double>::infinity();
+  return row.gain_db[it - row.col];
 }
 
 double Topology::rx_power_dbm(NodeId tx, NodeId rx,
@@ -151,7 +141,6 @@ Topology::Topology(RestrictedTag, const Topology& parent,
     : model_(parent.model_),
       radio_(parent.radio_),
       shadow_seed_(parent.shadow_seed_),
-      culled_(parent.culled_),
       gain_floor_db_(parent.gain_floor_db_) {
   const int m = static_cast<int>(members.size());
   DIMMER_REQUIRE(m >= 2, "restricted topology needs >= 2 members");
@@ -167,27 +156,26 @@ Topology::Topology(RestrictedTag, const Topology& parent,
     // key external shadowing on the original topology's ids.
     parent_ids_.push_back(parent.parent_id(g));
   }
-  if (!culled_) {
-    gain_.assign(static_cast<std::size_t>(m) * static_cast<std::size_t>(m),
-                 0.0);
-    for (NodeId a = 0; a < m; ++a)
-      for (NodeId b = 0; b < m; ++b)
-        gain_at(a, b) = parent.gain_db(members[static_cast<std::size_t>(a)],
-                                       members[static_cast<std::size_t>(b)]);
-    return;
-  }
-  // Culled parent: copy the member rows' survivors (bit-identical values);
-  // a pair culled in the parent stays culled here.
-  row_ptr_.assign(static_cast<std::size_t>(m) + 1, 0);
-  for (NodeId a = 0; a < m; ++a) {
-    const NodeId ga = members[static_cast<std::size_t>(a)];
-    for (NodeId b = 0; b < m; ++b) {
-      const double g = parent.gain_db(ga, members[static_cast<std::size_t>(b)]);
-      if (g == -std::numeric_limits<double>::infinity()) continue;
-      col_.push_back(b);
-      cgain_.push_back(g);
+  // Merge each member's parent row against the member list (both
+  // ascending): entries between members are copied bit-for-bit, and a pair
+  // absent from the parent stays absent.
+  row_ptr_.assign(members.size() + 1, 0);
+  for (std::size_t a = 0; a < members.size(); ++a) {
+    const GainRow row = parent.gain_row(members[a]);
+    std::size_t k = 0;
+    for (std::size_t b = 0; b < members.size() && k < row.size;) {
+      if (row.col[k] < members[b]) {
+        ++k;
+        continue;
+      }
+      if (row.col[k] == members[b]) {
+        col_.push_back(static_cast<NodeId>(b));
+        gain_.push_back(row.gain_db[k]);
+        ++k;
+      }
+      ++b;
     }
-    row_ptr_[static_cast<std::size_t>(a) + 1] = col_.size();
+    row_ptr_[a + 1] = col_.size();
   }
 }
 
@@ -235,9 +223,12 @@ NeighborCsr Topology::good_neighbors(int frame_bytes,
   adj.row_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
   adj.col.reserve(static_cast<std::size_t>(n) * 8);  // typical mesh degree
   for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (v == u) continue;
-      if (rx_power_dbm(u, v, tx_power_dbm) >= need_dbm) adj.col.push_back(v);
+    // Stored links only: an absent pair (-infinity) can never qualify.
+    const GainRow row = gain_row(u);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      if (row.col[k] == u) continue;
+      if (tx_power_dbm + row.gain_db[k] >= need_dbm)
+        adj.col.push_back(row.col[k]);
     }
     adj.row_ptr[static_cast<std::size_t>(u) + 1] = adj.col.size();
   }
@@ -288,6 +279,29 @@ PathLossModel office_path_loss() {
   m.exponent = 3.8;  // walls between offices and lab rooms
   m.shadowing_sigma_db = 4.0;
   return m;
+}
+
+/// The campus placement shared by both campus factories.
+/// Near-square layout: cols = ceil(sqrt(n)), last row possibly partial.
+/// Pitch 9 m with ±2.5 m jitter keeps adjacent nodes between 4 m and ~14 m
+/// apart — inside the office model's solid-link range — so the grid is
+/// connected without the placement-retry loop make_random_topology needs
+/// (asserted for representative sizes in tests/phy/test_topology).
+std::vector<Vec2> campus_positions(int n, std::uint64_t shadow_seed) {
+  DIMMER_REQUIRE(n >= 2, "campus topology needs >= 2 nodes");
+  const int cols =
+      std::max(1, static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n)))));
+  std::vector<Vec2> pos;
+  pos.reserve(static_cast<std::size_t>(n));
+  util::Pcg32 rng(util::hash_u64(0xCA3D05ULL, shadow_seed));
+  for (int i = 0; i < n; ++i) {
+    const int r = i / cols;
+    const int c = i % cols;
+    const double x = 4.0 + 9.0 * c + rng.uniform(-2.5, 2.5);
+    const double y = 4.0 + 9.0 * r + rng.uniform(-2.5, 2.5);
+    pos.push_back({x, y});
+  }
+  return pos;
 }
 }  // namespace
 
@@ -380,47 +394,14 @@ Topology make_dcube48_topology(std::uint64_t shadow_seed) {
 }
 
 Topology make_campus_topology(int n, std::uint64_t shadow_seed) {
-  DIMMER_REQUIRE(n >= 2, "campus topology needs >= 2 nodes");
-  // Near-square layout: cols = ceil(sqrt(n)), last row possibly partial.
-  // Pitch 9 m with ±2.5 m jitter keeps adjacent nodes between 4 m and
-  // ~14 m apart — inside the office model's solid-link range — so the grid
-  // is connected without the placement-retry loop make_random_topology
-  // needs (asserted for representative sizes in tests/phy/test_topology).
-  const int cols =
-      std::max(1, static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n)))));
-  std::vector<Vec2> pos;
-  pos.reserve(static_cast<std::size_t>(n));
-  util::Pcg32 rng(util::hash_u64(0xCA3D05ULL, shadow_seed));
-  for (int i = 0; i < n; ++i) {
-    const int r = i / cols;
-    const int c = i % cols;
-    const double x = 4.0 + 9.0 * c + rng.uniform(-2.5, 2.5);
-    const double y = 4.0 + 9.0 * r + rng.uniform(-2.5, 2.5);
-    pos.push_back({x, y});
-  }
-  return Topology(std::move(pos), office_path_loss(), RadioConstants{},
-                  shadow_seed);
+  return Topology(campus_positions(n, shadow_seed), office_path_loss(),
+                  RadioConstants{}, shadow_seed);
 }
 
 Topology make_campus_topology_culled(int n, std::uint64_t shadow_seed,
                                      double gain_floor_db) {
-  DIMMER_REQUIRE(n >= 2, "campus topology needs >= 2 nodes");
-  // Same placement loop (and RNG stream) as make_campus_topology so the
-  // surviving gains are bit-identical to the dense factory's.
-  const int cols =
-      std::max(1, static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n)))));
-  std::vector<Vec2> pos;
-  pos.reserve(static_cast<std::size_t>(n));
-  util::Pcg32 rng(util::hash_u64(0xCA3D05ULL, shadow_seed));
-  for (int i = 0; i < n; ++i) {
-    const int r = i / cols;
-    const int c = i % cols;
-    const double x = 4.0 + 9.0 * c + rng.uniform(-2.5, 2.5);
-    const double y = 4.0 + 9.0 * r + rng.uniform(-2.5, 2.5);
-    pos.push_back({x, y});
-  }
-  return Topology(std::move(pos), office_path_loss(), RadioConstants{},
-                  shadow_seed, gain_floor_db);
+  return Topology(campus_positions(n, shadow_seed), office_path_loss(),
+                  RadioConstants{}, shadow_seed, gain_floor_db);
 }
 
 double gain_cull_floor_db(const RadioConstants& radio, double cull_margin_db,

@@ -1,4 +1,4 @@
-// Node placement and the static link-gain matrix.
+// Node placement and the static link gains.
 //
 // A Topology owns node positions plus a deterministic per-link shadowing draw,
 // and answers "what power does node j see when node i transmits?" for both
@@ -32,23 +32,27 @@ struct NeighborCsr {
   }
 };
 
+/// One node's stored gain row (Topology::gain_row): `size` strictly
+/// ascending column ids and their gains in dB, the node's own 0.0 included.
+/// Points into the Topology, which must outlive it.
+struct GainRow {
+  const NodeId* col;
+  const double* gain_db;
+  std::size_t size;
+};
+
 class Topology {
  public:
-  /// Builds the dense gain matrix. `shadow_seed` fixes the lognormal
-  /// shadowing draws; identical seeds give identical radio environments.
-  Topology(std::vector<Vec2> positions, PathLossModel model,
-           RadioConstants radio, std::uint64_t shadow_seed);
-
-  /// Culling constructor (ROADMAP item 2): link gains below `gain_floor_db`
-  /// are dropped *at construction* and the survivors stored as CSR rows —
-  /// O(nnz) instead of the dense 8*N^2 bytes. Surviving entries hold the
-  /// exact double the dense constructor would hold (same distance, same
-  /// hashed shadowing draw); culled pairs read as -infinity, i.e. a link
-  /// that physically does not exist. Self-gains (the 0.0 diagonal) always
-  /// survive. Pass -infinity to keep every link in CSR form.
+  /// Builds the CSR gain rows. `shadow_seed` fixes the lognormal shadowing
+  /// draws; identical seeds give identical radio environments. Link gains
+  /// below `gain_floor_db` are dropped *at construction* — O(nnz) storage
+  /// instead of one entry per pair — and read as -infinity, i.e. a link that
+  /// physically does not exist. Stored entries hold the same double whatever
+  /// the floor (same distance, same hashed shadowing draw), and self-gains
+  /// (0.0) always survive. The default floor keeps every link.
   Topology(std::vector<Vec2> positions, PathLossModel model,
            RadioConstants radio, std::uint64_t shadow_seed,
-           double gain_floor_db);
+           double gain_floor_db = -std::numeric_limits<double>::infinity());
 
   int size() const { return static_cast<int>(positions_.size()); }
   Vec2 position(NodeId n) const;
@@ -56,22 +60,24 @@ class Topology {
   const RadioConstants& radio() const { return radio_; }
   std::uint64_t shadow_seed() const { return shadow_seed_; }
 
-  /// True when this topology stores a construction-culled CSR gain matrix.
-  bool culled() const { return culled_; }
-  /// The culling floor (-infinity for dense topologies: nothing was culled).
+  /// The culling floor (-infinity when every link was kept).
   double gain_floor_db() const { return gain_floor_db_; }
-  /// Stored gain entries (diagonal included); N^2 for dense topologies.
-  std::size_t gain_nnz() const;
-  /// Bytes held by the gain storage (dense matrix, or CSR arrays when
-  /// culled) — the number bench_flood_scale reports against 8*N^2.
+  /// Stored gain entries (diagonal included); N^2 when nothing was culled.
+  std::size_t gain_nnz() const { return gain_.size(); }
+  /// Bytes held by the CSR gain rows (row_ptr + col + gain) — the number
+  /// bench_flood_scale reports against the 8*N^2 of a dense matrix.
   std::size_t gain_storage_bytes() const;
 
   /// Link gain in dB between two nodes (path loss + static shadowing, < 0).
   /// Hot accessor: bounds are checked in debug builds only — callers are
   /// expected to validate node ids at their own API boundary (the flood
-  /// engine does so at flood entry). On a culled topology this is a binary
-  /// search within the CSR row; culled pairs return -infinity.
+  /// engine does so at flood entry). O(1) on a full row, a binary search on
+  /// a partial one; a culled pair returns -infinity.
   double gain_db(NodeId tx, NodeId rx) const;
+
+  /// The stored gain row of `tx` (same debug-only bounds policy as
+  /// gain_db). Walking rows visits exactly the links that exist.
+  GainRow gain_row(NodeId tx) const;
 
   /// Received power in dBm at `rx` for a transmission from `tx`. Same
   /// debug-only bounds policy as gain_db.
@@ -86,14 +92,15 @@ class Topology {
 
   /// Extracts the sub-topology induced by `members` (strictly ascending
   /// parent node ids, >= 2 of them): local node i is parent node members[i],
-  /// every surviving gain entry is copied bit-for-bit from the parent (no
-  /// re-draw — pairwise shadowing between members is preserved, unlike
-  /// rebuilding a Topology from the member positions, which would re-key
-  /// the draws on the compacted ids), and external-point shadowing keys on
-  /// the parent ids (see gain_from_point_db). Culling state (floor, CSR
-  /// storage) is inherited. This is the Cell seam's id-remapping primitive:
-  /// restricting to *all* nodes yields a topology whose every query is
-  /// bit-identical to the parent (asserted in tests/phy/test_topology.cpp).
+  /// every stored gain entry between members is copied bit-for-bit from the
+  /// parent's rows (no re-draw — pairwise shadowing between members is
+  /// preserved, unlike rebuilding a Topology from the member positions,
+  /// which would re-key the draws on the compacted ids), a pair culled in
+  /// the parent stays culled, and external-point shadowing keys on the
+  /// parent ids (see gain_from_point_db). The floor is inherited. This is
+  /// the Cell seam's id-remapping primitive: restricting to *all* nodes
+  /// yields a topology whose every query is bit-identical to the parent
+  /// (asserted in tests/phy/test_topology.cpp).
   Topology restricted(const std::vector<NodeId>& members) const;
 
   /// Parent id of a local node: members[n] for restricted() topologies, n
@@ -101,9 +108,9 @@ class Topology {
   NodeId parent_id(NodeId n) const;
 
   /// CSR neighbor lists over "good" links (clean-SNR PER below 10% for
-  /// `frame_bytes` at `tx_power_dbm`). Built in one O(N^2) pass over the
-  /// gain matrix; reuse the result across hop_counts_from calls when
-  /// querying many roots of the same topology.
+  /// `frame_bytes` at `tx_power_dbm`). Built in one pass over the gain rows;
+  /// reuse the result across hop_counts_from calls when querying many roots
+  /// of the same topology.
   NeighborCsr good_neighbors(int frame_bytes = 36,
                              double tx_power_dbm = 0.0) const;
 
@@ -129,29 +136,25 @@ class Topology {
   Topology(RestrictedTag, const Topology& parent,
            const std::vector<NodeId>& members);
 
-  /// The exact pairwise gain expression of the dense constructor, evaluated
-  /// symmetrically (distance and the shadowing hash key on the lower id
-  /// first), so per-row culled construction reproduces the dense bits.
-  double pair_gain(NodeId a, NodeId b) const;
+  /// The pairwise gain expression for `lo < hi`: distance and the shadowing
+  /// hash key on the lower id first, so the link's two directions share one
+  /// evaluation.
+  double pair_gain(NodeId lo, NodeId hi) const;
 
   std::vector<Vec2> positions_;
   PathLossModel model_;
   RadioConstants radio_;
-  std::uint64_t shadow_seed_;
-  std::vector<double> gain_;  // row-major size*size, symmetric (dense mode)
-
-  // Construction-culled CSR storage (culled_ == true): survivors per row,
-  // ascending column ids, parallel gain values. gain_ stays empty.
-  bool culled_ = false;
+  std::uint64_t shadow_seed_ = 0;
   double gain_floor_db_ = -std::numeric_limits<double>::infinity();
+
+  // CSR gain rows: per node, strictly ascending column ids and parallel
+  // finite gains. A full row (n entries) has col[k] == k.
   std::vector<std::size_t> row_ptr_;  // n+1 offsets
   std::vector<NodeId> col_;
-  std::vector<double> cgain_;
+  std::vector<double> gain_;
 
   // restricted(): local -> parent node ids (empty = identity).
   std::vector<NodeId> parent_ids_;
-
-  double& gain_at(NodeId a, NodeId b) { return gain_[a * size() + b]; }
 };
 
 // ---- Topology factories ------------------------------------------------
@@ -186,9 +189,9 @@ Topology make_dcube48_topology(std::uint64_t shadow_seed = 48);
 /// first grid corner; the flood diameter grows as sqrt(n).
 Topology make_campus_topology(int n, std::uint64_t shadow_seed = 1);
 
-/// Campus factory with construction-time gain culling (see the culling
-/// Topology constructor): identical placement and surviving gains to
-/// make_campus_topology(n, shadow_seed), stored as CSR above the floor.
+/// Campus factory with construction-time gain culling (see the Topology
+/// constructor): identical placement and surviving gains to
+/// make_campus_topology(n, shadow_seed), links below the floor dropped.
 Topology make_campus_topology_culled(int n, std::uint64_t shadow_seed,
                                      double gain_floor_db);
 

@@ -1,7 +1,8 @@
 // Strict parsing of the bench harnesses' environment knobs, which go
 // through the shared exp::env_count / exp::env_positive_double parsers.
 // Every malformed value must fail loudly instead of silently running a
-// sweep at the wrong scale or parallelism.
+// sweep at the wrong scale or parallelism. Path knobs treat an empty value
+// as unset.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -52,6 +53,21 @@ TEST(BenchEnv, FedWorkersAreStrictlyParsed) {
   for (const char* bad : {"2x", "0", "-1", "1000", "three"}) {
     ScopedEnv env("DIMMER_FED_WORKERS", bad);
     EXPECT_THROW((void)fed_workers(), util::RequireError) << bad;
+  }
+}
+
+TEST(BenchEnv, EmptyPolicyPathMeansUnset) {
+  // Regression: DIMMER_POLICY="" produced an empty cache path, so every
+  // figure bench retrained the policy and then failed to write the cache.
+  ::unsetenv("DIMMER_POLICY");
+  EXPECT_EQ(policy_cache_path(), "dimmer_dqn.mlp");
+  {
+    ScopedEnv env("DIMMER_POLICY", "");
+    EXPECT_EQ(policy_cache_path(), "dimmer_dqn.mlp");
+  }
+  {
+    ScopedEnv env("DIMMER_POLICY", "policies/dqn.mlp");
+    EXPECT_EQ(policy_cache_path(), "policies/dqn.mlp");
   }
 }
 

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "phy/topology.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace dimmer::phy {
 namespace {
@@ -305,8 +308,6 @@ TEST(CulledTopology, SurvivorsBitIdenticalToDense) {
   Topology dense = make_campus_topology(n, seed);
   const double floor_db = gain_cull_floor_db(dense.radio(), 10.0);
   Topology culled = make_campus_topology_culled(n, seed, floor_db);
-  ASSERT_TRUE(culled.culled());
-  ASSERT_FALSE(dense.culled());
   EXPECT_EQ(culled.gain_floor_db(), floor_db);
   std::size_t survivors = 0;
   for (NodeId a = 0; a < n; ++a) {
@@ -331,11 +332,11 @@ TEST(CulledTopology, StorageShrinksAtScale) {
   Topology dense = make_campus_topology(n, 3);
   const double floor_db = gain_cull_floor_db(dense.radio(), 10.0);
   Topology culled = make_campus_topology_culled(n, 3, floor_db);
+  const std::size_t dense_matrix_bytes =
+      static_cast<std::size_t>(n) * n * sizeof(double);
   EXPECT_EQ(dense.gain_nnz(), static_cast<std::size_t>(n) * n);
-  EXPECT_EQ(dense.gain_storage_bytes(),
-            static_cast<std::size_t>(n) * n * sizeof(double));
   EXPECT_LT(culled.gain_nnz(), dense.gain_nnz() / 2);
-  EXPECT_LT(culled.gain_storage_bytes(), dense.gain_storage_bytes() / 2);
+  EXPECT_LT(culled.gain_storage_bytes(), dense_matrix_bytes / 2);
 }
 
 TEST(CulledTopology, MinusInfFloorKeepsEveryLink) {
@@ -419,7 +420,6 @@ TEST(RestrictedTopology, CulledParentInheritsCullState) {
   std::vector<NodeId> members;
   for (NodeId i = 0; i < 200; i += 7) members.push_back(i);
   Topology r = culled.restricted(members);
-  ASSERT_TRUE(r.culled());
   EXPECT_EQ(r.gain_floor_db(), floor_db);
   const int m = r.size();
   for (int i = 0; i < m; ++i)
@@ -427,6 +427,95 @@ TEST(RestrictedTopology, CulledParentInheritsCullState) {
       EXPECT_EQ(r.gain_db(i, j),
                 culled.gain_db(members[static_cast<std::size_t>(i)],
                                members[static_cast<std::size_t>(j)]));
+}
+
+// ---- Frozen gain reference ---------------------------------------------
+
+// Verbatim copy of the pairwise gain expression the dense gain matrix held,
+// kept here independent of Topology's storage: distance on (lo, hi) plus
+// the hashed lognormal shadowing draw keyed on (seed, lo, hi). Every stored
+// entry must reproduce it bit for bit.
+double frozen_hashed_normal(std::uint64_t h) {
+  double u1 = util::pure_uniform(util::splitmix64(h));
+  double u2 = util::pure_uniform(util::splitmix64(h ^ 0xabcdef1234567890ULL));
+  if (u1 < 1e-12) u1 = 1e-12;
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
+}
+
+double frozen_gain_db(const Topology& t, NodeId a, NodeId b) {
+  if (a == b) return 0.0;
+  const NodeId lo = std::min(a, b);
+  const NodeId hi = std::max(a, b);
+  double d = distance(t.position(lo), t.position(hi));
+  double shadow = t.path_loss().shadowing_sigma_db *
+                  frozen_hashed_normal(util::hash_u64(
+                      t.shadow_seed(), static_cast<std::uint64_t>(lo),
+                      static_cast<std::uint64_t>(hi)));
+  return -t.path_loss().path_loss_db(d) + shadow;
+}
+
+/// Checks every pair of `t` against the frozen reference evaluated on
+/// `parent` ids `ids[a]`, `ids[b]`: present and bitwise equal when the
+/// reference clears `floor_db` (or on the diagonal), -infinity otherwise.
+/// Also walks the rows: ascending, and exactly gain_nnz() entries.
+void expect_matches_frozen(const Topology& t, const Topology& parent,
+                           const std::vector<NodeId>& ids, double floor_db) {
+  std::size_t stored = 0;
+  for (NodeId a = 0; a < t.size(); ++a) {
+    for (NodeId b = 0; b < t.size(); ++b) {
+      const double want = frozen_gain_db(
+          parent, ids[static_cast<std::size_t>(a)],
+          ids[static_cast<std::size_t>(b)]);
+      if (a == b || want >= floor_db) {
+        EXPECT_EQ(t.gain_db(a, b), want) << "a=" << a << " b=" << b;
+        ++stored;
+      } else {
+        EXPECT_EQ(t.gain_db(a, b), -std::numeric_limits<double>::infinity())
+            << "a=" << a << " b=" << b;
+      }
+    }
+    const GainRow row = t.gain_row(a);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      if (k > 0) {
+        EXPECT_LT(row.col[k - 1], row.col[k]);
+      }
+      EXPECT_EQ(row.gain_db[k], t.gain_db(a, row.col[k]));
+    }
+  }
+  EXPECT_EQ(t.gain_nnz(), stored);
+}
+
+std::vector<NodeId> identity_ids(int n) {
+  std::vector<NodeId> ids(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) ids[static_cast<std::size_t>(i)] = i;
+  return ids;
+}
+
+TEST(FrozenGainReference, EveryStoredEntryMatchesBitwise) {
+  const Topology topos[] = {make_office18_topology(), make_dcube48_topology(),
+                            make_campus_topology(200)};
+  for (const Topology& t : topos) {
+    SCOPED_TRACE("n=" + std::to_string(t.size()));
+    expect_matches_frozen(t, t, identity_ids(t.size()),
+                          -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(t.gain_nnz(), static_cast<std::size_t>(t.size()) * t.size());
+  }
+}
+
+TEST(FrozenGainReference, CulledCampusDropsExactlySubFloorPairs) {
+  const double floor_db = gain_cull_floor_db(RadioConstants{}, 10.0);
+  Topology culled = make_campus_topology_culled(200, 7, floor_db);
+  expect_matches_frozen(culled, culled, identity_ids(200), floor_db);
+  EXPECT_LT(culled.gain_nnz(), static_cast<std::size_t>(200) * 200);
+}
+
+TEST(FrozenGainReference, RestrictedCulledCampusMatches) {
+  const double floor_db = gain_cull_floor_db(RadioConstants{}, 10.0);
+  Topology culled = make_campus_topology_culled(200, 7, floor_db);
+  std::vector<NodeId> members;
+  for (NodeId i = 3; i < 200; i += 5) members.push_back(i);
+  expect_matches_frozen(culled.restricted(members), culled, members,
+                        floor_db);
 }
 
 TEST(RestrictedTopology, RejectsBadMemberLists) {
