@@ -9,7 +9,9 @@
 // office18 workloads. office18 and dcube48 run on full link rows (the
 // lanewise sweep); the construction-culled campus runs on partial rows
 // (the scatter) with listeners no link reaches, so its digest also pins the
-// engine's draws for unreachable listeners to the reference's.
+// engine's draws for unreachable listeners to the reference's. dcube48
+// under D-Cube WiFi level 2 (8 APs) pins the engine's interference table
+// and per-step activity pass to the reference's per-listener sampling.
 //
 // Timing fields here are measurements, not simulation outputs: this file is
 // exempt from the byte-identity rule that covers the figure benches.
@@ -24,6 +26,7 @@
 #include "exp/json.hpp"
 #include "flood/glossy.hpp"
 #include "flood/workspace.hpp"
+#include "phy/interference.hpp"
 #include "phy/topology.hpp"
 #include "tests/flood/reference_glossy.hpp"
 #include "util/json.hpp"
@@ -132,6 +135,9 @@ int main() {
                            0.30);
   scenarios.push_back(Scenario{"dcube48/clean", phy::make_dcube48_topology(),
                                phy::InterferenceField{}, 2});
+  scenarios.push_back(Scenario{"dcube48/wifi2", phy::make_dcube48_topology(),
+                               phy::InterferenceField{}, 2});
+  phy::add_dcube_wifi_level(scenarios.back().field, scenarios.back().topo, 2);
   // Links weaker than -80 dB (~21 m) do not exist on this 64-node campus.
   scenarios.push_back(Scenario{"campus64-culled",
                                phy::make_campus_topology_culled(64, 1, -80.0),

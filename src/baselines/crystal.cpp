@@ -24,7 +24,7 @@ CrystalNetwork::CrystalNetwork(const phy::Topology& topo,
   DIMMER_REQUIRE(!cfg_.hop_sequence.empty(), "hopping sequence required");
   DIMMER_REQUIRE(cfg_.max_silent_pairs >= 1, "max_silent_pairs must be >= 1");
   DIMMER_REQUIRE(cfg_.max_pairs >= 1, "max_pairs must be >= 1");
-  ws_.reserve(topo.size());
+  ws_.reserve(topo.size(), interference.size());
 }
 
 void CrystalNetwork::offer_packet(phy::NodeId source) {

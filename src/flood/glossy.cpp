@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "phy/batched.hpp"
 #include "phy/per.hpp"
@@ -53,11 +54,11 @@ GlossyFlood::GlossyFlood(const phy::Topology& topo,
     : owned_links_(std::make_unique<phy::SparseLinkModel>(
           topo, phy::SparseLinkModel::Config::no_culling())),
       links_(owned_links_.get()),
-      interf_(&interf) {}
+      interf_(interf, topo) {}
 
 GlossyFlood::GlossyFlood(phy::LinkModel& links,
                          const phy::InterferenceField& interf)
-    : links_(&links), interf_(&interf) {}
+    : links_(&links), interf_(interf, links.topology()) {}
 
 sim::TimeUs GlossyFlood::step_len_us(const FloodParams& p,
                                      const phy::RadioConstants& radio) {
@@ -117,6 +118,8 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   DIMMER_REQUIRE(params.payload_bytes > 0, "payload_bytes must be positive");
   for (const auto& c : configs)
     DIMMER_REQUIRE(c.n_tx >= 0, "negative n_tx");
+  // The interference table is a snapshot of the field taken at binding.
+  interf_.require_unchanged();
 
   const phy::RadioConstants& radio = topo.radio();
   const sim::TimeUs step_len = step_len_us(params, radio);
@@ -146,6 +149,7 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   ws.transmitters.reserve(un);
   ws.rx_nodes.resize(un);
   ws.rx_batch.resize(n);
+  ws.active_sources.resize(interf_.source_count());
 
   out.nodes.assign(un, NodeFloodResult{});
   out.participated.assign(un, false);
@@ -266,7 +270,15 @@ void GlossyFlood::run_into(phy::NodeId initiator,
     //     historical expressions verbatim), then decision application.
     //     rng.bernoulli(p) is exactly uniform() < p, so pre-drawing the
     //     uniform leaves the stream and the decisions bit-identical.
+    //     Interference: the step's first listener runs the one activity
+    //     pass (no listener, no activity() call, as with per-listener
+    //     sampling); every listener then sums its table row over the active
+    //     sources, bit-identical to InterferenceField::sample (DESIGN.md
+    //     §10, "Interference binding").
     int n_rx = 0;
+    bool scanned = false;
+    std::size_t n_active = 0;
+    double exposure = 0.0;
     for (phy::NodeId i = 0; i < n; ++i) {
       FloodWorkspace::NodeScratch& s = ws.state[static_cast<std::size_t>(i)];
       if (s.finished) continue;
@@ -291,14 +303,18 @@ void GlossyFlood::run_into(phy::NodeId initiator,
       // Per-reception block fading at the listener.
       ws.rx_batch.fade_db[r] =
           fading_sigma > 0.0 ? rng.normal(0.0, fading_sigma) : 0.0;
-      phy::InterferenceSample interf =
-          interf_->sample(t0, t1, params.channel, i, topo);
+      if (!scanned) {
+        n_active = interf_.scan(t0, t1, params.channel, ws.active_sources,
+                                exposure);
+        scanned = true;
+      }
       if (observed) {
-        exposure_sum += interf.exposure;
+        exposure_sum += exposure;
         ++exposure_n;
       }
-      ws.rx_batch.interf_mw[r] = interf.power_mw;
-      ws.rx_batch.jam_fraction[r] = interf.exposure;
+      ws.rx_batch.interf_mw[r] = interf_.power_mw(
+          i, std::span(ws.active_sources).first(n_active));
+      ws.rx_batch.jam_fraction[r] = exposure;
       ws.rx_batch.uniform[r] = rng.uniform();  // the Bernoulli draw
       ws.rx_nodes[r] = i;
       ++n_rx;

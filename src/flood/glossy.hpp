@@ -20,10 +20,12 @@
 // dBm->mW conversions, and all per-flood scratch lives in a caller-owned
 // FloodWorkspace so `run_into` allocates nothing in steady state. Full rows
 // are swept lanewise, partial rows scattered; a culling backend's view also
-// lets the step loop skip listeners no surviving link reaches. Without
-// culling, results are bit-identical to the historical direct-Topology
-// engine (asserted by tests/flood/test_differential.cpp against a frozen
-// reference copy).
+// lets the step loop skip listeners no surviving link reaches. Interference
+// goes through a phy::BoundInterference: source-to-node powers are tabulated
+// once per engine and source activity is evaluated once per step, not once
+// per listener. Without culling, results are bit-identical to the historical
+// direct-Topology engine (asserted by tests/flood/test_differential.cpp
+// against a frozen reference copy).
 #pragma once
 
 #include <memory>
@@ -122,6 +124,11 @@ struct [[nodiscard]] FloodResult {
 /// as long as its topology (lwb::RoundExecutor owns one for the whole
 /// simulation). Like a Pcg32, one engine must not run floods concurrently
 /// from multiple threads; independent trials own independent engines.
+///
+/// The engine binds the interference field at construction (a per-node
+/// power table, phy::BoundInterference): the field must be complete by
+/// then and must outlive the engine. Adding or removing sources afterwards
+/// makes the next flood throw util::RequireError.
 class GlossyFlood {
  public:
   /// Convenience: binds an internally-owned SparseLinkModel over `topo`
@@ -168,7 +175,7 @@ class GlossyFlood {
   // Only for the Topology convenience constructor.
   std::unique_ptr<phy::LinkModel> owned_links_;
   phy::LinkModel* links_;
-  const phy::InterferenceField* interf_;
+  phy::BoundInterference interf_;
   obs::Instrumentation instr_;
 };
 

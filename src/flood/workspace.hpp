@@ -37,11 +37,14 @@ struct FloodWorkspace {
   std::vector<double> strongest_mw;       ///< strongest concurrent power per rx
   phy::ReceptionBatch rx_batch;           ///< step-3b reception staging (SoA)
   std::vector<phy::NodeId> rx_nodes;      ///< node id per rx_batch entry
+  /// Interference sources active in the current step, ascending (a prefix
+  /// written by phy::BoundInterference::scan; sized to the source count).
+  std::vector<std::size_t> active_sources;
 
-  /// Pre-sizes every buffer for an `n`-node topology (optional; run_into
-  /// sizes on demand — calling this up front just front-loads the one-time
-  /// allocations).
-  void reserve(int n) {
+  /// Pre-sizes every buffer for an `n`-node topology under a field of
+  /// `sources` interference sources (optional; run_into sizes on demand —
+  /// calling this up front just front-loads the one-time allocations).
+  void reserve(int n, std::size_t sources) {
     const auto m = static_cast<std::size_t>(n);
     state.reserve(m);
     transmitters.reserve(m);
@@ -51,6 +54,7 @@ struct FloodWorkspace {
     strongest_mw.reserve(m);
     rx_nodes.reserve(m);
     rx_batch.resize(n);
+    active_sources.reserve(sources);
   }
 };
 

@@ -23,7 +23,7 @@ RoundExecutor::RoundExecutor(const phy::Topology& topo,
     : topo_(&topo),
       cfg_(validated(std::move(cfg))),
       engine_(topo, interference) {
-  ws_.reserve(topo.size());
+  ws_.reserve(topo.size(), interference.size());
 }
 
 RoundExecutor::RoundExecutor(phy::LinkModel& links,
@@ -32,7 +32,7 @@ RoundExecutor::RoundExecutor(phy::LinkModel& links,
     : topo_(&links.topology()),
       cfg_(validated(std::move(cfg))),
       engine_(links, interference) {
-  ws_.reserve(topo_->size());
+  ws_.reserve(topo_->size(), interference.size());
 }
 
 phy::Channel RoundExecutor::data_channel(std::uint64_t round_index,

@@ -24,11 +24,30 @@ bool clip_window(sim::TimeUs& t0, sim::TimeUs& t1, sim::TimeUs start,
   if (stop >= 0) t1 = std::min(t1, stop);
   return t1 > t0;
 }
+
+/// The placement every source constructor checks: a NaN power or position
+/// would make every sample() read power_mw = NaN.
+void require_finite_placement(Vec2 position, double tx_power_dbm) {
+  DIMMER_REQUIRE(std::isfinite(tx_power_dbm),
+                 "interference tx_power_dbm must be finite");
+  DIMMER_REQUIRE(std::isfinite(position.x) && std::isfinite(position.y),
+                 "interference source position must be finite");
+}
+
+/// Received power of `src` at node `rx`, in mW: the one expression behind
+/// both sample() and the BoundInterference table, so the two agree bitwise.
+double received_mw(const InterferenceSource& src, NodeId rx,
+                   const Topology& topo) {
+  return dbm_to_mw(src.tx_power_dbm() +
+                   topo.gain_from_point_db(src.position(), rx,
+                                           src.shadow_tag()));
+}
 }  // namespace
 
 // ---- BurstJammer -----------------------------------------------------------
 
 BurstJammer::BurstJammer(Config cfg) : cfg_(std::move(cfg)) {
+  require_finite_placement(cfg_.position, cfg_.tx_power_dbm);
   DIMMER_REQUIRE(cfg_.burst_us > 0, "burst length must be positive");
   DIMMER_REQUIRE(cfg_.period_us >= cfg_.burst_us,
                  "period must be >= burst length");
@@ -75,6 +94,7 @@ double BurstJammer::activity(sim::TimeUs t0, sim::TimeUs t1,
 // ---- WifiInterferer --------------------------------------------------------
 
 WifiInterferer::WifiInterferer(Config cfg) : cfg_(std::move(cfg)) {
+  require_finite_placement(cfg_.position, cfg_.tx_power_dbm);
   DIMMER_REQUIRE(cfg_.duty >= 0.0 && cfg_.duty <= 0.95,
                  "WiFi duty out of [0,0.95]");
   DIMMER_REQUIRE(cfg_.frame_us > 0, "frame must be positive");
@@ -123,9 +143,16 @@ double WifiInterferer::activity(sim::TimeUs t0, sim::TimeUs t1,
 // ---- AmbientInterferer -----------------------------------------------------
 
 AmbientInterferer::AmbientInterferer(Config cfg) : cfg_(std::move(cfg)) {
+  require_finite_placement(cfg_.position, cfg_.tx_power_dbm);
   DIMMER_REQUIRE(cfg_.frame_us > 0, "frame must be positive");
   DIMMER_REQUIRE(cfg_.day_duty >= 0.0 && cfg_.day_duty <= 0.5,
                  "ambient day duty out of [0,0.5]");
+  DIMMER_REQUIRE(cfg_.night_duty >= 0.0 && cfg_.night_duty <= 0.5,
+                 "ambient night duty out of [0,0.5]");
+  // A zero fraction never bursts; one above 1 makes the burst longer than
+  // the frame and its offset negative.
+  DIMMER_REQUIRE(cfg_.burst_fraction > 0.0 && cfg_.burst_fraction <= 1.0,
+                 "ambient burst_fraction out of (0,1]");
 }
 
 double AmbientInterferer::duty_at(sim::TimeUs t) const {
@@ -175,13 +202,41 @@ InterferenceSample InterferenceField::sample(sim::TimeUs t0, sim::TimeUs t1,
   for (const auto& src : sources_) {
     double act = src->activity(t0, t1, ch);
     if (act <= 0.0) continue;
-    double rx_dbm = src->tx_power_dbm() +
-                    topo.gain_from_point_db(src->position(), rx,
-                                            src->shadow_tag());
-    out.power_mw += dbm_to_mw(rx_dbm);
+    out.power_mw += received_mw(*src, rx, topo);
     out.exposure = std::max(out.exposure, act);
   }
   return out;
+}
+
+// ---- BoundInterference -----------------------------------------------------
+
+BoundInterference::BoundInterference(const InterferenceField& field,
+                                     const Topology& topo)
+    : field_(&field), sources_(field.size()) {
+  mw_.reserve(static_cast<std::size_t>(topo.size()) * sources_);
+  for (NodeId rx = 0; rx < topo.size(); ++rx)
+    for (std::size_t s = 0; s < sources_; ++s)
+      mw_.push_back(received_mw(field.source(s), rx, topo));
+}
+
+void BoundInterference::require_unchanged() const {
+  DIMMER_REQUIRE(field_->size() == sources_,
+                 "interference field changed after an engine bound it");
+}
+
+std::size_t BoundInterference::scan(sim::TimeUs t0, sim::TimeUs t1,
+                                    Channel ch, std::span<std::size_t> active,
+                                    double& exposure) const {
+  DIMMER_DEBUG_ASSERT(active.size() >= sources_, "active list too short");
+  std::size_t count = 0;
+  exposure = 0.0;
+  for (std::size_t s = 0; s < sources_; ++s) {
+    const double act = field_->source(s).activity(t0, t1, ch);
+    if (act <= 0.0) continue;
+    active[count++] = s;
+    exposure = std::max(exposure, act);
+  }
+  return count;
 }
 
 // ---- D-Cube profiles -------------------------------------------------------

@@ -16,12 +16,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "phy/channels.hpp"
 #include "phy/geometry.hpp"
 #include "phy/topology.hpp"
 #include "sim/time.hpp"
+#include "util/check.hpp"
 
 namespace dimmer::phy {
 
@@ -158,12 +160,65 @@ class InterferenceField {
   bool empty() const { return sources_.empty(); }
   void clear() { sources_.clear(); }
 
+  /// Source `i` in insertion order, the order sample() sums in.
+  const InterferenceSource& source(std::size_t i) const { return *sources_[i]; }
+
   /// Received interference at node `rx` for a packet spanning [t0,t1) on `ch`.
   InterferenceSample sample(sim::TimeUs t0, sim::TimeUs t1, Channel ch,
                             NodeId rx, const Topology& topo) const;
 
  private:
   std::vector<std::unique_ptr<InterferenceSource>> sources_;
+};
+
+/// An InterferenceField bound to one Topology: sample() split into a
+/// per-step and a per-listener half for the flood hot path (DESIGN.md §10).
+///
+/// Binding computes once the received power of every source at every node,
+/// node-major (n rows of S mW entries), with the expression sample() uses.
+/// scan() then runs one activity pass per step window, listing the active
+/// sources in ascending order with their max activity as the exposure, and
+/// power_mw() sums a listener's row over that list starting from 0.0. These
+/// are the adds sample() performs, in its order, so the pair is bit-identical
+/// to sample(t0, t1, ch, rx, topo); activity() is pure and does not depend on
+/// the listener, so one pass serves every listener of the step.
+///
+/// The table is a snapshot: the field must not gain or lose sources while
+/// bound (require_unchanged() checks the count). The field must outlive the
+/// binding; the topology is read only while binding.
+class BoundInterference {
+ public:
+  BoundInterference(const InterferenceField& field, const Topology& topo);
+
+  std::size_t source_count() const { return sources_; }
+
+  /// Throws util::RequireError if the field's source count changed since
+  /// binding.
+  void require_unchanged() const;
+
+  /// One activity pass over [t0,t1) on `ch`: writes the ids of the active
+  /// sources to the front of `active` in ascending order and returns how
+  /// many there are; `exposure` receives their max activity (0 if none).
+  /// `active` must hold source_count() ids.
+  std::size_t scan(sim::TimeUs t0, sim::TimeUs t1, Channel ch,
+                   std::span<std::size_t> active, double& exposure) const;
+
+  /// Summed received power at `rx` from the sources in `active` (a prefix
+  /// written by scan()).
+  double power_mw(NodeId rx, std::span<const std::size_t> active) const {
+    const std::size_t first = static_cast<std::size_t>(rx) * sources_;
+    DIMMER_DEBUG_ASSERT(rx >= 0 && first + sources_ <= mw_.size(),
+                        "node id out of range");
+    const double* row = mw_.data() + first;
+    double sum = 0.0;
+    for (std::size_t s : active) sum += row[s];
+    return sum;
+  }
+
+ private:
+  const InterferenceField* field_;
+  std::size_t sources_;
+  std::vector<double> mw_;  ///< mw_[rx * sources_ + s]
 };
 
 /// D-Cube style controlled WiFi interference profiles (§V-E): level 1 is

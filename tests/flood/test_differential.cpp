@@ -17,9 +17,17 @@
 // The SparseDifferential cases compare those two engines directly, scatter
 // against full-row sweep, from identical RNG states: the branch choice must
 // be invisible in every FloodResult field and in the RNG end-state.
+//
+// The interference inputs pin the engine's per-node interference table and
+// per-step activity pass (phy::BoundInterference) against the reference's
+// per-listener InterferenceField::sample: static jamming, office ambient,
+// D-Cube WiFi levels 1 and 2 on two channels (different AP subsets active),
+// a training schedule (dozens of windowed jammers, many silent steps) and a
+// restricted() cell under its parent's WiFi APs.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
 #include <vector>
 
 #include "core/scenarios.hpp"
@@ -131,6 +139,35 @@ struct Engines {
   }
 };
 
+/// dcube48 under D-Cube WiFi `level` (3 APs at level 1, 8 at level 2).
+Case dcube_wifi_case(int level) {
+  Case c{phy::make_dcube48_topology(), phy::InterferenceField{}};
+  phy::add_dcube_wifi_level(c.field, c.topo, level);
+  return c;
+}
+
+/// Rows 2-5 of dcube48 as a restricted() cell, under the APs of the whole
+/// deployment at WiFi level 2. Local ids are not parent ids, so the table
+/// must key each member's shadowing on its parent id, as sample() does.
+Case restricted_wifi_case() {
+  const phy::Topology parent = phy::make_dcube48_topology();
+  std::vector<phy::NodeId> members;
+  for (phy::NodeId i = 16; i < parent.size(); ++i) members.push_back(i);
+  Case c{parent.restricted(members), phy::InterferenceField{}};
+  phy::add_dcube_wifi_level(c.field, parent, 2);
+  return c;
+}
+
+/// office18 under a two-hour training schedule: dozens of windowed jammers
+/// and night-time ambient sources, so many steps have no active source.
+constexpr sim::TimeUs kTrainingSpan = sim::hours(2);
+
+Case training_case() {
+  Case c{phy::make_office18_topology(), phy::InterferenceField{}};
+  core::add_training_schedule(c.field, c.topo, kTrainingSpan, 17);
+  return c;
+}
+
 Case make_case(const std::string& name, double jam_duty) {
   Case c{topo_for(name), phy::InterferenceField{}};
   if (jam_duty > 0.0 &&
@@ -144,11 +181,10 @@ Case make_case(const std::string& name, double jam_duty) {
   return c;
 }
 
-void run_differential(const std::string& topo_name, double jam_duty,
+void run_differential(const Case& c,
                       const std::vector<NodeFloodConfig>& configs,
                       phy::NodeId initiator, const FloodParams& params,
                       std::uint64_t seed) {
-  Case c = make_case(topo_name, jam_duty);
   ASSERT_EQ(static_cast<int>(configs.size()), c.topo.size());
 
   Engines engines(c);
@@ -166,9 +202,27 @@ void run_differential(const std::string& topo_name, double jam_duty,
   }
 }
 
+void run_differential(const std::string& topo_name, double jam_duty,
+                      const std::vector<NodeFloodConfig>& configs,
+                      phy::NodeId initiator, const FloodParams& params,
+                      std::uint64_t seed) {
+  run_differential(make_case(topo_name, jam_duty), configs, initiator, params,
+                   seed);
+}
+
 std::vector<NodeFloodConfig> uniform_configs(int n, int n_tx) {
   return std::vector<NodeFloodConfig>(static_cast<std::size_t>(n),
                                       NodeFloodConfig{n_tx, true});
+}
+
+/// Ids of the sources of `field` active somewhere in [t0, t1) on `ch`.
+std::set<std::size_t> active_sources(const phy::InterferenceField& field,
+                                     sim::TimeUs t0, sim::TimeUs t1,
+                                     phy::Channel ch) {
+  std::set<std::size_t> out;
+  for (std::size_t s = 0; s < field.size(); ++s)
+    if (field.source(s).activity(t0, t1, ch) > 0.0) out.insert(s);
+  return out;
 }
 
 TEST(FloodDifferential, CulledCampusHasUnreachableListeners) {
@@ -202,6 +256,81 @@ TEST(FloodDifferential, JammedTopologies) {
       FloodParams p;
       p.slot_start_us = sim::seconds(5);  // land inside jammer bursts
       run_differential(name, 0.3, uniform_configs(n, 3), n / 2, p, seed);
+    }
+  }
+}
+
+TEST(FloodDifferential, InterferenceInputsCoverTheirClaims) {
+  // Channel 26 and hopping channel 15 see different, non-empty AP subsets
+  // at both WiFi levels.
+  for (int level : {1, 2}) {
+    SCOPED_TRACE("WiFi level " + std::to_string(level));
+    Case c = dcube_wifi_case(level);
+    const auto on26 = active_sources(c.field, 0, sim::seconds(10), 26);
+    const auto on15 = active_sources(c.field, 0, sim::seconds(10), 15);
+    EXPECT_FALSE(on26.empty());
+    EXPECT_FALSE(on15.empty());
+    EXPECT_NE(on26, on15);
+  }
+  // The training schedule has dozens of sources, and some step windows
+  // across it have none active.
+  Case t = training_case();
+  EXPECT_GE(t.field.size(), 24u);
+  int silent = 0;
+  for (sim::TimeUs at = 0; at < kTrainingSpan; at += sim::seconds(30))
+    silent += active_sources(t.field, at, at + sim::ms(2),
+                             phy::kControlChannel)
+                  .empty();
+  EXPECT_GT(silent, 0);
+}
+
+TEST(FloodDifferential, DcubeWifiLevelsOnTwoChannels) {
+  for (int level : {1, 2}) {
+    Case c = dcube_wifi_case(level);
+    const int n = c.topo.size();
+    for (phy::Channel ch : {phy::Channel{26}, phy::Channel{15}}) {
+      for (std::uint64_t seed : {5ULL, 606ULL}) {
+        for (int k = 0; k < 8; ++k) {
+          SCOPED_TRACE("level " + std::to_string(level) + " channel " +
+                       std::to_string(ch) + " seed " + std::to_string(seed) +
+                       " slot " + std::to_string(k));
+          FloodParams p;
+          p.channel = ch;
+          p.slot_start_us = sim::seconds(3) + k * sim::ms(53);
+          run_differential(c, uniform_configs(n, 3), (k * 13) % n, p, seed);
+        }
+      }
+    }
+  }
+}
+
+TEST(FloodDifferential, TrainingScheduleWindowedJammers) {
+  Case c = training_case();
+  const int n = c.topo.size();
+  for (std::uint64_t seed : {2ULL, 71ULL}) {
+    for (sim::TimeUs at = 0; at < kTrainingSpan; at += sim::minutes(7)) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " at " +
+                   std::to_string(at));
+      FloodParams p;
+      p.slot_start_us = at;
+      run_differential(c, uniform_configs(n, 3),
+                       static_cast<phy::NodeId>(at / sim::minutes(7)) % n, p,
+                       seed);
+    }
+  }
+}
+
+TEST(FloodDifferential, RestrictedCellUnderParentWifi) {
+  Case c = restricted_wifi_case();
+  const int n = c.topo.size();
+  for (phy::Channel ch : {phy::Channel{26}, phy::Channel{15}}) {
+    for (std::uint64_t seed : {8ULL, 808ULL}) {
+      SCOPED_TRACE("channel " + std::to_string(ch) + " seed " +
+                   std::to_string(seed));
+      FloodParams p;
+      p.channel = ch;
+      p.slot_start_us = sim::seconds(4);
+      run_differential(c, uniform_configs(n, 3), n / 2, p, seed);
     }
   }
 }

@@ -17,6 +17,7 @@
 #include "flood/glossy.hpp"
 #include "flood/workspace.hpp"
 #include "lwb/round.hpp"
+#include "phy/interference.hpp"
 #include "phy/sparse_link_model.hpp"
 #include "phy/topology.hpp"
 #include "util/rng.hpp"
@@ -108,6 +109,36 @@ TEST(FloodWorkspaceAlloc, SparseEngineRunIntoIsAllocationFreeAfterWarmup) {
       << (after - before) << " allocations over 50 floods)";
   EXPECT_EQ(links.rebuilds(), 1);  // one CSR build serves every flood
   EXPECT_TRUE(result.nodes.size() == 96u);
+}
+
+TEST(FloodWorkspaceAlloc, ManySourcesRunIntoIsAllocationFreeAfterWarmup) {
+  // D-Cube WiFi level 2: eight APs, so every step's activity pass fills the
+  // workspace's active-source list — from capacity sized at flood entry.
+  phy::Topology topo = phy::make_dcube48_topology();
+  phy::InterferenceField field;
+  phy::add_dcube_wifi_level(field, topo, 2);
+  ASSERT_EQ(field.size(), 8u);
+  GlossyFlood engine(topo, field);
+  std::vector<NodeFloodConfig> cfgs(48, NodeFloodConfig{3, true});
+
+  FloodWorkspace ws;
+  FloodResult result;
+  util::Pcg32 rng(17);
+
+  FloodParams params;
+  engine.run_into(0, cfgs, params, rng, ws, result);
+
+  const long before = g_allocs.load(std::memory_order_relaxed);
+  for (int k = 0; k < 50; ++k) {
+    params.slot_start_us = k * sim::ms(25);
+    params.channel = k % 2 == 0 ? phy::Channel{26} : phy::Channel{15};
+    engine.run_into(k % 48, cfgs, params, rng, ws, result);
+  }
+  const long after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0)
+      << "steady-state floods under 8 sources must not allocate (got "
+      << (after - before) << " allocations over 50 floods)";
+  EXPECT_TRUE(result.nodes.size() == 48u);
 }
 
 TEST(FloodWorkspaceAlloc, RoundExecutorSteadyStateIsAllocationFree) {

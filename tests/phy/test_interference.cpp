@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <span>
+#include <tuple>
+#include <vector>
 
+#include "core/scenarios.hpp"
+#include "flood/glossy.hpp"
+#include "flood/workspace.hpp"
 #include "phy/interference.hpp"
 #include "phy/topology.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace dimmer::phy {
 namespace {
@@ -78,6 +86,61 @@ TEST(BurstJammer, RejectsBadConfig) {
   EXPECT_THROW(BurstJammer{cfg}, util::RequireError);
   EXPECT_THROW(BurstJammer::jamlab({0, 0}, 0.0), util::RequireError);
   EXPECT_THROW(BurstJammer::jamlab({0, 0}, 1.2), util::RequireError);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(BurstJammer, RejectsNonFinitePlacement) {
+  // A NaN power or position used to slip through and make every sample()
+  // read power_mw = NaN.
+  for (double bad : {kNaN, kInf, -kInf}) {
+    auto cfg = basic_jammer();
+    cfg.tx_power_dbm = bad;
+    EXPECT_THROW(BurstJammer{cfg}, util::RequireError);
+    cfg = basic_jammer();
+    cfg.position = {bad, 0.0};
+    EXPECT_THROW(BurstJammer{cfg}, util::RequireError);
+    cfg = basic_jammer();
+    cfg.position = {0.0, bad};
+    EXPECT_THROW(BurstJammer{cfg}, util::RequireError);
+  }
+}
+
+TEST(WifiInterferer, RejectsNonFinitePlacement) {
+  for (double bad : {kNaN, kInf}) {
+    WifiInterferer::Config cfg;
+    cfg.tx_power_dbm = bad;
+    EXPECT_THROW(WifiInterferer{cfg}, util::RequireError);
+    cfg = WifiInterferer::Config{};
+    cfg.position = {bad, 3.0};
+    EXPECT_THROW(WifiInterferer{cfg}, util::RequireError);
+    cfg = WifiInterferer::Config{};
+    cfg.position = {3.0, bad};
+    EXPECT_THROW(WifiInterferer{cfg}, util::RequireError);
+  }
+}
+
+TEST(AmbientInterferer, RejectsBadConfig) {
+  auto rejects = [](auto mutate) {
+    AmbientInterferer::Config cfg;
+    mutate(cfg);
+    EXPECT_THROW(AmbientInterferer{cfg}, util::RequireError);
+  };
+  rejects([](auto& c) { c.tx_power_dbm = kNaN; });
+  rejects([](auto& c) { c.position = {kInf, 0.0}; });
+  rejects([](auto& c) { c.position = {0.0, kNaN}; });
+  // burst_fraction 0 never bursts; above 1 the burst offset goes negative.
+  for (double bf : {0.0, -0.1, 1.5, kNaN})
+    rejects([bf](auto& c) { c.burst_fraction = bf; });
+  // A night duty of 7 read as a burst in every night frame.
+  for (double nd : {7.0, 0.51, -0.01, kNaN})
+    rejects([nd](auto& c) { c.night_duty = nd; });
+
+  AmbientInterferer::Config edge;
+  edge.burst_fraction = 1.0;
+  edge.night_duty = 0.5;
+  EXPECT_NO_THROW(AmbientInterferer{edge});
 }
 
 TEST(WifiInterferer, PureAndDeterministic) {
@@ -181,6 +244,166 @@ TEST(DCubeProfiles, InvalidLevelThrows) {
   InterferenceField f;
   EXPECT_THROW(add_dcube_wifi_level(f, t, 0), util::RequireError);
   EXPECT_THROW(add_dcube_wifi_level(f, t, 3), util::RequireError);
+}
+
+// ---- BoundInterference -----------------------------------------------------
+
+/// How many (window, channel) pairs had any active source, and how many had
+/// none: a sweep is only a test of the table if it hits both.
+struct SweepCounts {
+  int active = 0;
+  int silent = 0;
+};
+
+/// Asserts that scan() + power_mw() equal sample() bit for bit at every
+/// node, on channels 11-26, over step-sized windows: 64 at a sub-frame
+/// stride from `origin` and 64 spread across [origin, origin + horizon).
+SweepCounts expect_binding_matches_sample(const InterferenceField& field,
+                                          const Topology& topo,
+                                          sim::TimeUs origin,
+                                          sim::TimeUs horizon) {
+  SweepCounts counts;
+  const BoundInterference bound(field, topo);
+  EXPECT_EQ(bound.source_count(), field.size());
+  std::vector<std::size_t> active(field.size());
+  const sim::TimeUs airtime = 1376;  // a 30 B payload frame
+  std::vector<sim::TimeUs> starts;
+  for (int k = 0; k < 64; ++k) starts.push_back(origin + k * 3301);
+  for (int k = 0; k < 64; ++k) starts.push_back(origin + k * (horizon / 64) + 997);
+  for (sim::TimeUs t0 : starts) {
+    for (Channel ch = kFirstChannel; ch <= kLastChannel; ++ch) {
+      double exposure = -1.0;
+      const std::size_t k = bound.scan(t0, t0 + airtime, ch, active, exposure);
+      (k > 0 ? counts.active : counts.silent) += 1;
+      for (NodeId rx = 0; rx < topo.size(); ++rx) {
+        const InterferenceSample want =
+            field.sample(t0, t0 + airtime, ch, rx, topo);
+        const double got = bound.power_mw(rx, std::span(active).first(k));
+        if (got != want.power_mw || exposure != want.exposure) {
+          ADD_FAILURE() << "t0 " << t0 << " ch " << int{ch} << " rx " << rx
+                        << ": power " << got << " vs " << want.power_mw
+                        << ", exposure " << exposure << " vs "
+                        << want.exposure;
+          return counts;
+        }
+      }
+    }
+  }
+  return counts;
+}
+
+TEST(BoundInterference, MatchesSampleForBurstJammers) {
+  Topology t = make_office18_topology();
+  InterferenceField f;
+  auto cfg = basic_jammer();
+  cfg.position = t.position(5);
+  f.add(std::make_unique<BurstJammer>(cfg));
+  auto windowed = BurstJammer::jamlab(t.position(12), 0.35, 15, 9);
+  windowed.start_us = sim::ms(40);
+  windowed.stop_us = sim::seconds(2);
+  windowed.channels = {15, 26};
+  f.add(std::make_unique<BurstJammer>(windowed));
+  SweepCounts c = expect_binding_matches_sample(f, t, 0, sim::seconds(4));
+  EXPECT_GT(c.active, 0);
+  EXPECT_GT(c.silent, 0);
+}
+
+TEST(BoundInterference, MatchesSampleForScenarioJammers) {
+  Topology t = make_office18_topology();
+  const sim::TimeUs origin = sim::hours(10);
+  InterferenceField stat, dyn, train;
+  core::add_static_jamming(stat, t, 0.3);
+  core::add_dynamic_jamming(dyn, t, kControlChannel, origin);
+  core::add_training_schedule(train, t, sim::hours(1), 5);
+  for (const auto& [name, field, from] :
+       {std::tuple{"static", &stat, origin}, std::tuple{"dynamic", &dyn, origin},
+        std::tuple{"training", &train, sim::TimeUs{0}}}) {
+    SCOPED_TRACE(name);
+    SweepCounts c = expect_binding_matches_sample(*field, t, from,
+                                                  sim::minutes(27));
+    EXPECT_GT(c.active, 0);
+    EXPECT_GT(c.silent, 0);
+  }
+}
+
+TEST(BoundInterference, MatchesSampleForOfficeAmbient) {
+  Topology t = make_office18_topology();
+  InterferenceField f;
+  core::add_office_ambient(f, t);
+  // Work hours: the ambient sources burst on every channel.
+  SweepCounts c =
+      expect_binding_matches_sample(f, t, sim::hours(12), sim::hours(1));
+  EXPECT_GT(c.active, 0);
+  EXPECT_GT(c.silent, 0);
+}
+
+TEST(BoundInterference, MatchesSampleForDcubeWifiLevels) {
+  Topology t = make_dcube48_topology();
+  for (int level : {1, 2}) {
+    SCOPED_TRACE("level " + std::to_string(level));
+    InterferenceField f;
+    add_dcube_wifi_level(f, t, level);
+    SweepCounts c = expect_binding_matches_sample(f, t, 0, sim::seconds(30));
+    EXPECT_GT(c.active, 0);
+    EXPECT_GT(c.silent, 0);
+  }
+}
+
+TEST(BoundInterference, MatchesSampleOnRestrictedTopology) {
+  // The APs of the whole deployment over a cell whose local ids are not
+  // its parent ids: the table must key shadowing on the parent id.
+  Topology parent = make_dcube48_topology();
+  std::vector<NodeId> members;
+  for (NodeId i = 3; i < parent.size(); i += 3) members.push_back(i);
+  Topology cell = parent.restricted(members);
+  InterferenceField f;
+  add_dcube_wifi_level(f, parent, 2);
+  SweepCounts c = expect_binding_matches_sample(f, cell, 0, sim::seconds(30));
+  EXPECT_GT(c.active, 0);
+}
+
+TEST(BoundInterference, EmptyFieldIsSilent) {
+  Topology t = make_office18_topology();
+  InterferenceField f;
+  BoundInterference bound(f, t);
+  EXPECT_EQ(bound.source_count(), 0u);
+  double exposure = -1.0;
+  EXPECT_EQ(bound.scan(0, sim::ms(1), 26, {}, exposure), 0u);
+  EXPECT_EQ(exposure, 0.0);
+  EXPECT_EQ(bound.power_mw(7, {}), 0.0);
+  expect_binding_matches_sample(f, t, 0, sim::seconds(1));
+}
+
+TEST(BoundInterference, RequireUnchangedTracksTheSourceCount) {
+  Topology t = make_office18_topology();
+  InterferenceField f;
+  core::add_static_jamming(f, t, 0.3);
+  BoundInterference bound(f, t);
+  EXPECT_NO_THROW(bound.require_unchanged());
+  f.add(std::make_unique<BurstJammer>(basic_jammer()));
+  EXPECT_THROW(bound.require_unchanged(), util::RequireError);
+  f.clear();
+  EXPECT_THROW(bound.require_unchanged(), util::RequireError);
+}
+
+TEST(BoundInterference, SourceAddedAfterEngineBindsFailsTheNextFlood) {
+  // Regression: an engine built over a field that later gains a source must
+  // refuse to flood on its stale table instead of ignoring the new source.
+  Topology t = make_office18_topology();
+  InterferenceField f;
+  core::add_static_jamming(f, t, 0.3);
+  flood::GlossyFlood engine(t, f);
+  const std::vector<flood::NodeFloodConfig> cfgs(18);
+  flood::FloodWorkspace ws;
+  flood::FloodResult result;
+  util::Pcg32 rng(1);
+  engine.run_into(0, cfgs, flood::FloodParams{}, rng, ws, result);
+
+  auto cfg = basic_jammer();
+  cfg.position = t.position(9);
+  f.add(std::make_unique<BurstJammer>(cfg));
+  EXPECT_THROW(engine.run_into(0, cfgs, flood::FloodParams{}, rng, ws, result),
+               util::RequireError);
 }
 
 }  // namespace
