@@ -267,9 +267,11 @@ void GlossyFlood::run_into(phy::NodeId initiator,
     //     fading normal first, Bernoulli uniform second, listeners
     //     ascending), one batched evaluation of the transcendental chain
     //     (phy::reception_success_batch — the scalar backend replays the
-    //     historical expressions verbatim), then decision application.
-    //     rng.bernoulli(p) is exactly uniform() < p, so pre-drawing the
-    //     uniform leaves the stream and the decisions bit-identical.
+    //     historical expressions verbatim, and a lane settled from its SINRs
+    //     takes the decision the chain would, DESIGN.md §12), then decision
+    //     application. rng.bernoulli(p) is exactly uniform() < p, so
+    //     pre-drawing the uniform leaves the stream and the decisions
+    //     bit-identical.
     //     Interference: the step's first listener runs the one activity
     //     pass (no listener, no activity() call, as with per-listener
     //     sampling); every listener then sums its table row over the active

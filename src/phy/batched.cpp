@@ -101,16 +101,42 @@ void frame_success_prob_batch(const double* sinr_clean_db,
 
 namespace {
 
-// One vector chunk of the step-3b reception chain. Pointers index the
-// chunk's first element; lanes are independent listeners. The pure()
-// annotation cuts a name-resolution artifact: `vdouble::load` (a register
-// load) shares its name with the allocating `TraceDataset::load`.
+// Whether every SINR that carries bits satisfies `pred`: the clean one
+// unless the clamped exposure is 1, the jammed one unless it is 0 — the
+// factors frame_success_prob gives a nonzero bit count.
+template <typename Pred>
+bool every_carrying_sinr(double sinr_clean_db, double sinr_jam_db,
+                         double jam_fraction, Pred pred) {
+  return (jam_fraction >= 1.0 || pred(sinr_clean_db)) &&
+         (jam_fraction <= 0.0 || pred(sinr_jam_db));
+}
+
+// Rule 2 (batched.hpp): the exact p_ok is below 2^-53 <= uniform, so the
+// decision is "no reception" without the chain.
+bool floored(double uniform, double sinr_clean_db, double sinr_jam_db,
+             double jam_fraction, int frame_bytes) {
+  return uniform >= kFloorMinUniform && frame_bytes >= kFloorMinFrameBytes &&
+         every_carrying_sinr(sinr_clean_db, sinr_jam_db, jam_fraction,
+                             [](double s) { return s <= kFloorSinrDb; });
+}
+
+// Rule 1 (per.hpp) over the whole lane: every factor is exactly 1.0, and so
+// is frame_success_prob.
+bool saturated(double sinr_clean_db, double sinr_jam_db, double jam_fraction) {
+  return every_carrying_sinr(sinr_clean_db, sinr_jam_db, jam_fraction,
+                             [](double s) { return s >= kSaturatedSinrDb; });
+}
+
+// The SINRs of one vector chunk of the step-3b reception chain. Pointers
+// index the chunk's first element; lanes are independent listeners. The
+// pure() annotation cuts a name-resolution artifact: `vdouble::load` (a
+// register load) shares its name with the allocating `TraceDataset::load`.
 // dimmer-lint: pure(may-allocate)
-inline vdouble reception_chunk(const double* strongest, const double* total,
-                               const double* fade, const double* interf,
-                               const double* frac, double coherence_gain,
-                               bool apply_fading, double noise_mw,
-                               double noise_dbm, int frame_bytes) {
+inline void sinr_chunk(const double* strongest, const double* total,
+                       const double* fade, const double* interf,
+                       double coherence_gain, bool apply_fading,
+                       double noise_mw, double noise_dbm, double* sinr_clean,
+                       double* sinr_jam) {
   using util::simd::select_eq;
   const vdouble s = vdouble::load(strongest);
   const vdouble t = vdouble::load(total);
@@ -120,14 +146,23 @@ inline vdouble reception_chunk(const double* strongest, const double* total,
                                   vdouble::broadcast(10.0));
   }
   const vdouble sig_dbm = simd_kernels::mw_to_dbm_kernel(sig);
-  const vdouble sinr_clean = sig_dbm - vdouble::broadcast(noise_dbm);
+  const vdouble clean = sig_dbm - vdouble::broadcast(noise_dbm);
   const vdouble iv = vdouble::load(interf);
   const vdouble denom_dbm =
       simd_kernels::mw_to_dbm_kernel(vdouble::broadcast(noise_mw) + iv);
-  const vdouble sinr_jam = select_eq(iv, vdouble::broadcast(0.0), sinr_clean,
-                                     sig_dbm - denom_dbm);
-  return simd_kernels::frame_success_kernel(sinr_clean, sinr_jam,
-                                            vdouble::load(frac), frame_bytes);
+  clean.store(sinr_clean);
+  select_eq(iv, vdouble::broadcast(0.0), clean, sig_dbm - denom_dbm)
+      .store(sinr_jam);
+}
+
+// The BER chain over one chunk of queued lanes (same annotation as above).
+// dimmer-lint: pure(may-allocate)
+inline void success_chunk(const double* sinr_clean, const double* sinr_jam,
+                          const double* frac, int frame_bytes, double* p_ok) {
+  simd_kernels::frame_success_kernel(vdouble::load(sinr_clean),
+                                     vdouble::load(sinr_jam),
+                                     vdouble::load(frac), frame_bytes)
+      .store(p_ok);
 }
 
 }  // namespace
@@ -135,12 +170,16 @@ inline vdouble reception_chunk(const double* strongest, const double* total,
 void reception_success_batch(ReceptionBatch& b, double coherence_gain,
                              bool apply_fading, double noise_mw,
                              double noise_dbm, int frame_bytes) {
+  // A settled lane skips frame_success_prob, which used to be the only
+  // check of the frame length.
+  DIMMER_REQUIRE(frame_bytes > 0, "frame_bytes must be positive");
   const int count = b.count;
   DIMMER_DEBUG_ASSERT(count <= static_cast<int>(b.strongest_mw.size()),
                       "ReceptionBatch count exceeds its arrays");
   if constexpr (kW == 1) {
     // The historical per-listener expressions, verbatim: this path is what
-    // keeps the scalar backend byte-identical to the pre-SIMD engine.
+    // keeps the scalar backend byte-identical to the pre-SIMD engine. Rule 1
+    // runs inside frame_success_prob; rule 2 skips it.
     for (int i = 0; i < count; ++i) {
       const auto u = static_cast<std::size_t>(i);
       const double strongest = b.strongest_mw[u];
@@ -154,42 +193,75 @@ void reception_success_batch(ReceptionBatch& b, double coherence_gain,
           b.interf_mw[u] == 0.0
               ? sinr_clean_db
               : signal_dbm - mw_to_dbm(noise_mw + b.interf_mw[u]);
-      b.p_ok[u] = frame_success_prob(sinr_clean_db, sinr_jam_db,
-                                     b.jam_fraction[u], frame_bytes);
+      b.p_ok[u] = floored(b.uniform[u], sinr_clean_db, sinr_jam_db,
+                          b.jam_fraction[u], frame_bytes)
+                      ? 0.0
+                      : frame_success_prob(sinr_clean_db, sinr_jam_db,
+                                           b.jam_fraction[u], frame_bytes);
     }
   } else {
+    // 1. SINRs of every lane: full chunks, then the tail through a benign
+    //    pad (1 mW signal, no fading/interference) that keeps every lane
+    //    inside the kernels' (positive, finite) domain.
     int i = 0;
     for (; i + kW <= count; i += kW) {
-      reception_chunk(b.strongest_mw.data() + i, b.total_mw.data() + i,
-                      b.fade_db.data() + i, b.interf_mw.data() + i,
-                      b.jam_fraction.data() + i, coherence_gain, apply_fading,
-                      noise_mw, noise_dbm, frame_bytes)
-          .store(b.p_ok.data() + i);
+      sinr_chunk(b.strongest_mw.data() + i, b.total_mw.data() + i,
+                 b.fade_db.data() + i, b.interf_mw.data() + i, coherence_gain,
+                 apply_fading, noise_mw, noise_dbm, b.sinr_clean_db.data() + i,
+                 b.sinr_jam_db.data() + i);
     }
     if (i < count) {
-      const int rem = count - i;
-      // Benign pad: 1 mW signal, no fading/interference — keeps every lane
-      // inside the kernels' (positive, finite) domain.
-      double pad_s[kW], pad_t[kW], pad_f[kW], pad_i[kW], pad_j[kW];
-      double pad_out[kW];
+      double pad_s[kW], pad_t[kW], pad_f[kW], pad_i[kW];
+      double out_clean[kW], out_jam[kW];
       for (int l = 0; l < kW; ++l) {
         pad_s[l] = 1.0;
         pad_t[l] = 1.0;
         pad_f[l] = 0.0;
         pad_i[l] = 0.0;
-        pad_j[l] = 0.0;
       }
       std::copy(b.strongest_mw.data() + i, b.strongest_mw.data() + count,
                 pad_s);
       std::copy(b.total_mw.data() + i, b.total_mw.data() + count, pad_t);
       std::copy(b.fade_db.data() + i, b.fade_db.data() + count, pad_f);
       std::copy(b.interf_mw.data() + i, b.interf_mw.data() + count, pad_i);
-      std::copy(b.jam_fraction.data() + i, b.jam_fraction.data() + count,
-                pad_j);
-      reception_chunk(pad_s, pad_t, pad_f, pad_i, pad_j, coherence_gain,
-                      apply_fading, noise_mw, noise_dbm, frame_bytes)
-          .store(pad_out);
-      std::copy(pad_out, pad_out + rem, b.p_ok.data() + i);
+      sinr_chunk(pad_s, pad_t, pad_f, pad_i, coherence_gain, apply_fading,
+                 noise_mw, noise_dbm, out_clean, out_jam);
+      std::copy(out_clean, out_clean + (count - i),
+                b.sinr_clean_db.data() + i);
+      std::copy(out_jam, out_jam + (count - i), b.sinr_jam_db.data() + i);
+    }
+    // 2. Settle each lane by the two rules, or queue it for the chain.
+    int pending = 0;
+    for (int l = 0; l < count; ++l) {
+      const auto u = static_cast<std::size_t>(l);
+      const double clean = b.sinr_clean_db[u];
+      const double jam = b.sinr_jam_db[u];
+      const double frac = b.jam_fraction[u];
+      if (saturated(clean, jam, frac)) {
+        b.p_ok[u] = 1.0;
+      } else if (floored(b.uniform[u], clean, jam, frac, frame_bytes)) {
+        b.p_ok[u] = 0.0;
+      } else {
+        b.unsettled[static_cast<std::size_t>(pending++)] = l;
+      }
+    }
+    // 3. The chain over the queued lanes, kW at a time. Every chunk is
+    //    gathered into a pad, the last one padded with benign 0 dB lanes, so
+    //    a lane's result never depends on its position in the queue.
+    for (int k = 0; k < pending; k += kW) {
+      const int* lanes = b.unsettled.data() + k;
+      const int m = std::min(kW, pending - k);
+      double pad_clean[kW] = {}, pad_jam[kW] = {}, pad_frac[kW] = {};
+      double pad_out[kW];
+      for (int l = 0; l < m; ++l) {
+        const auto u = static_cast<std::size_t>(lanes[l]);
+        pad_clean[l] = b.sinr_clean_db[u];
+        pad_jam[l] = b.sinr_jam_db[u];
+        pad_frac[l] = b.jam_fraction[u];
+      }
+      success_chunk(pad_clean, pad_jam, pad_frac, frame_bytes, pad_out);
+      for (int l = 0; l < m; ++l)
+        b.p_ok[static_cast<std::size_t>(lanes[l])] = pad_out[l];
     }
   }
 }

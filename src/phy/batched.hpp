@@ -11,7 +11,9 @@
 //  - At native_width == 1 every entry point below reduces to the *exact*
 //    historical scalar expressions (std::pow / std::exp / std::log10, same
 //    association, same branch structure), so scalar-backend results are
-//    byte-identical to pre-SIMD builds. Tests pin this bitwise.
+//    byte-identical to pre-SIMD builds. Tests pin this bitwise. The one
+//    exception is reception_success_batch's floored lanes, whose p_ok is
+//    0.0 with the decision unchanged (see ReceptionBatch).
 //  - At native_width > 1 the kernels are pure lanewise functions: a value's
 //    result depends only on that value, never on its lane position or on the
 //    other batch entries. Results differ from scalar std:: by bounded ulp
@@ -82,8 +84,9 @@ inline V mw_to_dbm_kernel(V mw) {
 }
 
 /// Lanewise frame_success_prob. Width 1 defers to the branchy scalar
-/// combine (including the jam_fraction == 0/1 short-circuits and the
-/// equal-SINR BER reuse); wider backends evaluate the general expression
+/// combine (including the jam_fraction == 0/1 short-circuits, the
+/// equal-SINR BER reuse and the saturation rule); wider backends evaluate
+/// the general expression
 /// branchlessly — the short-circuit cases coincide with it because
 /// bits * 0.0 == +0.0 and pow_positive(x, +0.0) == 1.0 exactly, and equal
 /// SINR lanes produce bitwise-equal BERs from the same lanewise kernel.
@@ -124,6 +127,16 @@ void frame_success_prob_batch(const double* sinr_clean_db,
                               const double* jam_fraction, int frame_bytes,
                               double* p_ok, int count);
 
+/// Rule 2 of the settled receptions (DESIGN.md §12): a listener gets
+/// p_ok = 0.0 without the BER chain when its uniform is at least
+/// kFloorMinUniform (every nonzero Pcg32::uniform() is), its frame has at
+/// least kFloorMinFrameBytes bytes, and every SINR that carries bits is at
+/// or below kFloorSinrDb. There 1 - BER <= 0.678, so the exact p_ok is at
+/// most 0.678^120 ~ 5.5e-21 < 2^-53 and `uniform < p_ok` is false either way.
+inline constexpr double kFloorSinrDb = -10.0;
+inline constexpr int kFloorMinFrameBytes = 15;
+inline constexpr double kFloorMinUniform = 0x1p-53;
+
 /// Structure-of-arrays staging buffer for one flood step's receptions.
 ///
 /// The flood engine gathers per-listener inputs (powers, the pre-drawn
@@ -132,6 +145,10 @@ void frame_success_prob_batch(const double* sinr_clean_db,
 /// the historical per-listener RNG draw order exactly (normal before
 /// uniform, listeners ascending). Reused across steps/floods; size with
 /// resize(n) outside the hot loop, then set `count` per step.
+///
+/// `p_ok` is the success probability except on a floored lane (rule 2
+/// above), where it is 0.0: only the decision `uniform < p_ok` is exact
+/// there, not the probability.
 struct ReceptionBatch {
   std::vector<double> strongest_mw;  ///< strongest concurrent TX power
   std::vector<double> total_mw;      ///< summed concurrent TX power
@@ -140,6 +157,11 @@ struct ReceptionBatch {
   std::vector<double> jam_fraction;  ///< interference exposure
   std::vector<double> uniform;       ///< rng.uniform() draw (Bernoulli)
   std::vector<double> p_ok;          ///< output: success probability
+  // Scratch of the vector backends: per-lane SINRs, then the lanes the two
+  // rules left for the BER chain.
+  std::vector<double> sinr_clean_db;
+  std::vector<double> sinr_jam_db;
+  std::vector<int> unsettled;
   int count = 0;                     ///< active prefix length
 
   /// Sizes every array to n (count is left to the caller). Amortized: no
@@ -153,6 +175,9 @@ struct ReceptionBatch {
     jam_fraction.resize(m);
     uniform.resize(m);
     p_ok.resize(m);
+    sinr_clean_db.resize(m);
+    sinr_jam_db.resize(m);
+    unsettled.resize(m);
   }
 };
 
@@ -166,8 +191,11 @@ struct ReceptionBatch {
 ///                            : mw_to_dbm(signal) - mw_to_dbm(noise_mw+interf)
 ///   p_ok = frame_success_prob(sinr_clean, sinr_jam, jam_fraction, frame_bytes)
 ///
-/// `noise_dbm` must be the caller's hoisted mw_to_dbm(noise_mw) so the
-/// zero-interference path reuses its exact bits (as the engine always has).
+/// A lane is settled from its SINRs before the chain: p_ok = 1.0 when every
+/// bit-carrying SINR is at or above kSaturatedSinrDb (the exact value), and
+/// 0.0 under rule 2 above. `noise_dbm` must be the caller's hoisted
+/// mw_to_dbm(noise_mw) so the zero-interference path reuses its exact bits
+/// (as the engine always has). Requires frame_bytes > 0.
 void reception_success_batch(ReceptionBatch& b, double coherence_gain,
                              bool apply_fading, double noise_mw,
                              double noise_dbm, int frame_bytes);

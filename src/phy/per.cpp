@@ -28,6 +28,16 @@ double ber_802154(double sinr_db) {
   return ber;
 }
 
+namespace {
+// One (1 - BER)^bits factor of frame_success_prob. At kSaturatedSinrDb and
+// above, the expression is exactly 1.0 (per.hpp), so it returns 1.0 without
+// the 15-exp chain and the pow.
+double success_factor(double sinr_db, double bits) {
+  if (sinr_db >= kSaturatedSinrDb) return 1.0;
+  return std::pow(1.0 - ber_802154(sinr_db), bits);
+}
+}  // namespace
+
 double per_802154(double sinr_db, int frame_bytes) {
   DIMMER_REQUIRE(frame_bytes > 0, "frame_bytes must be positive");
   double ber = ber_802154(sinr_db);
@@ -44,20 +54,19 @@ double frame_success_prob(double sinr_clean_db, double sinr_jammed_db,
   // Degenerate fractions short-circuit one ber_802154 evaluation (15 exp
   // calls) and one pow. Bit-identical to the general expression below:
   // bits * 0.0 == +0.0, pow(x, +0.0) == 1.0, and p * 1.0 == p exactly.
-  if (jam_fraction == 0.0)
-    return std::pow(1.0 - ber_802154(sinr_clean_db), bits);
-  if (jam_fraction == 1.0)
-    return std::pow(1.0 - ber_802154(sinr_jammed_db), bits);
+  if (jam_fraction == 0.0) return success_factor(sinr_clean_db, bits);
+  if (jam_fraction == 1.0) return success_factor(sinr_jammed_db, bits);
   double clean_bits = bits * (1.0 - jam_fraction);
   double jam_bits = bits * jam_fraction;
   // Equal SINRs (zero interference power under a nonzero exposure) give
-  // bitwise-equal BERs; skip the duplicate evaluation.
-  double ber_clean = ber_802154(sinr_clean_db);
-  double ber_jam = sinr_jammed_db == sinr_clean_db
-                       ? ber_clean
-                       : ber_802154(sinr_jammed_db);
-  return std::pow(1.0 - ber_clean, clean_bits) *
-         std::pow(1.0 - ber_jam, jam_bits);
+  // bitwise-equal BERs; skip the duplicate evaluation. Saturated ones take
+  // the 1.0 * 1.0 below.
+  if (sinr_jammed_db == sinr_clean_db && sinr_clean_db < kSaturatedSinrDb) {
+    double ok = 1.0 - ber_802154(sinr_clean_db);
+    return std::pow(ok, clean_bits) * std::pow(ok, jam_bits);
+  }
+  return success_factor(sinr_clean_db, clean_bits) *
+         success_factor(sinr_jammed_db, jam_bits);
 }
 
 }  // namespace dimmer::phy

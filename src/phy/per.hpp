@@ -7,6 +7,13 @@
 
 namespace dimmer::phy {
 
+/// SINR (dB) from which a (1 - BER)^bits factor is exactly 1.0. From here
+/// up the computed BER is below 2^-54, so 1.0 - ber == 1.0 and
+/// pow(1.0, bits) == 1.0; the highest SINR where 1.0 - ber != 1.0 is
+/// 5.89 dB. frame_success_prob returns such a factor without evaluating the
+/// chain (DESIGN.md §12, "Settled receptions").
+inline constexpr double kSaturatedSinrDb = 7.0;
+
 /// Bit error rate as a function of SINR in dB.
 double ber_802154(double sinr_db);
 

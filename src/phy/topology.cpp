@@ -17,6 +17,31 @@ double hashed_normal(std::uint64_t h) {
   if (u1 < 1e-12) u1 = 1e-12;
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
 }
+
+/// Malformed constants fail quietly downstream: a NaN noise floor reads as
+/// -300 dBm (every listener decodes), a zero bitrate reaches llround(inf),
+/// a negative overhead makes empty frames, and a NaN or negative fading
+/// sigma turns fading off. Every Topology checks them once, here.
+void validate(const PathLossModel& m, const RadioConstants& r) {
+  DIMMER_REQUIRE(std::isfinite(r.noise_floor_dbm) &&
+                     std::isfinite(r.default_tx_power_dbm) &&
+                     std::isfinite(r.sensitivity_dbm),
+                 "radio noise floor and powers must be finite");
+  DIMMER_REQUIRE(std::isfinite(r.bitrate_bps) && r.bitrate_bps > 0.0,
+                 "bitrate_bps must be finite and positive");
+  DIMMER_REQUIRE(r.phy_overhead_bytes >= 0,
+                 "phy_overhead_bytes must be non-negative");
+  DIMMER_REQUIRE(std::isfinite(m.pl_d0_db) && std::isfinite(m.exponent) &&
+                     std::isfinite(m.d0_m) &&
+                     std::isfinite(m.shadowing_sigma_db) &&
+                     std::isfinite(m.fading_sigma_db) &&
+                     std::isfinite(m.min_distance_m),
+                 "path-loss fields must be finite");
+  DIMMER_REQUIRE(m.d0_m > 0.0 && m.min_distance_m > 0.0,
+                 "d0_m and min_distance_m must be positive");
+  DIMMER_REQUIRE(m.shadowing_sigma_db >= 0.0 && m.fading_sigma_db >= 0.0,
+                 "shadowing and fading sigmas must be non-negative");
+}
 }  // namespace
 
 Topology::Topology(std::vector<Vec2> positions, PathLossModel model,
@@ -29,6 +54,7 @@ Topology::Topology(std::vector<Vec2> positions, PathLossModel model,
       gain_floor_db_(gain_floor_db) {
   DIMMER_REQUIRE(positions_.size() >= 2, "topology needs at least two nodes");
   DIMMER_REQUIRE(!std::isnan(gain_floor_db), "gain_floor_db must not be NaN");
+  validate(model_, radio_);
   const auto un = positions_.size();
   row_ptr_.assign(un + 1, 0);
   // Every link survives a -infinity floor; otherwise reserve a typical mesh

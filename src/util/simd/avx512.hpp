@@ -19,6 +19,12 @@
 
 namespace dimmer::util::simd {
 
+// Every lane. The unmasked forms of roundscale, cvtpd_epi64, slli/srli_epi64
+// and cvtepi64_pd pass an _mm512_undefined_* source that GCC 12 reports as
+// -Wmaybe-uninitialized; their zero-masked forms under a full mask compute
+// the same lanes without it.
+inline constexpr __mmask8 kAll = 0xFF;
+
 template <>
 struct simd<double, 8> {
   static constexpr int width = 8;
@@ -65,8 +71,8 @@ inline simd<double, 8> min(simd<double, 8> a, simd<double, 8> b) {
 }
 
 inline simd<double, 8> round_nearest(simd<double, 8> x) {
-  return simd<double, 8>(_mm512_roundscale_pd(
-      x.v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+  return simd<double, 8>(_mm512_maskz_roundscale_pd(
+      kAll, x.v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
 }
 
 inline simd<double, 8> select_lt(simd<double, 8> a, simd<double, 8> b,
@@ -83,15 +89,16 @@ inline simd<double, 8> select_eq(simd<double, 8> a, simd<double, 8> b,
 
 inline simd<double, 8> exp2i(simd<double, 8> n) {
   // AVX-512DQ: exact packed double -> int64 conversion.
-  const __m512i n64 = _mm512_cvtpd_epi64(n.v);
+  const __m512i n64 = _mm512_maskz_cvtpd_epi64(kAll, n.v);
   const __m512i biased = _mm512_add_epi64(n64, _mm512_set1_epi64(1023));
-  return simd<double, 8>(_mm512_castsi512_pd(_mm512_slli_epi64(biased, 52)));
+  return simd<double, 8>(
+      _mm512_castsi512_pd(_mm512_maskz_slli_epi64(kAll, biased, 52)));
 }
 
 inline simd<double, 8> exponent_part(simd<double, 8> x) {
   const __m512i bits = _mm512_castpd_si512(x.v);
-  const __m512i expo = _mm512_srli_epi64(bits, 52);
-  const __m512d as_pd = _mm512_cvtepi64_pd(expo);
+  const __m512i expo = _mm512_maskz_srli_epi64(kAll, bits, 52);
+  const __m512d as_pd = _mm512_maskz_cvtepi64_pd(kAll, expo);
   return simd<double, 8>(_mm512_sub_pd(as_pd, _mm512_set1_pd(1022.0)));
 }
 

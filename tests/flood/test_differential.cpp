@@ -24,16 +24,23 @@
 // D-Cube WiFi levels 1 and 2 on two channels (different AP subsets active),
 // a training schedule (dozens of windowed jammers, many silent steps) and a
 // restricted() cell under its parent's WiFi APs.
+//
+// The settled-reception inputs (phy::reception_success_batch, DESIGN.md
+// §12) run dcube48 under WiFi level 2 with 15 B frames, where the floor
+// settles lanes, and 14 B frames, where it must not, with fading on and off.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/scenarios.hpp"
 #include "flood/glossy.hpp"
 #include "flood/workspace.hpp"
+#include "phy/batched.hpp"
 #include "phy/link_model.hpp"
+#include "phy/per.hpp"
 #include "phy/sparse_link_model.hpp"
 #include "phy/topology.hpp"
 #include "reference_glossy.hpp"
@@ -144,6 +151,17 @@ Case dcube_wifi_case(int level) {
   Case c{phy::make_dcube48_topology(), phy::InterferenceField{}};
   phy::add_dcube_wifi_level(c.field, c.topo, level);
   return c;
+}
+
+/// The same nodes, gains and radio as `t`, with per-reception fading off:
+/// no normal() draws, and every listener's SINR is its link's mean.
+phy::Topology without_fading(const phy::Topology& t) {
+  std::vector<phy::Vec2> pos;
+  for (phy::NodeId i = 0; i < t.size(); ++i) pos.push_back(t.position(i));
+  phy::PathLossModel model = t.path_loss();
+  model.fading_sigma_db = 0.0;
+  return phy::Topology(std::move(pos), model, t.radio(), t.shadow_seed(),
+                       t.gain_floor_db());
 }
 
 /// Rows 2-5 of dcube48 as a restricted() cell, under the APs of the whole
@@ -298,6 +316,59 @@ TEST(FloodDifferential, DcubeWifiLevelsOnTwoChannels) {
           p.channel = ch;
           p.slot_start_us = sim::seconds(3) + k * sim::ms(53);
           run_differential(c, uniform_configs(n, 3), (k * 13) % n, p, seed);
+        }
+      }
+    }
+  }
+}
+
+TEST(FloodDifferential, SettledReceptionInputsCoverTheirClaims) {
+  // The fading-off dcube48 keeps the shipped gains, and its links span both
+  // settled regions: clean SNRs at or below -10 dB and at or above 7 dB.
+  const phy::Topology faded = phy::make_dcube48_topology();
+  const phy::Topology flat = without_fading(faded);
+  EXPECT_GT(faded.path_loss().fading_sigma_db, 0.0);
+  EXPECT_EQ(flat.path_loss().fading_sigma_db, 0.0);
+  int floor_links = 0, saturated_links = 0;
+  for (phy::NodeId a = 0; a < flat.size(); ++a) {
+    for (phy::NodeId b = 0; b < flat.size(); ++b) {
+      EXPECT_EQ(flat.gain_db(a, b), faded.gain_db(a, b));
+      if (a == b) continue;
+      const double snr_db =
+          flat.rx_power_dbm(a, b, 0.0) - flat.radio().noise_floor_dbm;
+      floor_links += snr_db <= phy::kFloorSinrDb;
+      saturated_links += snr_db >= phy::kSaturatedSinrDb;
+    }
+  }
+  EXPECT_GT(floor_links, 0);
+  EXPECT_GT(saturated_links, 0);
+  // 9 and 8 payload bytes frame to either side of the floor's minimum.
+  const int overhead = flat.radio().phy_overhead_bytes;
+  EXPECT_EQ(9 + overhead, phy::kFloorMinFrameBytes);
+  EXPECT_EQ(8 + overhead, phy::kFloorMinFrameBytes - 1);
+}
+
+TEST(FloodDifferential, SettledReceptionsAroundTheFrameFloor) {
+  // dcube48 under WiFi level 2, with and without fading. A 9-byte payload
+  // makes a 15 B frame, where the floor settles lanes; an 8-byte one makes a
+  // 14 B frame, where every lane below 7 dB takes the chain.
+  for (bool fading : {true, false}) {
+    Case c = dcube_wifi_case(2);
+    if (!fading) {
+      c = Case{without_fading(c.topo), phy::InterferenceField{}};
+      phy::add_dcube_wifi_level(c.field, c.topo, 2);
+    }
+    const int n = c.topo.size();
+    for (int payload : {9, 8}) {
+      for (std::uint64_t seed : {13ULL, 1313ULL}) {
+        for (int k = 0; k < 6; ++k) {
+          SCOPED_TRACE(std::string(fading ? "fading" : "no fading") +
+                       " payload " + std::to_string(payload) + " seed " +
+                       std::to_string(seed) + " slot " + std::to_string(k));
+          FloodParams p;
+          p.payload_bytes = payload;
+          p.slot_start_us = sim::seconds(2) + k * sim::ms(61);
+          run_differential(c, uniform_configs(n, 3), (k * 11) % n, p, seed);
         }
       }
     }

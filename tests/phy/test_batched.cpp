@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "phy/batched.hpp"
@@ -246,6 +248,156 @@ TEST(ReceptionBatch, ResizeSizesAllArrays) {
   EXPECT_EQ(b.jam_fraction.size(), 13u);
   EXPECT_EQ(b.uniform.size(), 13u);
   EXPECT_EQ(b.p_ok.size(), 13u);
+  EXPECT_EQ(b.sinr_clean_db.size(), 13u);
+  EXPECT_EQ(b.sinr_jam_db.size(), 13u);
+  EXPECT_EQ(b.unsettled.size(), 13u);
+}
+
+// ---------------------------------------------------------------------------
+// Settled receptions (DESIGN.md §12): lanes decided from their SINRs before
+// the BER chain must take the decision the full chain takes.
+
+/// One listener's inputs, built from target SINRs: no fading, coherence
+/// gain 0, so the signal is `strongest`; `jam_db` below `clean_db` sets the
+/// interference power, and jam_db == clean_db means none.
+struct Lane {
+  double strongest_mw, interf_mw, jam_fraction;
+};
+
+constexpr double kNoiseDbm = -87.0;
+
+Lane lane_at(double clean_db, double jam_db, double jam_fraction) {
+  const double noise_mw = dbm_to_mw(kNoiseDbm);
+  const double signal_mw = dbm_to_mw(kNoiseDbm + clean_db);
+  const double interf_mw =
+      jam_db < clean_db ? signal_mw / dbm_to_mw(jam_db) - noise_mw : 0.0;
+  return {signal_mw, interf_mw, jam_fraction};
+}
+
+/// The lanes of every class: saturated (every bit-carrying SINR >= 7 dB),
+/// floored (every one <= -10 dB; frames of 15 B up), and evaluated
+/// (between, or one SINR on each side under a partial exposure).
+std::vector<Lane> settled_mix() {
+  return {
+      // Saturated; the third's jammed SINR carries no bits.
+      lane_at(25.0, 25.0, 0.0), lane_at(9.0, 8.0, 0.5),
+      lane_at(30.0, -20.0, 0.0),
+      // Floored; the third's clean SINR carries no bits.
+      lane_at(-14.0, -14.0, 0.0), lane_at(-11.0, -25.0, 0.4),
+      lane_at(15.0, -30.0, 1.0), lane_at(-20.0, -20.0, 1.0),
+      // Evaluated.
+      lane_at(2.0, 2.0, 0.0), lane_at(4.0, -2.0, 0.3),
+      lane_at(12.0, -15.0, 0.25), lane_at(-9.0, -12.0, 0.6),
+      lane_at(0.5, 0.5, 0.7), lane_at(5.5, 5.5, 0.0),
+  };
+}
+constexpr int kSaturatedLanes = 3;
+constexpr int kFlooredLanes = 4;
+
+void load_lanes(ReceptionBatch& b, const std::vector<Lane>& lanes) {
+  b.resize(static_cast<int>(lanes.size()));
+  b.count = static_cast<int>(lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    b.strongest_mw[i] = lanes[i].strongest_mw;
+    b.total_mw[i] = lanes[i].strongest_mw;
+    b.fade_db[i] = 0.0;
+    b.interf_mw[i] = lanes[i].interf_mw;
+    b.jam_fraction[i] = lanes[i].jam_fraction;
+  }
+}
+
+TEST(ReceptionBatch, SettledLanesTakeTheFullChainDecision) {
+  const double noise_mw = dbm_to_mw(kNoiseDbm);
+  const double noise_dbm = mw_to_dbm(noise_mw);
+  const std::vector<Lane> lanes = settled_mix();
+  util::Pcg32 rng(2024);
+  for (int frame_bytes : {14, 15}) {
+    SCOPED_TRACE("frame_bytes " + std::to_string(frame_bytes));
+    std::vector<double> want(lanes.size());
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      const Lane& l = lanes[i];
+      want[i] = reference_reception(l.strongest_mw, l.strongest_mw, 0.0,
+                                    l.interf_mw, l.jam_fraction, 0.0, false,
+                                    noise_mw, noise_dbm, frame_bytes);
+    }
+    // Which rule settled each lane, read off draws the floor admits.
+    ReceptionBatch probe;
+    load_lanes(probe, lanes);
+    for (double& u : probe.uniform) u = 0.5;
+    reception_success_batch(probe, 0.0, false, noise_mw, noise_dbm,
+                            frame_bytes);
+    int saturated = 0, floored = 0;
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      saturated += probe.p_ok[i] == 1.0;
+      floored += probe.p_ok[i] == 0.0 && want[i] > 0.0;
+    }
+    EXPECT_EQ(saturated, kSaturatedLanes);
+    EXPECT_EQ(floored, frame_bytes >= kFloorMinFrameBytes ? kFlooredLanes : 0);
+    // Each lane's decision at draws around its exact p_ok, among random
+    // neighbours.
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      for (double u : {0.0, 0x1p-53, std::nextafter(want[i], 0.0), want[i],
+                       rng.uniform()}) {
+        // Vector kernels carry a bounded p_ok error: a draw inside it may
+        // legitimately decide either way.
+        if (kW > 1 &&
+            std::abs(u - want[i]) <= std::abs(want[i]) * 1e-10 + 1e-12)
+          continue;
+        ReceptionBatch b;
+        load_lanes(b, lanes);
+        for (double& v : b.uniform) v = rng.uniform();
+        b.uniform[i] = u;
+        reception_success_batch(b, 0.0, false, noise_mw, noise_dbm,
+                                frame_bytes);
+        EXPECT_EQ(b.uniform[i] < b.p_ok[i], u < want[i])
+            << "lane " << i << " u=" << u << " want=" << want[i];
+      }
+    }
+  }
+}
+
+TEST(ReceptionBatch, SettledLanesArePositionIndependent) {
+  const double noise_mw = dbm_to_mw(kNoiseDbm);
+  const double noise_dbm = mw_to_dbm(noise_mw);
+  // Three copies of the mix, so every backend sees full chunks, a tail and
+  // queued lanes at every offset.
+  std::vector<Lane> lanes;
+  for (int rep = 0; rep < 3; ++rep)
+    for (const Lane& l : settled_mix()) lanes.push_back(l);
+  ReceptionBatch full;
+  load_lanes(full, lanes);
+  util::Pcg32 rng(31);
+  for (double& u : full.uniform) u = rng.uniform();
+  reception_success_batch(full, 0.0, false, noise_mw, noise_dbm, 15);
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    // Alone, and at the end of every strict prefix of the batch; -1.0
+    // marks an output the call did not write.
+    ReceptionBatch one;
+    load_lanes(one, {lanes[i]});
+    one.uniform[0] = full.uniform[i];
+    one.p_ok[0] = -1.0;
+    reception_success_batch(one, 0.0, false, noise_mw, noise_dbm, 15);
+    EXPECT_EQ(one.p_ok[0], full.p_ok[i]) << "lane " << i;
+    ReceptionBatch prefix = full;
+    prefix.count = static_cast<int>(i) + 1;
+    std::fill(prefix.p_ok.begin(), prefix.p_ok.end(), -1.0);
+    reception_success_batch(prefix, 0.0, false, noise_mw, noise_dbm, 15);
+    EXPECT_EQ(prefix.p_ok[i], full.p_ok[i]) << "prefix through lane " << i;
+  }
+}
+
+TEST(ReceptionBatch, RejectsNonPositiveFrameEvenWhenEveryLaneSettles) {
+  const double noise_mw = dbm_to_mw(kNoiseDbm);
+  const double noise_dbm = mw_to_dbm(noise_mw);
+  ReceptionBatch b;
+  load_lanes(b, {lane_at(25.0, 25.0, 0.0), lane_at(-30.0, -30.0, 0.0)});
+  b.uniform[0] = 0.5;
+  b.uniform[1] = 0.5;
+  for (int frame_bytes : {0, -24}) {
+    EXPECT_THROW(reception_success_batch(b, 0.0, false, noise_mw, noise_dbm,
+                                         frame_bytes),
+                 util::RequireError);
+  }
 }
 
 }  // namespace

@@ -6,10 +6,20 @@
 //  2. The jam_fraction == 0.0 / == 1.0 short-circuit returns are *bitwise*
 //     equal to the general two-pow expression evaluated at those fractions
 //     (bits * 0.0 == +0.0, std::pow(x, +0.0) == 1.0, p * 1.0 == p).
+//
+// and the two facts the settled receptions rest on (DESIGN.md §12):
+//
+//  3. Saturation: from kSaturatedSinrDb up, 1.0 - ber_802154(s) == 1.0, so
+//     frame_success_prob's early 1.0 is the bits the full chain computes.
+//  4. Floor: at or below kFloorSinrDb, 1 - BER <= 0.678, so a frame of at
+//     least kFloorMinFrameBytes succeeds with probability below 2^-53.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
+#include "phy/batched.hpp"
 #include "phy/per.hpp"
 
 namespace dimmer::phy {
@@ -95,6 +105,96 @@ TEST(FrameSuccessProperty, ClampedFractionsHitTheSameShortCircuits) {
             frame_success_prob(5.0, -5.0, 0.0, 36));
   EXPECT_EQ(frame_success_prob(5.0, -5.0, 2.0, 36),
             frame_success_prob(5.0, -5.0, 1.0, 36));
+}
+
+// ---------------------------------------------------------------------------
+// Settled receptions.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// frame_success_prob before the saturation rule, verbatim but for the frame
+// check.
+double unsaturated_frame_success(double sinr_clean_db, double sinr_jammed_db,
+                                 double jam_fraction, int frame_bytes) {
+  if (jam_fraction < 0.0) jam_fraction = 0.0;
+  if (jam_fraction > 1.0) jam_fraction = 1.0;
+  double bits = 8.0 * frame_bytes;
+  if (jam_fraction == 0.0)
+    return std::pow(1.0 - ber_802154(sinr_clean_db), bits);
+  if (jam_fraction == 1.0)
+    return std::pow(1.0 - ber_802154(sinr_jammed_db), bits);
+  double clean_bits = bits * (1.0 - jam_fraction);
+  double jam_bits = bits * jam_fraction;
+  double ber_clean = ber_802154(sinr_clean_db);
+  double ber_jam = sinr_jammed_db == sinr_clean_db
+                       ? ber_clean
+                       : ber_802154(sinr_jammed_db);
+  return std::pow(1.0 - ber_clean, clean_bits) *
+         std::pow(1.0 - ber_jam, jam_bits);
+}
+
+TEST(SaturatedSinr, OneMinusBerIsExactlyOne) {
+  // 2^-54 is half an ulp below 1.0: the largest BER that still rounds away.
+  for (double s = kSaturatedSinrDb; s <= 400.0; s += 1.0 / 1024.0)
+    ASSERT_EQ(1.0 - ber_802154(s), 1.0) << "sinr=" << s;
+  EXPECT_EQ(1.0 - ber_802154(kInf), 1.0);
+  // The margin: 6 dB already saturates; 5.5 dB does not.
+  EXPECT_EQ(1.0 - ber_802154(6.0), 1.0);
+  EXPECT_LT(1.0 - ber_802154(5.5), 1.0);
+}
+
+TEST(SaturatedSinr, FrameSuccessMatchesTheFullChainBitwise) {
+  std::vector<double> sinrs;
+  for (double s = -40.0; s <= 60.0; s += 0.5) sinrs.push_back(s);
+  for (double s : {5.89, 6.99, std::nextafter(kSaturatedSinrDb, 0.0),
+                   std::nextafter(kSaturatedSinrDb, kInf), kInf})
+    sinrs.push_back(s);
+  for (int bytes = 7; bytes <= 133; ++bytes) {
+    for (double clean : sinrs) {
+      // Equal SINRs, then unequal ones on both sides of the threshold.
+      for (double jam : {clean, clean - 4.0, clean - 15.0, 6.5,
+                         kSaturatedSinrDb, 30.0}) {
+        for (double f : {0.0, 0.25, 1.0}) {
+          ASSERT_EQ(frame_success_prob(clean, jam, f, bytes),
+                    unsaturated_frame_success(clean, jam, f, bytes))
+              << "clean=" << clean << " jam=" << jam << " f=" << f
+              << " bytes=" << bytes;
+        }
+      }
+    }
+  }
+}
+
+/// [-300, -10] dB in `step`s, `fine` steps over its top 2 dB, plus -inf.
+std::vector<double> floor_sinrs(double step, double fine) {
+  std::vector<double> out;
+  for (double s = -300.0; s < kFloorSinrDb - 2.0; s += step) out.push_back(s);
+  for (double s = kFloorSinrDb - 2.0; s < kFloorSinrDb; s += fine)
+    out.push_back(s);
+  out.push_back(kFloorSinrDb);
+  out.push_back(-kInf);
+  return out;
+}
+
+TEST(FloorSinr, OneMinusBerStaysBelowTheBound) {
+  for (double s : floor_sinrs(1.0 / 1024.0, 1.0 / 65536.0))
+    ASSERT_LE(1.0 - ber_802154(s), 0.678) << "sinr=" << s;
+  // The bound is tight at the floor itself.
+  EXPECT_GT(1.0 - ber_802154(kFloorSinrDb), 0.6779);
+}
+
+TEST(FloorSinr, FramesOfFifteenBytesUpSucceedBelowTwoToMinus53) {
+  const std::vector<double> sinrs = floor_sinrs(1.0, 1.0 / 16.0);
+  for (int bytes = kFloorMinFrameBytes; bytes <= 133; ++bytes) {
+    for (double s : sinrs) {
+      for (double f : {0.0, 0.25, 1.0}) {
+        ASSERT_LT(frame_success_prob(s, s, f, bytes), 0x1p-53)
+            << "sinr=" << s << " f=" << f << " bytes=" << bytes;
+        ASSERT_LT(frame_success_prob(s, kFloorSinrDb, f, bytes), 0x1p-53);
+        ASSERT_LT(frame_success_prob(kFloorSinrDb, s, f, bytes), 0x1p-53);
+      }
+    }
+  }
 }
 
 }  // namespace

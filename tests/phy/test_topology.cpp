@@ -78,6 +78,66 @@ TEST(Topology, RejectsBadNodeIds) {
   EXPECT_THROW(t.position(99), util::RequireError);
 }
 
+/// A 6-node line built from the given constants.
+Topology line_with(const PathLossModel& model, const RadioConstants& radio) {
+  std::vector<Vec2> pos;
+  for (int i = 0; i < 6; ++i) pos.push_back({10.0 * i, 0.0});
+  return Topology(pos, model, radio, 1);
+}
+
+TEST(Topology, RejectsMalformedRadioConstants) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const PathLossModel model;
+  EXPECT_NO_THROW((void)line_with(model, RadioConstants{}));
+  auto rejects = [&](auto mutate) {
+    RadioConstants r;
+    mutate(r);
+    EXPECT_THROW((void)line_with(model, r), util::RequireError);
+  };
+  rejects([&](RadioConstants& r) { r.noise_floor_dbm = kNan; });
+  rejects([&](RadioConstants& r) { r.noise_floor_dbm = -kInf; });
+  rejects([&](RadioConstants& r) { r.default_tx_power_dbm = kInf; });
+  rejects([&](RadioConstants& r) { r.sensitivity_dbm = kNan; });
+  rejects([&](RadioConstants& r) { r.bitrate_bps = 0.0; });
+  rejects([&](RadioConstants& r) { r.bitrate_bps = -250000.0; });
+  rejects([&](RadioConstants& r) { r.bitrate_bps = kInf; });
+  rejects([&](RadioConstants& r) { r.bitrate_bps = kNan; });
+  rejects([&](RadioConstants& r) { r.phy_overhead_bytes = -30; });
+  // No overhead at all is a valid (if unphysical) radio.
+  RadioConstants bare;
+  bare.phy_overhead_bytes = 0;
+  EXPECT_NO_THROW((void)line_with(model, bare));
+}
+
+TEST(Topology, RejectsMalformedPathLossModel) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const RadioConstants radio;
+  auto rejects = [&](auto mutate) {
+    PathLossModel m;
+    mutate(m);
+    EXPECT_THROW((void)line_with(m, radio), util::RequireError);
+  };
+  rejects([&](PathLossModel& m) { m.pl_d0_db = kNan; });
+  rejects([&](PathLossModel& m) { m.exponent = kInf; });
+  rejects([&](PathLossModel& m) { m.d0_m = 0.0; });
+  rejects([&](PathLossModel& m) { m.d0_m = -1.0; });
+  rejects([&](PathLossModel& m) { m.d0_m = kInf; });
+  rejects([&](PathLossModel& m) { m.min_distance_m = 0.0; });
+  rejects([&](PathLossModel& m) { m.min_distance_m = kNan; });
+  rejects([&](PathLossModel& m) { m.shadowing_sigma_db = -1.0; });
+  rejects([&](PathLossModel& m) { m.shadowing_sigma_db = kNan; });
+  rejects([&](PathLossModel& m) { m.fading_sigma_db = -2.0; });
+  rejects([&](PathLossModel& m) { m.fading_sigma_db = kNan; });
+  rejects([&](PathLossModel& m) { m.fading_sigma_db = kInf; });
+  // Zero sigmas switch shadowing and fading off; that stays allowed.
+  PathLossModel still;
+  still.shadowing_sigma_db = 0.0;
+  still.fading_sigma_db = 0.0;
+  EXPECT_NO_THROW((void)line_with(still, radio));
+}
+
 TEST(Topology, SinrThresholdMonotoneInTarget) {
   // A stricter PER target needs a higher SINR.
   EXPECT_GT(Topology::sinr_threshold_db(36, 0.01),
