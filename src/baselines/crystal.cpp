@@ -1,6 +1,7 @@
 #include "baselines/crystal.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "phy/propagation.hpp"
 #include "util/check.hpp"
@@ -24,6 +25,14 @@ CrystalNetwork::CrystalNetwork(const phy::Topology& topo,
   DIMMER_REQUIRE(!cfg_.hop_sequence.empty(), "hopping sequence required");
   DIMMER_REQUIRE(cfg_.max_silent_pairs >= 1, "max_silent_pairs must be >= 1");
   DIMMER_REQUIRE(cfg_.max_pairs >= 1, "max_pairs must be >= 1");
+  // A zero period never advances time (run_crystal_collection would spin
+  // forever); a NaN threshold or a negative extension silently disables
+  // the extra pairs noise should trigger.
+  DIMMER_REQUIRE(cfg_.epoch_period > 0, "epoch_period must be positive");
+  DIMMER_REQUIRE(std::isfinite(cfg_.noise_threshold_dbm),
+                 "noise_threshold_dbm must be finite");
+  DIMMER_REQUIRE(cfg_.extra_pairs_on_noise >= 0,
+                 "extra_pairs_on_noise must be >= 0");
   ws_.reserve(topo.size(), interference.size());
 }
 

@@ -116,6 +116,10 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   DIMMER_REQUIRE(std::isfinite(params.tx_power_dbm),
                  "tx_power_dbm must be finite");
   DIMMER_REQUIRE(params.payload_bytes > 0, "payload_bytes must be positive");
+  // A NaN gain makes every signal NaN, which mw_to_dbm reads as -300 dBm:
+  // the flood silently reaches nobody.
+  DIMMER_REQUIRE(params.coherence_gain >= 0.0 && params.coherence_gain <= 1.0,
+                 "coherence_gain must be in [0, 1]");
   for (const auto& c : configs)
     DIMMER_REQUIRE(c.n_tx >= 0, "negative n_tx");
   // The interference table is a snapshot of the field taken at binding.
@@ -266,12 +270,12 @@ void GlossyFlood::run_into(phy::NodeId initiator,
     //     gather (all RNG draws, in the historical per-listener order:
     //     fading normal first, Bernoulli uniform second, listeners
     //     ascending), one batched evaluation of the transcendental chain
-    //     (phy::reception_success_batch — the scalar backend replays the
-    //     historical expressions verbatim, and a lane settled from its SINRs
-    //     takes the decision the chain would, DESIGN.md §12), then decision
-    //     application. rng.bernoulli(p) is exactly uniform() < p, so
-    //     pre-drawing the uniform leaves the stream and the decisions
-    //     bit-identical.
+    //     (phy::reception_success_batch — one path on every backend, whose
+    //     width-1 kernels are the historical scalar expressions, and a lane
+    //     settled from its SINRs takes the decision the chain would,
+    //     DESIGN.md §12), then decision application. rng.bernoulli(p) is
+    //     exactly uniform() < p, so pre-drawing the uniform leaves the
+    //     stream and the decisions bit-identical.
     //     Interference: the step's first listener runs the one activity
     //     pass (no listener, no activity() call, as with per-listener
     //     sampling); every listener then sums its table row over the active

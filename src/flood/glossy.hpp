@@ -68,6 +68,7 @@ struct FloodParams {
   double tx_power_dbm = 0.0;            ///< paper: 0 dBm
   /// Fraction of the non-strongest concurrent power that combines usefully
   /// at the receiver (1 = perfectly coherent, 0 = only capture of strongest).
+  /// Must lie in [0, 1].
   double coherence_gain = 0.5;
   /// Software turnaround between RX and TX (radio stays on).
   sim::TimeUs processing_us = 25;

@@ -8,12 +8,14 @@
 // or to 4/8-lane AVX kernels (avx2/avx512).
 //
 // Determinism contract (DESIGN.md §12):
-//  - At native_width == 1 every entry point below reduces to the *exact*
-//    historical scalar expressions (std::pow / std::exp / std::log10, same
-//    association, same branch structure), so scalar-backend results are
-//    byte-identical to pre-SIMD builds. Tests pin this bitwise. The one
-//    exception is reception_success_batch's floored lanes, whose p_ok is
-//    0.0 with the decision unchanged (see ReceptionBatch).
+//  - Every backend runs the same entry-point code; only the kernels below
+//    and util/simd/math.hpp dispatch on width. At width 1 each kernel is
+//    the *exact* historical scalar expression (std::pow / std::exp /
+//    std::log10, same association, same branch structure), so
+//    scalar-backend results are byte-identical to pre-SIMD builds. Tests
+//    pin this bitwise. The one exception is reception_success_batch's
+//    floored lanes, whose p_ok is 0.0 with the decision unchanged (see
+//    ReceptionBatch).
 //  - At native_width > 1 the kernels are pure lanewise functions: a value's
 //    result depends only on that value, never on its lane position or on the
 //    other batch entries. Results differ from scalar std:: by bounded ulp
@@ -23,8 +25,8 @@
 //    polices this in hot regions).
 //
 // The templated kernels live in phy::simd_kernels so tests can instantiate
-// them at width 1 on any build; the non-template entry points (batched.cpp)
-// run them at util::simd::native_width.
+// them at width 1 on any build, or at the native width; the non-template
+// entry points (batched.cpp) run them at util::simd::native_width.
 #pragma once
 
 #include <cmath>
@@ -118,15 +120,6 @@ inline V frame_success_kernel(V sinr_clean_db, V sinr_jammed_db,
 /// Scalar backend: bitwise std::pow(10.0, dbm/10.0).
 void dbm_to_mw_batch(const double* dbm, double* mw, int count);
 
-/// Batch phy::ber_802154 over SINRs in dB.
-void ber_802154_batch(const double* sinr_db, double* ber, int count);
-
-/// Batch phy::frame_success_prob (same argument conventions).
-void frame_success_prob_batch(const double* sinr_clean_db,
-                              const double* sinr_jammed_db,
-                              const double* jam_fraction, int frame_bytes,
-                              double* p_ok, int count);
-
 /// Rule 2 of the settled receptions (DESIGN.md §12): a listener gets
 /// p_ok = 0.0 without the BER chain when its uniform is at least
 /// kFloorMinUniform (every nonzero Pcg32::uniform() is), its frame has at
@@ -157,8 +150,8 @@ struct ReceptionBatch {
   std::vector<double> jam_fraction;  ///< interference exposure
   std::vector<double> uniform;       ///< rng.uniform() draw (Bernoulli)
   std::vector<double> p_ok;          ///< output: success probability
-  // Scratch of the vector backends: per-lane SINRs, then the lanes the two
-  // rules left for the BER chain.
+  // Scratch of reception_success_batch on every backend: per-lane SINRs,
+  // then the lanes the two rules left for the BER chain.
   std::vector<double> sinr_clean_db;
   std::vector<double> sinr_jam_db;
   std::vector<int> unsettled;

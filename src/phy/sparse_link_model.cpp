@@ -14,17 +14,6 @@ SparseLinkModel::Config SparseLinkModel::Config::no_culling() {
   return c;
 }
 
-SparseLinkModel::Config SparseLinkModel::Config::bounded_influence(
-    int n, double headroom_db) {
-  DIMMER_REQUIRE(n >= 2, "bounded_influence needs >= 2 nodes");
-  DIMMER_REQUIRE(headroom_db >= 0.0, "headroom_db must be >= 0");
-  // floor_mw * (n-1) <= noise_mw * 10^(-headroom/10)
-  //   <=> margin_db >= headroom_db + 10*log10(n-1).
-  Config c;
-  c.cull_margin_db = headroom_db + 10.0 * std::log10(static_cast<double>(n - 1));
-  return c;
-}
-
 SparseLinkModel::SparseLinkModel(const Topology& topo)
     : SparseLinkModel(topo, Config{}) {}
 

@@ -25,8 +25,8 @@
 //  - With culling enabled, the total culled power any listener could ever
 //    lose is bounded by cull_floor_mw * fan-in (each culled link is below
 //    the floor; tests/phy/test_sparse_link_model.cpp proves the bound), so a
-//    floor chosen via Config::bounded_influence keeps the aggregate error
-//    strictly below the noise floor's own contribution to SINR.
+//    margin of at least headroom_db + 10*log10(n-1) keeps the aggregate
+//    error headroom_db below the noise floor's own contribution to SINR.
 #pragma once
 
 #include <cstddef>
@@ -48,13 +48,6 @@ class SparseLinkModel final : public LinkModel {
     /// bit-identical to the direct-Topology loop. Stores exactly the
     /// Topology's gain_nnz() links.
     static Config no_culling();
-
-    /// A margin guaranteeing that the *summed* culled power at any listener
-    /// stays at least `headroom_db` below the noise floor even if all n-1
-    /// other nodes transmit at once: cull_floor_mw * (n-1) <=
-    /// noise_mw / 10^(headroom_db/10). Grows as 10*log10(n-1), so the bound
-    /// holds at any scale.
-    static Config bounded_influence(int n, double headroom_db = 10.0);
   };
 
   /// Default config: the 20 dB culling margin.

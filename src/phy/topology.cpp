@@ -55,6 +55,11 @@ Topology::Topology(std::vector<Vec2> positions, PathLossModel model,
   DIMMER_REQUIRE(positions_.size() >= 2, "topology needs at least two nodes");
   DIMMER_REQUIRE(!std::isnan(gain_floor_db), "gain_floor_db must not be NaN");
   validate(model_, radio_);
+  // An infinite coordinate stores a -inf gain (a 0.0 mW link), and a NaN
+  // one silently drops every link of its node.
+  for (const Vec2& p : positions_)
+    DIMMER_REQUIRE(std::isfinite(p.x) && std::isfinite(p.y),
+                   "node positions must be finite");
   const auto un = positions_.size();
   row_ptr_.assign(un + 1, 0);
   // Every link survives a -infinity floor; otherwise reserve a typical mesh

@@ -84,28 +84,6 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Exponentially weighted moving average; alpha is the weight of new samples.
-class Ewma {
- public:
-  explicit Ewma(double alpha) : alpha_(alpha) {
-    DIMMER_REQUIRE(alpha > 0.0 && alpha <= 1.0, "Ewma alpha out of (0,1]");
-  }
-
-  void add(double x) {
-    value_ = seeded_ ? alpha_ * x + (1.0 - alpha_) * value_ : x;
-    seeded_ = true;
-  }
-
-  void reset() { seeded_ = false; value_ = 0.0; }
-  bool seeded() const { return seeded_; }
-  double value() const { return value_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool seeded_ = false;
-};
-
 /// Sliding-window mean over the last `capacity` samples (ring buffer).
 class WindowMean {
  public:

@@ -1,6 +1,5 @@
 #include "util/table.hpp"
 
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -48,46 +47,6 @@ void Table::print(std::ostream& os) const {
   }
   os << "-|\n";
   for (const auto& row : rows_) emit(row);
-}
-
-struct CsvWriter::Impl {
-  std::ofstream out;
-};
-
-namespace {
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string r = "\"";
-  for (char ch : s) {
-    if (ch == '"') r += '"';
-    r += ch;
-  }
-  r += '"';
-  return r;
-}
-}  // namespace
-
-CsvWriter::CsvWriter(const std::string& path,
-                     const std::vector<std::string>& header)
-    : impl_(new Impl), arity_(header.size()) {
-  DIMMER_REQUIRE(!header.empty(), "CSV requires at least one column");
-  impl_->out.open(path);
-  if (!impl_->out) {
-    delete impl_;
-    throw RequireError("cannot open CSV output: " + path);
-  }
-  add_row(header);
-}
-
-CsvWriter::~CsvWriter() { delete impl_; }
-
-void CsvWriter::add_row(const std::vector<std::string>& row) {
-  DIMMER_REQUIRE(row.size() == arity_, "CSV row arity mismatch");
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (i) impl_->out << ',';
-    impl_->out << csv_escape(row[i]);
-  }
-  impl_->out << '\n';
 }
 
 }  // namespace dimmer::util

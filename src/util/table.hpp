@@ -30,21 +30,4 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Writes rows as CSV (for plotting the reproduced figures).
-class CsvWriter {
- public:
-  /// Opens `path` for writing and emits the header line. Throws on failure.
-  CsvWriter(const std::string& path, const std::vector<std::string>& header);
-  ~CsvWriter();
-  CsvWriter(const CsvWriter&) = delete;
-  CsvWriter& operator=(const CsvWriter&) = delete;
-
-  void add_row(const std::vector<std::string>& row);
-
- private:
-  struct Impl;
-  Impl* impl_;
-  std::size_t arity_;
-};
-
 }  // namespace dimmer::util

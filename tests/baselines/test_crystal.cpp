@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "util/check.hpp"
@@ -102,6 +103,33 @@ TEST(Crystal, RejectsBadUsage) {
   CrystalNetwork net(topo, field, CrystalNetwork::Config{}, 0, 1);
   EXPECT_THROW(net.offer_packet(0), util::RequireError);  // sink
   EXPECT_THROW(net.offer_packet(99), util::RequireError);
+}
+
+TEST(Crystal, RejectsMalformedConfig) {
+  // Regression: a zero epoch period never advanced time, so
+  // run_crystal_collection spun forever; a NaN noise threshold or a negative
+  // extension silently turned noise detection's extra pairs off. Only the
+  // constructor runs here.
+  phy::Topology topo = phy::make_dcube48_topology();
+  phy::InterferenceField field;
+  const CrystalNetwork::Config defaults;
+  CrystalNetwork::Config cfg = defaults;
+  for (sim::TimeUs period : {sim::TimeUs{0}, -sim::seconds(1)}) {
+    cfg.epoch_period = period;
+    EXPECT_THROW(CrystalNetwork(topo, field, cfg, 0, 1), util::RequireError);
+  }
+  cfg.epoch_period = defaults.epoch_period;
+  for (double threshold : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    cfg.noise_threshold_dbm = threshold;
+    EXPECT_THROW(CrystalNetwork(topo, field, cfg, 0, 1), util::RequireError);
+  }
+  cfg.noise_threshold_dbm = defaults.noise_threshold_dbm;
+  cfg.extra_pairs_on_noise = -1;
+  EXPECT_THROW(CrystalNetwork(topo, field, cfg, 0, 1), util::RequireError);
+  // No extension at all is a valid configuration.
+  cfg.extra_pairs_on_noise = 0;
+  EXPECT_NO_THROW(CrystalNetwork(topo, field, cfg, 0, 1));
 }
 
 TEST(CrystalCollection, CleanRunIsFullyReliable) {

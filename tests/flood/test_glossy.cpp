@@ -250,6 +250,29 @@ TEST(GlossyFlood, RejectsNonFiniteTxPowerAndBadPayload) {
                util::RequireError);
 }
 
+TEST(GlossyFlood, RejectsCoherenceGainOutsideUnitInterval) {
+  // Regression: a NaN coherence_gain made every signal NaN, which mw_to_dbm
+  // reads as -300 dBm, so floods reached no receiver without an error;
+  // gains below 0 or above 1 were accepted too.
+  phy::Topology topo = phy::make_office18_topology();
+  phy::InterferenceField field;
+  GlossyFlood engine(topo, field);
+  util::Pcg32 rng(13);
+  for (double gain : {std::numeric_limits<double>::quiet_NaN(), -5.0, -0.01,
+                      1.01, 3.0}) {
+    FloodParams p;
+    p.coherence_gain = gain;
+    EXPECT_THROW(engine.run(0, uniform_configs(18, 3), p, rng),
+                 util::RequireError)
+        << "coherence_gain=" << gain;
+  }
+  for (double gain : {0.0, 1.0}) {
+    FloodParams p;
+    p.coherence_gain = gain;
+    EXPECT_NO_THROW(engine.run(0, uniform_configs(18, 3), p, rng));
+  }
+}
+
 TEST(GlossyFlood, MaxStepsBoundaryAtDocumentedCap) {
   // Regression: max_steps used to push the 64-bit slot/step quotient through
   // static_cast<int>, so a pathological slot_len_us wrapped into a tiny or

@@ -19,8 +19,8 @@ namespace {
 using s1 = util::simd::simd<double, 1>;
 constexpr int kW = util::simd::native_width;
 
-// Equivalence bound between the batch entry points and the historical scalar
-// functions. On the scalar backend (native_width == 1) the contract is
+// Equivalence bound between the native-width batch code and the historical
+// scalar functions. On the scalar backend (native_width == 1) the contract is
 // bit-identity, checked with EXPECT_EQ; on wider backends the polynomial
 // kernels are bounded-ulp, checked with a relative tolerance (DESIGN.md §12
 // documents the per-site bounds).
@@ -68,7 +68,16 @@ TEST(SimdKernelsWidth1, FrameSuccessMatchesScalarBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch entry points vs the scalar functions at the native width.
+// The batch entry point and the kernels at the native width vs the scalar
+// functions.
+
+using util::simd::vdouble;
+
+// Input length rounded up to whole chunks; the zero-filled tail lanes stay
+// inside every kernel's domain and are never checked.
+std::size_t padded(int n) {
+  return static_cast<std::size_t>((n + kW - 1) / kW * kW);
+}
 
 TEST(BatchEntryPoints, DbmToMwMatchesScalar) {
   // 2*kW + 3 forces a partial tail chunk on every vector backend.
@@ -85,10 +94,13 @@ TEST(BatchEntryPoints, DbmToMwMatchesScalar) {
 
 TEST(BatchEntryPoints, BerMatchesScalar) {
   const int n = 3 * kW + 1;
-  std::vector<double> sinr(static_cast<std::size_t>(n)), ber(sinr.size());
+  std::vector<double> sinr(padded(n)), ber(sinr.size());
   for (int i = 0; i < n; ++i)
     sinr[static_cast<std::size_t>(i)] = -20.0 + 1.7 * i;
-  ber_802154_batch(sinr.data(), ber.data(), n);
+  for (int i = 0; i < n; i += kW) {
+    simd_kernels::ber_802154_kernel(vdouble::load(sinr.data() + i))
+        .store(ber.data() + i);
+  }
   for (int i = 0; i < n; ++i) {
     const auto u = static_cast<std::size_t>(i);
     expect_equivalent(ber[u], ber_802154(sinr[u]), "ber");
@@ -97,8 +109,8 @@ TEST(BatchEntryPoints, BerMatchesScalar) {
 
 TEST(BatchEntryPoints, FrameSuccessMatchesScalar) {
   const int n = 2 * kW + 1;
-  std::vector<double> clean(static_cast<std::size_t>(n)), jam(clean.size()),
-      frac(clean.size()), p(clean.size());
+  std::vector<double> clean(padded(n)), jam(clean.size()), frac(clean.size()),
+      p(clean.size());
   util::Pcg32 rng(99);
   for (int i = 0; i < n; ++i) {
     const auto u = static_cast<std::size_t>(i);
@@ -109,21 +121,17 @@ TEST(BatchEntryPoints, FrameSuccessMatchesScalar) {
   // Exercise the short-circuit fractions explicitly.
   frac[0] = 0.0;
   if (n > 1) frac[1] = 1.0;
-  frame_success_prob_batch(clean.data(), jam.data(), frac.data(), 36, p.data(),
-                           n);
+  for (int i = 0; i < n; i += kW) {
+    simd_kernels::frame_success_kernel(vdouble::load(clean.data() + i),
+                                       vdouble::load(jam.data() + i),
+                                       vdouble::load(frac.data() + i), 36)
+        .store(p.data() + i);
+  }
   for (int i = 0; i < n; ++i) {
     const auto u = static_cast<std::size_t>(i);
     expect_equivalent(p[u], frame_success_prob(clean[u], jam[u], frac[u], 36),
                       "frame_success");
   }
-}
-
-TEST(BatchEntryPoints, FrameSuccessRejectsNonPositiveFrame) {
-  double x = 5.0, y = 0.0, f = 0.5, p = 0.0;
-  EXPECT_THROW(frame_success_prob_batch(&x, &y, &f, 0, &p, 1),
-               util::RequireError);
-  EXPECT_THROW(frame_success_prob_batch(&x, &y, &f, -3, &p, 1),
-               util::RequireError);
 }
 
 // ---------------------------------------------------------------------------
@@ -133,19 +141,19 @@ TEST(BatchEntryPoints, FrameSuccessRejectsNonPositiveFrame) {
 
 TEST(BatchEntryPoints, TailAndFullChunkAgreeBitwise) {
   const int full = 4 * kW;
-  std::vector<double> sinr(static_cast<std::size_t>(full));
+  std::vector<double> dbm(static_cast<std::size_t>(full));
   for (int i = 0; i < full; ++i)
-    sinr[static_cast<std::size_t>(i)] = -18.0 + 1.1 * i;
-  std::vector<double> ber_full(sinr.size());
-  ber_802154_batch(sinr.data(), ber_full.data(), full);
+    dbm[static_cast<std::size_t>(i)] = -118.0 + 3.7 * i;
+  std::vector<double> mw_full(dbm.size());
+  dbm_to_mw_batch(dbm.data(), mw_full.data(), full);
   // Re-run every strict prefix; shared elements must not change, no matter
   // how the chunk/tail boundary falls.
   for (int n = 1; n < full; ++n) {
-    std::vector<double> ber_n(static_cast<std::size_t>(n));
-    ber_802154_batch(sinr.data(), ber_n.data(), n);
+    std::vector<double> mw_n(static_cast<std::size_t>(n));
+    dbm_to_mw_batch(dbm.data(), mw_n.data(), n);
     for (int i = 0; i < n; ++i) {
       const auto u = static_cast<std::size_t>(i);
-      EXPECT_EQ(ber_n[u], ber_full[u]) << "prefix " << n << " index " << i;
+      EXPECT_EQ(mw_n[u], mw_full[u]) << "prefix " << n << " index " << i;
     }
   }
 }

@@ -43,6 +43,8 @@ TEST(Per, MonotoneInFrameLength) {
 TEST(Per, RejectsNonPositiveFrame) {
   EXPECT_THROW(per_802154(5.0, 0), util::RequireError);
   EXPECT_THROW(per_802154(5.0, -3), util::RequireError);
+  EXPECT_THROW(frame_success_prob(5.0, 0.0, 0.5, 0), util::RequireError);
+  EXPECT_THROW(frame_success_prob(5.0, 0.0, 0.5, -3), util::RequireError);
 }
 
 TEST(FrameSuccess, NoJamEqualsCleanPer) {

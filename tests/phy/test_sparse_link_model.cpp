@@ -6,8 +6,8 @@
 // culling enabled the model drops exactly the links below the configured
 // floor — survivors keep their full-row bits — (c) the culled power any
 // listener could lose is provably bounded: each culled link sits below the
-// floor, so the per-listener sum is below floor_mw * fan-in, which a
-// Config::bounded_influence margin keeps under the noise floor itself, and
+// floor, so the per-listener sum is below floor_mw * fan-in, which a margin
+// of headroom + 10*log10(n-1) dB keeps under the noise floor itself, and
 // (d) that bound shows up end to end: culled floods deliver like unculled
 // ones.
 #include <gtest/gtest.h>
@@ -40,6 +40,16 @@ std::vector<double> full_row_mw(const Topology& topo, NodeId tx,
     dbm[static_cast<std::size_t>(rx)] = topo.rx_power_dbm(tx, rx, power);
   dbm_to_mw_batch(dbm.data(), mw.data(), topo.size());
   return mw;
+}
+
+/// A culling config whose summed culled power at any listener stays at
+/// least `headroom_db` below the noise floor even if all n-1 other nodes
+/// transmit at once: floor_mw * (n-1) <= noise_mw * 10^(-headroom_db/10)
+/// <=> margin_db >= headroom_db + 10*log10(n-1).
+SparseLinkModel::Config bounded_margin(int n, double headroom_db = 10.0) {
+  SparseLinkModel::Config c;
+  c.cull_margin_db = headroom_db + 10.0 * std::log10(static_cast<double>(n - 1));
+  return c;
 }
 
 TEST(SparseLinkModel, NoCullingRowsBitwiseMatchDense) {
@@ -141,7 +151,7 @@ TEST(SparseLinkModel, CullingDropsExactlySubFloorLinks) {
 }
 
 TEST(SparseLinkModel, CulledPowerIsBoundedBelowNoiseFloor) {
-  // The property behind bounded_influence: with margin >= headroom +
+  // The property behind bounded_margin: with margin >= headroom +
   // 10*log10(n-1), the total mW a listener loses to culling — even if all
   // n-1 other nodes transmitted at once — stays at least `headroom` dB
   // under the noise floor's own contribution to SINR.
@@ -151,8 +161,7 @@ TEST(SparseLinkModel, CulledPowerIsBoundedBelowNoiseFloor) {
         which == 0 ? make_line_topology(256, 12.0) : make_dcube48_topology();
     SCOPED_TRACE(which == 0 ? "line256" : "dcube48");
     const int n = topo.size();
-    SparseLinkModel sparse(
-        topo, SparseLinkModel::Config::bounded_influence(n, headroom_db));
+    SparseLinkModel sparse(topo, bounded_margin(n, headroom_db));
 
     const double power = 0.0;
     const SparseLinkView& view = sparse.prepare(power);
@@ -223,19 +232,6 @@ TEST(SparseLinkModel, RejectsNonPositiveCullMargin) {
   EXPECT_THROW(SparseLinkModel(topo, cfg), util::RequireError);
 }
 
-TEST(SparseLinkModel, BoundedInfluenceMarginGrowsWithScale) {
-  const double m48 = SparseLinkModel::Config::bounded_influence(48).cull_margin_db;
-  const double m2048 =
-      SparseLinkModel::Config::bounded_influence(2048).cull_margin_db;
-  EXPECT_NEAR(m48, 10.0 + 10.0 * std::log10(47.0), 1e-12);
-  EXPECT_NEAR(m2048, 10.0 + 10.0 * std::log10(2047.0), 1e-12);
-  EXPECT_GT(m2048, m48);
-  EXPECT_THROW(SparseLinkModel::Config::bounded_influence(1),
-               util::RequireError);
-  EXPECT_THROW(SparseLinkModel::Config::bounded_influence(48, -1.0),
-               util::RequireError);
-}
-
 TEST(SparseLinkModel, StorageScalesWithSurvivorsNotNodes) {
   // On a long line the CSR holds a thin band around the diagonal; the dense
   // matrix would hold 8*N^2 bytes regardless.
@@ -261,7 +257,7 @@ TEST(SparseLinkModel, CullingPreservesDeliveryRatioOnDcube48) {
       static_cast<std::size_t>(n), flood::NodeFloodConfig{2, true});
 
   flood::GlossyFlood unculled_engine(topo, field);
-  SparseLinkModel links(topo, SparseLinkModel::Config::bounded_influence(n));
+  SparseLinkModel links(topo, bounded_margin(n));
   flood::GlossyFlood culled_engine(links, field);
 
   const int kFloods = 200;

@@ -110,6 +110,21 @@ TEST(Topology, RejectsMalformedRadioConstants) {
   EXPECT_NO_THROW((void)line_with(model, bare));
 }
 
+TEST(Topology, RejectsNonFinitePositions) {
+  // Regression: an infinite coordinate stored a -inf gain, which an
+  // unculled SparseLinkModel turned into a 0.0 mW link (stored powers must
+  // be positive); a NaN one dropped every link of its node without a word.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (Vec2 bad : {Vec2{kInf, 0.0}, Vec2{-kInf, 0.0}, Vec2{0.0, kInf},
+                   Vec2{kNan, 0.0}, Vec2{0.0, kNan}}) {
+    const std::vector<Vec2> pos = {{0.0, 0.0}, {10.0, 0.0}, bad};
+    EXPECT_THROW(Topology(pos, PathLossModel{}, RadioConstants{}, 1),
+                 util::RequireError)
+        << "x=" << bad.x << " y=" << bad.y;
+  }
+}
+
 TEST(Topology, RejectsMalformedPathLossModel) {
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();

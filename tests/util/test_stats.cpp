@@ -97,26 +97,6 @@ TEST(RunningStats, MergeOverArbitrarySplitsEqualsSequentialAdd) {
   }
 }
 
-TEST(Ewma, FirstSampleSeeds) {
-  Ewma e(0.5);
-  EXPECT_FALSE(e.seeded());
-  e.add(10.0);
-  EXPECT_TRUE(e.seeded());
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-}
-
-TEST(Ewma, ConvergesTowardConstantInput) {
-  Ewma e(0.2);
-  e.add(0.0);
-  for (int i = 0; i < 100; ++i) e.add(1.0);
-  EXPECT_NEAR(e.value(), 1.0, 1e-6);
-}
-
-TEST(Ewma, InvalidAlphaThrows) {
-  EXPECT_THROW(Ewma(0.0), RequireError);
-  EXPECT_THROW(Ewma(1.5), RequireError);
-}
-
 TEST(WindowMean, PartialWindow) {
   WindowMean w(4);
   w.add(2.0);

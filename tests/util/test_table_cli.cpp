@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -34,35 +32,6 @@ TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(2.0, 0), "2");
   EXPECT_EQ(Table::pct(0.987, 1), "98.7%");
-}
-
-TEST(CsvWriter, WritesEscapedRows) {
-  std::string path = ::testing::TempDir() + "dimmer_csv_test.csv";
-  {
-    CsvWriter csv(path, {"a", "b"});
-    csv.add_row({"plain", "with,comma"});
-    csv.add_row({"with\"quote", "x"});
-  }
-  std::ifstream is(path);
-  std::string l1, l2, l3;
-  std::getline(is, l1);
-  std::getline(is, l2);
-  std::getline(is, l3);
-  EXPECT_EQ(l1, "a,b");
-  EXPECT_EQ(l2, "plain,\"with,comma\"");
-  EXPECT_EQ(l3, "\"with\"\"quote\",x");
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, RejectsArityMismatch) {
-  std::string path = ::testing::TempDir() + "dimmer_csv_test2.csv";
-  CsvWriter csv(path, {"a", "b"});
-  EXPECT_THROW(csv.add_row({"x"}), RequireError);
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, BadPathThrows) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir/x.csv", {"a"}), RequireError);
 }
 
 TEST(Cli, ParsesEqualsForm) {
