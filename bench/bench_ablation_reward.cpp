@@ -19,7 +19,6 @@
 #include "rl/quantized.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/wallclock.hpp"
 
 using namespace dimmer;
 
@@ -84,10 +83,7 @@ int main() {
     return r;
   };
 
-  util::Stopwatch sw;
-  bench::Sweep sweep = bench::run_sweep(std::move(specs), trial);
-  std::vector<exp::Trial>& trials = sweep.trials;
-  double wall = sw.seconds();
+  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
   bench::require_all_ok(trials);
 
   util::Table table({"C", "reliability", "radio-on [ms]", "mean N_TX",
@@ -109,7 +105,6 @@ int main() {
   table.print(std::cout);
   std::cout << "\n(expected: radio-on time decreases with C — higher C"
                " trades reliability for energy)\n";
-  exp::write_json("ablation_reward", trials,
-                  {.jobs = sweep.jobs, .wall_seconds = wall}, &std::cerr);
+  exp::write_json("ablation_reward", trials, {}, &std::cerr);
   return 0;
 }

@@ -21,7 +21,6 @@
 #include "phy/topology.hpp"
 #include "rl/quantized.hpp"
 #include "util/table.hpp"
-#include "util/wallclock.hpp"
 
 using namespace dimmer;
 
@@ -124,10 +123,7 @@ int main() {
     return r;
   };
 
-  util::Stopwatch sw;
-  bench::Sweep sweep = bench::run_sweep(std::move(specs), trial);
-  std::vector<exp::Trial>& trials = sweep.trials;
-  double wall = sw.seconds();
+  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
   bench::require_all_ok(trials);
   const exp::TrialResult& dq = trials[0].result;
   const exp::TrialResult& tb = trials[1].result;
@@ -161,7 +157,6 @@ int main() {
             << "(the coarse table collapses the continuous per-node feedback"
                " the DQN exploits; the paper's\n full input space would need"
                " a table exponential in K and is unrepresentable)\n";
-  exp::write_json("ablation_tabular", trials,
-                  {.jobs = sweep.jobs, .wall_seconds = wall}, &std::cerr);
+  exp::write_json("ablation_tabular", trials, {}, &std::cerr);
   return 0;
 }

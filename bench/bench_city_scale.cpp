@@ -39,7 +39,6 @@
 #include "phy/topology.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/wallclock.hpp"
 
 using namespace dimmer;
 
@@ -193,10 +192,7 @@ int main() {
     return r;
   };
 
-  util::Stopwatch sw;
-  bench::Sweep sweep = bench::run_sweep(std::move(specs), trial);
-  std::vector<exp::Trial>& trials = sweep.trials;
-  double wall = sw.seconds();
+  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
   bench::require_all_ok(trials);
 
   util::Table t({"scenario", "protocol", "delivery", "mean rel", "min rel",
@@ -232,7 +228,6 @@ int main() {
                " every backup at epoch " << kill_epoch
             << "; the federation hands its flows to the parent cell via the"
                " shared gateway)\n";
-  exp::write_json("city_scale", trials,
-                  {.jobs = sweep.jobs, .wall_seconds = wall}, &std::cerr);
+  exp::write_json("city_scale", trials, {}, &std::cerr);
   return 0;
 }

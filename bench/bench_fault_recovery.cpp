@@ -31,7 +31,6 @@
 #include "fault/plan.hpp"
 #include "phy/topology.hpp"
 #include "util/table.hpp"
-#include "util/wallclock.hpp"
 
 using namespace dimmer;
 
@@ -146,10 +145,7 @@ int main() {
     return run_trial(spec, rng, rounds);
   };
 
-  util::Stopwatch sw;
-  bench::Sweep sweep = bench::run_sweep(std::move(specs), trial);
-  std::vector<exp::Trial>& trials = sweep.trials;
-  double wall = sw.seconds();
+  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
   bench::require_all_ok(trials);
 
   util::Table out({"scenario", "pre rel.", "post rel.", "dip", "resync [rounds]",
@@ -176,7 +172,6 @@ int main() {
                " 'dip' is the worst single-round reliability after the"
                " crash;\n'resync' counts rounds from takeover until every"
                " alive node holds a schedule again.\n";
-  exp::write_json("fault_recovery", trials,
-                  {.jobs = sweep.jobs, .wall_seconds = wall}, &std::cerr);
+  exp::write_json("fault_recovery", trials, {}, &std::cerr);
   return 0;
 }

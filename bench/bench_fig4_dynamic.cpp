@@ -26,7 +26,6 @@
 #include "phy/topology.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/wallclock.hpp"
 
 using namespace dimmer;
 
@@ -111,10 +110,7 @@ int main() {
     return r;
   };
 
-  util::Stopwatch sw;
-  bench::Sweep sweep = bench::run_sweep(std::move(specs), trial);
-  std::vector<exp::Trial>& trials = sweep.trials;
-  double wall = sw.seconds();
+  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
   bench::require_all_ok(trials);
 
   util::Table summary(
@@ -147,7 +143,6 @@ int main() {
   std::cout << "(paper: Dimmer and PID both 99.3% reliable; Dimmer 12.3 ms"
                " vs PID 14.4 ms radio-on —\n the PID overshoots to N_max"
                " under light interference, Dimmer finds the setpoint)\n";
-  exp::write_json("fig4_dynamic", trials,
-                  {.jobs = sweep.jobs, .wall_seconds = wall}, &std::cerr);
+  exp::write_json("fig4_dynamic", trials, {}, &std::cerr);
   return 0;
 }

@@ -26,7 +26,6 @@
 #include "phy/topology.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/wallclock.hpp"
 
 using namespace dimmer;
 
@@ -86,10 +85,7 @@ int main() {
     return res;
   };
 
-  util::Stopwatch sw;
-  bench::Sweep sweep = bench::run_sweep(std::move(specs), trial);
-  std::vector<exp::Trial>& trials = sweep.trials;
-  double wall = sw.seconds();
+  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
   bench::require_all_ok(trials);
 
   util::Table t5a({"interference", "protocol", "reliability", "stddev"});
@@ -120,7 +116,6 @@ int main() {
                " needs less energy below ~15% for similar reliability;\n"
                " LWB's reliability degrades but some slots fit between"
                " bursts)\n";
-  exp::write_json("fig5_levels", trials,
-                  {.jobs = sweep.jobs, .wall_seconds = wall}, &std::cerr);
+  exp::write_json("fig5_levels", trials, {}, &std::cerr);
   return 0;
 }

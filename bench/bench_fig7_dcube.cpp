@@ -32,7 +32,6 @@
 #include "rl/quantized.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/wallclock.hpp"
 
 using namespace dimmer;
 
@@ -120,10 +119,7 @@ int main() {
     return r;
   };
 
-  util::Stopwatch sw;
-  bench::Sweep sweep = bench::run_sweep(std::move(specs), trial);
-  std::vector<exp::Trial>& trials = sweep.trials;
-  double wall = sw.seconds();
+  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
   bench::require_all_ok(trials);
 
   phy::EnergyModel energy;
@@ -152,7 +148,6 @@ int main() {
   table.print(std::cout);
   std::cout << "\n(paper: LWB 100/93.6/27%; Dimmer 100/98.3/95.8% without"
                " retraining; Crystal 100/100/99%)\n";
-  exp::write_json("fig7_dcube", trials,
-                  {.jobs = sweep.jobs, .wall_seconds = wall}, &std::cerr);
+  exp::write_json("fig7_dcube", trials, {}, &std::cerr);
   return 0;
 }

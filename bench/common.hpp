@@ -27,6 +27,7 @@
 #include "phy/topology.hpp"
 #include "rl/quantized.hpp"
 #include "util/check.hpp"
+#include "util/wallclock.hpp"
 
 namespace dimmer::bench {
 
@@ -75,23 +76,20 @@ inline std::unique_ptr<core::AdaptivityController> make_controller(
   return std::make_unique<core::StaticController>(3);
 }
 
-/// One executed sweep: the trials in spec order plus the parallelism that
-/// ran them (timing metadata only — stripped before byte-identity diffs).
-struct Sweep {
-  std::vector<exp::Trial> trials;
-  int jobs = 1;
-};
-
 /// Runs a spec matrix through exp::Runner — or, when DIMMER_CAMPAIGN_DIR is
 /// set, through the sharded, checkpointed campaign engine (exp/campaign.hpp):
 /// DIMMER_CAMPAIGN_SHARDS worker processes stream results into per-shard
 /// journals under that directory, and a killed sweep re-run with the same
 /// environment resumes, re-running only the missing trials. The merged
 /// trials are byte-identical between the two engines and across any shard
-/// count or kill/resume history (timing fields aside), so the BENCH json is
-/// invariant to how the sweep was executed.
-inline Sweep run_sweep(std::vector<exp::TrialSpec> specs,
-                       const exp::TrialFn& fn) {
+/// count or kill/resume history, so the BENCH json is invariant to how the
+/// sweep was executed. Returns the trials in spec order; the trial count,
+/// the worker or shard count and the wall time go to stderr only.
+inline std::vector<exp::Trial> run_sweep(std::vector<exp::TrialSpec> specs,
+                                         const exp::TrialFn& fn) {
+  util::Stopwatch sw;
+  std::vector<exp::Trial> trials;
+  std::string ran_on;
   const char* dir = std::getenv("DIMMER_CAMPAIGN_DIR");
   if (dir != nullptr && *dir != '\0') {
     exp::CampaignOptions opt;
@@ -109,10 +107,16 @@ inline Sweep run_sweep(std::vector<exp::TrialSpec> specs,
               << count("campaign.resumed_trials") << " replayed, "
               << count("campaign.worker_deaths") << " worker deaths, "
               << count("campaign.trials_failed") << " failed\n";
-    return {std::move(report.trials), opt.shards};
+    trials = std::move(report.trials);
+    ran_on = std::to_string(opt.shards) + " shard(s)";
+  } else {
+    exp::Runner runner;
+    trials = runner.run(std::move(specs), fn);
+    ran_on = std::to_string(runner.jobs()) + " worker(s)";
   }
-  exp::Runner runner;
-  return {runner.run(std::move(specs), fn), runner.jobs()};
+  std::cerr << "[bench] " << trials.size() << " trials on " << ran_on
+            << " in " << sw.seconds() << " s\n";
+  return trials;
 }
 
 /// Abort the bench if any trial of a sweep failed, with the error on stderr.

@@ -19,7 +19,6 @@
 #include "phy/topology.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/wallclock.hpp"
 
 using namespace dimmer;
 
@@ -74,9 +73,7 @@ int main() {
   exp::Runner runner;
   std::cout << "running " << specs.size() << " trials on " << runner.jobs()
             << " worker(s)...\n\n";
-  util::Stopwatch sw;
   std::vector<exp::Trial> trials = runner.run(std::move(specs), trial);
-  double wall = sw.seconds();
 
   util::Table table(
       {"N_TX", "reliability", "stddev", "radio-on [ms]", "rounds"});
@@ -95,7 +92,6 @@ int main() {
   table.print(std::cout);
   std::cout << "\n15% jamming: reliability climbs with N_TX while radio-on"
                " cost grows — the trade-off Dimmer's DQN navigates.\n";
-  exp::write_json("example_sweep", trials,
-                  {.jobs = runner.jobs(), .wall_seconds = wall}, &std::cout);
+  exp::write_json("example_sweep", trials, {}, &std::cout);
   return 0;
 }

@@ -201,10 +201,8 @@ TraceEnv::StepResult TraceEnv::step(int action) {
   const TraceOutcome& o = current_outcome();
 
   StepResult out;
-  out.reward = o.true_lossless
-                   ? 1.0 - cfg_.reward_c * static_cast<double>(n_tx_) /
-                               static_cast<double>(cfg_.features.n_max)
-                   : 0.0;
+  out.reward = dimmer_reward(o.true_lossless, n_tx_, cfg_.features.n_max,
+                             cfg_.reward_c);
   history_.push_front(o.true_lossless);
   while (static_cast<int>(history_.size()) >
          std::max(1, cfg_.features.history))

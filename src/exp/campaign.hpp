@@ -18,10 +18,10 @@
 //  - merges the journals back into spec order at the end, digest-verifying
 //    every record against its spec.
 //
-// Determinism contract (the whole point): the merged trials — and thus any
-// BENCH_*.json written from them — are byte-identical (timing fields aside)
-// for every shard count, every kill/resume history, and every worker-death
-// pattern, because (a) each trial's RNG is forked from the master seed in
+// Determinism contract (the whole point): the merged trials (their
+// wall_seconds aside), and thus any BENCH_*.json written from them, are
+// byte-identical for every shard count, every kill/resume history, and every
+// worker-death pattern, because (a) each trial's RNG is forked from the master seed in
 // spec order by *global* index (exp::fork_trial_rngs) no matter which shard
 // runs it, (b) workers run their shard's trials serially in ascending
 // global order, and (c) results round-trip through exp/serialize.hpp

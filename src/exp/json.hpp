@@ -2,13 +2,14 @@
 //
 // Every converted bench emits one machine-readable file next to its table
 // output so the repo has a measurable perf/quality trajectory: per-trial
-// metrics, per-trial sample distributions, trajectories, wall-clock, and
-// per-scenario aggregates (merged with RunningStats::merge).
+// metrics, per-trial sample distributions, trajectories, and per-scenario
+// aggregates (merged with RunningStats::merge). Wall-clock fields are opt-in
+// (JsonOptions::include_timing); only bench/perf writes them.
 //
 // Schema (schema_version 1):
 //   {
 //     "bench": "<name>", "schema_version": 1,
-//     "jobs": N, "wall_seconds": W,            // omitted if !include_timing
+//     "jobs": N, "wall_seconds": W,            // only with include_timing
 //     "trials": [
 //       { "scenario": "...", "seed": S,
 //         "params": {"k": 1.5, ...}, "tags": {"k": "v", ...},
@@ -17,7 +18,7 @@
 //         "stats":  {"reliability": {"count": n, "mean": m, "stddev": s,
 //                                    "min": lo, "max": hi}, ...},
 //         "series": {"n_tx": [3, 4, ...], ...},
-//         "wall_seconds": w }                  // omitted if !include_timing
+//         "wall_seconds": w }                  // only with include_timing
 //     ],
 //     "aggregates": {
 //       "<scenario>": { "trials": n,
@@ -33,7 +34,7 @@
 //
 // Doubles are printed with "%.17g" (round-trip exact); the serialization is
 // deterministic, so two runs of the same sweep — at any DIMMER_JOBS — yield
-// byte-identical files once timing fields are excluded.
+// byte-identical files.
 #pragma once
 
 #include <iosfwd>
@@ -45,9 +46,9 @@
 namespace dimmer::exp {
 
 struct JsonOptions {
-  /// Include jobs + wall-clock fields. Disable to get a byte-comparable
-  /// serialization (the determinism tests diff jobs=1 vs jobs=8 output).
-  bool include_timing = true;
+  /// Include jobs + wall-clock fields. Off by default, so the output is
+  /// byte-comparable across runs, job counts and shard counts.
+  bool include_timing = false;
   int jobs = 0;
   double wall_seconds = 0.0;
 };

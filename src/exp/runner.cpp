@@ -1,8 +1,6 @@
 #include "exp/runner.hpp"
 
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -12,42 +10,26 @@
 
 #include "exp/watchdog.hpp"
 #include "util/check.hpp"
+#include "util/cli.hpp"
 #include "util/wallclock.hpp"
 
 namespace dimmer::exp {
 
-namespace {
-
-/// True when strtol/strtod consumed all of `s` without overflow. Both skip
-/// leading whitespace themselves; " 8" is still a typo here.
-bool parsed_fully(const char* s, const char* end) {
-  return end != s && *end == '\0' && errno != ERANGE &&
-         !std::isspace(static_cast<unsigned char>(*s));
-}
-
-}  // namespace
-
 std::optional<long> env_count(const char* name) {
   const char* s = std::getenv(name);
   if (s == nullptr) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s, &end, 10);
-  DIMMER_REQUIRE(parsed_fully(s, end),
-                 std::string(name) + " is not a valid integer");
-  DIMMER_REQUIRE(v >= 1, std::string(name) + " must be >= 1");
+  const std::optional<long> v = util::parse_long(s);
+  DIMMER_REQUIRE(v.has_value(), std::string(name) + " is not a valid integer");
+  DIMMER_REQUIRE(*v >= 1, std::string(name) + " must be >= 1");
   return v;
 }
 
 std::optional<double> env_positive_double(const char* name) {
   const char* s = std::getenv(name);
   if (s == nullptr) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s, &end);
-  DIMMER_REQUIRE(parsed_fully(s, end),
-                 std::string(name) + " is not a valid number");
-  DIMMER_REQUIRE(std::isfinite(v) && v > 0.0,
+  const std::optional<double> v = util::parse_double(s);
+  DIMMER_REQUIRE(v.has_value(), std::string(name) + " is not a valid number");
+  DIMMER_REQUIRE(std::isfinite(*v) && *v > 0.0,
                  std::string(name) + " must be a positive finite number");
   return v;
 }

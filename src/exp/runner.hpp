@@ -79,14 +79,15 @@ struct Trial {
 using TrialFn = std::function<TrialResult(const TrialSpec&, util::Pcg32&)>;
 
 /// Strict-parsed positive integer from the environment variable `name`:
-/// the whole string must be a base-10 integer (no leading whitespace, no
-/// trailing characters, no overflow) and >= 1, else util::RequireError
-/// naming the variable. std::nullopt when the variable is unset.
+/// the whole string must be a base-10 integer (util::parse_long: no leading
+/// whitespace, no trailing characters, no overflow) and >= 1, else
+/// util::RequireError naming the variable. std::nullopt when the variable is
+/// unset.
 std::optional<long> env_count(const char* name);
 
 /// Strict-parsed positive finite number from the environment variable
-/// `name` (same full-string discipline as env_count); std::nullopt when the
-/// variable is unset.
+/// `name` (util::parse_double, the same full-string discipline as
+/// env_count); std::nullopt when the variable is unset.
 std::optional<double> env_positive_double(const char* name);
 
 /// Worker count: DIMMER_JOBS if set (env_count, at most INT_MAX), else

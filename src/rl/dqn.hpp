@@ -59,24 +59,8 @@ class DqnAgent {
   std::size_t steps() const { return env_steps_; }
   std::size_t train_steps() const { return train_steps_; }
   const Mlp& online_network() const { return online_; }
-  Mlp& mutable_online_network() { return online_; }
   const DqnConfig& config() const { return cfg_; }
   const ReplayBuffer& replay() const { return replay_; }
-
-  /// Mean TD loss over recent training steps (diagnostics).
-  double recent_loss() const { return recent_loss_; }
-
-  /// Serialises the state a warm coordinator failover transfers: both
-  /// network parameter sets plus the step counters (they drive epsilon
-  /// annealing, lr decay and target syncs). The replay buffer and Adam
-  /// moments are deliberately excluded — megabytes no backup would
-  /// replicate over the air; a restored agent refills its buffer before
-  /// training resumes.
-  void save_checkpoint(std::ostream& os) const;
-  /// Restores a checkpoint written by save_checkpoint. Throws
-  /// util::RequireError on a corrupt/truncated stream or an architecture
-  /// mismatch; the agent is left untouched on failure.
-  void restore_checkpoint(std::istream& is);
 
   /// Optional observability hooks (a "dqn_step" event per observe()).
   /// Sinks never draw from the RNG, so learning is identical with or
@@ -94,7 +78,7 @@ class DqnAgent {
   std::vector<LayerGrads> grads_;
   std::size_t env_steps_ = 0;
   std::size_t train_steps_ = 0;
-  double recent_loss_ = 0.0;
+  double recent_loss_ = 0.0;  ///< mean TD loss, for the dqn.recent_loss gauge
   obs::Instrumentation instr_;
 };
 

@@ -1,10 +1,40 @@
 #include "util/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/check.hpp"
 
 namespace dimmer::util {
+
+namespace {
+
+/// True when strtol/strtod consumed all of `s` without overflow. Both skip
+/// leading whitespace themselves; " 8" is still a typo here.
+bool parsed_fully(const std::string& s, const char* end) {
+  return !s.empty() && end == s.c_str() + s.size() && errno != ERANGE &&
+         !std::isspace(static_cast<unsigned char>(s[0]));
+}
+
+}  // namespace
+
+std::optional<long> parse_long(const std::string& s) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s.c_str(), &end, 10);
+  if (!parsed_fully(s, end)) return std::nullopt;
+  return v;
+}
+
+std::optional<double> parse_double(const std::string& s) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  if (!parsed_fully(s, end)) return std::nullopt;
+  return v;
+}
 
 Cli::Cli(int argc, const char* const* argv) {
   DIMMER_REQUIRE(argc >= 1, "argc must be >= 1");
@@ -38,19 +68,17 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
 long Cli::get_int(const std::string& key, long fallback) const {
   auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
-  char* end = nullptr;
-  long v = std::strtol(it->second.c_str(), &end, 10);
-  DIMMER_REQUIRE(end && *end == '\0', "flag --" + key + " is not an integer");
-  return v;
+  if (const std::optional<long> v = parse_long(it->second)) return *v;
+  throw RequireError("flag --" + key + " is not an integer: " + it->second);
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
-  char* end = nullptr;
-  double v = std::strtod(it->second.c_str(), &end);
-  DIMMER_REQUIRE(end && *end == '\0', "flag --" + key + " is not a number");
-  return v;
+  const std::optional<double> v = parse_double(it->second);
+  if (v && std::isfinite(*v)) return *v;
+  throw RequireError("flag --" + key + " is not a finite number: " +
+                     it->second);
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {

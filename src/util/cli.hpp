@@ -3,10 +3,20 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace dimmer::util {
+
+/// Strict full-string number parsing, shared by Cli and the exp env knobs:
+/// `s` must be one base-10 integer (parse_long) or one strtod number
+/// (parse_double) and nothing else — no leading whitespace, no trailing
+/// characters, not empty, not out of range. Returns nullopt otherwise.
+/// parse_double accepts "inf" and "nan"; callers that need a finite value
+/// reject them.
+std::optional<long> parse_long(const std::string& s);
+std::optional<double> parse_double(const std::string& s);
 
 class Cli {
  public:
@@ -15,6 +25,8 @@ class Cli {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// Numeric flags parse strictly (parse_long / parse_double) and throw
+  /// RequireError on malformed values; get_double also rejects inf and NaN.
   long get_int(const std::string& key, long fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;

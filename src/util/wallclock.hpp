@@ -4,9 +4,8 @@
 // `det-clock` rule forbids std::chrono clock reads (and every other ambient
 // time/randomness source) everywhere outside src/util/. Code that needs to
 // *report* elapsed wall time — trial timing in exp::Runner, the bench
-// harnesses' wall_seconds fields, all of which are stripped before
-// byte-identity diffs — measures it through this header instead, which keeps
-// the forbidden tokens in exactly one audited file.
+// harnesses' stderr timing lines — measures it through this header instead,
+// which keeps the forbidden tokens in exactly one audited file.
 #pragma once
 
 #include <chrono>
@@ -36,9 +35,9 @@ inline void sleep_seconds(double s) {
 /// Monotonic elapsed-time measurement, started at construction.
 ///
 /// The pure(may-touch-clock) annotations mark this class as the audited
-/// wall-clock seam: its readings feed reporting only and are stripped from
-/// every byte-identity diff, so the clock does not propagate to callers in
-/// dimmer-lint's transitive analysis.
+/// wall-clock seam: its readings feed reporting only, never a simulated
+/// result, so the clock does not propagate to callers in dimmer-lint's
+/// transitive analysis.
 class Stopwatch {
  public:
   // dimmer-lint: pure(may-touch-clock)

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "exp/json.hpp"
+#include "util/json_parse.hpp"
 
 namespace dimmer::exp {
 namespace {
@@ -56,6 +57,29 @@ TEST(Json, TimingFieldsAreOptional) {
   EXPECT_NE(a.find("\"wall_seconds\": 3.25"), std::string::npos);
   EXPECT_EQ(b.find("wall_seconds"), std::string::npos);
   EXPECT_EQ(b.find("jobs"), std::string::npos);
+  // Timing is opt-in: the default options give the timing-free output.
+  EXPECT_EQ(to_json("x", sample_trials()), b);
+}
+
+// The frozen scalar artifacts are what CI compares each figure bench's
+// output against with cmp, so each must be the timing-free to_json output:
+// well-formed JSON without jobs or wall_seconds.
+TEST(Json, CheckedInExpectationsAreValidJson) {
+  for (const char* bench : {"ablation_reward", "ablation_tabular",
+                            "fault_recovery", "fig4_dynamic", "fig5_levels",
+                            "fig7_dcube"}) {
+    const std::string path = std::string(DIMMER_EXPECTATIONS_DIR) +
+                             "/BENCH_" + bench + ".json";
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    util::json::Value doc;
+    ASSERT_NO_THROW(doc = util::json::parse(text.str())) << path;
+    EXPECT_EQ(doc.at("bench").as_string(), bench) << path;
+    EXPECT_EQ(doc.find("jobs"), nullptr) << path;
+    EXPECT_EQ(doc.find("wall_seconds"), nullptr) << path;
+  }
 }
 
 TEST(Json, SerializationIsDeterministic) {

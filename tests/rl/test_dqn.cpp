@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
-#include <string>
 
 #include "rl/dqn.hpp"
 #include "util/check.hpp"
@@ -168,61 +166,6 @@ TEST(DqnAgent, VanillaAndDoubleDqnBothTrain) {
                     rng);
     EXPECT_GT(agent.train_steps(), 0u);
   }
-}
-
-TEST(DqnAgent, CheckpointRoundTripRestoresPolicyAndCounters) {
-  DqnConfig cfg = tiny_config();
-  DqnAgent trained(cfg, 3);
-  util::Pcg32 rng(3);
-  for (int i = 0; i < 150; ++i)
-    trained.observe(Transition{{0.3, 0.7}, i % 2, 0.25, {0.3, 0.7}, false,
-                               -1.0},
-                    rng);
-  std::stringstream ss;
-  trained.save_checkpoint(ss);
-
-  DqnAgent resumed(cfg, 99);  // different seed: weights start out different
-  resumed.restore_checkpoint(ss);
-  EXPECT_EQ(resumed.steps(), trained.steps());
-  EXPECT_EQ(resumed.train_steps(), trained.train_steps());
-  std::vector<double> probe = {0.3, 0.7};
-  EXPECT_EQ(resumed.q_values(probe), trained.q_values(probe));
-  EXPECT_EQ(resumed.greedy_action(probe), trained.greedy_action(probe));
-}
-
-TEST(DqnAgent, RestoreRejectsCorruptCheckpointAndKeepsAgentIntact) {
-  DqnConfig cfg = tiny_config();
-  DqnAgent agent(cfg, 7);
-  std::vector<double> probe = {0.1, 0.9};
-  std::vector<double> before = agent.q_values(probe);
-
-  DqnAgent donor(cfg, 7);
-  std::stringstream good;
-  donor.save_checkpoint(good);
-  std::string text = good.str();
-
-  std::stringstream bad_magic("dqn-ckpt 1\n0 0 0\n");
-  EXPECT_THROW(agent.restore_checkpoint(bad_magic), util::RequireError);
-  for (std::size_t cut : {text.size() / 4, text.size() / 2, text.size() - 5}) {
-    std::stringstream truncated(text.substr(0, cut));
-    EXPECT_THROW(agent.restore_checkpoint(truncated), util::RequireError)
-        << "cut at " << cut;
-  }
-  // Validation happens before any state is committed: the agent still
-  // behaves exactly as before the failed restores.
-  EXPECT_EQ(agent.q_values(probe), before);
-}
-
-TEST(DqnAgent, RestoreRejectsArchitectureMismatch) {
-  DqnConfig donor_cfg = tiny_config();
-  DqnAgent donor(donor_cfg, 1);
-  std::stringstream ss;
-  donor.save_checkpoint(ss);
-
-  DqnConfig other = tiny_config();
-  other.architecture = {2, 4, 2};  // different hidden width
-  DqnAgent agent(other, 1);
-  EXPECT_THROW(agent.restore_checkpoint(ss), util::RequireError);
 }
 
 TEST(DqnAgent, LrDecayScheduleApplies) {

@@ -1,10 +1,10 @@
 // Tests for tools/dimmer-lint pass 1 (index.hpp): the brace/paren-aware
 // function extractor, the fixpoint propagation of the four transitive
 // properties through the cross-TU call graph (including virtual-dispatch and
-// function-pointer widening), the pure() trust annotation, and the
-// deterministic serialize/parse cache round-trip. The fixture-backed tests at
-// the bottom prove each property fires — and suppresses — through 2+-deep
-// call chains exactly as the hot-path rules report them.
+// function-pointer widening) and the pure() trust annotation. The
+// fixture-backed tests at the bottom prove each property fires — and
+// suppresses — through 2+-deep call chains exactly as the hot-path rules
+// report them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -276,57 +276,6 @@ TEST(LintIndex, RecursionReachesFixpointWithoutHanging) {
   // The chain terminates at direct evidence even through the cycle.
   std::string chain = g.chain(ping, Prop::kAllocate);
   EXPECT_NE(chain.find("`push_back` at t.cpp:2"), std::string::npos) << chain;
-}
-
-// ---------------------------------------------------------------------------
-// Cache round-trip
-// ---------------------------------------------------------------------------
-
-TEST(LintIndex, SerializeParseRoundTripIsLossless) {
-  std::vector<FileIndex> idx;
-  idx.push_back(index_source("fixtures/transitive/helpers_alloc.cpp",
-                             slurp(fixture_path("transitive/helpers_alloc.cpp"))));
-  idx.push_back(index_source("fixtures/transitive/virtual_widen.cpp",
-                             slurp(fixture_path("transitive/virtual_widen.cpp"))));
-  idx.push_back(index_source("fixtures/transitive/trusted_alloc.cpp",
-                             slurp(fixture_path("transitive/trusted_alloc.cpp"))));
-  const std::string text = dimmer::lint::serialize_index(idx);
-  EXPECT_EQ(text.rfind("dimmer-lint-index v2\n", 0), 0u) << text.substr(0, 40);
-  std::vector<FileIndex> parsed;
-  ASSERT_TRUE(dimmer::lint::parse_index(text, &parsed));
-  EXPECT_EQ(dimmer::lint::serialize_index(parsed), text);
-}
-
-TEST(LintIndex, ParseRejectsGarbageAndForeignVersions) {
-  std::vector<FileIndex> out;
-  EXPECT_FALSE(dimmer::lint::parse_index("", &out));
-  EXPECT_FALSE(dimmer::lint::parse_index("not an index\n", &out));
-  EXPECT_FALSE(dimmer::lint::parse_index("dimmer-lint-index v1\n", &out));
-  // Truncation inside a record is malformed, not silently accepted.
-  std::vector<FileIndex> idx = {
-      index_source("a.cpp", "void f() { g(); }\n")};
-  std::string text = dimmer::lint::serialize_index(idx);
-  EXPECT_FALSE(dimmer::lint::parse_index(
-      text.substr(0, text.size() / 2), &out));
-}
-
-TEST(LintIndex, IndexOrReuseHonoursContentHash) {
-  const std::string contents = "void f() { g(); }\n";
-  FileIndex fresh = index_source("a.cpp", contents);
-  // Matching hash: the cached entry is trusted verbatim (proven by a
-  // sentinel mutation that re-extraction would erase).
-  FileIndex cached = fresh;
-  cached.functions[0].name = "sentinel";
-  FileIndex reused = dimmer::lint::index_or_reuse("a.cpp", contents, &cached);
-  ASSERT_EQ(reused.functions.size(), 1u);
-  EXPECT_EQ(reused.functions[0].name, "sentinel");
-  // Hash mismatch (edited file): re-extracted, sentinel gone.
-  FileIndex stale = cached;
-  stale.hash ^= 1;
-  FileIndex reextracted =
-      dimmer::lint::index_or_reuse("a.cpp", contents, &stale);
-  ASSERT_EQ(reextracted.functions.size(), 1u);
-  EXPECT_EQ(reextracted.functions[0].name, "f");
 }
 
 // ---------------------------------------------------------------------------

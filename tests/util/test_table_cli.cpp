@@ -73,10 +73,22 @@ TEST(Cli, FallbacksWhenAbsent) {
 }
 
 TEST(Cli, MalformedNumbersThrow) {
-  const char* argv[] = {"prog", "--n=abc", "--f=1.2.3"};
-  Cli cli(3, argv);
+  const char* argv[] = {
+      "prog", "--n=abc", "--f=1.2.3",
+      // Empty, leading-space and out-of-range integers.
+      "--empty=", "--lead= 7", "--huge=99999999999999999999",
+      // Empty and non-finite doubles.
+      "--x=", "--nan=nan", "--inf=1e999", "--ninf=-inf"};
+  Cli cli(10, argv);
   EXPECT_THROW(cli.get_int("n", 0), RequireError);
   EXPECT_THROW(cli.get_double("f", 0.0), RequireError);
+  EXPECT_THROW(cli.get_int("empty", 0), RequireError);
+  EXPECT_THROW(cli.get_int("lead", 0), RequireError);
+  EXPECT_THROW(cli.get_int("huge", 0), RequireError);
+  EXPECT_THROW(cli.get_double("x", 0.0), RequireError);
+  EXPECT_THROW(cli.get_double("nan", 0.0), RequireError);
+  EXPECT_THROW(cli.get_double("inf", 0.0), RequireError);
+  EXPECT_THROW(cli.get_double("ninf", 0.0), RequireError);
 }
 
 TEST(Cli, BooleanVariants) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <sstream>
 
 #include "scan.hpp"
@@ -189,7 +188,6 @@ void parse_pure_marker(const std::string& comment, unsigned* mask) {
 FileIndex index_source(const std::string& path, const std::string& contents) {
   FileIndex out;
   out.file = path;
-  out.hash = fnv1a(contents);
 
   std::vector<LineInfo> lines = split_channels(contents);
   std::vector<Tok> toks = tokenize(lines);
@@ -476,136 +474,6 @@ FileIndex index_source(const std::string& path, const std::string& contents) {
   return out;
 }
 
-FileIndex index_or_reuse(const std::string& path, const std::string& contents,
-                         const FileIndex* cached) {
-  if (cached != nullptr && cached->hash == fnv1a(contents) &&
-      cached->file == path)
-    return *cached;
-  return index_source(path, contents);
-}
-
-// ---------------------------------------------------------------------------
-// Serialization (the index cache / CI artifact)
-// ---------------------------------------------------------------------------
-//
-// Line-oriented, whitespace-delimited, versioned. All fields are tokens or
-// repo paths, neither of which can contain whitespace, so no escaping is
-// needed; "-" encodes the empty string.
-
-namespace {
-
-constexpr const char* kIndexMagic = "dimmer-lint-index v2";
-
-std::string enc(const std::string& s) { return s.empty() ? "-" : s; }
-std::string dec(const std::string& s) { return s == "-" ? "" : s; }
-
-}  // namespace
-
-std::string serialize_index(std::vector<FileIndex> files) {
-  std::sort(files.begin(), files.end(),
-            [](const FileIndex& a, const FileIndex& b) {
-              return a.file < b.file;
-            });
-  std::ostringstream os;
-  os << kIndexMagic << "\n";
-  for (const FileIndex& fi : files) {
-    os << "file " << enc(fi.file) << " " << std::hex << fi.hash << std::dec
-       << " " << fi.functions.size() << "\n";
-    for (const FunctionDef& fn : fi.functions) {
-      unsigned trust = 0;
-      for (int p = 0; p < kNumProps; ++p)
-        if (fn.trusted[p]) trust |= 1u << static_cast<unsigned>(p);
-      os << "fn " << enc(fn.name) << " " << enc(fn.scope) << " " << fn.line
-         << " " << fn.body_begin << " " << fn.body_end << " "
-         << (fn.is_virtual ? 1 : 0) << " " << (fn.takes_pcg ? 1 : 0) << " "
-         << trust << "\n";
-      for (int p = 0; p < kNumProps; ++p) {
-        const DirectEvidence& ev = fn.direct[p];
-        if (ev.line != 0)
-          os << "d " << p << " " << ev.line << " " << enc(ev.token) << "\n";
-      }
-      for (const auto& [name, line] : fn.calls)
-        os << "c " << line << " " << enc(name) << "\n";
-      for (const auto& [name, line] : fn.refs)
-        os << "r " << line << " " << enc(name) << "\n";
-      for (const std::string& pname : fn.pcg_params)
-        os << "p " << enc(pname) << "\n";
-    }
-  }
-  return os.str();
-}
-
-bool parse_index(const std::string& text, std::vector<FileIndex>* out) {
-  out->clear();
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != kIndexMagic) return false;
-  FileIndex* file = nullptr;
-  FunctionDef* fn = nullptr;
-  std::size_t expect_fns = 0;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
-    if (kind == "file") {
-      if (file != nullptr && file->functions.size() != expect_fns)
-        return false;
-      std::string path;
-      std::string hash_hex;
-      std::size_t nfuncs = 0;
-      if (!(ls >> path >> hash_hex >> nfuncs)) return false;
-      out->emplace_back();
-      file = &out->back();
-      fn = nullptr;
-      file->file = dec(path);
-      char* end = nullptr;
-      file->hash = std::strtoull(hash_hex.c_str(), &end, 16);
-      if (end == nullptr || *end != '\0') return false;
-      expect_fns = nfuncs;
-    } else if (kind == "fn") {
-      if (file == nullptr) return false;
-      std::string name, scope;
-      int fline = 0, bb = 0, be = 0, virt = 0, pcg = 0;
-      unsigned trust = 0;
-      if (!(ls >> name >> scope >> fline >> bb >> be >> virt >> pcg >> trust))
-        return false;
-      file->functions.emplace_back();
-      fn = &file->functions.back();
-      fn->name = dec(name);
-      fn->scope = dec(scope);
-      fn->file = file->file;
-      fn->line = fline;
-      fn->body_begin = bb;
-      fn->body_end = be;
-      fn->is_virtual = virt != 0;
-      fn->takes_pcg = pcg != 0;
-      for (int p = 0; p < kNumProps; ++p)
-        fn->trusted[p] = (trust & (1u << static_cast<unsigned>(p))) != 0;
-    } else if (kind == "d") {
-      int p = -1, eline = 0;
-      std::string token;
-      if (fn == nullptr || !(ls >> p >> eline >> token)) return false;
-      if (p < 0 || p >= kNumProps) return false;
-      fn->direct[p] = {eline, dec(token)};
-    } else if (kind == "c" || kind == "r") {
-      int cline = 0;
-      std::string name;
-      if (fn == nullptr || !(ls >> cline >> name)) return false;
-      auto& vec = kind == "c" ? fn->calls : fn->refs;
-      vec.emplace_back(dec(name), cline);
-    } else if (kind == "p") {
-      std::string pname;
-      if (fn == nullptr || !(ls >> pname)) return false;
-      fn->pcg_params.push_back(dec(pname));
-    } else {
-      return false;
-    }
-  }
-  if (file != nullptr && file->functions.size() != expect_fns) return false;
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Call graph + fixpoint
 // ---------------------------------------------------------------------------
@@ -636,8 +504,8 @@ std::string CallGraph::chain(int node, Prop p) const {
   std::string out = display(node);
   int cur = node;
   // Witness edges always terminate at a node with direct evidence (a node is
-  // only ever recorded as a witness after it already holds the property), but
-  // cap the walk defensively so a corrupted cache cannot loop.
+  // only ever recorded as a witness after it already holds the property); the
+  // cap only bounds the length of one finding's message.
   for (int hops = 0; hops < 32; ++hops) {
     const Node& n = nodes_[static_cast<std::size_t>(cur)];
     if (n.why[pi] == Why::kDirect || n.why[pi] == Why::kNone) break;

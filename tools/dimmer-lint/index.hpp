@@ -35,11 +35,6 @@
 // callers, but the annotation is *reported as a suppressed finding* at the
 // definition — sanctioned violations stay visible in the JSON report, never
 // hidden.
-//
-// Caching: serialize_index/parse_index round-trip the whole index through a
-// deterministic text format, content-hashed per file (FNV-1a over the raw
-// bytes), so an incremental run re-extracts only changed files and a warm
-// cache produces byte-identical reports to a cold one.
 #pragma once
 
 #include <cstdint>
@@ -97,27 +92,12 @@ struct FunctionDef {
 /// The index of one translation unit.
 struct FileIndex {
   std::string file;
-  std::uint64_t hash = 0;  ///< fnv1a over the raw file bytes
   std::vector<FunctionDef> functions;
 };
 
 /// Extracts the function index of one file. `path` is recorded verbatim in
 /// every FunctionDef (the CLI hands in repo-relative paths).
 FileIndex index_source(const std::string& path, const std::string& contents);
-
-/// Reuses `cached` when its hash matches `contents`, else re-extracts.
-FileIndex index_or_reuse(const std::string& path, const std::string& contents,
-                         const FileIndex* cached);
-
-/// Deterministic text serialization of a whole index (sorted by file path).
-/// The format is versioned; parse_index rejects anything it does not
-/// understand so a stale cache degrades to a full re-extraction, never to a
-/// wrong report.
-std::string serialize_index(std::vector<FileIndex> files);
-
-/// Parses serialize_index output. Returns false (and clears `out`) on any
-/// malformed input.
-bool parse_index(const std::string& text, std::vector<FileIndex>* out);
 
 /// The merged call graph with fixpoint-propagated properties.
 class CallGraph {
@@ -160,7 +140,7 @@ class CallGraph {
 
 /// Merges per-file indexes and runs the fixpoint. Deterministic: node order,
 /// witness selection and therefore every chain string depend only on the
-/// index contents, not on scan parallelism or cache state.
+/// index contents.
 CallGraph build_call_graph(std::vector<FileIndex> files);
 
 }  // namespace dimmer::lint

@@ -1,19 +1,15 @@
 #include "lint.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cctype>
-#include <cstdio>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <thread>
 
 #include "index.hpp"
 #include "scan.hpp"
+#include "util/atomic_file.hpp"
 #include "util/json.hpp"
 
 namespace dimmer::lint {
@@ -578,33 +574,13 @@ std::vector<Finding> scan_file(const std::string& path,
 }
 
 std::vector<Finding> scan_sources(const std::vector<SourceFile>& files,
-                                  const Options& opt, const CallGraph* graph,
-                                  int jobs) {
-  if (jobs < 1) jobs = 1;
-  std::vector<std::vector<Finding>> slots(files.size());
-  std::atomic<std::size_t> next{0};
-  auto work = [&]() {
-    for (;;) {
-      std::size_t i = next.fetch_add(1);
-      if (i >= files.size()) return;
-      slots[i] = scan_source(files[i].path, files[i].contents, opt, graph);
-    }
-  };
-  std::size_t n = std::min<std::size_t>(static_cast<std::size_t>(jobs),
-                                        files.size());
-  if (n <= 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n);
-    for (std::size_t w = 0; w < n; ++w) pool.emplace_back(work);
-    for (std::thread& th : pool) th.join();
-  }
-  // Merge in input order: the report is byte-identical for any `jobs`.
+                                  const Options& opt, const CallGraph* graph) {
   std::vector<Finding> out;
-  for (std::vector<Finding>& s : slots)
-    out.insert(out.end(), std::make_move_iterator(s.begin()),
-               std::make_move_iterator(s.end()));
+  for (const SourceFile& f : files) {
+    std::vector<Finding> found = scan_source(f.path, f.contents, opt, graph);
+    out.insert(out.end(), std::make_move_iterator(found.begin()),
+               std::make_move_iterator(found.end()));
+  }
   return out;
 }
 
@@ -663,42 +639,6 @@ bool has_active(const std::vector<Finding>& findings) {
   return false;
 }
 
-bool write_file_atomic(const std::string& path, const std::string& data) {
-  const std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  std::size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  ::close(fd);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  // Make the rename itself durable.
-  std::size_t slash = path.find_last_of('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
-  int dfd = ::open(dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-  return true;
-}
-
 bool update_baseline(const std::vector<Finding>& findings,
                      const std::string& path) {
   for (const Finding& f : findings)
@@ -715,7 +655,12 @@ bool update_baseline(const std::vector<Finding>& findings,
         "whitespace-normalized\n"
      << "# finding excerpt, so pure reformatting does not churn keys.\n";
   for (const std::string& k : keys) os << k << "\n";
-  return write_file_atomic(path, os.str());
+  try {
+    util::write_file_atomic(path, os.str());
+  } catch (const std::exception&) {
+    return false;
+  }
+  return true;
 }
 
 std::string json_report(std::vector<Finding> findings) {

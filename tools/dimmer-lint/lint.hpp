@@ -23,7 +23,7 @@
 //                    std::random_device, std::mt19937, ...) outside
 //                    src/util/.  All randomness must flow through forked
 //                    util::Pcg32 streams; all timing through util/wallclock
-//                    (reporting only, stripped from byte-identity diffs).
+//                    (reporting only).
 //                    With a call graph: also fires when a hot-path region
 //                    reaches a clock read through a call chain.
 //
@@ -173,13 +173,11 @@ struct SourceFile {
   std::string contents;
 };
 
-/// Scans every file, fanning pass 2 out across `jobs` worker threads.
-/// Files are scanned independently and results merged in input order, so the
-/// output — and therefore the JSON report — is byte-identical for any `jobs`.
+/// Scans every file, one after another, and concatenates the findings in
+/// input order.
 std::vector<Finding> scan_sources(const std::vector<SourceFile>& files,
                                   const Options& opt = Options(),
-                                  const CallGraph* graph = nullptr,
-                                  int jobs = 1);
+                                  const CallGraph* graph = nullptr);
 
 /// Collapses every run of whitespace in `s` to a single space and trims both
 /// ends (exposed for tests).
@@ -203,16 +201,10 @@ void apply_baseline(std::vector<Finding>& findings,
 /// process exit criterion.
 bool has_active(const std::vector<Finding>& findings);
 
-/// Writes `data` to `path` atomically: sibling temp file, fsync, rename over
-/// the target, then fsync the parent directory (util/atomic_file semantics,
-/// re-implemented here so the tool stays standalone). Returns false and
-/// leaves any existing `path` untouched on failure.
-bool write_file_atomic(const std::string& path, const std::string& data);
-
 /// Snapshots the current unsuppressed findings as a sorted, deduped baseline
-/// file, written atomically. Refuses (returns false, touches nothing) when
-/// any finding is a parse error — a broken scan must not be immortalized as
-/// the accepted state.
+/// file, written with util::write_file_atomic. Refuses (returns false,
+/// touches nothing) when any finding is a parse error — a broken scan must
+/// not be immortalized as the accepted state — or when the write fails.
 bool update_baseline(const std::vector<Finding>& findings,
                      const std::string& path);
 

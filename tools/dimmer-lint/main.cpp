@@ -2,9 +2,7 @@
 //
 // Usage:
 //   dimmer-lint [--root DIR] [--baseline FILE] [--json FILE]
-//               [--index-cache FILE] [--jobs N]
-//               [--update-baseline] [--write-baseline FILE]
-//               [--list-rules] [--quiet]
+//               [--update-baseline] [--list-rules] [--quiet]
 //               <file-or-directory>...
 //
 // Directories are scanned recursively for .cpp/.cc/.hpp/.h files (build
@@ -12,14 +10,12 @@
 // JSON report are made relative to --root (default: the current directory)
 // so reports are machine-independent and baseline keys are stable.
 //
-// Two passes over the collected files:
-//   1. index: every file is function-extracted into the cross-TU call graph
-//      (index.hpp). With --index-cache, per-file indexes are reused when the
-//      file's content hash matches and the merged index is written back
-//      atomically — a warm cache changes nothing but wall time.
+// Every run makes two passes over every collected file:
+//   1. index: each file is function-extracted into the cross-TU call graph
+//      (index.hpp).
 //   2. rules: the per-file rules plus the transitive/taint rules run against
-//      the graph, fanned out over --jobs threads. Results merge in file
-//      order, so the report is byte-identical for any --jobs value.
+//      the graph, one file after another.
+// Directories are walked in sorted order, so the report is deterministic.
 //
 // --update-baseline snapshots the current unsuppressed findings into the
 // --baseline file (sorted, deduped, written atomically) and exits 0; it
@@ -29,15 +25,14 @@
 // Exit status: 0 if every finding is suppressed or baselined, 1 otherwise,
 // 2 on usage errors. CI runs:
 //   dimmer-lint --root . --baseline tools/dimmer-lint/baseline.txt
-//               --json lint-report.json --index-cache lint-index.txt
-//               --jobs 4 src bench examples tools
+//               --json lint-report.json src bench examples tools
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "index.hpp"
@@ -101,19 +96,16 @@ std::string relative_to(const fs::path& p, const fs::path& root) {
 int usage(int code) {
   std::cerr
       << "usage: dimmer-lint [--root DIR] [--baseline FILE] [--json FILE]\n"
-         "                   [--index-cache FILE] [--jobs N]\n"
-         "                   [--update-baseline] [--write-baseline FILE]\n"
-         "                   [--list-rules] [--quiet] <path>...\n";
+         "                   [--update-baseline] [--list-rules] [--quiet]\n"
+         "                   <path>...\n";
   return code;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string root = ".", baseline_path, json_path, write_baseline_path;
-  std::string index_cache_path;
+  std::string root = ".", baseline_path, json_path;
   bool list_rules = false, quiet = false, update_baseline = false;
-  int jobs = 1;
   std::vector<std::string> inputs;
 
   for (int i = 1; i < argc; ++i) {
@@ -131,22 +123,8 @@ int main(int argc, char** argv) {
       baseline_path = next();
     else if (a == "--json")
       json_path = next();
-    else if (a == "--index-cache")
-      index_cache_path = next();
-    else if (a == "--jobs") {
-      try {
-        jobs = std::stoi(next());
-      } catch (const std::exception&) {
-        jobs = 0;
-      }
-      if (jobs < 1) {
-        std::cerr << "dimmer-lint: --jobs needs a positive integer\n";
-        return 2;
-      }
-    } else if (a == "--update-baseline")
+    else if (a == "--update-baseline")
       update_baseline = true;
-    else if (a == "--write-baseline")
-      write_baseline_path = next();
     else if (a == "--list-rules")
       list_rules = true;
     else if (a == "--quiet")
@@ -222,40 +200,17 @@ int main(int argc, char** argv) {
     files.push_back({rel, ss.str()});
   }
 
-  // Pass 1: per-file function indexes (cache-reused by content hash), merged
-  // into the cross-TU call graph. Cached entries for files that no longer
-  // exist are dropped on the rewrite.
-  std::map<std::string, FileIndex> cached;
-  if (!index_cache_path.empty()) {
-    std::ifstream in(index_cache_path, std::ios::binary);
-    if (in) {
-      std::stringstream ss;
-      ss << in.rdbuf();
-      std::vector<FileIndex> entries;
-      // An unparsable (old-version, truncated) cache degrades to a full
-      // re-extraction, never to a wrong graph.
-      if (dimmer::lint::parse_index(ss.str(), &entries))
-        for (FileIndex& fi : entries) cached[fi.file] = std::move(fi);
-    }
-  }
+  // Pass 1: per-file function indexes, merged into the cross-TU call graph.
   std::vector<FileIndex> index;
   index.reserve(files.size());
-  for (const SourceFile& sf : files) {
-    auto it = cached.find(sf.path);
-    index.push_back(dimmer::lint::index_or_reuse(
-        sf.path, sf.contents, it == cached.end() ? nullptr : &it->second));
-  }
-  if (!index_cache_path.empty() &&
-      !dimmer::lint::write_file_atomic(index_cache_path,
-                                       dimmer::lint::serialize_index(index)))
-    std::cerr << "dimmer-lint: warning: cannot write index cache "
-              << index_cache_path << "\n";
-  dimmer::lint::CallGraph graph = dimmer::lint::build_call_graph(index);
+  for (const SourceFile& sf : files)
+    index.push_back(dimmer::lint::index_source(sf.path, sf.contents));
+  dimmer::lint::CallGraph graph =
+      dimmer::lint::build_call_graph(std::move(index));
 
-  // Pass 2: the rules, with transitive knowledge, across --jobs threads.
-  dimmer::lint::Options opt;
+  // Pass 2: the rules, with transitive knowledge.
   std::vector<Finding> scanned =
-      dimmer::lint::scan_sources(files, opt, &graph, jobs);
+      dimmer::lint::scan_sources(files, dimmer::lint::Options(), &graph);
   findings.insert(findings.end(), scanned.begin(), scanned.end());
 
   if (update_baseline) {
@@ -288,13 +243,6 @@ int main(int argc, char** argv) {
     if (!quiet)
       std::cerr << f.file << ":" << f.line << ": [" << f.rule << "] "
                 << f.message << "\n    " << f.excerpt << "\n";
-  }
-
-  if (!write_baseline_path.empty() &&
-      !dimmer::lint::update_baseline(findings, write_baseline_path)) {
-    std::cerr << "dimmer-lint: refusing to write baseline: the report "
-                 "contains parse errors (or the write failed)\n";
-    return 2;
   }
 
   if (!json_path.empty()) {
