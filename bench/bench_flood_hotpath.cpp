@@ -15,8 +15,9 @@
 //
 // Timing fields here are measurements, not simulation outputs: this file is
 // exempt from the byte-identity rule that covers the figure benches.
+#include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "phy/interference.hpp"
 #include "phy/topology.hpp"
 #include "tests/flood/reference_glossy.hpp"
+#include "util/atomic_file.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/simd/simd.hpp"
@@ -66,33 +68,34 @@ flood::FloodParams params_for(int flood_idx) {
   return p;
 }
 
-// Digest of a FloodResult for the bit-identity smoke check (full per-field
-// comparison lives in tests/flood/test_differential.cpp).
-long long digest(const flood::FloodResult& r) {
-  long long d = r.steps_simulated;
-  for (std::size_t i = 0; i < r.nodes.size(); ++i) {
-    d = d * 31 + (r.nodes[i].received ? 1 : 0);
-    d = d * 31 + r.nodes[i].first_rx_step;
-    d = d * 31 + r.nodes[i].transmissions;
-    d = d * 31 + static_cast<long long>(r.nodes[i].radio_on_us % 100003);
+// Folds a FloodResult into a stream digest for the bit-identity smoke check
+// (full per-field comparison lives in tests/flood/test_differential.cpp);
+// the same fold as bench/perf's replay check.
+std::uint64_t fold(std::uint64_t d, const flood::FloodResult& r) {
+  d = util::hash_u64(d, static_cast<std::uint64_t>(r.steps_simulated));
+  for (const flood::NodeFloodResult& n : r.nodes) {
+    d = util::hash_u64(d, n.received ? 1u : 0u,
+                       static_cast<std::uint64_t>(n.first_rx_step + 1));
+    d = util::hash_u64(d, static_cast<std::uint64_t>(n.transmissions),
+                       static_cast<std::uint64_t>(n.radio_on_us));
   }
   return d;
 }
 
 Timing time_reference(const Scenario& sc, int floods, std::uint64_t seed,
-                      long long* digest_out) {
+                      std::uint64_t* digest_out) {
   const int n = sc.topo.size();
   std::vector<flood::NodeFloodConfig> cfgs(
       static_cast<std::size_t>(n), flood::NodeFloodConfig{sc.n_tx, true});
   util::Pcg32 rng(seed);
   Timing t;
-  long long dg = 0;
+  std::uint64_t dg = 0;
   const double t0 = now_sec();
   for (int k = 0; k < floods; ++k) {
     flood::FloodResult r = flood::reference::run(
         sc.topo, sc.field, k % n, cfgs, params_for(k), rng);
     t.steps += r.steps_simulated;
-    dg = dg * 131 + digest(r);
+    dg = fold(dg, r);
   }
   t.seconds = now_sec() - t0;
   t.floods = floods;
@@ -101,7 +104,7 @@ Timing time_reference(const Scenario& sc, int floods, std::uint64_t seed,
 }
 
 Timing time_optimized(const Scenario& sc, int floods, std::uint64_t seed,
-                      long long* digest_out) {
+                      std::uint64_t* digest_out) {
   const int n = sc.topo.size();
   std::vector<flood::NodeFloodConfig> cfgs(
       static_cast<std::size_t>(n), flood::NodeFloodConfig{sc.n_tx, true});
@@ -110,12 +113,12 @@ Timing time_optimized(const Scenario& sc, int floods, std::uint64_t seed,
   flood::FloodResult r;
   util::Pcg32 rng(seed);
   Timing t;
-  long long dg = 0;
+  std::uint64_t dg = 0;
   const double t0 = now_sec();
   for (int k = 0; k < floods; ++k) {
     engine.run_into(k % n, cfgs, params_for(k), rng, ws, r);
     t.steps += r.steps_simulated;
-    dg = dg * 131 + digest(r);
+    dg = fold(dg, r);
   }
   t.seconds = now_sec() - t0;
   t.floods = floods;
@@ -155,11 +158,11 @@ int main() {
   std::printf("%-18s %12s %12s %10s %10s %8s\n", "scenario", "ref fl/s",
               "opt fl/s", "ref ns/st", "opt ns/st", "speedup");
   for (const Scenario& sc : scenarios) {
-    long long dg_warm;
+    std::uint64_t dg_warm = 0;
     time_optimized(sc, warmup, seed, &dg_warm);  // warm caches, page in code
     time_reference(sc, warmup, seed, &dg_warm);
 
-    long long dg_ref = 0, dg_opt = 0;
+    std::uint64_t dg_ref = 0, dg_opt = 0;
     Timing ref = time_reference(sc, floods, seed, &dg_ref);
     Timing opt = time_optimized(sc, floods, seed, &dg_opt);
     if (dg_ref != dg_opt) {
@@ -189,12 +192,16 @@ int main() {
   }
 
   const std::string path = exp::output_path("flood_hotpath");
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << "{\"bench\": \"flood_hotpath\", \"schema_version\": 1, "
-         "\"simd_backend\": "
-      << util::json_quote(util::simd::backend_name()) << ", \"scenarios\": ["
-      << rows << "]}\n";
-  out.close();
+  try {
+    util::write_file_atomic(
+        path, "{\"bench\": \"flood_hotpath\", \"schema_version\": 1, "
+              "\"simd_backend\": " +
+                  util::json_quote(util::simd::backend_name()) +
+                  ", \"scenarios\": [" + rows + "]}\n");
+  } catch (const std::exception& e) {
+    std::cerr << "cannot write " << path << ": " << e.what() << "\n";
+    return 1;
+  }
   std::cout << "\nwrote " << path << "\n";
 
   if (!identical) return 1;

@@ -1,6 +1,5 @@
 #include "core/trace_env.hpp"
 
-#include <fstream>
 #include <memory>
 
 #include "core/protocol.hpp"
@@ -9,62 +8,6 @@
 namespace dimmer::core {
 
 // ---- TraceDataset ----------------------------------------------------------
-
-void TraceDataset::save(const std::string& path) const {
-  std::ofstream os(path);
-  DIMMER_REQUIRE(os.good(), "cannot open trace file for writing: " + path);
-  os << "dimmer-trace 1\n"
-     << n_nodes_ << ' ' << slot_ms_ << ' ' << steps_.size() << '\n';
-  os.precision(9);
-  for (const auto& step : steps_) {
-    for (const auto& o : step.by_n_tx) {
-      os << (o.coordinator_lossless ? 1 : 0) << ' '
-         << (o.true_lossless ? 1 : 0) << ' ' << o.true_reliability << ' '
-         << o.true_radio_on_ms << '\n';
-      for (int i = 0; i < n_nodes_; ++i)
-        os << o.reliability[static_cast<std::size_t>(i)] << ' '
-           << o.radio_on_ms[static_cast<std::size_t>(i)] << ' '
-           << static_cast<int>(o.fresh[static_cast<std::size_t>(i)]) << ' ';
-      os << '\n';
-    }
-  }
-  DIMMER_REQUIRE(os.good(), "write failure on trace file: " + path);
-}
-
-TraceDataset TraceDataset::load(const std::string& path) {
-  std::ifstream is(path);
-  DIMMER_REQUIRE(is.good(), "cannot open trace file: " + path);
-  std::string magic;
-  int version = 0, n_nodes = 0;
-  double slot_ms = 0.0;
-  std::size_t n_steps = 0;
-  is >> magic >> version >> n_nodes >> slot_ms >> n_steps;
-  DIMMER_REQUIRE(magic == "dimmer-trace" && version == 1,
-                 "not a dimmer-trace v1 file");
-  DIMMER_REQUIRE(n_nodes > 0 && slot_ms > 0.0, "corrupt trace header");
-  TraceDataset ds(n_nodes, slot_ms);
-  for (std::size_t s = 0; s < n_steps; ++s) {
-    TraceStep step;
-    for (auto& o : step.by_n_tx) {
-      int cl = 0, tl = 0;
-      is >> cl >> tl >> o.true_reliability >> o.true_radio_on_ms;
-      o.coordinator_lossless = cl != 0;
-      o.true_lossless = tl != 0;
-      o.reliability.resize(static_cast<std::size_t>(n_nodes));
-      o.radio_on_ms.resize(static_cast<std::size_t>(n_nodes));
-      o.fresh.resize(static_cast<std::size_t>(n_nodes));
-      for (int i = 0; i < n_nodes; ++i) {
-        int fresh = 0;
-        is >> o.reliability[static_cast<std::size_t>(i)] >>
-            o.radio_on_ms[static_cast<std::size_t>(i)] >> fresh;
-        o.fresh[static_cast<std::size_t>(i)] = fresh != 0 ? 1 : 0;
-      }
-    }
-    DIMMER_REQUIRE(is.good(), "corrupt trace file body");
-    ds.push(std::move(step));
-  }
-  return ds;
-}
 
 GlobalSnapshot TraceDataset::to_snapshot(const TraceOutcome& o) const {
   GlobalSnapshot snap(n_nodes_);

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "core/features.hpp"
@@ -61,9 +60,6 @@ class TraceDataset {
   std::size_t size() const { return steps_.size(); }
   const TraceStep& step(std::size_t i) const { return steps_.at(i); }
   void push(TraceStep s) { steps_.push_back(std::move(s)); }
-
-  void save(const std::string& path) const;
-  static TraceDataset load(const std::string& path);
 
   /// Rebuild a GlobalSnapshot from a stored outcome (for feature building).
   GlobalSnapshot to_snapshot(const TraceOutcome& o) const;

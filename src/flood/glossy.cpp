@@ -242,7 +242,7 @@ void GlossyFlood::run_into(phy::NodeId initiator,
           int i = 0;
           // The next three NOLINTs sanction a name-resolution artifact:
           // `vdouble::load` (a register load, no allocation) shares its name
-          // with `TraceDataset::load`, and the call graph widens by name.
+          // with `rl::Mlp::load`, and the call graph widens by name.
           for (; i + kW <= n; i += kW) {
             const vdouble p = vdouble::load(row + i);  // NOLINT-DIMMER(hot-no-alloc)
             (vdouble::load(total + i) + p).store(total + i);  // NOLINT-DIMMER(hot-no-alloc)

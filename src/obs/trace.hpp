@@ -8,8 +8,8 @@
 // The default is no sink at all. Every instrumented component holds an
 // Instrumentation value (two raw pointers, both null by default) and guards
 // each emission site with a pointer check, so with tracing off the hot paths
-// pay one predictable branch — bench_micro's *Instrumented benchmarks
-// measure the difference, and the integration tests assert that tracing
+// pay one predictable branch — bench/perf's obs.trace_overhead measures
+// what an attached sink costs, and the integration tests assert that tracing
 // never perturbs simulation results (sinks observe, they do not touch RNG
 // streams or control flow).
 //

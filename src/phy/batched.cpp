@@ -66,7 +66,7 @@ bool saturated(double sinr_clean_db, double sinr_jam_db, double jam_fraction) {
 // The SINRs of one kW-lane chunk of the step-3b reception chain. Pointers
 // index the chunk's first element; lanes are independent listeners. The
 // pure() annotation cuts a name-resolution artifact: `vdouble::load` (a
-// register load) shares its name with the allocating `TraceDataset::load`.
+// register load) shares its name with the allocating `rl::Mlp::load`.
 // dimmer-lint: pure(may-allocate)
 inline void sinr_chunk(const double* strongest, const double* total,
                        const double* fade, const double* interf,

@@ -64,8 +64,8 @@ class Topology {
   double gain_floor_db() const { return gain_floor_db_; }
   /// Stored gain entries (diagonal included); N^2 when nothing was culled.
   std::size_t gain_nnz() const { return gain_.size(); }
-  /// Bytes held by the CSR gain rows (row_ptr + col + gain) — the number
-  /// bench_flood_scale reports against the 8*N^2 of a dense matrix.
+  /// Bytes held by the CSR gain rows (row_ptr + col + gain), to compare
+  /// against the 8*N^2 of a dense matrix.
   std::size_t gain_storage_bytes() const;
 
   /// Link gain in dB between two nodes (path loss + static shadowing, < 0).

@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "core/scenarios.hpp"
@@ -58,39 +55,6 @@ TEST(TraceCollection, HigherNIsMoreReliableUnderJamming) {
     d8 += ds.step(s).at(8).true_reliability;
   }
   EXPECT_GT(d8, d1);
-}
-
-TEST(TraceDatasetIo, SaveLoadRoundTrip) {
-  TraceDataset ds = small_dataset(8);
-  std::string path = ::testing::TempDir() + "dimmer_trace_test.txt";
-  ds.save(path);
-  TraceDataset loaded = TraceDataset::load(path);
-  ASSERT_EQ(loaded.size(), ds.size());
-  EXPECT_EQ(loaded.n_nodes(), ds.n_nodes());
-  for (std::size_t s = 0; s < ds.size(); ++s) {
-    for (int n = 1; n <= kNMax; ++n) {
-      const TraceOutcome& a = ds.step(s).at(n);
-      const TraceOutcome& b = loaded.step(s).at(n);
-      EXPECT_EQ(a.true_lossless, b.true_lossless);
-      EXPECT_FLOAT_EQ(a.true_reliability, b.true_reliability);
-      for (int i = 0; i < 18; ++i) {
-        EXPECT_FLOAT_EQ(a.reliability[i], b.reliability[i]);
-        EXPECT_EQ(a.fresh[i], b.fresh[i]);
-      }
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceDatasetIo, LoadRejectsGarbage) {
-  std::string path = ::testing::TempDir() + "dimmer_trace_bad.txt";
-  {
-    std::ofstream os(path);
-    os << "wrong-magic 9\n";
-  }
-  EXPECT_THROW(TraceDataset::load(path), util::RequireError);
-  std::remove(path.c_str());
-  EXPECT_THROW(TraceDataset::load("/does/not/exist"), util::RequireError);
 }
 
 TEST(TraceEnv, ResetAndEpisodeLength) {

@@ -244,31 +244,38 @@ TEST(SparseLinkModel, StorageScalesWithSurvivorsNotNodes) {
   EXPECT_LT(sparse.storage_bytes(), sizeof(double) * un * un / 4);
 }
 
-TEST(SparseLinkModel, CullingPreservesDeliveryRatioOnDcube48) {
-  // With real culling the per-reception outcomes may differ (interference
-  // sums lose sub-floor terms and RNG streams drift after the first skipped
-  // listener), but the culled power is below the noise floor, so the
-  // *aggregate* delivery ratio must stay put.
-  Topology topo = make_dcube48_topology();
-  InterferenceField field;
-  core::add_static_jamming(field, topo, 0.3);
-  const int n = topo.size();
+/// Cycling-initiator floods, every node forwarding `n_tx` times in
+/// `slot_len` slots `period` apart, through full rows of `unculled_topo` and
+/// through `culled_topo` under `links_cfg`. With real culling the
+/// per-reception outcomes may differ (interference sums lose sub-floor terms
+/// and RNG streams drift after the first skipped listener), but the culled
+/// power is below the noise floor, so the *aggregate* delivery ratio must
+/// stay put.
+void expect_culling_preserves_delivery(const Topology& unculled_topo,
+                                       const Topology& culled_topo,
+                                       const InterferenceField& field,
+                                       SparseLinkModel::Config links_cfg,
+                                       sim::TimeUs slot_len,
+                                       sim::TimeUs period, int n_tx,
+                                       int floods) {
+  const int n = unculled_topo.size();
+  ASSERT_EQ(culled_topo.size(), n);
   const std::vector<flood::NodeFloodConfig> cfgs(
-      static_cast<std::size_t>(n), flood::NodeFloodConfig{2, true});
+      static_cast<std::size_t>(n), flood::NodeFloodConfig{n_tx, true});
 
-  flood::GlossyFlood unculled_engine(topo, field);
-  SparseLinkModel links(topo, bounded_margin(n));
+  flood::GlossyFlood unculled_engine(unculled_topo, field);
+  SparseLinkModel links(culled_topo, links_cfg);
   flood::GlossyFlood culled_engine(links, field);
 
-  const int kFloods = 200;
   util::Pcg32 rng_unculled(2026);
   util::Pcg32 rng_culled(2026);
   flood::FloodWorkspace ws_unculled, ws_culled;
   flood::FloodResult r_unculled, r_culled;
   double sum_unculled = 0.0, sum_culled = 0.0;
-  for (int k = 0; k < kFloods; ++k) {
+  for (int k = 0; k < floods; ++k) {
     flood::FloodParams p;
-    p.slot_start_us = k * sim::ms(25);
+    p.slot_len_us = slot_len;
+    p.slot_start_us = k * period;
     const NodeId init = static_cast<NodeId>(k % n);
     unculled_engine.run_into(init, cfgs, p, rng_unculled, ws_unculled,
                              r_unculled);
@@ -276,8 +283,29 @@ TEST(SparseLinkModel, CullingPreservesDeliveryRatioOnDcube48) {
     sum_unculled += r_unculled.delivery_ratio();
     sum_culled += r_culled.delivery_ratio();
   }
-  EXPECT_NEAR(sum_culled / kFloods, sum_unculled / kFloods, 0.05);
-  EXPECT_GT(sum_culled / kFloods, 0.5);  // the culled floods actually flood
+  EXPECT_NEAR(sum_culled / floods, sum_unculled / floods, 0.05);
+  EXPECT_GT(sum_culled / floods, 0.5);  // the culled floods actually flood
+}
+
+TEST(SparseLinkModel, CullingPreservesDeliveryRatioOnDcube48) {
+  Topology topo = make_dcube48_topology();
+  InterferenceField field;
+  core::add_static_jamming(field, topo, 0.3);
+  expect_culling_preserves_delivery(topo, topo, field,
+                                    bounded_margin(topo.size()), sim::ms(20),
+                                    sim::ms(25), 2, 200);
+}
+
+TEST(SparseLinkModel, CullingPreservesDeliveryRatioOnCulledCampus) {
+  // A construction-culled campus under the default 20 dB margin: sub-floor
+  // links are never stored, and campus floods cross several hops, so the
+  // slots are 60 ms instead of the office's 20 ms.
+  const Topology full = make_campus_topology(128);
+  const Topology culled = make_campus_topology_culled(
+      128, 1, gain_cull_floor_db(RadioConstants{}, 20.0));
+  expect_culling_preserves_delivery(full, culled, InterferenceField{},
+                                    SparseLinkModel::Config{}, sim::ms(60),
+                                    sim::ms(80), 2, 20);
 }
 
 }  // namespace
