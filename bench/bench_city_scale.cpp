@@ -2,8 +2,10 @@
 //
 // The paper's central-coordinator design tops out at one LWB cell; this
 // harness exercises the multi-cell federation on a 1024-node campus
-// topology partitioned into 8 cells backed by the culled CSR topology and
-// SparseLinkModel. Two scenarios per protocol:
+// topology culled at construction at the 20 dB floor (gain_cull_floor_db)
+// and partitioned into 8 cells, whose SparseLinkModels flood the stored
+// rows and skip listeners no stored link reaches. Two scenarios per
+// protocol:
 //
 //  - "steady": periodic flows from every cell bridge hop-by-hop across
 //    gateways to the global sink; no faults.

@@ -10,7 +10,11 @@ namespace dimmer::core {
 Cell::Cell(const phy::Topology& global_topo,
            const phy::InterferenceField& interference, CellConfig cfg,
            std::unique_ptr<AdaptivityController> controller, std::uint64_t seed)
-    : cfg_(std::move(cfg)), topo_(global_topo.restricted(cfg_.members)) {
+    : cfg_(std::move(cfg)),
+      topo_(global_topo.restricted(cfg_.members)),
+      links_(topo_, cfg_.sparse_links
+                        ? phy::SparseLinkModel::Listeners::kSkipUnreached
+                        : phy::SparseLinkModel::Listeners::kDrawAll) {
   DIMMER_REQUIRE(cfg_.cell_id >= 0, "cell_id must be >= 0");
 
   global_to_local_.assign(static_cast<std::size_t>(global_topo.size()), -1);
@@ -24,17 +28,10 @@ Cell::Cell(const phy::Topology& global_topo,
   for (phy::NodeId& b : local.failover.backups) b = to_local(b);
   for (phy::NodeId& f : local.feedback_nodes) f = to_local(f);
 
-  const phy::NodeId coord = to_local(cfg_.coordinator);
-  if (cfg_.sparse_links) {
-    links_ = std::make_unique<phy::SparseLinkModel>(topo_);
-    net_ = std::make_unique<DimmerNetwork>(*links_, interference,
-                                           std::move(local),
-                                           std::move(controller), coord, seed);
-  } else {
-    net_ = std::make_unique<DimmerNetwork>(topo_, interference,
-                                           std::move(local),
-                                           std::move(controller), coord, seed);
-  }
+  net_ = std::make_unique<DimmerNetwork>(links_, interference,
+                                         std::move(local),
+                                         std::move(controller),
+                                         to_local(cfg_.coordinator), seed);
 }
 
 bool Cell::is_member(phy::NodeId global) const {

@@ -47,9 +47,9 @@ struct CellConfig {
   /// the cell coordinator). fault_plan node ids are cell-LOCAL: fault plans
   /// are authored against one cell's own timeline.
   ProtocolConfig protocol;
-  /// Cull sub-floor links: back the flood engine with a SparseLinkModel at
-  /// its default 20 dB margin over the cell topology (city scale) instead
-  /// of the engine's own unculled one. Either way the links are CSR rows.
+  /// Let the flood engine skip packet-less listeners that no stored link
+  /// reaches (SparseLinkModel::Listeners::kSkipUnreached; city scale).
+  /// Which links exist is the topology's choice: culling is its gain floor.
   bool sparse_links = false;
   /// This cell's round-start offset inside the federation round period.
   /// Neighboring cells get opposite parity offsets so a shared gateway is
@@ -99,7 +99,7 @@ class Cell {
  private:
   CellConfig cfg_;
   phy::Topology topo_;  // restricted to cfg_.members (owned; net_ borrows)
-  std::unique_ptr<phy::SparseLinkModel> links_;  // only when sparse_links
+  phy::SparseLinkModel links_;  // over topo_ (net_ borrows)
   std::unique_ptr<DimmerNetwork> net_;
   lwb::Scheduler sched_;
   std::vector<phy::NodeId> global_to_local_;  // -1 = not a member

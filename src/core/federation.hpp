@@ -61,7 +61,8 @@ struct FederationConfig {
   /// Global sink node; its stripe becomes the root cell. Also the delivery
   /// target of every flow.
   phy::NodeId sink = 0;
-  /// Cells cull sub-floor links (CellConfig::sparse_links; city scale).
+  /// Cells skip listeners no stored link reaches (CellConfig::sparse_links;
+  /// city scale). The culling itself is the topology's gain floor.
   bool sparse_links = true;
   /// Per-cell backup coordinators auto-assigned (the next N lowest own-node
   /// ids after the coordinator; the cell's own gateway is never picked for

@@ -51,8 +51,7 @@ FloodResult FloodResult::silent(int n_nodes, phy::NodeId initiator) {
 
 GlossyFlood::GlossyFlood(const phy::Topology& topo,
                          const phy::InterferenceField& interf)
-    : owned_links_(std::make_unique<phy::SparseLinkModel>(
-          topo, phy::SparseLinkModel::Config::no_culling())),
+    : owned_links_(std::make_unique<phy::SparseLinkModel>(topo)),
       links_(owned_links_.get()),
       interf_(interf, topo) {}
 
@@ -255,7 +254,7 @@ void GlossyFlood::run_into(phy::NodeId initiator,
             strongest[i] = std::max(strongest[i], p_mw);
           }
         } else {
-          // A partial row (culled, or links that do not exist): scatter.
+          // A partial row (links the Topology does not store): scatter.
           for (std::size_t k = begin; k < end; ++k) {
             const double p_mw = links.mw[k];
             const auto rx = static_cast<std::size_t>(links.col[k]);
@@ -291,15 +290,15 @@ void GlossyFlood::run_into(phy::NodeId initiator,
       s.radio_on += step_len;  // TX or RX, the radio is on this step
       if (ws.is_tx[static_cast<std::size_t>(i)] || !any_tx) continue;
       if (s.has_packet) continue;  // re-receptions only maintain sync
-      // Culling backends: a listener no surviving link reaches sees exactly
-      // zero concurrent power, so its success probability is < 1e-86 —
-      // reachable only by a uniform() draw of exactly 0.0 (p = 2^-53).
-      // Skipping it before the interference sample and both RNG draws is
-      // what makes the step cost scale with the flood frontier instead of
-      // N. Without a culling floor the view holds every physical link, so
-      // the listener is drawn for exactly as the direct-Topology loop does
-      // and the RNG stream stays bit-identical to it.
-      if (links.culled && ws.strongest_mw[static_cast<std::size_t>(i)] == 0.0)
+      // A listener no stored link reaches sees exactly zero concurrent
+      // power, so its success probability is < 1e-86 — reachable only by a
+      // uniform() draw of exactly 0.0 (p = 2^-53). Skipping it before the
+      // interference sample and both RNG draws is what makes the step cost
+      // scale with the flood frontier instead of N. A view that does not
+      // ask for the skip gets the draws the direct-Topology loop makes, so
+      // the RNG stream stays bit-identical to it.
+      if (links.skip_unreached &&
+          ws.strongest_mw[static_cast<std::size_t>(i)] == 0.0)
         continue;
 
       const auto r = static_cast<std::size_t>(n_rx);

@@ -19,11 +19,11 @@
 // precomputed linear-domain (mW) CSR rows — rather than per-reception
 // dBm->mW conversions, and all per-flood scratch lives in a caller-owned
 // FloodWorkspace so `run_into` allocates nothing in steady state. Full rows
-// are swept lanewise, partial rows scattered; a culling backend's view also
-// lets the step loop skip listeners no surviving link reaches. Interference
-// goes through a phy::BoundInterference: source-to-node powers are tabulated
-// once per engine and source activity is evaluated once per step, not once
-// per listener. Without culling, results are bit-identical to the historical
+// are swept lanewise, partial rows scattered; a view may also let the step
+// loop skip listeners no stored link reaches. Interference goes through a
+// phy::BoundInterference: source-to-node powers are tabulated once per
+// engine and source activity is evaluated once per step, not once per
+// listener. Without the skip, results are bit-identical to the historical
 // direct-Topology engine (asserted by tests/flood/test_differential.cpp
 // against a frozen reference copy).
 #pragma once
@@ -133,8 +133,8 @@ struct [[nodiscard]] FloodResult {
 class GlossyFlood {
  public:
   /// Convenience: binds an internally-owned SparseLinkModel over `topo`
-  /// with culling disabled (every existing link, bit-identical to the
-  /// direct-Topology loop).
+  /// that draws for every listener (bit-identical to the direct-Topology
+  /// loop, on culled and unculled topologies alike).
   GlossyFlood(const phy::Topology& topo, const phy::InterferenceField& interf);
 
   /// Binds an external LinkModel backend (non-owning; must outlive the

@@ -110,9 +110,9 @@ class RoundExecutor {
   RoundExecutor(const phy::Topology& topo,
                 const phy::InterferenceField& interference, RoundConfig cfg);
 
-  /// Binds an external LinkModel backend instead of the engine's own
-  /// unculled one (non-owning; must outlive the executor). This is how a
-  /// federation cell runs its rounds over a culling SparseLinkModel.
+  /// Binds an external LinkModel backend instead of the engine's own one
+  /// (non-owning; must outlive the executor). This is how a federation cell
+  /// runs its rounds over its own SparseLinkModel.
   RoundExecutor(phy::LinkModel& links,
                 const phy::InterferenceField& interference, RoundConfig cfg);
 

@@ -117,7 +117,8 @@ inline V frame_success_kernel(V sinr_clean_db, V sinr_jammed_db,
 }  // namespace simd_kernels
 
 /// Batch phy::dbm_to_mw: mw[i] = 10^(dbm[i]/10) for i in [0, count).
-/// Scalar backend: bitwise std::pow(10.0, dbm/10.0).
+/// Scalar backend: bitwise std::pow(10.0, dbm/10.0). May run in place
+/// (dbm == mw): each chunk is loaded before it is stored.
 void dbm_to_mw_batch(const double* dbm, double* mw, int count);
 
 /// Rule 2 of the settled receptions (DESIGN.md §12): a listener gets

@@ -11,8 +11,9 @@
 //     dbm_to_mw(topo.rx_power_dbm(tx, rx, tx_power_dbm))
 //
 // — so flood results stay bit-identical to evaluating the Topology inline.
-// CSR is the only link format: a backend that keeps every link simply
-// stores full rows, which the engine sweeps lanewise (DESIGN.md §10, §13).
+// CSR is the only link format: a row holds the links its Topology stores,
+// and a full row (a Topology that kept every link) is swept lanewise
+// (DESIGN.md §10, §13).
 //
 // The seam also decouples the flood engine from the Topology class itself:
 // alternate backends (trace-driven gain matrices, GPU-resident batches,
@@ -38,12 +39,10 @@ struct SparseLinkView {
   const NodeId* col = nullptr;           ///< listener ids, ascending per row
   const double* mw = nullptr;            ///< received powers, parallel to col
   int n = 0;
-  /// True when the backend dropped links above -infinity dBm (a finite
-  /// culling floor). Only then may the engine skip a listener whose
-  /// accumulated power is exactly 0.0: with no such floor the view holds
-  /// every physical link, and the engine must draw for unreachable listeners
-  /// exactly as the direct-Topology loop does.
-  bool culled = false;
+  /// The engine may skip a packet-less listener whose accumulated power is
+  /// exactly 0.0 (no stored link from any transmitter reaches it). False:
+  /// it draws for such listeners exactly as the direct-Topology loop does.
+  bool skip_unreached = false;
 
   std::size_t nnz() const {
     return row_ptr == nullptr ? 0 : row_ptr[static_cast<std::size_t>(n)];

@@ -437,6 +437,10 @@ Topology make_campus_topology_culled(int n, std::uint64_t shadow_seed,
 
 double gain_cull_floor_db(const RadioConstants& radio, double cull_margin_db,
                           double max_tx_power_dbm) {
+  // A NaN margin would give a NaN floor; a zero or negative one would cull
+  // links *above* the noise floor, which is a config error, not a model.
+  DIMMER_REQUIRE(cull_margin_db > 0.0,
+                 "cull_margin_db must be positive (may be +inf)");
   return radio.noise_floor_dbm - cull_margin_db - max_tx_power_dbm;
 }
 

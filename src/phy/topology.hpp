@@ -41,6 +41,14 @@ struct GainRow {
   std::size_t size;
 };
 
+/// The whole stored CSR (Topology::gain_csr): n+1 row offsets into `col`,
+/// which holds every row's column ids back to back — the arrays gain_row()
+/// slices. Points into the Topology, which must outlive it.
+struct GainCsr {
+  const std::size_t* row_ptr;
+  const NodeId* col;
+};
+
 class Topology {
  public:
   /// Builds the CSR gain rows. `shadow_seed` fixes the lognormal shadowing
@@ -78,6 +86,9 @@ class Topology {
   /// The stored gain row of `tx` (same debug-only bounds policy as
   /// gain_db). Walking rows visits exactly the links that exist.
   GainRow gain_row(NodeId tx) const;
+
+  /// The row offsets and column ids of every stored gain row.
+  GainCsr gain_csr() const { return {row_ptr_.data(), col_.data()}; }
 
   /// Received power in dBm at `rx` for a transmission from `tx`. Same
   /// debug-only bounds policy as gain_db.
@@ -195,12 +206,11 @@ Topology make_campus_topology(int n, std::uint64_t shadow_seed = 1);
 Topology make_campus_topology_culled(int n, std::uint64_t shadow_seed,
                                      double gain_floor_db);
 
-/// A gain floor consistent with SparseLinkModel's rx-power culling: a link
-/// culled at construction (gain < floor) would also have been culled by a
-/// SparseLinkModel with `cull_margin_db` at any TX power <= max_tx_power_dbm,
-/// because rx_power = tx_power + gain < noise_floor - margin. Topology-level
-/// culling with this floor therefore never removes a link the link model
-/// would have kept.
+/// The gain floor that culls exactly the links whose rx power would sit
+/// more than `cull_margin_db` below the noise floor at every TX power <=
+/// max_tx_power_dbm: a link with gain < floor has rx_power = tx_power + gain
+/// < noise_floor - margin. The margin must be positive (+infinity keeps
+/// every link); 0, negative or NaN margins throw util::RequireError.
 double gain_cull_floor_db(const RadioConstants& radio, double cull_margin_db,
                           double max_tx_power_dbm = 0.0);
 

@@ -182,10 +182,12 @@ Mlp Mlp::load(std::istream& is) {
                    "corrupt mlp stream: layer shapes do not chain");
     prev_out = l.out;
     l.relu = relu != 0;
-    l.w.resize(static_cast<std::size_t>(l.in) * l.out);
-    l.b.resize(static_cast<std::size_t>(l.out));
-    for (double& w : l.w) is >> w;
-    for (double& b : l.b) is >> b;
+    // Grow with the values actually read, never from the header alone: a
+    // header may claim 2^32 weights in a 30-byte stream.
+    const std::size_t n_w = static_cast<std::size_t>(l.in) * l.out;
+    double v = 0.0;
+    while (l.w.size() < n_w && is >> v) l.w.push_back(v);
+    while (static_cast<int>(l.b.size()) < l.out && is >> v) l.b.push_back(v);
     DIMMER_REQUIRE(!is.fail(), "corrupt mlp stream: truncated weights");
     for (double w : l.w)
       DIMMER_REQUIRE(std::isfinite(w), "non-finite weight in mlp stream");

@@ -40,8 +40,10 @@ std::vector<std::int32_t> QuantizedMlp::forward_fixed(
                              l.b[static_cast<std::size_t>(o)]) *
                          scale_;
       const std::int16_t* wrow = &l.w[static_cast<std::size_t>(o) * l.in];
+      // 64-bit products: an int16 weight times a hidden activation above
+      // 2^16 overflows int.
       for (int i = 0; i < l.in; ++i)
-        acc += static_cast<std::int32_t>(wrow[i]) *
+        acc += static_cast<std::int64_t>(wrow[i]) *
                cur[static_cast<std::size_t>(i)];
       // Back to scale-100; truncation toward zero, like MCU int division.
       std::int32_t v = static_cast<std::int32_t>(acc / scale_);

@@ -160,16 +160,18 @@ TEST(Cell, TracesCarryCellTag) {
 }
 
 /// A sparse-links Cell covering all nodes must be bit-identical to a bare
-/// DimmerNetwork bound to a SparseLinkModel over the global topology: the
-/// identity restriction copies every gain bit-for-bit, so both CSR builds
-/// cull exactly the same links.
+/// DimmerNetwork bound to a listener-skipping SparseLinkModel over the
+/// global topology: the identity restriction copies every stored gain
+/// bit-for-bit, so both models hold exactly the same links.
 TEST(Cell, SparseLinksFullMembershipBitIdenticalToBareSparseNetwork) {
-  phy::Topology topo = phy::make_campus_topology(48, 5);
+  phy::Topology topo = phy::make_campus_topology_culled(
+      48, 5, phy::gain_cull_floor_db(phy::RadioConstants{}, 20.0));
   phy::InterferenceField field;
   const std::vector<phy::NodeId> sources = all_sources(48);
   const std::uint64_t seed = 9;
 
-  phy::SparseLinkModel links(topo);  // default 20 dB culling margin
+  phy::SparseLinkModel links(topo,
+                             phy::SparseLinkModel::Listeners::kSkipUnreached);
   DimmerNetwork bare(links, field, ProtocolConfig{},
                      std::make_unique<StaticController>(3), 0, seed);
 

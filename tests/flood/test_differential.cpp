@@ -79,7 +79,7 @@ void expect_same_rng_state(util::Pcg32& a, util::Pcg32& b) {
 class DiagonalFreeLinkModel final : public phy::LinkModel {
  public:
   explicit DiagonalFreeLinkModel(const phy::Topology& topo)
-      : inner_(topo, phy::SparseLinkModel::Config::no_culling()) {}
+      : inner_(topo) {}
 
   const phy::Topology& topology() const override { return inner_.topology(); }
 
@@ -97,7 +97,7 @@ class DiagonalFreeLinkModel final : public phy::LinkModel {
       row_ptr_.push_back(col_.size());
     }
     view_ = phy::SparseLinkView{row_ptr_.data(), col_.data(), mw_.data(),
-                                full.n, full.culled};
+                                full.n, full.skip_unreached};
     return view_;
   }
 

@@ -14,16 +14,14 @@
 #include "core/scenarios.hpp"
 #include "core/trace_env.hpp"
 #include "flood/glossy.hpp"
-#include "json_validator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "phy/topology.hpp"
 #include "rl/dqn.hpp"
+#include "util/json_parse.hpp"
 
 namespace dimmer {
 namespace {
-
-using dimmer::test::JsonValidator;
 
 core::DimmerNetwork make_net(const phy::Topology& topo,
                              const phy::InterferenceField& field,
@@ -82,7 +80,7 @@ TEST(Instrumentation, EmitsEventsFromEveryLayer) {
   std::set<std::string> kinds;
   for (const obs::TraceEvent& e : ring.events()) {
     kinds.insert(e.kind);
-    EXPECT_TRUE(JsonValidator::valid(e.to_jsonl())) << e.to_jsonl();
+    EXPECT_NO_THROW(util::json::parse(e.to_jsonl())) << e.to_jsonl();
   }
   EXPECT_TRUE(kinds.count("flood"));
   EXPECT_TRUE(kinds.count("lwb_round"));
@@ -150,7 +148,7 @@ TEST(Instrumentation, DqnAgentEmitsStepEvents) {
   EXPECT_GT(metrics.counters().at("dqn.train_steps"), 0u);
   for (const obs::TraceEvent& e : ring.events()) {
     EXPECT_EQ(e.kind, "dqn_step");
-    EXPECT_TRUE(JsonValidator::valid(e.to_jsonl()));
+    EXPECT_NO_THROW(util::json::parse(e.to_jsonl()));
   }
 }
 

@@ -11,13 +11,11 @@
 #include <string>
 #include <vector>
 
-#include "json_validator.hpp"
 #include "util/check.hpp"
+#include "util/json_parse.hpp"
 
 namespace dimmer::obs {
 namespace {
-
-using dimmer::test::JsonValidator;
 
 TEST(TraceEvent, JsonlContainsHeaderAndFields) {
   TraceEvent e;
@@ -29,7 +27,7 @@ TEST(TraceEvent, JsonlContainsHeaderAndFields) {
   e.tag("scenario", "dimmer");
 
   std::string line = e.to_jsonl();
-  EXPECT_TRUE(JsonValidator::valid(line)) << line;
+  EXPECT_NO_THROW(util::json::parse(line)) << line;
   EXPECT_NE(line.find("\"event\": \"flood\""), std::string::npos);
   EXPECT_NE(line.find("\"round\": 42"), std::string::npos);
   EXPECT_NE(line.find("\"t_us\": 168000"), std::string::npos);
@@ -43,7 +41,7 @@ TEST(TraceEvent, OmitsEmptySectionsAndEscapesStrings) {
   TraceEvent e;
   e.kind = "a\"b\nc";
   std::string line = e.to_jsonl();
-  EXPECT_TRUE(JsonValidator::valid(line)) << line;
+  EXPECT_NO_THROW(util::json::parse(line)) << line;
   EXPECT_EQ(line.find("fields"), std::string::npos);
   EXPECT_EQ(line.find("tags"), std::string::npos);
   EXPECT_NE(line.find("\\\""), std::string::npos);
@@ -55,7 +53,7 @@ TEST(TraceEvent, NonFiniteFieldsBecomeNull) {
   e.kind = "x";
   e.f("bad", std::numeric_limits<double>::infinity());
   std::string line = e.to_jsonl();
-  EXPECT_TRUE(JsonValidator::valid(line)) << line;
+  EXPECT_NO_THROW(util::json::parse(line)) << line;
   EXPECT_NE(line.find("\"bad\": null"), std::string::npos);
 }
 
@@ -104,7 +102,7 @@ TEST(JsonlFileSink, WritesOneValidLinePerEvent) {
   std::string line;
   int n = 0;
   while (std::getline(in, line)) {
-    EXPECT_TRUE(JsonValidator::valid(line)) << line;
+    EXPECT_NO_THROW(util::json::parse(line)) << line;
     ++n;
   }
   EXPECT_EQ(n, 10);
@@ -153,7 +151,7 @@ TEST(JsonlFileSink, WriteFailureLatchesAndDropsInsteadOfThrowing) {
   std::string line;
   int n = 0;
   while (std::getline(in, line)) {
-    EXPECT_TRUE(JsonValidator::valid(line)) << line;
+    EXPECT_NO_THROW(util::json::parse(line)) << line;
     ++n;
   }
   EXPECT_EQ(n, 2);

@@ -19,12 +19,12 @@ namespace {
 TEST(LinkModel, EntriesMatchTopologyPerBackendContract) {
   Topology topo = make_office18_topology();
   const int n = topo.size();
-  SparseLinkModel model(topo, SparseLinkModel::Config::no_culling());
+  SparseLinkModel model(topo);
   for (double power : {0.0, -7.0, 3.5}) {
     SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
     const SparseLinkView& v = model.prepare(power);
     ASSERT_EQ(v.n, n);
-    EXPECT_FALSE(v.culled);
+    EXPECT_FALSE(v.skip_unreached);
     for (NodeId tx = 0; tx < n; ++tx) {
       // Every link of a dense topology exists: full rows, col[k] == k.
       ASSERT_EQ(v.row_end(tx) - v.row_begin(tx), static_cast<std::size_t>(n));
@@ -48,13 +48,13 @@ TEST(LinkModel, EntriesMatchTopologyPerBackendContract) {
   }
 }
 
-// The link cache GlossyFlood's convenience constructor owns (an unculled
+// The link cache GlossyFlood's convenience constructor owns (a draw-all
 // SparseLinkModel), driven through the engine as callers drive it.
 const SparseLinkModel& owned_links(const flood::GlossyFlood& engine) {
   return dynamic_cast<const SparseLinkModel&>(engine.link_model());
 }
 
-TEST(CachedLinkModel, PrepareRejectsNonFiniteTxPower) {
+TEST(SparseLinkModel, PrepareRejectsNonFiniteTxPower) {
   // Regression: the cache once keyed on `power != cached_`. NaN != NaN is
   // always true, so a NaN tx power rebuilt every link on EVERY flood (and
   // filled them with NaN mW). Non-finite powers now REQUIRE-fail.
@@ -73,7 +73,7 @@ TEST(CachedLinkModel, PrepareRejectsNonFiniteTxPower) {
   EXPECT_EQ(owned_links(engine).rebuilds(), 0);  // rejected before caching
 }
 
-TEST(CachedLinkModel, RebuildsStayFlatAcrossSamePowerFloods) {
+TEST(SparseLinkModel, RebuildsStayFlatAcrossSamePowerFloods) {
   // The user-visible half of the NaN regression: repeated floods at one TX
   // power must hit the cache every time after the first build.
   Topology topo = make_office18_topology();
@@ -89,7 +89,7 @@ TEST(CachedLinkModel, RebuildsStayFlatAcrossSamePowerFloods) {
   }
 }
 
-TEST(CachedLinkModel, RebuildsOnlyOnPowerChange) {
+TEST(SparseLinkModel, RebuildsOnlyOnPowerChange) {
   Topology topo = make_line_topology(5, 10.0);
   InterferenceField field;
   flood::GlossyFlood engine(topo, field);
@@ -167,7 +167,7 @@ TEST(LinkModel, CustomBackendDrivesFloodEngine) {
 TEST(LinkModel, OwningAndSeamConstructorsAgree) {
   Topology topo = make_office18_topology();
   InterferenceField field;
-  SparseLinkModel model(topo, SparseLinkModel::Config::no_culling());
+  SparseLinkModel model(topo);
 
   flood::GlossyFlood via_seam(model, field);
   flood::GlossyFlood owning(topo, field);

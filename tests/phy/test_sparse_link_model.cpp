@@ -1,15 +1,15 @@
 // SparseLinkModel unit + property suite (DESIGN.md §13).
 //
-// Four contracts are pinned here: (a) with culling disabled every CSR row of
-// a dense topology is full and bitwise equal to the full-row dBm->mW batch
-// conversion, and links that do not exist are never stored, (b) with
-// culling enabled the model drops exactly the links below the configured
-// floor — survivors keep their full-row bits — (c) the culled power any
-// listener could lose is provably bounded: each culled link sits below the
-// floor, so the per-listener sum is below floor_mw * fan-in, which a margin
-// of headroom + 10*log10(n-1) dB keeps under the noise floor itself, and
-// (d) that bound shows up end to end: culled floods deliver like unculled
-// ones.
+// Four contracts are pinned here: (a) on a dense topology every CSR row is
+// full and bitwise equal to the full-row dBm->mW batch conversion, and links
+// the topology does not store are never stored, (b) the rows are the
+// Topology's own rows — its offsets and columns, the links at or above its
+// construction-time floor — and every stored link keeps its full-row bits,
+// (c) the power a listener loses to that floor is provably bounded: each
+// culled link sits below the floor, so the per-listener sum is below
+// floor_mw * fan-in, which a margin of headroom + 10*log10(n-1) dB keeps
+// under the noise floor itself, and (d) that bound shows up end to end:
+// floods on a culled topology deliver like unculled ones.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -42,14 +42,24 @@ std::vector<double> full_row_mw(const Topology& topo, NodeId tx,
   return mw;
 }
 
-/// A culling config whose summed culled power at any listener stays at
+/// A culling margin whose summed culled power at any listener stays at
 /// least `headroom_db` below the noise floor even if all n-1 other nodes
 /// transmit at once: floor_mw * (n-1) <= noise_mw * 10^(-headroom_db/10)
 /// <=> margin_db >= headroom_db + 10*log10(n-1).
-SparseLinkModel::Config bounded_margin(int n, double headroom_db = 10.0) {
-  SparseLinkModel::Config c;
-  c.cull_margin_db = headroom_db + 10.0 * std::log10(static_cast<double>(n - 1));
-  return c;
+double bounded_margin(int n, double headroom_db = 10.0) {
+  return headroom_db + 10.0 * std::log10(static_cast<double>(n - 1));
+}
+
+/// `topo` rebuilt with its links culled at construction: gains below
+/// gain_cull_floor_db(radio, margin_db) are not stored. Stored gains keep
+/// their bits (same positions, model and shadowing seed).
+Topology culled_at_construction(const Topology& topo, double margin_db) {
+  std::vector<Vec2> positions;
+  for (NodeId i = 0; i < topo.size(); ++i)
+    positions.push_back(topo.position(i));
+  return Topology(positions, topo.path_loss(), topo.radio(),
+                  topo.shadow_seed(),
+                  gain_cull_floor_db(topo.radio(), margin_db));
 }
 
 TEST(SparseLinkModel, NoCullingRowsBitwiseMatchDense) {
@@ -60,14 +70,14 @@ TEST(SparseLinkModel, NoCullingRowsBitwiseMatchDense) {
     const int n = topo.size();
     const auto un = static_cast<std::size_t>(n);
 
-    SparseLinkModel sparse(topo, SparseLinkModel::Config::no_culling());
+    SparseLinkModel sparse(topo);
 
     for (double power : {0.0, -7.0, 3.0}) {
       SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
       const SparseLinkView& got = sparse.prepare(power);
       ASSERT_EQ(got.n, n);
-      ASSERT_EQ(got.nnz(), un * un);  // every link survives
-      EXPECT_FALSE(got.culled);
+      ASSERT_EQ(got.nnz(), un * un);  // every link is stored
+      EXPECT_FALSE(got.skip_unreached);
       for (NodeId tx = 0; tx < n; ++tx) {
         const std::vector<double> row = full_row_mw(topo, tx, power);
         const std::size_t begin = got.row_begin(tx);
@@ -86,59 +96,68 @@ TEST(SparseLinkModel, NoCullingRowsBitwiseMatchDense) {
 }
 
 TEST(SparseLinkModel, NoCullingStoresOnlyExistingLinks) {
-  // Regression: with no_culling (floor -inf) the keep test `dbm >= floor`
-  // also passed the -inf dBm pairs a construction-culled Topology reports
-  // for links that do not exist, so the CSR held N^2 entries, the missing
-  // links as 0.0 mW. Only finite-dBm links may be stored.
+  // Regression: a keep test `dbm >= -inf` once also passed the -inf dBm
+  // pairs a construction-culled Topology reports for links that do not
+  // exist, so the CSR held N^2 entries, the missing links as 0.0 mW. Only
+  // the Topology's stored, finite-dBm links may be stored.
   const double floor_db = gain_cull_floor_db(RadioConstants{}, 20.0);
   Topology topo = make_campus_topology_culled(256, 1, floor_db);
   ASSERT_LT(topo.gain_nnz(), static_cast<std::size_t>(256) * 256);
-  SparseLinkModel sparse(topo, SparseLinkModel::Config::no_culling());
+  SparseLinkModel sparse(topo);
   const SparseLinkView& view = sparse.prepare(0.0);
-  EXPECT_EQ(sparse.nnz(), topo.gain_nnz());
-  EXPECT_FALSE(view.culled);  // no floor: the engine draws every listener
+  EXPECT_EQ(view.nnz(), topo.gain_nnz());
+  EXPECT_FALSE(view.skip_unreached);  // the engine draws every listener
   for (std::size_t k = 0; k < view.nnz(); ++k) EXPECT_GT(view.mw[k], 0.0);
 }
 
-TEST(SparseLinkModel, CulledFlagFollowsTheFloor) {
+TEST(SparseLinkModel, ListenerSkipFollowsTheConstructor) {
   Topology topo = make_office18_topology();
-  SparseLinkModel unculled(topo, SparseLinkModel::Config::no_culling());
-  SparseLinkModel culled(topo);
-  EXPECT_FALSE(unculled.prepare(0.0).culled);
-  // Office links all clear the 20 dB margin, so rows stay full — the flag
-  // keys on the configured floor, not on whether anything was dropped.
-  const SparseLinkView& v = culled.prepare(0.0);
-  EXPECT_TRUE(v.culled);
+  SparseLinkModel draw_all(topo);
+  SparseLinkModel skip(topo, SparseLinkModel::Listeners::kSkipUnreached);
+  EXPECT_FALSE(draw_all.prepare(0.0).skip_unreached);
+  // Office rows are full, so no listener is ever unreached — the flag keys
+  // on the constructor's choice, not on whether any link is missing.
+  const SparseLinkView& v = skip.prepare(0.0);
+  EXPECT_TRUE(v.skip_unreached);
   EXPECT_EQ(v.nnz(), static_cast<std::size_t>(18) * 18);
 }
 
 TEST(SparseLinkModel, CullingDropsExactlySubFloorLinks) {
-  // A 64-node line at 12 m pitch spans 756 m — far beyond the default
-  // margin's reach — so the default config culls most pairs.
-  Topology topo = make_line_topology(64, 12.0);
+  // The rows are the Topology's rows. A 64-node line at 12 m pitch spans
+  // 756 m — far beyond the 20 dB floor's reach — so culling at
+  // construction drops most pairs.
+  const Topology full = make_line_topology(64, 12.0);
+  const Topology topo = culled_at_construction(full, 20.0);
   const int n = topo.size();
   SparseLinkModel sparse(topo);
 
   const double power = 0.0;
   const SparseLinkView& view = sparse.prepare(power);
-  const double floor_dbm = sparse.cull_floor_dbm();
+  // The view borrows the Topology's offsets and columns; the model holds
+  // only the mW values.
+  EXPECT_EQ(view.row_ptr, topo.gain_csr().row_ptr);
+  EXPECT_EQ(view.col, topo.gain_csr().col);
+  EXPECT_EQ(view.nnz(), topo.gain_nnz());
+  EXPECT_EQ(sparse.storage_bytes(), sizeof(double) * topo.gain_nnz());
+
+  ASSERT_LT(view.nnz(), static_cast<std::size_t>(n) * n / 4);
+  ASSERT_GT(view.nnz(), 0u);
+
+  const double floor_dbm = topo.gain_floor_db() + power;
   EXPECT_EQ(floor_dbm, topo.radio().noise_floor_dbm - 20.0);
-
-  ASSERT_LT(sparse.nnz(), static_cast<std::size_t>(n) * n / 4);
-  ASSERT_GT(sparse.nnz(), 0u);
-
   for (NodeId tx = 0; tx < n; ++tx) {
-    const std::vector<double> want = full_row_mw(topo, tx, power);
+    const std::vector<double> want = full_row_mw(full, tx, power);
     std::size_t k = view.row_begin(tx);
     const std::size_t end = view.row_end(tx);
     NodeId prev = -1;
     for (NodeId rx = 0; rx < n; ++rx) {
       const bool kept = k < end && view.col[k] == rx;
-      if (topo.rx_power_dbm(tx, rx, power) >= floor_dbm) {
-        ASSERT_TRUE(kept) << "survivor culled: tx " << tx << " rx " << rx;
+      if (full.rx_power_dbm(tx, rx, power) >= floor_dbm) {
+        ASSERT_TRUE(kept) << "link above the floor missing: tx " << tx
+                          << " rx " << rx;
         EXPECT_GT(view.col[k], prev);  // ascending within the row
         EXPECT_GT(view.mw[k], 0.0);
-        // Full-row bits preserved.
+        // The unculled full-row bits.
         EXPECT_EQ(view.mw[k], want[static_cast<std::size_t>(rx)]);
         prev = view.col[k];
         ++k;
@@ -157,15 +176,17 @@ TEST(SparseLinkModel, CulledPowerIsBoundedBelowNoiseFloor) {
   // under the noise floor's own contribution to SINR.
   const double headroom_db = 10.0;
   for (int which : {0, 1}) {
-    Topology topo =
+    const Topology full =
         which == 0 ? make_line_topology(256, 12.0) : make_dcube48_topology();
     SCOPED_TRACE(which == 0 ? "line256" : "dcube48");
-    const int n = topo.size();
-    SparseLinkModel sparse(topo, bounded_margin(n, headroom_db));
+    const int n = full.size();
+    const Topology topo =
+        culled_at_construction(full, bounded_margin(n, headroom_db));
+    SparseLinkModel sparse(topo);
 
     const double power = 0.0;
     const SparseLinkView& view = sparse.prepare(power);
-    const double floor_mw = dbm_to_mw(sparse.cull_floor_dbm());
+    const double floor_mw = dbm_to_mw(topo.gain_floor_db() + power);
     const double noise_mw = dbm_to_mw(topo.radio().noise_floor_dbm);
 
     // The analytic bound itself: worst-case summed culled power < noise/10.
@@ -174,7 +195,7 @@ TEST(SparseLinkModel, CulledPowerIsBoundedBelowNoiseFloor) {
 
     std::vector<double> culled_sum(static_cast<std::size_t>(n), 0.0);
     for (NodeId tx = 0; tx < n; ++tx) {
-      const std::vector<double> full = full_row_mw(topo, tx, power);
+      const std::vector<double> row = full_row_mw(full, tx, power);
       std::size_t k = view.row_begin(tx);
       const std::size_t end = view.row_end(tx);
       for (NodeId rx = 0; rx < n; ++rx) {
@@ -182,7 +203,7 @@ TEST(SparseLinkModel, CulledPowerIsBoundedBelowNoiseFloor) {
           ++k;  // survivor
           continue;
         }
-        const double lost = full[static_cast<std::size_t>(rx)];
+        const double lost = row[static_cast<std::size_t>(rx)];
         EXPECT_LT(lost, floor_mw);  // every culled link sits below the floor
         culled_sum[static_cast<std::size_t>(rx)] += lost;
       }
@@ -197,7 +218,7 @@ TEST(SparseLinkModel, CulledPowerIsBoundedBelowNoiseFloor) {
 
 TEST(SparseLinkModel, CachesByPreparedPower) {
   Topology topo = make_office18_topology();
-  SparseLinkModel sparse(topo, SparseLinkModel::Config::no_culling());
+  SparseLinkModel sparse(topo);
   EXPECT_EQ(sparse.rebuilds(), 0);
   (void)sparse.prepare(0.0);
   (void)sparse.prepare(0.0);
@@ -221,40 +242,29 @@ TEST(SparseLinkModel, RejectsNonFinitePowerWithoutRebuilding) {
   EXPECT_EQ(sparse.rebuilds(), 0);
 }
 
-TEST(SparseLinkModel, RejectsNonPositiveCullMargin) {
-  Topology topo = make_office18_topology();
-  SparseLinkModel::Config cfg;
-  cfg.cull_margin_db = 0.0;
-  EXPECT_THROW(SparseLinkModel(topo, cfg), util::RequireError);
-  cfg.cull_margin_db = -5.0;
-  EXPECT_THROW(SparseLinkModel(topo, cfg), util::RequireError);
-  cfg.cull_margin_db = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(SparseLinkModel(topo, cfg), util::RequireError);
-}
-
 TEST(SparseLinkModel, StorageScalesWithSurvivorsNotNodes) {
   // On a long line the CSR holds a thin band around the diagonal; the dense
   // matrix would hold 8*N^2 bytes regardless.
-  Topology topo = make_line_topology(256, 12.0);
+  const Topology topo =
+      culled_at_construction(make_line_topology(256, 12.0), 20.0);
   const auto un = static_cast<std::size_t>(topo.size());
   SparseLinkModel sparse(topo);
-  (void)sparse.prepare(0.0);
-  EXPECT_GT(sparse.nnz(), 0u);
-  EXPECT_LT(sparse.nnz(), un * un / 8);
+  const SparseLinkView& view = sparse.prepare(0.0);
+  EXPECT_GT(view.nnz(), 0u);
+  EXPECT_LT(view.nnz(), un * un / 8);
   EXPECT_LT(sparse.storage_bytes(), sizeof(double) * un * un / 4);
 }
 
 /// Cycling-initiator floods, every node forwarding `n_tx` times in
 /// `slot_len` slots `period` apart, through full rows of `unculled_topo` and
-/// through `culled_topo` under `links_cfg`. With real culling the
-/// per-reception outcomes may differ (interference sums lose sub-floor terms
-/// and RNG streams drift after the first skipped listener), but the culled
-/// power is below the noise floor, so the *aggregate* delivery ratio must
-/// stay put.
+/// through the rows of `culled_topo`, skipping unreached listeners. With
+/// real culling the per-reception outcomes may differ (interference sums
+/// lose sub-floor terms and RNG streams drift after the first skipped
+/// listener), but the culled power is below the noise floor, so the
+/// *aggregate* delivery ratio must stay put.
 void expect_culling_preserves_delivery(const Topology& unculled_topo,
                                        const Topology& culled_topo,
                                        const InterferenceField& field,
-                                       SparseLinkModel::Config links_cfg,
                                        sim::TimeUs slot_len,
                                        sim::TimeUs period, int n_tx,
                                        int floods) {
@@ -264,7 +274,8 @@ void expect_culling_preserves_delivery(const Topology& unculled_topo,
       static_cast<std::size_t>(n), flood::NodeFloodConfig{n_tx, true});
 
   flood::GlossyFlood unculled_engine(unculled_topo, field);
-  SparseLinkModel links(culled_topo, links_cfg);
+  SparseLinkModel links(culled_topo,
+                        SparseLinkModel::Listeners::kSkipUnreached);
   flood::GlossyFlood culled_engine(links, field);
 
   util::Pcg32 rng_unculled(2026);
@@ -291,21 +302,20 @@ TEST(SparseLinkModel, CullingPreservesDeliveryRatioOnDcube48) {
   Topology topo = make_dcube48_topology();
   InterferenceField field;
   core::add_static_jamming(field, topo, 0.3);
-  expect_culling_preserves_delivery(topo, topo, field,
-                                    bounded_margin(topo.size()), sim::ms(20),
-                                    sim::ms(25), 2, 200);
+  expect_culling_preserves_delivery(
+      topo, culled_at_construction(topo, bounded_margin(topo.size())), field,
+      sim::ms(20), sim::ms(25), 2, 200);
 }
 
 TEST(SparseLinkModel, CullingPreservesDeliveryRatioOnCulledCampus) {
-  // A construction-culled campus under the default 20 dB margin: sub-floor
-  // links are never stored, and campus floods cross several hops, so the
-  // slots are 60 ms instead of the office's 20 ms.
+  // A campus culled at construction at the 20 dB floor: sub-floor links are
+  // never stored, and campus floods cross several hops, so the slots are
+  // 60 ms instead of the office's 20 ms.
   const Topology full = make_campus_topology(128);
   const Topology culled = make_campus_topology_culled(
       128, 1, gain_cull_floor_db(RadioConstants{}, 20.0));
   expect_culling_preserves_delivery(full, culled, InterferenceField{},
-                                    SparseLinkModel::Config{}, sim::ms(60),
-                                    sim::ms(80), 2, 20);
+                                    sim::ms(60), sim::ms(80), 2, 20);
 }
 
 }  // namespace

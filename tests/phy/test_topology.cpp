@@ -439,6 +439,19 @@ TEST(GainCullFloor, ConsistentWithSparseLinkModelCulling) {
   EXPECT_LT(gain_cull_floor_db(radio, 12.0, 5.0), floor_db);
 }
 
+TEST(GainCullFloor, RejectsNonPositiveCullMargin) {
+  // A NaN margin would give a NaN floor; a zero or negative one would cull
+  // links above the noise floor. +infinity keeps every link.
+  const RadioConstants radio;
+  EXPECT_THROW((void)gain_cull_floor_db(radio, 0.0), util::RequireError);
+  EXPECT_THROW((void)gain_cull_floor_db(radio, -5.0), util::RequireError);
+  EXPECT_THROW((void)gain_cull_floor_db(
+                   radio, std::numeric_limits<double>::quiet_NaN()),
+               util::RequireError);
+  EXPECT_EQ(gain_cull_floor_db(radio, std::numeric_limits<double>::infinity()),
+            -std::numeric_limits<double>::infinity());
+}
+
 TEST(RestrictedTopology, FullMembershipIsBitIdentical) {
   Topology t = make_campus_topology(64, 11);
   std::vector<NodeId> all(64);

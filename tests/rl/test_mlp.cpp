@@ -155,6 +155,14 @@ TEST(Mlp, LoadRejectsBadLayerHeader) {
   EXPECT_THROW(Mlp::load(relu), util::RequireError);
 }
 
+TEST(Mlp, LoadOfHeaderOnlyStreamThrowsRequireError) {
+  // The largest header the width check admits claims 2^32 weights (32 GiB)
+  // with none behind it: memory must follow the values read, and the
+  // truncation must surface as the documented error, not std::bad_alloc.
+  std::stringstream ss("dimmer-mlp 1\n1\n65536 65536 0\n");
+  EXPECT_THROW(Mlp::load(ss), util::RequireError);
+}
+
 TEST(Mlp, LoadRejectsMismatchedLayerChain) {
   // Layer 0 outputs 3 but layer 1 claims 4 inputs: a spliced/corrupt file.
   std::stringstream ss(

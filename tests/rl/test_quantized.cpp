@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "rl/quantized.hpp"
 
@@ -76,6 +79,23 @@ TEST(QuantizedMlp, SaturatesExtremeWeights) {
   EXPECT_EQ(q.layers()[0].w[0], 32767);
   // 327.67 * 1.0 (scale 100: 32767 * 100 / 100) = 32767.
   EXPECT_EQ(q.forward_fixed({1.0})[0], 32767);
+}
+
+TEST(QuantizedMlp, SaturatedWeightsAccumulateWithoutOverflow) {
+  // Every layer-0 weight and bias saturates at 32767, so hidden unit 0 is
+  // (32767 + 31 * 32767) * 100 / 100 = 1,048,544; the output multiplies it
+  // by another saturated weight: 32767 * 1,048,544 overflows a 32-bit
+  // product but not the 64-bit accumulator it goes into.
+  Mlp net({31, 30, 3}, 1);
+  auto& layers = net.mutable_layers();
+  std::fill(layers[0].w.begin(), layers[0].w.end(), 400.0);
+  std::fill(layers[0].b.begin(), layers[0].b.end(), 400.0);
+  std::fill(layers[1].w.begin(), layers[1].w.end(), 0.0);
+  std::fill(layers[1].b.begin(), layers[1].b.end(), 0.0);
+  layers[1].w[0] = 400.0;
+  QuantizedMlp q(net);
+  const std::vector<std::int32_t> want = {343576412, 0, 0};
+  EXPECT_EQ(q.forward_fixed(std::vector<double>(31, 1.0)), want);
 }
 
 TEST(QuantizedMlp, RejectsWrongInputSize) {
