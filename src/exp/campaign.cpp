@@ -98,8 +98,8 @@ Checkpoint load_checkpoint(const std::string& path) {
   DIMMER_REQUIRE(v.at("version").as_u64() == 1,
                  "campaign: unsupported checkpoint version in '" + path + "'");
   Checkpoint ck;
-  ck.shards = static_cast<int>(v.at("shards").as_i64());
-  ck.max_attempts = static_cast<int>(v.at("max_attempts").as_i64());
+  ck.shards = v.at("shards").as_int();
+  ck.max_attempts = v.at("max_attempts").as_int();
   ck.master_seed = v.at("master_seed").as_u64();
   ck.digest = v.at("specs_digest").as_u64();
   ck.counters = obs::MetricsRegistry::from_value(v.at("counters"));

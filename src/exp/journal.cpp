@@ -199,7 +199,7 @@ AttemptsReplay replay_attempts(const std::string& path) {
                                 std::to_string(ln + 1) + ": " + e.what());
     }
     std::size_t trial = static_cast<std::size_t>(v.at("trial").as_u64());
-    int attempt = static_cast<int>(v.at("attempt").as_i64());
+    int attempt = v.at("attempt").as_int();
     DIMMER_REQUIRE(attempt >= 1, "attempts: attempt must be >= 1 in " + path);
     int& slot = out.attempts[trial];
     DIMMER_REQUIRE(attempt == slot + 1,

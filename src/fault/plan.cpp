@@ -124,7 +124,7 @@ FaultPlan plan_from_json(const util::json::Value& events) {
     FaultEvent e;
     e.round = ev.at("round").as_u64();
     e.kind = fault_kind_from_string(ev.at("kind").as_string());
-    e.node = static_cast<NodeId>(ev.at("node").as_i64());
+    e.node = ev.at("node").as_int();
     e.severity = ev.at("severity").as_double();
     plan.events.push_back(e);
   }

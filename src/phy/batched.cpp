@@ -1,6 +1,8 @@
 #include "phy/batched.hpp"
 
 #include <algorithm>
+#include <array>
+#include <numbers>
 
 #include "util/check.hpp"
 
@@ -37,30 +39,92 @@ void dbm_to_mw_batch(const double* dbm, double* mw, int count) {
 
 namespace {
 
-// Whether every SINR that carries bits satisfies `pred`: the clean one
-// unless the clamped exposure is 1, the jammed one unless it is 0 — the
-// factors frame_success_prob gives a nonzero bit count.
-template <typename Pred>
-bool every_carrying_sinr(double sinr_clean_db, double sinr_jam_db,
-                         double jam_fraction, Pred pred) {
-  return (jam_fraction >= 1.0 || pred(sinr_clean_db)) &&
-         (jam_fraction <= 0.0 || pred(sinr_jam_db));
-}
-
-// Rule 2 (batched.hpp): the exact p_ok is below 2^-53 <= uniform, so the
-// decision is "no reception" without the chain.
-bool floored(double uniform, double sinr_clean_db, double sinr_jam_db,
-             double jam_fraction, int frame_bytes) {
-  return uniform >= kFloorMinUniform && frame_bytes >= kFloorMinFrameBytes &&
-         every_carrying_sinr(sinr_clean_db, sinr_jam_db, jam_fraction,
-                             [](double s) { return s <= kFloorSinrDb; });
-}
-
-// Rule 1 (per.hpp) over the whole lane: every factor is exactly 1.0, and so
-// is frame_success_prob.
+// Rule 1 (per.hpp) over the whole lane: every SINR that carries bits (the
+// clean one unless the clamped exposure is 1, the jammed one unless it is
+// 0) is saturated, so every factor is exactly 1.0, and so is
+// frame_success_prob.
 bool saturated(double sinr_clean_db, double sinr_jam_db, double jam_fraction) {
-  return every_carrying_sinr(sinr_clean_db, sinr_jam_db, jam_fraction,
-                             [](double s) { return s >= kSaturatedSinrDb; });
+  return (jam_fraction >= 1.0 || sinr_clean_db >= kSaturatedSinrDb) &&
+         (jam_fraction <= 0.0 || sinr_jam_db >= kSaturatedSinrDb);
+}
+
+// The bracket (batched.hpp). Grid point k sits at kFloorSinrDb +
+// k / kLnOkStepsPerDb dB; the last one is kSaturatedSinrDb.
+constexpr int kLnOkLast = static_cast<int>(
+    (kSaturatedSinrDb - kFloorSinrDb) * kLnOkStepsPerDb);
+constexpr double kLnMinUniform = -53.0 * std::numbers::ln2;  // ln 2^-53
+
+struct LnOkTable {
+  std::array<double, kLnOkLast + 1> grid;  // lambda at each grid point
+  double floor_hi;                         // ln kFloorOneMinusBer
+};
+
+// Built once, read-only after: the same for every frame, backend and thread.
+const LnOkTable& ln_ok_table() {
+  static const LnOkTable table = [] {
+    LnOkTable t{};
+    for (int k = 0; k <= kLnOkLast; ++k) {
+      t.grid[static_cast<std::size_t>(k)] = std::log1p(
+          -ber_802154(kFloorSinrDb + k / static_cast<double>(kLnOkStepsPerDb)));
+    }
+    t.floor_hi = std::log(kFloorOneMinusBer);
+    return t;
+  }();
+  return table;
+}
+
+struct LnOkBounds {
+  double lo, hi;
+};
+
+// Bounds on ln(1 - BER) at one SINR. The grid index is formed only inside
+// (kFloorSinrDb, kSaturatedSinrDb), so no NaN or out-of-range double is
+// converted; at the top, nextafter(7, 0) + 10 rounds up to 17. A NaN SINR
+// gets NaN bounds, which no draw falls outside of: the chain decides it.
+LnOkBounds ln_ok_bounds(const LnOkTable& t, double sinr_db) {
+  if (sinr_db >= kSaturatedSinrDb) return {0.0, 0.0};
+  if (sinr_db > kFloorSinrDb) {
+    const int k = std::min(
+        static_cast<int>((sinr_db - kFloorSinrDb) * kLnOkStepsPerDb),
+        kLnOkLast - 1);
+    return {t.grid[static_cast<std::size_t>(k)],
+            t.grid[static_cast<std::size_t>(k + 1)]};
+  }
+  if (sinr_db <= kFloorSinrDb) return {-std::numbers::ln2, t.floor_hi};
+  return {sinr_db, sinr_db};
+}
+
+// Where a lane's draw falls against the bracket on ln p_ok.
+enum class Bracket { kSuccess, kFailure, kInside };
+
+// Requires uniform >= kFloorMinUniform. Clamps the exposure and splits the
+// bits as frame_success_prob does, and bounds each SINR that carries bits.
+// The tests read !(f >= 1) and !(f <= 0) so that a NaN exposure gives NaN
+// bit counts and bounds, and the chain decides the lane.
+Bracket bracket(const LnOkTable& t, double uniform, double sinr_clean_db,
+                double sinr_jam_db, double jam_fraction, double bits) {
+  if (jam_fraction < 0.0) jam_fraction = 0.0;
+  if (jam_fraction > 1.0) jam_fraction = 1.0;
+  double lo = 0.0, hi = 0.0;
+  if (!(jam_fraction >= 1.0)) {
+    const double clean_bits = bits * (1.0 - jam_fraction);
+    const LnOkBounds c = ln_ok_bounds(t, sinr_clean_db);
+    lo += clean_bits * c.lo;
+    hi += clean_bits * c.hi;
+  }
+  if (!(jam_fraction <= 0.0)) {
+    const double jam_bits = bits * jam_fraction;
+    const LnOkBounds j = ln_ok_bounds(t, sinr_jam_db);
+    lo += jam_bits * j.lo;
+    hi += jam_bits * j.hi;
+  }
+  const double margin = bits * kBracketMarginPerBit;
+  // Every draw is at least 2^-53: below that, no log is needed.
+  if (hi + margin < kLnMinUniform) return Bracket::kFailure;
+  const double ln_u = std::log(uniform);
+  if (ln_u < lo - margin) return Bracket::kSuccess;
+  if (ln_u >= hi + margin) return Bracket::kFailure;
+  return Bracket::kInside;
 }
 
 // The SINRs of one kW-lane chunk of the step-3b reception chain. Pointers
@@ -103,9 +167,9 @@ inline void success_chunk(const double* sinr_clean, const double* sinr_jam,
 
 }  // namespace
 
-void reception_success_batch(ReceptionBatch& b, double coherence_gain,
-                             bool apply_fading, double noise_mw,
-                             double noise_dbm, int frame_bytes) {
+int reception_success_batch(ReceptionBatch& b, double coherence_gain,
+                            bool apply_fading, double noise_mw,
+                            double noise_dbm, int frame_bytes) {
   // A settled lane skips frame_success_prob, which used to be the only
   // check of the frame length.
   DIMMER_REQUIRE(frame_bytes > 0, "frame_bytes must be positive");
@@ -142,19 +206,26 @@ void reception_success_batch(ReceptionBatch& b, double coherence_gain,
               b.sinr_clean_db.data() + i);
     std::copy(out_jam, out_jam + (count - i), b.sinr_jam_db.data() + i);
   }
-  // 2. Settle each lane by the two rules, or queue it for the chain.
+  // 2. Settle each lane by the saturation rule or the bracket, or queue it
+  //    for the chain.
+  const LnOkTable& table = ln_ok_table();
+  const double bits = 8.0 * frame_bytes;
   int pending = 0;
   for (int l = 0; l < count; ++l) {
     const auto u = static_cast<std::size_t>(l);
     const double clean = b.sinr_clean_db[u];
     const double jam = b.sinr_jam_db[u];
     const double frac = b.jam_fraction[u];
+    Bracket at = Bracket::kInside;
     if (saturated(clean, jam, frac)) {
-      b.p_ok[u] = 1.0;
-    } else if (floored(b.uniform[u], clean, jam, frac, frame_bytes)) {
-      b.p_ok[u] = 0.0;
-    } else {
+      at = Bracket::kSuccess;
+    } else if (b.uniform[u] >= kFloorMinUniform) {
+      at = bracket(table, b.uniform[u], clean, jam, frac, bits);
+    }
+    if (at == Bracket::kInside) {
       b.unsettled[static_cast<std::size_t>(pending++)] = l;
+    } else {
+      b.p_ok[u] = at == Bracket::kSuccess ? 1.0 : 0.0;
     }
   }
   // 3. The chain over the queued lanes, kW at a time. Every chunk is
@@ -175,6 +246,7 @@ void reception_success_batch(ReceptionBatch& b, double coherence_gain,
     for (int l = 0; l < m; ++l)
       b.p_ok[static_cast<std::size_t>(lanes[l])] = pad_out[l];
   }
+  return pending;
 }
 
 }  // namespace dimmer::phy

@@ -14,8 +14,8 @@
 //    std::log10, same association, same branch structure), so
 //    scalar-backend results are byte-identical to pre-SIMD builds. Tests
 //    pin this bitwise. The one exception is reception_success_batch's
-//    floored lanes, whose p_ok is 0.0 with the decision unchanged (see
-//    ReceptionBatch).
+//    bracketed lanes, whose p_ok is 1.0 or 0.0 with the decision unchanged
+//    (see ReceptionBatch).
 //  - At native_width > 1 the kernels are pure lanewise functions: a value's
 //    result depends only on that value, never on its lane position or on the
 //    other batch entries. Results differ from scalar std:: by bounded ulp
@@ -121,15 +121,27 @@ inline V frame_success_kernel(V sinr_clean_db, V sinr_jammed_db,
 /// (dbm == mw): each chunk is loaded before it is stored.
 void dbm_to_mw_batch(const double* dbm, double* mw, int count);
 
-/// Rule 2 of the settled receptions (DESIGN.md §12): a listener gets
-/// p_ok = 0.0 without the BER chain when its uniform is at least
-/// kFloorMinUniform (every nonzero Pcg32::uniform() is), its frame has at
-/// least kFloorMinFrameBytes bytes, and every SINR that carries bits is at
-/// or below kFloorSinrDb. There 1 - BER <= 0.678, so the exact p_ok is at
-/// most 0.678^120 ~ 5.5e-21 < 2^-53 and `uniform < p_ok` is false either way.
+/// The bracket of the settled receptions (DESIGN.md §12). A lane whose
+/// uniform is at least kFloorMinUniform (every nonzero Pcg32::uniform() is)
+/// is decided without the BER chain when ln(uniform) falls outside the
+/// bounds [lo, hi] on ln p_ok, widened by `bits * kBracketMarginPerBit`
+/// on each side. The bounds sum, over the SINRs that carry bits, the bit
+/// count times bounds on ln(1 - BER):
+///  - at or above kSaturatedSinrDb, exactly 0;
+///  - at or below kFloorSinrDb, [ln 0.5, ln kFloorOneMinusBer]: the BER is
+///    clamped to at most 0.5, and 1 - BER <= kFloorOneMinusBer there;
+///  - between, the two neighbours on a grid of kLnOkStepsPerDb points per
+///    dB of lambda(s) = log1p(-ber_802154(s)), one table for every frame.
 inline constexpr double kFloorSinrDb = -10.0;
-inline constexpr int kFloorMinFrameBytes = 15;
+inline constexpr double kFloorOneMinusBer = 0.678;
 inline constexpr double kFloorMinUniform = 0x1p-53;
+inline constexpr int kLnOkStepsPerDb = 64;
+/// The margin covers how far the computed chain strays from monotone in
+/// its SINR and, on vector backends, from the scalar chain that built the
+/// table: at most ~1.4e-13 and ~2.7e-13 per bit, so 2^-32 (2.3e-10) leaves
+/// ~1700x and ~850x. tests/phy/test_per_property.cpp pins the scalar drift
+/// below 1/1000 of the margin.
+inline constexpr double kBracketMarginPerBit = 0x1p-32;
 
 /// Structure-of-arrays staging buffer for one flood step's receptions.
 ///
@@ -140,9 +152,10 @@ inline constexpr double kFloorMinUniform = 0x1p-53;
 /// uniform, listeners ascending). Reused across steps/floods; size with
 /// resize(n) outside the hot loop, then set `count` per step.
 ///
-/// `p_ok` is the success probability except on a floored lane (rule 2
-/// above), where it is 0.0: only the decision `uniform < p_ok` is exact
-/// there, not the probability.
+/// `p_ok` is the success probability except on a lane the bracket above
+/// decided, where it is 1.0 or 0.0: only the decision `uniform < p_ok` is
+/// exact there, not the probability. A lane whose uniform is 0.0, or whose
+/// draw falls inside the bracket, keeps the exact value.
 struct ReceptionBatch {
   std::vector<double> strongest_mw;  ///< strongest concurrent TX power
   std::vector<double> total_mw;      ///< summed concurrent TX power
@@ -152,7 +165,7 @@ struct ReceptionBatch {
   std::vector<double> uniform;       ///< rng.uniform() draw (Bernoulli)
   std::vector<double> p_ok;          ///< output: success probability
   // Scratch of reception_success_batch on every backend: per-lane SINRs,
-  // then the lanes the two rules left for the BER chain.
+  // then the lanes the saturation rule and the bracket left for the chain.
   std::vector<double> sinr_clean_db;
   std::vector<double> sinr_jam_db;
   std::vector<int> unsettled;
@@ -187,11 +200,13 @@ struct ReceptionBatch {
 ///
 /// A lane is settled from its SINRs before the chain: p_ok = 1.0 when every
 /// bit-carrying SINR is at or above kSaturatedSinrDb (the exact value), and
-/// 0.0 under rule 2 above. `noise_dbm` must be the caller's hoisted
-/// mw_to_dbm(noise_mw) so the zero-interference path reuses its exact bits
-/// (as the engine always has). Requires frame_bytes > 0.
-void reception_success_batch(ReceptionBatch& b, double coherence_gain,
-                             bool apply_fading, double noise_mw,
-                             double noise_dbm, int frame_bytes);
+/// 1.0 or 0.0 when its draw falls outside the bracket above (the chain's
+/// decision). `noise_dbm` must be the caller's hoisted mw_to_dbm(noise_mw)
+/// so the zero-interference path reuses its exact bits (as the engine
+/// always has). Requires frame_bytes > 0. Returns how many lanes ran the
+/// chain.
+int reception_success_batch(ReceptionBatch& b, double coherence_gain,
+                            bool apply_fading, double noise_mw,
+                            double noise_dbm, int frame_bytes);
 
 }  // namespace dimmer::phy

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -57,6 +58,14 @@ std::int64_t Value::as_i64() const {
   DIMMER_REQUIRE(end == scalar_.c_str() + scalar_.size() && errno != ERANGE,
                  "JSON number does not fit in int64");
   return v;
+}
+
+int Value::as_int() const {
+  const std::int64_t v = as_i64();
+  DIMMER_REQUIRE(v >= std::numeric_limits<int>::min() &&
+                     v <= std::numeric_limits<int>::max(),
+                 "JSON number does not fit in int");
+  return static_cast<int>(v);
 }
 
 const std::string& Value::as_string() const {

@@ -57,6 +57,8 @@ class Value {
   std::uint64_t as_u64() const;
   /// Integer lexeme in [INT64_MIN, INT64_MAX].
   std::int64_t as_i64() const;
+  /// Integer lexeme in [INT_MIN, INT_MAX]: throws instead of wrapping.
+  int as_int() const;
   const std::string& as_string() const;
   const std::vector<Value>& as_array() const;
   const Members& as_object() const;

@@ -342,6 +342,22 @@ TEST(Campaign, MismatchedResumeIsRefused) {
                dimmer::util::RequireError);
 }
 
+TEST(Campaign, CheckpointShardsOutsideIntAreRefused) {
+  const std::vector<TrialSpec> specs = make_specs(1);
+  const std::string dir = make_temp_dir();
+  { (void)Campaign(fast_options(dir, 2)).run(specs, cheap_trial); }
+  // 2^32 + 2 used to wrap to 2 shards and match this resume.
+  const std::string ck = dimmer::exp::campaign_checkpoint_path(dir);
+  std::string text = slurp(ck);
+  const std::string field = "\"shards\": 2,";
+  const std::size_t at = text.find(field);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, field.size(), "\"shards\": 4294967298,");
+  std::ofstream(ck, std::ios::binary | std::ios::trunc) << text;
+  EXPECT_THROW((void)Campaign(fast_options(dir, 2)).run(specs, cheap_trial),
+               dimmer::util::RequireError);
+}
+
 TEST(Campaign, SecondSupervisorIsLockedOut) {
   const std::string dir = make_temp_dir();
   // Hold the directory lock the way a live supervisor would.

@@ -155,3 +155,13 @@ TEST(Journal, AttemptsReplayTracksHighestAndEnforcesOrder) {
   }
   EXPECT_THROW(replay_attempts(bad), dimmer::util::RequireError);
 }
+
+TEST(Journal, AttemptsReplayRejectsAttemptOutsideInt) {
+  // 2^32 + 1 used to wrap to attempt 1, a valid first attempt.
+  const std::string path = make_temp_dir() + "/shard_000.attempts.jsonl";
+  {
+    AppendLog log(path);
+    log.append_line("{\"trial\": 0, \"attempt\": 4294967297}");
+  }
+  EXPECT_THROW(replay_attempts(path), dimmer::util::RequireError);
+}

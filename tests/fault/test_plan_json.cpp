@@ -65,3 +65,11 @@ TEST(FaultPlanJson, MalformedEventsThrow) {
           "[{\"round\": 1, \"kind\": \"bad\", \"node\": 0, \"severity\": 1}]")),
       dimmer::util::RequireError);
 }
+
+TEST(FaultPlanJson, NodeOutsideIntThrowsInsteadOfWrapping) {
+  // 2^32 used to wrap to node 0, which validate(18) accepts.
+  EXPECT_THROW(plan_from_json(dimmer::util::json::parse(
+                   "[{\"round\": 3, \"kind\": \"node_crash\", "
+                   "\"node\": 4294967296, \"severity\": 1}]")),
+               dimmer::util::RequireError);
+}

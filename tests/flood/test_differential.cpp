@@ -26,10 +26,12 @@
 // restricted() cell under its parent's WiFi APs.
 //
 // The settled-reception inputs (phy::reception_success_batch, DESIGN.md
-// §12) run dcube48 under WiFi level 2 with 15 B frames, where the floor
-// settles lanes, and 14 B frames, where it must not, with fading on and off.
+// §12) sweep frames of 7-133 B over dcube48 under WiFi level 2, with fading
+// on and off, and over office18 under 30% static jamming, whose partial
+// exposures give lanes two different bit-carrying SINRs.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
@@ -322,14 +324,34 @@ TEST(FloodDifferential, DcubeWifiLevelsOnTwoChannels) {
   }
 }
 
+/// Payloads of frames from 7 B to 133 B; 30 B is the paper's.
+constexpr int kSettledPayloads[] = {1, 8, 9, 12, 30, 127};
+
+/// office18 under 30% static jamming: two jammers with 13 ms bursts every
+/// 43.333 ms, the second half a period after the first. The slots start
+/// 100 us before each burst edge near 5 s, so their first step straddles
+/// it, then inside one burst and between bursts.
+constexpr std::uint64_t kJammedSeeds[] = {17, 1717};
+constexpr sim::TimeUs kJammedSlotStarts[] = {4'996'195, 5'004'861, 5'017'861,
+                                             5'026'528, 5'010'000, 5'022'000};
+constexpr int kJammedSlots = static_cast<int>(std::size(kJammedSlotStarts));
+
+FloodParams jammed_params(int payload, int k) {
+  FloodParams p;
+  p.payload_bytes = payload;
+  p.slot_start_us = kJammedSlotStarts[k];
+  return p;
+}
+
 TEST(FloodDifferential, SettledReceptionInputsCoverTheirClaims) {
-  // The fading-off dcube48 keeps the shipped gains, and its links span both
-  // settled regions: clean SNRs at or below -10 dB and at or above 7 dB.
+  // The fading-off dcube48 keeps the shipped gains, and its links span the
+  // bracket's three regions: clean SNRs at or below -10 dB, on its grid,
+  // and at or above 7 dB.
   const phy::Topology faded = phy::make_dcube48_topology();
   const phy::Topology flat = without_fading(faded);
   EXPECT_GT(faded.path_loss().fading_sigma_db, 0.0);
   EXPECT_EQ(flat.path_loss().fading_sigma_db, 0.0);
-  int floor_links = 0, saturated_links = 0;
+  int floor_links = 0, grid_links = 0, saturated_links = 0;
   for (phy::NodeId a = 0; a < flat.size(); ++a) {
     for (phy::NodeId b = 0; b < flat.size(); ++b) {
       EXPECT_EQ(flat.gain_db(a, b), faded.gain_db(a, b));
@@ -337,21 +359,42 @@ TEST(FloodDifferential, SettledReceptionInputsCoverTheirClaims) {
       const double snr_db =
           flat.rx_power_dbm(a, b, 0.0) - flat.radio().noise_floor_dbm;
       floor_links += snr_db <= phy::kFloorSinrDb;
+      grid_links += snr_db > phy::kFloorSinrDb && snr_db < phy::kSaturatedSinrDb;
       saturated_links += snr_db >= phy::kSaturatedSinrDb;
     }
   }
   EXPECT_GT(floor_links, 0);
+  EXPECT_GT(grid_links, 0);
   EXPECT_GT(saturated_links, 0);
-  // 9 and 8 payload bytes frame to either side of the floor's minimum.
-  const int overhead = flat.radio().phy_overhead_bytes;
-  EXPECT_EQ(9 + overhead, phy::kFloorMinFrameBytes);
-  EXPECT_EQ(8 + overhead, phy::kFloorMinFrameBytes - 1);
+  // At every payload, some steps the office18 floods simulate have a
+  // partial exposure.
+  Case c = make_case("office18", 0.3);
+  const int n = c.topo.size();
+  const auto cfgs = uniform_configs(n, 3);
+  for (int payload : kSettledPayloads) {
+    int partial = 0;
+    for (std::uint64_t seed : kJammedSeeds) {
+      for (int k = 0; k < kJammedSlots; ++k) {
+        const FloodParams p = jammed_params(payload, k);
+        util::Pcg32 rng(seed);
+        const FloodResult r =
+            reference::run(c.topo, c.field, (k * 5) % n, cfgs, p, rng);
+        const sim::TimeUs step = GlossyFlood::step_len_us(p, c.topo.radio());
+        const sim::TimeUs airtime = step - p.processing_us;
+        for (int t = 0; t < r.steps_simulated; ++t) {
+          const sim::TimeUs t0 = p.slot_start_us + t * step;
+          const double exposure =
+              c.field.sample(t0, t0 + airtime, p.channel, 0, c.topo).exposure;
+          partial += exposure > 0.0 && exposure < 1.0;
+        }
+      }
+    }
+    EXPECT_GT(partial, 0) << "payload " << payload;
+  }
 }
 
-TEST(FloodDifferential, SettledReceptionsAroundTheFrameFloor) {
-  // dcube48 under WiFi level 2, with and without fading. A 9-byte payload
-  // makes a 15 B frame, where the floor settles lanes; an 8-byte one makes a
-  // 14 B frame, where every lane below 7 dB takes the chain.
+TEST(FloodDifferential, SettledReceptionsAcrossFrameLengths) {
+  // dcube48 under WiFi level 2, with and without fading.
   for (bool fading : {true, false}) {
     Case c = dcube_wifi_case(2);
     if (!fading) {
@@ -359,7 +402,7 @@ TEST(FloodDifferential, SettledReceptionsAroundTheFrameFloor) {
       phy::add_dcube_wifi_level(c.field, c.topo, 2);
     }
     const int n = c.topo.size();
-    for (int payload : {9, 8}) {
+    for (int payload : kSettledPayloads) {
       for (std::uint64_t seed : {13ULL, 1313ULL}) {
         for (int k = 0; k < 6; ++k) {
           SCOPED_TRACE(std::string(fading ? "fading" : "no fading") +
@@ -370,6 +413,22 @@ TEST(FloodDifferential, SettledReceptionsAroundTheFrameFloor) {
           p.slot_start_us = sim::seconds(2) + k * sim::ms(61);
           run_differential(c, uniform_configs(n, 3), (k * 11) % n, p, seed);
         }
+      }
+    }
+  }
+}
+
+TEST(FloodDifferential, SettledReceptionsUnderPartialExposure) {
+  // office18 under 30% static jamming: two bit-carrying SINRs per lane.
+  Case c = make_case("office18", 0.3);
+  const int n = c.topo.size();
+  for (int payload : kSettledPayloads) {
+    for (std::uint64_t seed : kJammedSeeds) {
+      for (int k = 0; k < kJammedSlots; ++k) {
+        SCOPED_TRACE("payload " + std::to_string(payload) + " seed " +
+                     std::to_string(seed) + " slot " + std::to_string(k));
+        run_differential(c, uniform_configs(n, 3), (k * 5) % n,
+                         jammed_params(payload, k), seed);
       }
     }
   }

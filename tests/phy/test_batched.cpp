@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -283,24 +285,23 @@ Lane lane_at(double clean_db, double jam_db, double jam_fraction) {
 }
 
 /// The lanes of every class: saturated (every bit-carrying SINR >= 7 dB),
-/// floored (every one <= -10 dB; frames of 15 B up), and evaluated
-/// (between, or one SINR on each side under a partial exposure).
+/// below the grid (every one <= -10 dB), and on it (between, or one SINR
+/// on each side under a partial exposure).
 std::vector<Lane> settled_mix() {
   return {
       // Saturated; the third's jammed SINR carries no bits.
       lane_at(25.0, 25.0, 0.0), lane_at(9.0, 8.0, 0.5),
       lane_at(30.0, -20.0, 0.0),
-      // Floored; the third's clean SINR carries no bits.
+      // Below the grid; the third's clean SINR carries no bits.
       lane_at(-14.0, -14.0, 0.0), lane_at(-11.0, -25.0, 0.4),
       lane_at(15.0, -30.0, 1.0), lane_at(-20.0, -20.0, 1.0),
-      // Evaluated.
+      // On the grid.
       lane_at(2.0, 2.0, 0.0), lane_at(4.0, -2.0, 0.3),
       lane_at(12.0, -15.0, 0.25), lane_at(-9.0, -12.0, 0.6),
       lane_at(0.5, 0.5, 0.7), lane_at(5.5, 5.5, 0.0),
   };
 }
 constexpr int kSaturatedLanes = 3;
-constexpr int kFlooredLanes = 4;
 
 void load_lanes(ReceptionBatch& b, const std::vector<Lane>& lanes) {
   b.resize(static_cast<int>(lanes.size()));
@@ -328,19 +329,18 @@ TEST(ReceptionBatch, SettledLanesTakeTheFullChainDecision) {
                                     l.interf_mw, l.jam_fraction, 0.0, false,
                                     noise_mw, noise_dbm, frame_bytes);
     }
-    // Which rule settled each lane, read off draws the floor admits.
+    // How many lanes ran the chain, read off the returned count: at draws
+    // of 0.0 every lane but the saturated ones; at 0.5, none, since no
+    // lane's p_ok lies near 0.5.
     ReceptionBatch probe;
     load_lanes(probe, lanes);
+    EXPECT_EQ(reception_success_batch(probe, 0.0, false, noise_mw, noise_dbm,
+                                      frame_bytes),
+              static_cast<int>(lanes.size()) - kSaturatedLanes);
     for (double& u : probe.uniform) u = 0.5;
-    reception_success_batch(probe, 0.0, false, noise_mw, noise_dbm,
-                            frame_bytes);
-    int saturated = 0, floored = 0;
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      saturated += probe.p_ok[i] == 1.0;
-      floored += probe.p_ok[i] == 0.0 && want[i] > 0.0;
-    }
-    EXPECT_EQ(saturated, kSaturatedLanes);
-    EXPECT_EQ(floored, frame_bytes >= kFloorMinFrameBytes ? kFlooredLanes : 0);
+    EXPECT_EQ(reception_success_batch(probe, 0.0, false, noise_mw, noise_dbm,
+                                      frame_bytes),
+              0);
     // Each lane's decision at draws around its exact p_ok, among random
     // neighbours.
     for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -406,6 +406,238 @@ TEST(ReceptionBatch, RejectsNonPositiveFrameEvenWhenEveryLaneSettles) {
                                          frame_bytes),
                  util::RequireError);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The bracket (batched.hpp, DESIGN.md §12): a lane decided from bounds on
+// ln p_ok takes the decision of this backend's own chain.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// This backend's frame_success_kernel on one lane.
+double chain(double clean_db, double jam_db, double jam_fraction,
+             int frame_bytes) {
+  return simd_kernels::frame_success_kernel(
+             vdouble::broadcast(clean_db), vdouble::broadcast(jam_db),
+             vdouble::broadcast(jam_fraction), frame_bytes)
+      .lane(0);
+}
+
+/// A transcription of the bracket: its lower and upper edges on ln p_ok,
+/// the margin included.
+struct Edges {
+  double lo, hi;
+};
+
+Edges bracket_edges(double clean_db, double jam_db, double jam_fraction,
+                    int frame_bytes) {
+  constexpr int kLast = static_cast<int>((kSaturatedSinrDb - kFloorSinrDb) *
+                                         kLnOkStepsPerDb);
+  const auto bound = [](double s, int upper) {
+    if (s >= kSaturatedSinrDb) return 0.0;
+    if (s <= kFloorSinrDb)
+      return std::log(upper ? kFloorOneMinusBer : 0.5);
+    const int k = std::min(
+        static_cast<int>((s - kFloorSinrDb) * kLnOkStepsPerDb), kLast - 1);
+    return std::log1p(-ber_802154(
+        kFloorSinrDb + (k + upper) / static_cast<double>(kLnOkStepsPerDb)));
+  };
+  const double f = std::clamp(jam_fraction, 0.0, 1.0);
+  const double bits = 8.0 * frame_bytes;
+  const double margin = bits * kBracketMarginPerBit;
+  Edges e{-margin, margin};
+  if (f < 1.0) {
+    e.lo += bits * (1.0 - f) * bound(clean_db, 0);
+    e.hi += bits * (1.0 - f) * bound(clean_db, 1);
+  }
+  if (f > 0.0) {
+    e.lo += bits * f * bound(jam_db, 0);
+    e.hi += bits * f * bound(jam_db, 1);
+  }
+  return e;
+}
+
+/// The SINRs the bracket cases visit: [-10.5, 7.5] dB at every grid point
+/// (1/64 dB) and at one random point inside every cell, plus the ulps
+/// around both ends of the grid and around some grid points.
+std::vector<double> bracket_sinrs() {
+  std::vector<double> out;
+  util::Pcg32 rng(64);
+  for (int k = 0; k < 18 * kLnOkStepsPerDb; ++k) {
+    const double s = -10.5 + k / static_cast<double>(kLnOkStepsPerDb);
+    out.push_back(s);
+    out.push_back(s + rng.uniform() / kLnOkStepsPerDb);
+  }
+  out.push_back(7.5);
+  for (double s : {kFloorSinrDb, kSaturatedSinrDb, -9.0, -3.5, 0.0, 2.25}) {
+    out.push_back(std::nextafter(s, -kInf));
+    out.push_back(std::nextafter(s, kInf));
+  }
+  return out;
+}
+
+/// One listener at clean SINR `clean_db`, under a batch whose signal is
+/// 1 mW (0 dBm exactly) and whose noise is `-clean_db` dBm: `jam_gap_db`
+/// below that sets the interference power, and 0 means none, so the
+/// jammed SINR equals the clean one.
+struct Variant {
+  double jam_fraction, jam_gap_db;
+};
+
+/// Single-SINR lanes (exposure 0, exposure 1, and equal SINRs under a
+/// partial exposure), then mixed ones.
+constexpr Variant kVariants[] = {{0.0, 0.0},  {1.0, 0.0},  {0.37, 0.0},
+                                 {0.3, 3.0},  {0.6, 12.0}, {1.0, 2.0},
+                                 {0.05, 25.0}};
+constexpr int kNumVariants = static_cast<int>(std::size(kVariants));
+
+void load_variants(ReceptionBatch& b, double clean_db, int copies) {
+  b.resize(kNumVariants * copies);
+  b.count = kNumVariants * copies;
+  const double noise_mw = dbm_to_mw(-clean_db);
+  for (int v = 0; v < kNumVariants; ++v) {
+    for (int c = 0; c < copies; ++c) {
+      const auto i = static_cast<std::size_t>(v * copies + c);
+      b.strongest_mw[i] = 1.0;
+      b.total_mw[i] = 1.0;
+      b.fade_db[i] = 0.0;
+      b.interf_mw[i] =
+          kVariants[v].jam_gap_db > 0.0
+              ? dbm_to_mw(kVariants[v].jam_gap_db - clean_db) - noise_mw
+              : 0.0;
+      b.jam_fraction[i] = kVariants[v].jam_fraction;
+    }
+  }
+}
+
+TEST(ReceptionBatch, BracketTakesTheChainDecision) {
+  // Draws per lane: both bracket edges and their neighbours, half a margin
+  // either side of each edge, the exact p_ok and its neighbours, +-1e-9
+  // relative, and two random draws.
+  constexpr int kDraws = 17;
+  util::Pcg32 rng(4096);
+  long checked = 0;
+  for (int frame_bytes : {1, 14, 15, 18, 20, 36, 133}) {
+    SCOPED_TRACE("frame_bytes " + std::to_string(frame_bytes));
+    const double margin = 8.0 * frame_bytes * kBracketMarginPerBit;
+    for (double clean_db : bracket_sinrs()) {
+      const double noise_mw = dbm_to_mw(-clean_db);
+      ReceptionBatch b;
+      load_variants(b, clean_db, kDraws);
+      // Draws of 0.0 run the chain and leave each lane's SINRs behind.
+      reception_success_batch(b, 0.0, false, noise_mw, -clean_db,
+                              frame_bytes);
+      std::vector<double> want(kNumVariants);
+      for (int v = 0; v < kNumVariants; ++v) {
+        const auto i = static_cast<std::size_t>(v * kDraws);
+        ASSERT_EQ(b.sinr_clean_db[i], clean_db);
+        const double jam_db = b.sinr_jam_db[i];
+        const double f = b.jam_fraction[i];
+        want[static_cast<std::size_t>(v)] =
+            chain(clean_db, jam_db, f, frame_bytes);
+        const Edges e = bracket_edges(clean_db, jam_db, f, frame_bytes);
+        const double p = want[static_cast<std::size_t>(v)];
+        const double draws[kDraws] = {
+            std::exp(e.lo), std::nextafter(std::exp(e.lo), 0.0),
+            std::nextafter(std::exp(e.lo), 1.0), std::exp(e.hi),
+            std::nextafter(std::exp(e.hi), 0.0),
+            std::nextafter(std::exp(e.hi), 1.0), std::exp(e.lo - margin / 2),
+            std::exp(e.lo + margin / 2), std::exp(e.hi - margin / 2),
+            std::exp(e.hi + margin / 2), std::nextafter(p, 0.0), p,
+            std::nextafter(p, 1.0), p * (1.0 - 1e-9), p * (1.0 + 1e-9),
+            rng.uniform(), rng.uniform()};
+        for (int d = 0; d < kDraws; ++d)
+          b.uniform[i + static_cast<std::size_t>(d)] = draws[d];
+      }
+      reception_success_batch(b, 0.0, false, noise_mw, -clean_db,
+                              frame_bytes);
+      for (int l = 0; l < b.count; ++l) {
+        const auto i = static_cast<std::size_t>(l);
+        const double u = b.uniform[i];
+        const double f = b.jam_fraction[i];
+        const bool saturated =
+            (f >= 1.0 || clean_db >= kSaturatedSinrDb) &&
+            (f <= 0.0 || b.sinr_jam_db[i] >= kSaturatedSinrDb);
+        // Draws outside [0, 1) never come from Pcg32::uniform(); saturated
+        // lanes are the saturation rule's, pinned above.
+        if (!(u >= 0.0 && u < 1.0) || saturated) continue;
+        const double p = want[i / kDraws];
+        ASSERT_EQ(u < b.p_ok[i], u < p)
+            << "clean=" << clean_db << " jam=" << b.sinr_jam_db[i]
+            << " f=" << f << " u=" << u << " chain=" << p;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000000);
+}
+
+TEST(ReceptionBatch, BracketEdgesSitWhereTheTranscriptionPutsThem) {
+  // Half a margin outside an edge the bracket decides; half a margin inside
+  // it, with the other edge far away, the chain runs.
+  for (int frame_bytes : {1, 18, 36, 133}) {
+    SCOPED_TRACE("frame_bytes " + std::to_string(frame_bytes));
+    const double margin = 8.0 * frame_bytes * kBracketMarginPerBit;
+    for (double clean_db : {-9.99, -6.3, -2.0, 0.7, 3.1}) {
+      const Edges e = bracket_edges(clean_db, clean_db, 0.0, frame_bytes);
+      if (e.hi + margin < std::log(kFloorMinUniform)) continue;
+      ReceptionBatch b;
+      load_variants(b, clean_db, 1);
+      b.count = 1;  // the f = 0 lane only
+      const auto runs = [&](double u) {
+        b.uniform[0] = u;
+        return reception_success_batch(b, 0.0, false, dbm_to_mw(-clean_db),
+                                       -clean_db, frame_bytes);
+      };
+      EXPECT_EQ(runs(std::exp(e.lo - margin / 2)), 0) << clean_db;
+      EXPECT_EQ(runs(std::exp(e.lo + margin / 2)), 1) << clean_db;
+      EXPECT_EQ(runs(std::exp(e.hi - margin / 2)), 1) << clean_db;
+      EXPECT_EQ(runs(std::exp(e.hi + margin / 2)), 0) << clean_db;
+    }
+  }
+}
+
+TEST(ReceptionBatch, BracketSkipsTheChainOnRandomDraws) {
+  // Random listeners over [-12, 9] dB, a third of them jammed under a
+  // partial exposure, at every frame length the benches use: at least 99%
+  // of the lanes are decided without the chain.
+  util::Pcg32 rng(99);
+  const double noise_mw = dbm_to_mw(kNoiseDbm);
+  const double noise_dbm = mw_to_dbm(noise_mw);
+  constexpr int kLanes = 4096;
+  for (int frame_bytes : {18, 20, 36}) {
+    ReceptionBatch b;
+    b.resize(kLanes);
+    b.count = kLanes;
+    for (int i = 0; i < kLanes; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      const double clean_db = -12.0 + 21.0 * rng.uniform();
+      const bool jammed = i % 3 == 0;
+      const Lane l = lane_at(clean_db, jammed ? clean_db - 15.0 * rng.uniform()
+                                              : clean_db,
+                             jammed ? rng.uniform() : 0.0);
+      b.strongest_mw[u] = l.strongest_mw;
+      b.total_mw[u] = l.strongest_mw;
+      b.fade_db[u] = 0.0;
+      b.interf_mw[u] = l.interf_mw;
+      b.jam_fraction[u] = l.jam_fraction;
+      b.uniform[u] = rng.uniform();
+    }
+    const int ran = reception_success_batch(b, 0.0, false, noise_mw,
+                                            noise_dbm, frame_bytes);
+    EXPECT_LE(ran, kLanes / 100) << "frame_bytes " << frame_bytes;
+  }
+}
+
+TEST(ReceptionBatch, NanSinrRunsTheChain) {
+  // A NaN noise level makes every SINR NaN. No bound holds there, so the
+  // chain decides even the smallest frame at the smallest draw.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ReceptionBatch b;
+  load_lanes(b, {lane_at(0.0, 0.0, 0.0)});
+  b.uniform[0] = 0x1p-40;
+  EXPECT_EQ(reception_success_batch(b, 0.0, false, 1.0, nan, 1), 1);
+  EXPECT_EQ(b.uniform[0] < b.p_ok[0], b.uniform[0] < chain(nan, nan, 0.0, 1));
 }
 
 }  // namespace

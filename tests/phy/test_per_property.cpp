@@ -7,16 +7,21 @@
 //     equal to the general two-pow expression evaluated at those fractions
 //     (bits * 0.0 == +0.0, std::pow(x, +0.0) == 1.0, p * 1.0 == p).
 //
-// and the two facts the settled receptions rest on (DESIGN.md §12):
+// and the facts the settled receptions rest on (DESIGN.md §12):
 //
 //  3. Saturation: from kSaturatedSinrDb up, 1.0 - ber_802154(s) == 1.0, so
 //     frame_success_prob's early 1.0 is the bits the full chain computes.
-//  4. Floor: at or below kFloorSinrDb, 1 - BER <= 0.678, so a frame of at
-//     least kFloorMinFrameBytes succeeds with probability below 2^-53.
+//  4. Floor: at or below kFloorSinrDb, 1 - BER <= 0.678 (the bracket's upper
+//     bound below its grid), so a frame of at least 15 B succeeds with
+//     probability below 2^-53.
+//  5. Margin: the computed chain strays from monotone in its SINR by far
+//     less than the bracket's margin, bits * kBracketMarginPerBit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "phy/batched.hpp"
@@ -184,8 +189,9 @@ TEST(FloorSinr, OneMinusBerStaysBelowTheBound) {
 }
 
 TEST(FloorSinr, FramesOfFifteenBytesUpSucceedBelowTwoToMinus53) {
+  constexpr int kFifteenBytes = 15;
   const std::vector<double> sinrs = floor_sinrs(1.0, 1.0 / 16.0);
-  for (int bytes = kFloorMinFrameBytes; bytes <= 133; ++bytes) {
+  for (int bytes = kFifteenBytes; bytes <= 133; ++bytes) {
     for (double s : sinrs) {
       for (double f : {0.0, 0.25, 1.0}) {
         ASSERT_LT(frame_success_prob(s, s, f, bytes), 0x1p-53)
@@ -194,6 +200,43 @@ TEST(FloorSinr, FramesOfFifteenBytesUpSucceedBelowTwoToMinus53) {
         ASSERT_LT(frame_success_prob(kFloorSinrDb, s, f, bytes), 0x1p-53);
       }
     }
+  }
+}
+
+/// The worst relative drop of p(s) = frame_success_prob(s, s, 0, bytes)
+/// below its running maximum along `sinrs` (ascending). Only normal p
+/// count: a smaller one is far below every draw the bracket sees.
+double worst_drop(const std::vector<double>& sinrs, int bytes) {
+  double top = 0.0, worst = 0.0;
+  for (double s : sinrs) {
+    const double p = frame_success_prob(s, s, 0.0, bytes);
+    if (p < std::numeric_limits<double>::min()) continue;
+    top = std::max(top, p);
+    worst = std::max(worst, 1.0 - p / top);
+  }
+  return worst;
+}
+
+TEST(BracketMargin, CoversTheChainsDriftFromMonotone) {
+  // A grid every 1/4096 dB over (-10, 7) dB, then walks of 2000 ulps up
+  // from every 0.01 dB.
+  std::vector<double> grid;
+  for (int k = 1; k < 17 * 4096; ++k) grid.push_back(-10.0 + k / 4096.0);
+  for (int bytes : {133, 4096}) {
+    SCOPED_TRACE("bytes " + std::to_string(bytes));
+    const double margin = 8.0 * bytes * kBracketMarginPerBit;
+    double worst = worst_drop(grid, bytes);
+    std::vector<double> walk(2000);
+    for (int j = 1; j < 1700; ++j) {
+      walk[0] = -10.0 + j / 100.0;
+      for (std::size_t i = 1; i < walk.size(); ++i)
+        walk[i] = std::nextafter(walk[i - 1], kInf);
+      worst = std::max(worst, worst_drop(walk, bytes));
+    }
+    EXPECT_LE(worst, margin / 1000.0);
+    // The walks do meet drift: the margin is not covering a perfectly
+    // monotone chain.
+    EXPECT_GT(worst, 0.0);
   }
 }
 

@@ -78,6 +78,18 @@ TEST(JsonParse, U64RejectsFractionsExponentsAndNegatives) {
   EXPECT_EQ(parse("-9").as_i64(), -9);
 }
 
+TEST(JsonParse, IntKeepsItsRangeAndThrowsOutsideIt) {
+  EXPECT_EQ(parse("2147483647").as_int(), 2147483647);
+  EXPECT_EQ(parse("-2147483648").as_int(), -2147483647 - 1);
+  EXPECT_EQ(parse("-9").as_int(), -9);
+  // One past either end, and 2^32, which a bare cast wraps to 0.
+  EXPECT_THROW(parse("2147483648").as_int(), RequireError);
+  EXPECT_THROW(parse("-2147483649").as_int(), RequireError);
+  EXPECT_THROW(parse("4294967296").as_int(), RequireError);
+  EXPECT_THROW(parse("2.5").as_int(), RequireError);
+  EXPECT_THROW(parse("\"7\"").as_int(), RequireError);
+}
+
 TEST(JsonParse, StringEscapes) {
   EXPECT_EQ(parse("\"a\\n\\t\\\"b\\\\\"").as_string(), "a\n\t\"b\\");
   EXPECT_EQ(parse("\"\\u00e9\"").as_string(), "\xc3\xa9");   // é as UTF-8
