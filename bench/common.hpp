@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,10 +48,17 @@ inline int fed_workers() {
   return static_cast<int>(*v);
 }
 
-/// max(lo, round(x * scale)).
+/// max(lo, round(x * scale)). A rounded count outside int throws: casting
+/// it would be undefined behaviour, which in Release silently read as `lo`
+/// (DIMMER_BENCH_SCALE=20000 trained bench_ablation_tabular for one step).
 inline int scaled(int x, int lo = 1) {
-  auto v = static_cast<int>(static_cast<double>(x) * scale() + 0.5);
-  return v < lo ? lo : v;
+  const double v = static_cast<double>(x) * scale() + 0.5;
+  DIMMER_REQUIRE(
+      v > static_cast<double>(std::numeric_limits<int>::min()) - 1.0 &&
+          v < static_cast<double>(std::numeric_limits<int>::max()) + 1.0,
+      "DIMMER_BENCH_SCALE makes a count outside int");
+  const auto n = static_cast<int>(v);
+  return n < lo ? lo : n;
 }
 
 inline std::string policy_cache_path() {

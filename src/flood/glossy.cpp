@@ -268,13 +268,13 @@ void GlossyFlood::run_into(phy::NodeId initiator,
     // 3b. Receptions for every awake listener, in three passes:
     //     gather (all RNG draws, in the historical per-listener order:
     //     fading normal first, Bernoulli uniform second, listeners
-    //     ascending), one batched evaluation of the transcendental chain
-    //     (phy::reception_success_batch — one path on every backend, whose
-    //     width-1 kernels are the historical scalar expressions, and a lane
-    //     settled from its SINRs takes the decision the chain would,
-    //     DESIGN.md §12), then decision application. rng.bernoulli(p) is
-    //     exactly uniform() < p, so pre-drawing the uniform leaves the
-    //     stream and the decisions bit-identical.
+    //     ascending), one batched evaluation of the reception chain
+    //     (phy::reception_success_batch — one per-lane loop on every
+    //     backend, in which a lane settled from bounded-error SINRs takes
+    //     the decision the exact scalar chain would, DESIGN.md §12), then
+    //     decision application. rng.bernoulli(p) is exactly uniform() < p,
+    //     so pre-drawing the uniform leaves the stream and the decisions
+    //     bit-identical.
     //     Interference: the step's first listener runs the one activity
     //     pass (no listener, no activity() call, as with per-listener
     //     sampling); every listener then sums its table row over the active

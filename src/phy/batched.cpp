@@ -2,27 +2,23 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numbers>
 
+#include "phy/propagation.hpp"
 #include "util/check.hpp"
+#include "util/simd/simd.hpp"
 
 namespace dimmer::phy {
 
-namespace {
-
-using util::simd::native_width;
-using util::simd::vdouble;
-
-// Tail policy: remainders (count % native_width) are copied into a benign
-// stack pad and run through the *same* kernel, so a value's result never
-// depends on whether it landed in a full chunk or the tail. Every backend
-// runs this one code path; at native_width == 1 there is never a tail, and
-// each chunk is one lane of the historical scalar expressions.
-constexpr int kW = native_width;
-
-}  // namespace
-
 void dbm_to_mw_batch(const double* dbm, double* mw, int count) {
+  // Tail policy: the remainder (count % kW) is copied into a benign stack
+  // pad and run through the *same* kernel, so a value's result never
+  // depends on whether it landed in a full chunk or the tail.
+  using util::simd::vdouble;
+  constexpr int kW = util::simd::native_width;
   const vdouble ten = vdouble::broadcast(10.0);
   int i = 0;
   for (; i + kW <= count; i += kW) {
@@ -38,6 +34,81 @@ void dbm_to_mw_batch(const double* dbm, double* mw, int count) {
 }
 
 namespace {
+
+// approx_log2's table (batched.hpp). Cell j covers the mantissas
+// [1 + j/128, 1 + (j+1)/128) and holds c = 1/(its midpoint), rounded, with
+// -log2(c) of that rounded value, so that log2(m) = log2(m*c) - log2(c)
+// holds for the stored c and m*c - 1 lies within 2^-8 of 0.
+constexpr int kLog2CellBits = 7;
+struct Log2Cell {
+  double neg_log2_inv, inv;
+};
+using Log2Table = std::array<Log2Cell, 1 << kLog2CellBits>;
+
+// Built once, read-only after, like the lambda table below.
+const Log2Table& log2_table() {
+  static const Log2Table table = [] {
+    Log2Table t{};
+    const auto cells = static_cast<double>(t.size());
+    for (std::size_t j = 0; j < t.size(); ++j) {
+      const double inv =
+          1.0 / (1.0 + (static_cast<double>(j) + 0.5) / cells);
+      t[j] = {-std::log2(inv), inv};
+    }
+    return t;
+  }();
+  return table;
+}
+
+// log2(x) for a positive normal x: the exponent field, the cell's
+// -log2(c), and log2(1 + r) for r = m*c - 1 (|r| <= 2^-8) by the first four
+// terms of its series, which leave at most |r|^5 / (5 ln 2) < 2.7e-13.
+inline double log2_of(const Log2Table& t, double x) {
+  constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+  constexpr std::uint64_t kOne = std::uint64_t{1023} << 52;
+  constexpr double k1 = std::numbers::log2e;
+  constexpr double k2 = -std::numbers::log2e / 2.0;
+  constexpr double k3 = std::numbers::log2e / 3.0;
+  constexpr double k4 = -std::numbers::log2e / 4.0;
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const double e = static_cast<double>(static_cast<int>(bits >> 52) - 1023);
+  const double m = std::bit_cast<double>((bits & kMantissa) | kOne);
+  const Log2Cell& c = t[static_cast<std::size_t>((bits & kMantissa) >>
+                                                 (52 - kLog2CellBits))];
+  const double r = m * c.inv - 1.0;
+  return e + (c.neg_log2_inv + r * (k1 + r * (k2 + r * (k3 + r * k4))));
+}
+
+// dB per octave, 10 log10(2): 10 log10(x) = kDbPerLog2 * log2(x).
+constexpr double kDbPerLog2 = 3.01029995663981195214;
+
+// The approximate SINRs of one lane (batched.hpp, approx_sinr). `sig` is
+// the lane's coherent signal, the same double the exact path scales.
+inline ApproxSinr approx_sinr_of(const Log2Table& t, double sig, double fade,
+                                 double interf, bool apply_fading,
+                                 double noise_mw, double noise_dbm) {
+  ApproxSinr a{0.0, 0.0, false};
+  double sig_dbm = -300.0;  // mw_to_dbm(0): a zero signal has no fade
+  if (sig != 0.0) {
+    if (!(sig >= kApproxMinPowerMw && sig <= kApproxMaxPowerMw)) return a;
+    sig_dbm = kDbPerLog2 * log2_of(t, sig);
+    if (apply_fading) {
+      if (!(std::abs(fade) <= kApproxMaxFadeDb)) return a;
+      sig_dbm += fade;
+    }
+  }
+  a.clean_db = sig_dbm - noise_dbm;
+  a.jam_db = a.clean_db;
+  if (interf != 0.0) {
+    const double denom = noise_mw + interf;
+    if (!(denom >= kApproxMinPowerMw && denom <= kApproxMaxPowerMw)) return a;
+    a.jam_db = sig_dbm - kDbPerLog2 * log2_of(t, denom);
+  }
+  // Also false for a NaN or infinite SINR.
+  a.in_domain = std::abs(a.clean_db) <= kApproxMaxSinrDb &&
+                std::abs(a.jam_db) <= kApproxMaxSinrDb;
+  return a;
+}
 
 // Rule 1 (per.hpp) over the whole lane: every SINR that carries bits (the
 // clean one unless the clamped exposure is 1, the jammed one unless it is
@@ -97,156 +168,107 @@ LnOkBounds ln_ok_bounds(const LnOkTable& t, double sinr_db) {
 // Where a lane's draw falls against the bracket on ln p_ok.
 enum class Bracket { kSuccess, kFailure, kInside };
 
-// Requires uniform >= kFloorMinUniform. Clamps the exposure and splits the
-// bits as frame_success_prob does, and bounds each SINR that carries bits.
-// The tests read !(f >= 1) and !(f <= 0) so that a NaN exposure gives NaN
-// bit counts and bounds, and the chain decides the lane.
-Bracket bracket(const LnOkTable& t, double uniform, double sinr_clean_db,
-                double sinr_jam_db, double jam_fraction, double bits) {
+// The saturation rule, then, for a draw of at least kFloorMinUniform, the
+// bracket, on SINRs known to within `err_db` of (clean, jam): each lower
+// bound comes from the SINR less err_db and each upper one from the SINR
+// plus err_db, which is sound because lambda is monotone. `ln` gives ln u
+// to within `ln_err`, which widens the margin. Clamps the exposure and
+// splits the bits as frame_success_prob does; the tests read !(f >= 1) and
+// !(f <= 0) so that a NaN exposure gives NaN bounds, and the lane stays
+// open.
+template <typename Ln>
+Bracket settle(const LnOkTable& t, double uniform, double clean, double jam,
+               double jam_fraction, double bits, double err_db, double ln_err,
+               Ln ln) {
+  if (saturated(clean - err_db, jam - err_db, jam_fraction))
+    return Bracket::kSuccess;
+  if (!(uniform >= kFloorMinUniform)) return Bracket::kInside;
   if (jam_fraction < 0.0) jam_fraction = 0.0;
   if (jam_fraction > 1.0) jam_fraction = 1.0;
   double lo = 0.0, hi = 0.0;
   if (!(jam_fraction >= 1.0)) {
     const double clean_bits = bits * (1.0 - jam_fraction);
-    const LnOkBounds c = ln_ok_bounds(t, sinr_clean_db);
-    lo += clean_bits * c.lo;
-    hi += clean_bits * c.hi;
+    lo += clean_bits * ln_ok_bounds(t, clean - err_db).lo;
+    hi += clean_bits * ln_ok_bounds(t, clean + err_db).hi;
   }
   if (!(jam_fraction <= 0.0)) {
     const double jam_bits = bits * jam_fraction;
-    const LnOkBounds j = ln_ok_bounds(t, sinr_jam_db);
-    lo += jam_bits * j.lo;
-    hi += jam_bits * j.hi;
+    lo += jam_bits * ln_ok_bounds(t, jam - err_db).lo;
+    hi += jam_bits * ln_ok_bounds(t, jam + err_db).hi;
   }
-  const double margin = bits * kBracketMarginPerBit;
+  const double margin = bits * kBracketMarginPerBit + ln_err;
   // Every draw is at least 2^-53: below that, no log is needed.
   if (hi + margin < kLnMinUniform) return Bracket::kFailure;
-  const double ln_u = std::log(uniform);
+  const double ln_u = ln(uniform);
   if (ln_u < lo - margin) return Bracket::kSuccess;
   if (ln_u >= hi + margin) return Bracket::kFailure;
   return Bracket::kInside;
 }
 
-// The SINRs of one kW-lane chunk of the step-3b reception chain. Pointers
-// index the chunk's first element; lanes are independent listeners. The
-// pure() annotation cuts a name-resolution artifact: `vdouble::load` (a
-// register load) shares its name with the allocating `rl::Mlp::load`.
-// dimmer-lint: pure(may-allocate)
-inline void sinr_chunk(const double* strongest, const double* total,
-                       const double* fade, const double* interf,
-                       double coherence_gain, bool apply_fading,
-                       double noise_mw, double noise_dbm, double* sinr_clean,
-                       double* sinr_jam) {
-  using util::simd::select_eq;
-  const vdouble s = vdouble::load(strongest);
-  const vdouble t = vdouble::load(total);
-  vdouble sig = s + vdouble::broadcast(coherence_gain) * (t - s);
-  if (apply_fading) {
-    sig = sig * util::simd::exp10(vdouble::load(fade) /
-                                  vdouble::broadcast(10.0));
-  }
-  const vdouble sig_dbm = simd_kernels::mw_to_dbm_kernel(sig);
-  const vdouble clean = sig_dbm - vdouble::broadcast(noise_dbm);
-  const vdouble iv = vdouble::load(interf);
-  const vdouble denom_dbm =
-      simd_kernels::mw_to_dbm_kernel(vdouble::broadcast(noise_mw) + iv);
-  clean.store(sinr_clean);
-  select_eq(iv, vdouble::broadcast(0.0), clean, sig_dbm - denom_dbm)
-      .store(sinr_jam);
-}
-
-// The BER chain over one chunk of queued lanes (same annotation as above).
-// dimmer-lint: pure(may-allocate)
-inline void success_chunk(const double* sinr_clean, const double* sinr_jam,
-                          const double* frac, int frame_bytes, double* p_ok) {
-  simd_kernels::frame_success_kernel(vdouble::load(sinr_clean),
-                                     vdouble::load(sinr_jam),
-                                     vdouble::load(frac), frame_bytes)
-      .store(p_ok);
-}
-
 }  // namespace
 
-int reception_success_batch(ReceptionBatch& b, double coherence_gain,
-                            bool apply_fading, double noise_mw,
-                            double noise_dbm, int frame_bytes) {
+double approx_log2(double x) { return log2_of(log2_table(), x); }
+
+ApproxSinr approx_sinr(double signal_mw, double fade_db, double interf_mw,
+                       bool apply_fading, double noise_mw, double noise_dbm) {
+  return approx_sinr_of(log2_table(), signal_mw, fade_db, interf_mw,
+                        apply_fading, noise_mw, noise_dbm);
+}
+
+ReceptionCounts reception_success_batch(ReceptionBatch& b,
+                                        double coherence_gain,
+                                        bool apply_fading, double noise_mw,
+                                        double noise_dbm, int frame_bytes) {
   // A settled lane skips frame_success_prob, which used to be the only
   // check of the frame length.
   DIMMER_REQUIRE(frame_bytes > 0, "frame_bytes must be positive");
   const int count = b.count;
   DIMMER_DEBUG_ASSERT(count <= static_cast<int>(b.strongest_mw.size()),
                       "ReceptionBatch count exceeds its arrays");
-  // 1. SINRs of every lane: full chunks, then the tail through a benign
-  //    pad (1 mW signal, no fading/interference) that keeps every lane
-  //    inside the kernels' (positive, finite) domain.
-  int i = 0;
-  for (; i + kW <= count; i += kW) {
-    sinr_chunk(b.strongest_mw.data() + i, b.total_mw.data() + i,
-               b.fade_db.data() + i, b.interf_mw.data() + i, coherence_gain,
-               apply_fading, noise_mw, noise_dbm, b.sinr_clean_db.data() + i,
-               b.sinr_jam_db.data() + i);
-  }
-  if (i < count) {
-    double pad_s[kW], pad_t[kW], pad_f[kW], pad_i[kW];
-    double out_clean[kW], out_jam[kW];
-    for (int l = 0; l < kW; ++l) {
-      pad_s[l] = 1.0;
-      pad_t[l] = 1.0;
-      pad_f[l] = 0.0;
-      pad_i[l] = 0.0;
-    }
-    std::copy(b.strongest_mw.data() + i, b.strongest_mw.data() + count,
-              pad_s);
-    std::copy(b.total_mw.data() + i, b.total_mw.data() + count, pad_t);
-    std::copy(b.fade_db.data() + i, b.fade_db.data() + count, pad_f);
-    std::copy(b.interf_mw.data() + i, b.interf_mw.data() + count, pad_i);
-    sinr_chunk(pad_s, pad_t, pad_f, pad_i, coherence_gain, apply_fading,
-               noise_mw, noise_dbm, out_clean, out_jam);
-    std::copy(out_clean, out_clean + (count - i),
-              b.sinr_clean_db.data() + i);
-    std::copy(out_jam, out_jam + (count - i), b.sinr_jam_db.data() + i);
-  }
-  // 2. Settle each lane by the saturation rule or the bracket, or queue it
-  //    for the chain.
-  const LnOkTable& table = ln_ok_table();
+  const Log2Table& log2t = log2_table();
+  const LnOkTable& lambda = ln_ok_table();
   const double bits = 8.0 * frame_bytes;
-  int pending = 0;
+  const auto approx_ln = [&log2t](double u) {
+    return std::numbers::ln2 * log2_of(log2t, u);
+  };
+  const auto exact_ln = [](double u) { return std::log(u); };
+  ReceptionCounts n;
   for (int l = 0; l < count; ++l) {
-    const auto u = static_cast<std::size_t>(l);
-    const double clean = b.sinr_clean_db[u];
-    const double jam = b.sinr_jam_db[u];
-    const double frac = b.jam_fraction[u];
+    const auto i = static_cast<std::size_t>(l);
+    const double s = b.strongest_mw[i];
+    // One signal for both paths, so contraction cannot split them.
+    double sig = s + coherence_gain * (b.total_mw[i] - s);
+    const double fade = b.fade_db[i];
+    const double interf = b.interf_mw[i];
+    const double frac = b.jam_fraction[i];
+    const double u = b.uniform[i];
+    // 1. The approximate SINRs, widened by their error bound.
+    const ApproxSinr a = approx_sinr_of(log2t, sig, fade, interf,
+                                        apply_fading, noise_mw, noise_dbm);
     Bracket at = Bracket::kInside;
-    if (saturated(clean, jam, frac)) {
-      at = Bracket::kSuccess;
-    } else if (b.uniform[u] >= kFloorMinUniform) {
-      at = bracket(table, b.uniform[u], clean, jam, frac, bits);
+    if (a.in_domain) {
+      at = settle(lambda, u, a.clean_db, a.jam_db, frac, bits,
+                  kApproxSinrErrorDb, kApproxLnUniformError, approx_ln);
     }
+    // 2. Otherwise the exact path: the historical expressions, the same
+    //    two tests unwidened, then the chain.
     if (at == Bracket::kInside) {
-      b.unsettled[static_cast<std::size_t>(pending++)] = l;
-    } else {
-      b.p_ok[u] = at == Bracket::kSuccess ? 1.0 : 0.0;
+      ++n.exact_sinr;
+      if (apply_fading) sig *= std::pow(10.0, fade / 10.0);
+      const double sig_dbm = mw_to_dbm(sig);
+      const double clean = sig_dbm - noise_dbm;
+      const double jam =
+          interf == 0.0 ? clean : sig_dbm - mw_to_dbm(noise_mw + interf);
+      at = settle(lambda, u, clean, jam, frac, bits, 0.0, 0.0, exact_ln);
+      if (at == Bracket::kInside) {
+        ++n.chain;
+        b.p_ok[i] = frame_success_prob(clean, jam, frac, frame_bytes);
+        continue;
+      }
     }
+    b.p_ok[i] = at == Bracket::kSuccess ? 1.0 : 0.0;
   }
-  // 3. The chain over the queued lanes, kW at a time. Every chunk is
-  //    gathered into a pad, the last one padded with benign 0 dB lanes, so
-  //    a lane's result never depends on its position in the queue.
-  for (int k = 0; k < pending; k += kW) {
-    const int* lanes = b.unsettled.data() + k;
-    const int m = std::min(kW, pending - k);
-    double pad_clean[kW] = {}, pad_jam[kW] = {}, pad_frac[kW] = {};
-    double pad_out[kW];
-    for (int l = 0; l < m; ++l) {
-      const auto u = static_cast<std::size_t>(lanes[l]);
-      pad_clean[l] = b.sinr_clean_db[u];
-      pad_jam[l] = b.sinr_jam_db[u];
-      pad_frac[l] = b.jam_fraction[u];
-    }
-    success_chunk(pad_clean, pad_jam, pad_frac, frame_bytes, pad_out);
-    for (int l = 0; l < m; ++l)
-      b.p_ok[static_cast<std::size_t>(lanes[l])] = pad_out[l];
-  }
-  return pending;
+  return n;
 }
 
 }  // namespace dimmer::phy

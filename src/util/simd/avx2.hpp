@@ -7,10 +7,9 @@
 //    std::max/std::min semantics lane-for-lane ((a < b) ? b : a). The bare
 //    vmaxpd instruction instead returns its *second* operand on NaN and
 //    differs on ±0, which would silently diverge from the scalar engine.
-//  - AVX2 has no packed int64<->double conversion, so exp2i and
-//    exponent_part use the classic bit tricks: 32-bit convert + widen for
-//    exp2i, and the 2^52 magic-number add for exponent extraction. Both are
-//    exact integer manipulations — no rounding is introduced.
+//  - AVX2 has no packed int64<->double conversion, so exp2i uses the
+//    classic bit trick: a 32-bit convert, widened to 64 bits. It is an
+//    exact integer manipulation — no rounding is introduced.
 //  - No FMA is emitted: we only use mul/add/sub intrinsics and the TU is
 //    compiled without -mfma contraction of intrinsics, so polynomial
 //    evaluation order is exactly as written.
@@ -83,12 +82,6 @@ inline simd<double, 4> select_lt(simd<double, 4> a, simd<double, 4> b,
   return simd<double, 4>(_mm256_blendv_pd(y.v, x.v, lt));
 }
 
-inline simd<double, 4> select_eq(simd<double, 4> a, simd<double, 4> b,
-                                 simd<double, 4> x, simd<double, 4> y) {
-  const __m256d eq = _mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ);
-  return simd<double, 4>(_mm256_blendv_pd(y.v, x.v, eq));
-}
-
 inline simd<double, 4> exp2i(simd<double, 4> n) {
   // n holds integer values in [-1022, 1024]: convert through int32 (exact in
   // that range), widen to int64, and build the exponent field directly.
@@ -96,27 +89,6 @@ inline simd<double, 4> exp2i(simd<double, 4> n) {
   const __m256i n64 = _mm256_cvtepi32_epi64(n32);
   const __m256i biased = _mm256_add_epi64(n64, _mm256_set1_epi64x(1023));
   return simd<double, 4>(_mm256_castsi256_pd(_mm256_slli_epi64(biased, 52)));
-}
-
-inline simd<double, 4> exponent_part(simd<double, 4> x) {
-  // (bits >> 52) is a small non-negative integer; OR-ing in the bit pattern
-  // of 2^52 and subtracting (2^52 + 1022) converts it to a double without a
-  // 64-bit int->double instruction (absent in AVX2).
-  const __m256i bits = _mm256_castpd_si256(x.v);
-  const __m256i expo = _mm256_srli_epi64(bits, 52);
-  const __m256i magic = _mm256_castpd_si256(_mm256_set1_pd(0x1.0p52));
-  const __m256d as_pd = _mm256_castsi256_pd(_mm256_or_si256(expo, magic));
-  return simd<double, 4>(
-      _mm256_sub_pd(as_pd, _mm256_set1_pd(0x1.0p52 + 1022.0)));
-}
-
-inline simd<double, 4> mantissa_part(simd<double, 4> x) {
-  const __m256i bits = _mm256_castpd_si256(x.v);
-  const __m256i mant =
-      _mm256_or_si256(_mm256_and_si256(bits, _mm256_set1_epi64x(
-                                                0x000FFFFFFFFFFFFFLL)),
-                      _mm256_set1_epi64x(0x3FE0000000000000LL));
-  return simd<double, 4>(_mm256_castsi256_pd(mant));
 }
 
 }  // namespace dimmer::util::simd

@@ -3,9 +3,9 @@
 // Only compiled when DIMMER_SIMD_AVX512 is defined (CMake
 // -DDIMMER_SIMD=avx512, which adds -mavx512f -mavx512dq). AVX-512DQ provides
 // native packed int64<->double conversion, so exp2i avoids the AVX2 bit
-// tricks; selects use mask registers. Semantics are identical to the other
-// backends: max/min follow std::max/std::min, and all polynomial evaluation
-// happens through the same generic kernels in math.hpp.
+// trick; the select uses mask registers. Semantics are identical to the
+// other backends: max/min follow std::max/std::min, and all polynomial
+// evaluation happens through the same generic kernel in math.hpp.
 #pragma once
 
 #ifndef DIMMER_SIMD_AVX512
@@ -19,8 +19,8 @@
 
 namespace dimmer::util::simd {
 
-// Every lane. The unmasked forms of roundscale, cvtpd_epi64, slli/srli_epi64
-// and cvtepi64_pd pass an _mm512_undefined_* source that GCC 12 reports as
+// Every lane. The unmasked forms of roundscale, cvtpd_epi64 and slli_epi64
+// pass an _mm512_undefined_* source that GCC 12 reports as
 // -Wmaybe-uninitialized; their zero-masked forms under a full mask compute
 // the same lanes without it.
 inline constexpr __mmask8 kAll = 0xFF;
@@ -81,33 +81,12 @@ inline simd<double, 8> select_lt(simd<double, 8> a, simd<double, 8> b,
   return simd<double, 8>(_mm512_mask_blend_pd(lt, y.v, x.v));
 }
 
-inline simd<double, 8> select_eq(simd<double, 8> a, simd<double, 8> b,
-                                 simd<double, 8> x, simd<double, 8> y) {
-  const __mmask8 eq = _mm512_cmp_pd_mask(a.v, b.v, _CMP_EQ_OQ);
-  return simd<double, 8>(_mm512_mask_blend_pd(eq, y.v, x.v));
-}
-
 inline simd<double, 8> exp2i(simd<double, 8> n) {
   // AVX-512DQ: exact packed double -> int64 conversion.
   const __m512i n64 = _mm512_maskz_cvtpd_epi64(kAll, n.v);
   const __m512i biased = _mm512_add_epi64(n64, _mm512_set1_epi64(1023));
   return simd<double, 8>(
       _mm512_castsi512_pd(_mm512_maskz_slli_epi64(kAll, biased, 52)));
-}
-
-inline simd<double, 8> exponent_part(simd<double, 8> x) {
-  const __m512i bits = _mm512_castpd_si512(x.v);
-  const __m512i expo = _mm512_maskz_srli_epi64(kAll, bits, 52);
-  const __m512d as_pd = _mm512_maskz_cvtepi64_pd(kAll, expo);
-  return simd<double, 8>(_mm512_sub_pd(as_pd, _mm512_set1_pd(1022.0)));
-}
-
-inline simd<double, 8> mantissa_part(simd<double, 8> x) {
-  const __m512i bits = _mm512_castpd_si512(x.v);
-  const __m512i mant = _mm512_or_si512(
-      _mm512_and_si512(bits, _mm512_set1_epi64(0x000FFFFFFFFFFFFFLL)),
-      _mm512_set1_epi64(0x3FE0000000000000LL));
-  return simd<double, 8>(_mm512_castsi512_pd(mant));
 }
 
 }  // namespace dimmer::util::simd

@@ -1,27 +1,25 @@
-// Backend-generic vector math: exp / exp10 / log2 / exp2 / pow for the
-// simd<double, N> value types, written once against the primitive API.
+// Backend-generic vector math: exp10 for the simd<double, N> value types,
+// written once against the primitive API. Its one caller is
+// phy::dbm_to_mw_batch, which rebuilds link rows from dBm.
 //
-// The kernels are Cephes-style rational approximations (the same family
+// The kernel is a Cephes-style rational approximation (the same family
 // glibc's historical libm and most SIMD math layers descend from): reduce
 // the argument with a Cody-Waite two-constant split, evaluate a short
 // rational P/Q in the reduced argument, then scale by 2^n through direct
-// exponent-field construction (exp2i). Accuracy is ~1-2 ulp across the
-// ranges this simulator feeds them (SINR-driven exponents, dBm<->mW
-// conversions, per-packet success powers).
+// exponent-field construction (exp2i). Accuracy is ~1-2 ulp over the dBm
+// range the link rows span.
 //
 // Determinism contract (DESIGN.md §12):
-//  - The public entry points dispatch on V::width. At width 1 they call the
-//    scalar std:: functions, so a scalar-backend build (DIMMER_SIMD=scalar)
-//    is *byte-identical* to code that never heard of util/simd.
-//  - At width > 1 the polynomial kernels run instead. They are pure
-//    lanewise functions — no cross-lane reduction anywhere — so results
-//    depend only on the input value, never on lane position or batch size.
-//  - The detail:: kernels are also instantiable at width 1, which is how the
-//    unit tests pin their accuracy on every build, including scalar-only.
+//  - exp10 dispatches on V::width. At width 1 it calls std::pow(10, x), so
+//    a scalar-backend build (DIMMER_SIMD=scalar) is *byte-identical* to
+//    code that never heard of util/simd.
+//  - At width > 1 the polynomial kernel runs instead. It is a pure lanewise
+//    function — no cross-lane reduction — so a result depends only on the
+//    input value, never on lane position or batch size.
+//  - detail::poly_exp10 is also instantiable at width 1, which is how the
+//    unit tests pin its accuracy on every build, including scalar-only.
 //
-// Preconditions: finite inputs. log2/pow require positive *normal* values
-// (the callers in src/phy select around zero/negative power lanes before
-// taking logs).
+// Precondition: finite inputs.
 #pragma once
 
 #include <cmath>
@@ -54,15 +52,8 @@ constexpr double kExpQ[] = {3.00198505138664455042e-6,
                             2.27265548208155028766e-1,
                             2.00000000000000000005e0};
 
-constexpr double kLog2E = 1.4426950408889634073599;   // 1/ln(2)
-constexpr double kC1 = 6.93145751953125e-1;           // ln(2) high part
-constexpr double kC2 = 1.42860682030941723212e-6;     // ln(2) low part
-constexpr double kExpMinArg = -708.396418532264106224;  // log(DBL_MIN)
-constexpr double kExpMaxArg = 709.782712893383996843;   // log(DBL_MAX)
-
-/// Shared tail of the exp-family kernels: the rational in the reduced
-/// argument `r` (|r| <= 0.347), scaled by 2^n with n pre-clamped to
-/// [-1022, 1024].
+/// The rational in the reduced argument `r` (|r| <= 0.347), scaled by 2^n
+/// with n pre-clamped to [-1022, 1024].
 template <typename V>
 inline V exp_rational_scaled(V r, V n) {
   const V rr = r * r;
@@ -70,28 +61,6 @@ inline V exp_rational_scaled(V r, V n) {
   const V q = polevl(rr, kExpQ) - p;
   const V e = p / q;
   return (V::broadcast(1.0) + (e + e)) * exp2i(n);
-}
-
-/// e^x. Lanes below log(DBL_MIN) flush to +0.0 (subnormal results are not
-/// produced); lanes above log(DBL_MAX) saturate to +inf.
-template <typename V>
-inline V poly_exp(V x) {
-  // Clamp into the normal-result domain *before* reduction. Without this,
-  // deeply negative lanes (the BER kernel routinely feeds exp(-600..-6000)
-  // at good SINR) drag a huge reduced argument through the rational and
-  // produce subnormal intermediates — an x86 microcode assist (~100 cycles
-  // per op) on values the flush select below discards anyway.
-  const V xc =
-      min(max(x, V::broadcast(kExpMinArg)), V::broadcast(kExpMaxArg));
-  V n = round_nearest(xc * V::broadcast(kLog2E));
-  n = min(max(n, V::broadcast(-1022.0)), V::broadcast(1024.0));
-  const V r = (xc - n * V::broadcast(kC1)) - n * V::broadcast(kC2);
-  V out = exp_rational_scaled(r, n);
-  out = select_lt(x, V::broadcast(kExpMinArg), V::broadcast(0.0), out);
-  out = select_lt(V::broadcast(kExpMaxArg), x, V::broadcast(
-                      std::numeric_limits<double>::infinity()),
-                  out);
-  return out;
 }
 
 constexpr double kLog210 = 3.32192809488736234787e0;  // log2(10)
@@ -107,8 +76,10 @@ constexpr double kExp10MinArg = -307.6526555685888;  // log10(DBL_MIN)
 /// saturate to +inf.
 template <typename V>
 inline V poly_exp10(V x) {
-  // Same pre-reduction clamp as poly_exp: keep out-of-domain lanes from
-  // generating subnormal intermediates the selects below discard.
+  // Clamp into the normal-result domain *before* reduction: without it, an
+  // out-of-domain lane drags a huge reduced argument through the rational
+  // and produces subnormal intermediates (an x86 microcode assist, ~100
+  // cycles per op) on values the selects below discard anyway.
   const V xc =
       min(max(x, V::broadcast(kExp10MinArg)), V::broadcast(kExp10MaxArg));
   V n = round_nearest(xc * V::broadcast(kLog210));
@@ -124,102 +95,7 @@ inline V poly_exp10(V x) {
   return out;
 }
 
-// Cephes exp2() rational (distinct coefficients from exp: the reduced
-// argument is |r| <= 0.5 in base 2).
-constexpr double kExp2P[] = {2.30933477057345225087e-2,
-                             2.02020656693165307700e1,
-                             1.51390680115615096133e3};
-constexpr double kExp2Q[] = {2.33184211722314911771e2,
-                             4.36821166879210612817e3};
-
-/// 2^x. Lanes below -1022 flush to +0.0; lanes at or above 1024 saturate to
-/// +inf.
-template <typename V>
-inline V poly_exp2(V x) {
-  // Pre-reduction clamp (see poly_exp): pow_positive(tiny, huge) would
-  // otherwise push a runaway reduced argument through the rational.
-  const V xc = min(max(x, V::broadcast(-1022.0)), V::broadcast(1024.0));
-  V n = round_nearest(xc);
-  const V r = xc - n;
-  const V rr = r * r;
-  const V p = r * polevl(rr, kExp2P);
-  // p1evl: leading coefficient of Q is an implicit 1.0.
-  const V q = ((rr + V::broadcast(kExp2Q[0])) * rr + V::broadcast(kExp2Q[1])) -
-              p;
-  const V e = p / q;
-  V out = (V::broadcast(1.0) + (e + e)) * exp2i(n);
-  out = select_lt(x, V::broadcast(-1022.0), V::broadcast(0.0), out);
-  out = select_lt(V::broadcast(1024.0), x + V::broadcast(1.0),
-                  V::broadcast(std::numeric_limits<double>::infinity()), out);
-  return out;
-}
-
-// Cephes log() rational, shared by log2: log(1+f) = f - f^2/2 +
-// f^3 P(f)/Q(f) on f in [sqrt(1/2)-1, sqrt(2)-1].
-constexpr double kLogP[] = {1.01875663804580931796e-4,
-                            4.97494994976747001425e-1,
-                            4.70579119878881725854e0,
-                            1.44989225341610930846e1,
-                            1.79368678507819816313e1,
-                            7.70838733755885391666e0};
-constexpr double kLogQ[] = {1.12873587189167450590e1,
-                            4.52279145837532221105e1,
-                            8.29875266912776603211e1,
-                            7.11544750618563894466e1,
-                            2.31251620126765340583e1};
-
-constexpr double kSqrtHalf = 7.07106781186547524401e-1;
-constexpr double kLog2EA = 4.4269504088896340735992e-1;  // log2(e) - 1
-
-/// log2(x) for positive normal x.
-template <typename V>
-inline V poly_log2(V x) {
-  // frexp: x = m * 2^e, m in [0.5, 1); fold m < sqrt(1/2) into the exponent
-  // so the reduced argument is centred on 1.
-  V e = exponent_part(x);
-  V m = mantissa_part(x);
-  e = select_lt(m, V::broadcast(kSqrtHalf), e - V::broadcast(1.0), e);
-  const V fr = select_lt(m, V::broadcast(kSqrtHalf),
-                         (m + m) - V::broadcast(1.0), m - V::broadcast(1.0));
-  const V z = fr * fr;
-  // p1evl: Q has an implicit leading 1.0.
-  V q = fr + V::broadcast(kLogQ[0]);
-  for (std::size_t i = 1; i < 5; ++i) {
-    q = q * fr + V::broadcast(kLogQ[i]);
-  }
-  V y = fr * (z * polevl(fr, kLogP) / q);
-  y = y - V::broadcast(0.5) * z;
-  // Assemble in extended precision: log2(m) = (fr + y) * log2(e)
-  //   = y*LOG2EA + fr*LOG2EA + y + fr, summed smallest-first.
-  V out = y * V::broadcast(kLog2EA);
-  out = out + fr * V::broadcast(kLog2EA);
-  out = out + y;
-  out = out + fr;
-  out = out + e;
-  return out;
-}
-
-/// x^y for positive normal x (exp2(y * log2(x))). Accuracy degrades with
-/// |y*log2(x)| (~0.5 ulp of the product is amplified into the exponent);
-/// for this simulator's powers (|y*log2(x)| < 2100) the end-to-end error
-/// stays within a few ulp.
-template <typename V>
-inline V poly_pow_positive(V x, V y) {
-  return poly_exp2(y * poly_log2(x));
-}
-
 }  // namespace detail
-
-/// e^x. Width 1 uses std::exp (bit-identical to scalar code); wider
-/// backends use the polynomial kernel (~1 ulp).
-template <typename V>
-inline V exp(V x) {
-  if constexpr (V::width == 1) {
-    return V(std::exp(x.v));
-  } else {
-    return detail::poly_exp(x);
-  }
-}
 
 /// 10^x. Width 1 uses std::pow(10.0, x) — the exact expression the scalar
 /// engine has always used for dBm -> mW — wider backends the kernel.
@@ -229,26 +105,6 @@ inline V exp10(V x) {
     return V(std::pow(10.0, x.v));
   } else {
     return detail::poly_exp10(x);
-  }
-}
-
-/// log2(x), positive normal x only.
-template <typename V>
-inline V log2(V x) {
-  if constexpr (V::width == 1) {
-    return V(std::log2(x.v));
-  } else {
-    return detail::poly_log2(x);
-  }
-}
-
-/// x^y, positive normal x only.
-template <typename V>
-inline V pow_positive(V x, V y) {
-  if constexpr (V::width == 1) {
-    return V(std::pow(x.v, y.v));
-  } else {
-    return detail::poly_pow_positive(x, y);
   }
 }
 

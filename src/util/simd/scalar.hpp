@@ -1,8 +1,9 @@
 // Scalar backend for the backend-generic SIMD value type (width 1).
 //
 // simd<double, 1> wraps a single double and implements the full primitive
-// API (load/store, arithmetic, max/min, lane selects, exponent/mantissa bit
-// extraction) with ordinary scalar operations. Two properties matter:
+// API (load/store, arithmetic, max/min, rounding, a lane select and
+// exponent-field scaling) with ordinary scalar operations. Two properties
+// matter:
 //
 //  1. Every primitive is a single IEEE-754 double operation, so code written
 //     against the generic API produces *exactly* the scalar instruction
@@ -13,7 +14,7 @@
 //     maxpd/minpd instruction, whose NaN/±0 behaviour differs).
 //
 // The scalar backend is always compiled, regardless of DIMMER_SIMD, so the
-// generic polynomial kernels in math.hpp are unit-testable at width 1 on
+// generic polynomial kernel in math.hpp is unit-testable at width 1 on
 // every build.
 #pragma once
 
@@ -71,37 +72,12 @@ inline simd<double, 1> select_lt(simd<double, 1> a, simd<double, 1> b,
   return simd<double, 1>((a.v < b.v) ? x.v : y.v);
 }
 
-/// Lanewise (a == b) ? x : y.
-inline simd<double, 1> select_eq(simd<double, 1> a, simd<double, 1> b,
-                                 simd<double, 1> x, simd<double, 1> y) {
-  return simd<double, 1>((a.v == b.v) ? x.v : y.v);
-}
-
 /// 2^n for lanes of `n` holding integer values in [-1022, 1024]. n = 1024
 /// yields +inf (exponent field saturates), n = -1023 yields 0; callers clamp
 /// or select around those edges before scaling.
 inline simd<double, 1> exp2i(simd<double, 1> n) {
   const auto e = static_cast<std::int64_t>(n.v);
   const std::uint64_t bits = static_cast<std::uint64_t>(e + 1023) << 52;
-  double out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return simd<double, 1>(out);
-}
-
-/// frexp-style exponent of a positive *normal* double: x = m * 2^e with
-/// m in [0.5, 1). Returned as a double-valued lane.
-inline simd<double, 1> exponent_part(simd<double, 1> x) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &x.v, sizeof(bits));
-  return simd<double, 1>(static_cast<double>(
-      static_cast<std::int64_t>(bits >> 52) - 1022));
-}
-
-/// frexp-style mantissa of a positive normal double, in [0.5, 1).
-inline simd<double, 1> mantissa_part(simd<double, 1> x) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &x.v, sizeof(bits));
-  bits = (bits & 0x000FFFFFFFFFFFFFULL) | 0x3FE0000000000000ULL;
   double out;
   std::memcpy(&out, &bits, sizeof(out));
   return simd<double, 1>(out);

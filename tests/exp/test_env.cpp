@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "bench/common.hpp"
@@ -39,6 +40,19 @@ TEST(BenchEnv, ScaleIsStrictlyParsed) {
     ScopedEnv env("DIMMER_BENCH_SCALE", bad);
     EXPECT_THROW((void)scale(), util::RequireError) << bad;
   }
+}
+
+TEST(BenchEnv, ScaledRejectsCountsOutsideInt) {
+  // Regression: scaled() cast x * scale + 0.5 to int unchecked. Outside int
+  // that is undefined behaviour, and in Release it read as the lower limit,
+  // so DIMMER_BENCH_SCALE=20000 trained bench_ablation_tabular for 1 step
+  // instead of 2.4e9.
+  ScopedEnv env("DIMMER_BENCH_SCALE", "20000");
+  EXPECT_EQ(scaled(100000), 2000000000);
+  EXPECT_THROW((void)scaled(120000), util::RequireError);
+  EXPECT_THROW((void)scaled(-120000), util::RequireError);
+  EXPECT_THROW((void)scaled(std::numeric_limits<int>::max()),
+               util::RequireError);
 }
 
 TEST(BenchEnv, FedWorkersAreStrictlyParsed) {

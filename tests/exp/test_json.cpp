@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "exp/json.hpp"
 #include "util/json_parse.hpp"
@@ -80,6 +81,23 @@ TEST(Json, CheckedInExpectationsAreValidJson) {
     EXPECT_EQ(doc.find("jobs"), nullptr) << path;
     EXPECT_EQ(doc.find("wall_seconds"), nullptr) << path;
   }
+}
+
+// perf/trajectory.jsonl holds one JSON object per perf-affecting change,
+// one per line.
+TEST(Json, PerfTrajectoryLinesAreValidJson) {
+  std::ifstream in(DIMMER_TRAJECTORY_FILE);
+  ASSERT_TRUE(in) << DIMMER_TRAJECTORY_FILE;
+  std::string line;
+  int n = 0;
+  while (std::getline(in, line)) {
+    ++n;
+    util::json::Value doc;
+    ASSERT_NO_THROW(doc = util::json::parse(line)) << "line " << n;
+    EXPECT_NE(doc.find("pr"), nullptr) << "line " << n;
+    EXPECT_NE(doc.find("medians"), nullptr) << "line " << n;
+  }
+  EXPECT_GT(n, 0);
 }
 
 TEST(Json, SerializationIsDeterministic) {

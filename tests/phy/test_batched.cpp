@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
 #include <limits>
+#include <numbers>
 #include <string>
 #include <vector>
 
@@ -18,14 +20,23 @@
 namespace dimmer::phy {
 namespace {
 
-using s1 = util::simd::simd<double, 1>;
 constexpr int kW = util::simd::native_width;
 
-// Equivalence bound between the native-width batch code and the historical
-// scalar functions. On the scalar backend (native_width == 1) the contract is
-// bit-identity, checked with EXPECT_EQ; on wider backends the polynomial
-// kernels are bounded-ulp, checked with a relative tolerance (DESIGN.md §12
-// documents the per-site bounds).
+// Builds that allow FMA contraction (avx512 implies FMA, and C++ defaults
+// to -ffp-contract=fast) may contract the SINR expressions differently here
+// and in batched.cpp, which moves an exact SINR by an ulp. Every other
+// build compares reception results bitwise.
+#ifdef __FP_FAST_FMA
+constexpr bool kMayContract = true;
+#else
+constexpr bool kMayContract = false;
+#endif
+
+// Equivalence bound between dbm_to_mw_batch and the historical scalar
+// function. On the scalar backend (native_width == 1) the contract is
+// bit-identity, checked with EXPECT_EQ; on wider backends the exp10 kernel
+// is bounded-ulp, checked with a relative tolerance (DESIGN.md §12
+// documents the bound).
 void expect_equivalent(double got, double want, const char* site) {
   if (kW == 1) {
     EXPECT_EQ(got, want) << site;
@@ -35,51 +46,7 @@ void expect_equivalent(double got, double want, const char* site) {
 }
 
 // ---------------------------------------------------------------------------
-// Width-1 kernel instantiations: bitwise against the canonical scalar
-// functions on EVERY build (the kernels are templates, so this pins the
-// width-1 branches regardless of DIMMER_SIMD).
-
-TEST(SimdKernelsWidth1, BerMatchesScalarBitwise) {
-  for (double sinr = -25.0; sinr <= 25.0; sinr += 0.37) {
-    EXPECT_EQ(simd_kernels::ber_802154_kernel(s1(sinr)).v, ber_802154(sinr))
-        << "sinr=" << sinr;
-  }
-}
-
-TEST(SimdKernelsWidth1, MwToDbmMatchesScalarBitwise) {
-  for (double mw : {1e-12, 3.7e-8, 1.0, 42.0, 1e6}) {
-    EXPECT_EQ(simd_kernels::mw_to_dbm_kernel(s1(mw)).v, mw_to_dbm(mw));
-  }
-  // The non-positive floor.
-  EXPECT_EQ(simd_kernels::mw_to_dbm_kernel(s1(0.0)).v, -300.0);
-  EXPECT_EQ(simd_kernels::mw_to_dbm_kernel(s1(-1.0)).v, -300.0);
-}
-
-TEST(SimdKernelsWidth1, FrameSuccessMatchesScalarBitwise) {
-  for (double clean : {-5.0, 0.0, 3.0, 12.0}) {
-    for (double jam : {-15.0, -5.0, 3.0}) {
-      for (double frac : {0.0, 0.25, 0.5, 1.0, -0.5, 1.5}) {
-        EXPECT_EQ(
-            simd_kernels::frame_success_kernel(s1(clean), s1(jam), s1(frac), 36)
-                .v,
-            frame_success_prob(clean, jam, frac, 36))
-            << "clean=" << clean << " jam=" << jam << " frac=" << frac;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// The batch entry point and the kernels at the native width vs the scalar
-// functions.
-
-using util::simd::vdouble;
-
-// Input length rounded up to whole chunks; the zero-filled tail lanes stay
-// inside every kernel's domain and are never checked.
-std::size_t padded(int n) {
-  return static_cast<std::size_t>((n + kW - 1) / kW * kW);
-}
+// dbm_to_mw_batch at the native width vs the scalar function.
 
 TEST(BatchEntryPoints, DbmToMwMatchesScalar) {
   // 2*kW + 3 forces a partial tail chunk on every vector backend.
@@ -91,48 +58,6 @@ TEST(BatchEntryPoints, DbmToMwMatchesScalar) {
   for (int i = 0; i < n; ++i) {
     const auto u = static_cast<std::size_t>(i);
     expect_equivalent(mw[u], dbm_to_mw(dbm[u]), "dbm_to_mw");
-  }
-}
-
-TEST(BatchEntryPoints, BerMatchesScalar) {
-  const int n = 3 * kW + 1;
-  std::vector<double> sinr(padded(n)), ber(sinr.size());
-  for (int i = 0; i < n; ++i)
-    sinr[static_cast<std::size_t>(i)] = -20.0 + 1.7 * i;
-  for (int i = 0; i < n; i += kW) {
-    simd_kernels::ber_802154_kernel(vdouble::load(sinr.data() + i))
-        .store(ber.data() + i);
-  }
-  for (int i = 0; i < n; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    expect_equivalent(ber[u], ber_802154(sinr[u]), "ber");
-  }
-}
-
-TEST(BatchEntryPoints, FrameSuccessMatchesScalar) {
-  const int n = 2 * kW + 1;
-  std::vector<double> clean(padded(n)), jam(clean.size()), frac(clean.size()),
-      p(clean.size());
-  util::Pcg32 rng(99);
-  for (int i = 0; i < n; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    clean[u] = -10.0 + 20.0 * rng.uniform();
-    jam[u] = clean[u] - 12.0 * rng.uniform();
-    frac[u] = rng.uniform();
-  }
-  // Exercise the short-circuit fractions explicitly.
-  frac[0] = 0.0;
-  if (n > 1) frac[1] = 1.0;
-  for (int i = 0; i < n; i += kW) {
-    simd_kernels::frame_success_kernel(vdouble::load(clean.data() + i),
-                                       vdouble::load(jam.data() + i),
-                                       vdouble::load(frac.data() + i), 36)
-        .store(p.data() + i);
-  }
-  for (int i = 0; i < n; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    expect_equivalent(p[u], frame_success_prob(clean[u], jam[u], frac[u], 36),
-                      "frame_success");
   }
 }
 
@@ -164,20 +89,30 @@ TEST(BatchEntryPoints, TailAndFullChunkAgreeBitwise) {
 // reception_success_batch: the full step-3b chain against a literal
 // transcription of the historical per-listener expressions.
 
-double reference_reception(double strongest, double total, double fade_db,
-                           double interf_mw, double jam_fraction,
-                           double coherence_gain, bool apply_fading,
-                           double noise_mw, double noise_dbm,
-                           int frame_bytes) {
-  double signal_mw = strongest + coherence_gain * (total - strongest);
+struct Sinrs {
+  double clean_db, jam_db;
+};
+
+Sinrs reference_sinrs(double signal_mw, double fade_db, double interf_mw,
+                      bool apply_fading, double noise_mw, double noise_dbm) {
   if (apply_fading) signal_mw *= std::pow(10.0, fade_db / 10.0);
   const double signal_dbm = mw_to_dbm(signal_mw);
   const double sinr_clean_db = signal_dbm - noise_dbm;
   const double sinr_jam_db = interf_mw == 0.0
                                  ? sinr_clean_db
                                  : signal_dbm - mw_to_dbm(noise_mw + interf_mw);
-  return frame_success_prob(sinr_clean_db, sinr_jam_db, jam_fraction,
-                            frame_bytes);
+  return {sinr_clean_db, sinr_jam_db};
+}
+
+double reference_reception(double strongest, double total, double fade_db,
+                           double interf_mw, double jam_fraction,
+                           double coherence_gain, bool apply_fading,
+                           double noise_mw, double noise_dbm,
+                           int frame_bytes) {
+  const Sinrs s =
+      reference_sinrs(strongest + coherence_gain * (total - strongest),
+                      fade_db, interf_mw, apply_fading, noise_mw, noise_dbm);
+  return frame_success_prob(s.clean_db, s.jam_db, jam_fraction, frame_bytes);
 }
 
 TEST(ReceptionBatch, MatchesReferenceChain) {
@@ -205,11 +140,15 @@ TEST(ReceptionBatch, MatchesReferenceChain) {
       const double want = reference_reception(
           b.strongest_mw[u], b.total_mw[u], b.fade_db[u], b.interf_mw[u],
           b.jam_fraction[u], 0.2, fading, noise_mw, noise_dbm, 36);
-      expect_equivalent(b.p_ok[u], want, "reception");
+      // Draws of 0.0 run every unsaturated lane through the chain, so
+      // p_ok is the probability itself.
+      if (kMayContract) {
+        EXPECT_NEAR(b.p_ok[u], want, std::abs(want) * 1e-10 + 1e-12);
+      } else {
+        EXPECT_EQ(b.p_ok[u], want);
+      }
       EXPECT_GE(b.p_ok[u], 0.0);
-      // The polynomial kernels may overshoot 1.0 by a few ulp on vector
-      // backends; the Bernoulli compare tolerates that (p >= 1 always fires).
-      EXPECT_LE(b.p_ok[u], 1.0 + 1e-12);
+      EXPECT_LE(b.p_ok[u], 1.0);
     }
   }
 }
@@ -258,9 +197,6 @@ TEST(ReceptionBatch, ResizeSizesAllArrays) {
   EXPECT_EQ(b.jam_fraction.size(), 13u);
   EXPECT_EQ(b.uniform.size(), 13u);
   EXPECT_EQ(b.p_ok.size(), 13u);
-  EXPECT_EQ(b.sinr_clean_db.size(), 13u);
-  EXPECT_EQ(b.sinr_jam_db.size(), 13u);
-  EXPECT_EQ(b.unsettled.size(), 13u);
 }
 
 // ---------------------------------------------------------------------------
@@ -335,20 +271,22 @@ TEST(ReceptionBatch, SettledLanesTakeTheFullChainDecision) {
     ReceptionBatch probe;
     load_lanes(probe, lanes);
     EXPECT_EQ(reception_success_batch(probe, 0.0, false, noise_mw, noise_dbm,
-                                      frame_bytes),
+                                      frame_bytes)
+                  .chain,
               static_cast<int>(lanes.size()) - kSaturatedLanes);
     for (double& u : probe.uniform) u = 0.5;
     EXPECT_EQ(reception_success_batch(probe, 0.0, false, noise_mw, noise_dbm,
-                                      frame_bytes),
+                                      frame_bytes)
+                  .chain,
               0);
     // Each lane's decision at draws around its exact p_ok, among random
     // neighbours.
     for (std::size_t i = 0; i < lanes.size(); ++i) {
       for (double u : {0.0, 0x1p-53, std::nextafter(want[i], 0.0), want[i],
                        rng.uniform()}) {
-        // Vector kernels carry a bounded p_ok error: a draw inside it may
+        // Contraction may move p_ok by a few ulp: a draw that close may
         // legitimately decide either way.
-        if (kW > 1 &&
+        if (kMayContract &&
             std::abs(u - want[i]) <= std::abs(want[i]) * 1e-10 + 1e-12)
           continue;
         ReceptionBatch b;
@@ -410,17 +348,14 @@ TEST(ReceptionBatch, RejectsNonPositiveFrameEvenWhenEveryLaneSettles) {
 
 // ---------------------------------------------------------------------------
 // The bracket (batched.hpp, DESIGN.md §12): a lane decided from bounds on
-// ln p_ok takes the decision of this backend's own chain.
+// ln p_ok takes the decision of the chain on its exact SINRs.
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// This backend's frame_success_kernel on one lane.
+/// The chain on one lane.
 double chain(double clean_db, double jam_db, double jam_fraction,
              int frame_bytes) {
-  return simd_kernels::frame_success_kernel(
-             vdouble::broadcast(clean_db), vdouble::broadcast(jam_db),
-             vdouble::broadcast(jam_fraction), frame_bytes)
-      .lane(0);
+  return frame_success_prob(clean_db, jam_db, jam_fraction, frame_bytes);
 }
 
 /// A transcription of the bracket: its lower and upper edges on ln p_ok,
@@ -458,8 +393,11 @@ Edges bracket_edges(double clean_db, double jam_db, double jam_fraction,
 }
 
 /// The SINRs the bracket cases visit: [-10.5, 7.5] dB at every grid point
-/// (1/64 dB) and at one random point inside every cell, plus the ulps
-/// around both ends of the grid and around some grid points.
+/// (1/64 dB) and at one random point inside every cell; half the
+/// approximate SINRs' bound either side of every grid point in [-10, 7],
+/// where the cell under the approximate SINR and the one under the exact
+/// SINR differ; and the ulps around both ends of the grid and around some
+/// grid points.
 std::vector<double> bracket_sinrs() {
   std::vector<double> out;
   util::Pcg32 rng(64);
@@ -467,6 +405,10 @@ std::vector<double> bracket_sinrs() {
     const double s = -10.5 + k / static_cast<double>(kLnOkStepsPerDb);
     out.push_back(s);
     out.push_back(s + rng.uniform() / kLnOkStepsPerDb);
+    if (s >= kFloorSinrDb && s <= kSaturatedSinrDb) {
+      out.push_back(s - kApproxSinrErrorDb / 2);
+      out.push_back(s + kApproxSinrErrorDb / 2);
+    }
   }
   out.push_back(7.5);
   for (double s : {kFloorSinrDb, kSaturatedSinrDb, -9.0, -3.5, 0.0, 2.25}) {
@@ -524,14 +466,16 @@ TEST(ReceptionBatch, BracketTakesTheChainDecision) {
       const double noise_mw = dbm_to_mw(-clean_db);
       ReceptionBatch b;
       load_variants(b, clean_db, kDraws);
-      // Draws of 0.0 run the chain and leave each lane's SINRs behind.
-      reception_success_batch(b, 0.0, false, noise_mw, -clean_db,
-                              frame_bytes);
-      std::vector<double> want(kNumVariants);
+      // Each variant's exact SINRs, from the transcription.
+      std::vector<double> want(kNumVariants), jam(kNumVariants);
       for (int v = 0; v < kNumVariants; ++v) {
         const auto i = static_cast<std::size_t>(v * kDraws);
-        ASSERT_EQ(b.sinr_clean_db[i], clean_db);
-        const double jam_db = b.sinr_jam_db[i];
+        const Sinrs exact = reference_sinrs(b.strongest_mw[i], b.fade_db[i],
+                                            b.interf_mw[i], false, noise_mw,
+                                            -clean_db);
+        ASSERT_EQ(exact.clean_db, clean_db);
+        const double jam_db = exact.jam_db;
+        jam[static_cast<std::size_t>(v)] = jam_db;
         const double f = b.jam_fraction[i];
         want[static_cast<std::size_t>(v)] =
             chain(clean_db, jam_db, f, frame_bytes);
@@ -555,21 +499,22 @@ TEST(ReceptionBatch, BracketTakesTheChainDecision) {
         const auto i = static_cast<std::size_t>(l);
         const double u = b.uniform[i];
         const double f = b.jam_fraction[i];
+        const double jam_db = jam[i / kDraws];
         const bool saturated =
             (f >= 1.0 || clean_db >= kSaturatedSinrDb) &&
-            (f <= 0.0 || b.sinr_jam_db[i] >= kSaturatedSinrDb);
+            (f <= 0.0 || jam_db >= kSaturatedSinrDb);
         // Draws outside [0, 1) never come from Pcg32::uniform(); saturated
         // lanes are the saturation rule's, pinned above.
         if (!(u >= 0.0 && u < 1.0) || saturated) continue;
         const double p = want[i / kDraws];
         ASSERT_EQ(u < b.p_ok[i], u < p)
-            << "clean=" << clean_db << " jam=" << b.sinr_jam_db[i]
-            << " f=" << f << " u=" << u << " chain=" << p;
+            << "clean=" << clean_db << " jam=" << jam_db << " f=" << f
+            << " u=" << u << " chain=" << p;
         ++checked;
       }
     }
   }
-  EXPECT_GT(checked, 1000000);
+  EXPECT_GT(checked, 3000000);
 }
 
 TEST(ReceptionBatch, BracketEdgesSitWhereTheTranscriptionPutsThem) {
@@ -587,7 +532,8 @@ TEST(ReceptionBatch, BracketEdgesSitWhereTheTranscriptionPutsThem) {
       const auto runs = [&](double u) {
         b.uniform[0] = u;
         return reception_success_batch(b, 0.0, false, dbm_to_mw(-clean_db),
-                                       -clean_db, frame_bytes);
+                                       -clean_db, frame_bytes)
+            .chain;
       };
       EXPECT_EQ(runs(std::exp(e.lo - margin / 2)), 0) << clean_db;
       EXPECT_EQ(runs(std::exp(e.lo + margin / 2)), 1) << clean_db;
@@ -600,7 +546,8 @@ TEST(ReceptionBatch, BracketEdgesSitWhereTheTranscriptionPutsThem) {
 TEST(ReceptionBatch, BracketSkipsTheChainOnRandomDraws) {
   // Random listeners over [-12, 9] dB, a third of them jammed under a
   // partial exposure, at every frame length the benches use: at least 99%
-  // of the lanes are decided without the chain.
+  // of the lanes are decided without the chain, and at least 99% from the
+  // approximate SINRs alone.
   util::Pcg32 rng(99);
   const double noise_mw = dbm_to_mw(kNoiseDbm);
   const double noise_dbm = mw_to_dbm(noise_mw);
@@ -623,9 +570,10 @@ TEST(ReceptionBatch, BracketSkipsTheChainOnRandomDraws) {
       b.jam_fraction[u] = l.jam_fraction;
       b.uniform[u] = rng.uniform();
     }
-    const int ran = reception_success_batch(b, 0.0, false, noise_mw,
-                                            noise_dbm, frame_bytes);
-    EXPECT_LE(ran, kLanes / 100) << "frame_bytes " << frame_bytes;
+    const ReceptionCounts ran = reception_success_batch(
+        b, 0.0, false, noise_mw, noise_dbm, frame_bytes);
+    EXPECT_LE(ran.chain, kLanes / 100) << "frame_bytes " << frame_bytes;
+    EXPECT_LE(ran.exact_sinr, kLanes / 100) << "frame_bytes " << frame_bytes;
   }
 }
 
@@ -636,8 +584,172 @@ TEST(ReceptionBatch, NanSinrRunsTheChain) {
   ReceptionBatch b;
   load_lanes(b, {lane_at(0.0, 0.0, 0.0)});
   b.uniform[0] = 0x1p-40;
-  EXPECT_EQ(reception_success_batch(b, 0.0, false, 1.0, nan, 1), 1);
+  const ReceptionCounts ran =
+      reception_success_batch(b, 0.0, false, 1.0, nan, 1);
+  EXPECT_EQ(ran.exact_sinr, 1);
+  EXPECT_EQ(ran.chain, 1);
   EXPECT_EQ(b.uniform[0] < b.p_ok[0], b.uniform[0] < chain(nan, nan, 0.0, 1));
+}
+
+TEST(ReceptionBatch, ZeroSignalSkipsTheExactSinr) {
+  // A listener no stored link reaches hears exactly 0 mW: -300 dBm on both
+  // paths, with no fade, so its approximate SINRs are exact and settle it,
+  // under fading and with or without interference.
+  const double noise_mw = dbm_to_mw(kNoiseDbm);
+  const double noise_dbm = mw_to_dbm(noise_mw);
+  ReceptionBatch b;
+  b.resize(3);
+  b.count = 3;
+  const double fade[] = {6.5, -3.0, 1000.0};
+  const double interf[] = {0.0, 1e-9, 0.0};
+  const double frac[] = {0.0, 0.4, 1.0};
+  for (std::size_t i = 0; i < 3; ++i) {
+    b.strongest_mw[i] = 0.0;
+    b.total_mw[i] = 0.0;
+    b.fade_db[i] = fade[i];
+    b.interf_mw[i] = interf[i];
+    b.jam_fraction[i] = frac[i];
+    b.uniform[i] = 0x1p-53;
+  }
+  const ReceptionCounts ran =
+      reception_success_batch(b, 0.3, true, noise_mw, noise_dbm, 36);
+  EXPECT_EQ(ran.exact_sinr, 0);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const double want = reference_reception(0.0, 0.0, fade[i], interf[i],
+                                            frac[i], 0.3, true, noise_mw,
+                                            noise_dbm, 36);
+    EXPECT_EQ(b.uniform[i] < b.p_ok[i], b.uniform[i] < want) << "lane " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The approximate SINRs (batched.hpp, DESIGN.md §12): within a thousandth of
+// their bound of the exact path's SINRs, as BracketMargin pins the chain's
+// drift, and ln u from the same log2 within a thousandth of its own bound.
+
+/// The larger of a lane's two |approximate - exact| SINR gaps.
+double approx_sinr_gap(double signal_mw, double fade_db, double interf_mw,
+                       bool apply_fading, double noise_mw, double noise_dbm) {
+  const ApproxSinr a = approx_sinr(signal_mw, fade_db, interf_mw, apply_fading,
+                                   noise_mw, noise_dbm);
+  EXPECT_TRUE(a.in_domain) << signal_mw << " " << fade_db << " " << interf_mw;
+  const Sinrs e = reference_sinrs(signal_mw, fade_db, interf_mw, apply_fading,
+                                  noise_mw, noise_dbm);
+  return std::max(std::abs(a.clean_db - e.clean_db),
+                  std::abs(a.jam_db - e.jam_db));
+}
+
+TEST(ApproxSinr, StaysWithinAThousandthOfItsBound) {
+  const double noise_mw = dbm_to_mw(kNoiseDbm);
+  const double noise_dbm = mw_to_dbm(noise_mw);
+  double worst = 0.0;
+  // A power as the signal, and as the jammed SINR's denominator (1 mW over
+  // a noise floor of 0 mW plus the power as interference).
+  const auto probe = [&](double mw) {
+    if (!(mw >= kApproxMinPowerMw && mw <= kApproxMaxPowerMw)) return;
+    worst = std::max(worst, approx_sinr_gap(mw, 0.0, 0.0, false, noise_mw,
+                                            noise_dbm));
+    worst = std::max(worst,
+                     approx_sinr_gap(1.0, 0.0, mw, false, 0.0, noise_dbm));
+  };
+  // Every cell edge of the log2 table (powers of two included) and the
+  // ulps either side, across the guarded domain.
+  for (int e = -600; e <= 600; ++e) {
+    for (int j = 0; j < 128; ++j) {
+      const double edge = std::ldexp(1.0 + j / 128.0, e);
+      probe(edge);
+      probe(std::nextafter(edge, 0.0));
+      probe(std::nextafter(edge, kInf));
+    }
+  }
+  const double sweep = worst;
+  // Random lanes: signals log-uniform over 1e-180..1e180 mW, fading on and
+  // off with fades over +-40 dB, and interference of none or 1e-6..1e6
+  // times the noise floor.
+  util::Pcg32 rng(21);
+  for (int i = 0; i < 1000000; ++i) {
+    const double signal_mw = std::pow(10.0, 360.0 * rng.uniform() - 180.0);
+    const double fade_db = 80.0 * rng.uniform() - 40.0;
+    const double interf_mw =
+        i % 4 == 0 ? 0.0
+                   : noise_mw * std::pow(10.0, 12.0 * rng.uniform() - 6.0);
+    worst = std::max(worst, approx_sinr_gap(signal_mw, fade_db, interf_mw,
+                                            i % 2 == 0, noise_mw, noise_dbm));
+  }
+  EXPECT_LE(worst, kApproxSinrErrorDb / 1000) << "sweep alone " << sweep;
+  // The sweep does meet error: the bound is not covering exact logs.
+  EXPECT_GT(sweep, 0.0);
+}
+
+TEST(ApproxSinr, LnUniformStaysWithinAThousandthOfItsBound) {
+  // Every draw is k * 2^-53: k at every power of two and its neighbours,
+  // then a million random draws.
+  double worst = 0.0;
+  const auto probe = [&](double u) {
+    worst = std::max(worst, std::abs(std::numbers::ln2 * approx_log2(u) -
+                                     std::log(u)));
+  };
+  for (int j = 0; j <= 53; ++j) {
+    const auto k = static_cast<double>(std::uint64_t{1} << j);
+    if (j < 53) probe(std::ldexp(k, -53));
+    if (j > 0) probe(std::ldexp(k - 1.0, -53));
+    if (j < 53) probe(std::ldexp(k + 1.0, -53));
+  }
+  util::Pcg32 rng(53);
+  for (int i = 0; i < 1000000; ++i) {
+    const double u = rng.uniform();
+    if (u > 0.0) probe(u);
+  }
+  EXPECT_LE(worst, kApproxLnUniformError / 1000);
+  EXPECT_GT(worst, 0.0);
+}
+
+TEST(ApproxSinr, LeavesTheGuardedDomainToTheExactPath) {
+  const double noise_mw = dbm_to_mw(kNoiseDbm);
+  const double noise_dbm = mw_to_dbm(noise_mw);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto inside = [&](double signal_mw, double fade_db, double interf_mw,
+                          bool fading, double noise_level_dbm) {
+    return approx_sinr(signal_mw, fade_db, interf_mw, fading, noise_mw,
+                       noise_level_dbm)
+        .in_domain;
+  };
+  EXPECT_TRUE(inside(kApproxMinPowerMw, 0.0, 0.0, false, noise_dbm));
+  EXPECT_TRUE(inside(kApproxMaxPowerMw, 0.0, 0.0, false, noise_dbm));
+  EXPECT_TRUE(inside(1.0, kApproxMaxFadeDb, 0.0, true, noise_dbm));
+  EXPECT_TRUE(inside(1.0, -kApproxMaxFadeDb, 1.0, true, noise_dbm));
+  for (double signal_mw :
+       {std::nextafter(kApproxMinPowerMw, 0.0),
+        std::nextafter(kApproxMaxPowerMw, kInf), 1e-310, -1.0, kInf, nan}) {
+    EXPECT_FALSE(inside(signal_mw, 0.0, 0.0, false, noise_dbm)) << signal_mw;
+  }
+  for (double fade_db :
+       {std::nextafter(kApproxMaxFadeDb, kInf), -301.0, kInf, nan}) {
+    EXPECT_FALSE(inside(1.0, fade_db, 0.0, true, noise_dbm)) << fade_db;
+    EXPECT_TRUE(inside(1.0, fade_db, 0.0, false, noise_dbm)) << fade_db;
+  }
+  // Denominators: zero, negative, too large, non-finite.
+  for (double interf_mw : {-noise_mw, -2.0 * noise_mw, 0x1p601, kInf, nan}) {
+    EXPECT_FALSE(inside(1.0, 0.0, interf_mw, false, noise_dbm)) << interf_mw;
+  }
+  // SINRs too large for one rounding to stay within the bound, or
+  // non-finite.
+  for (double noise_level_dbm : {-5000.0, 1e300, kInf, nan}) {
+    EXPECT_FALSE(inside(1.0, 0.0, 0.0, false, noise_level_dbm))
+        << noise_level_dbm;
+  }
+  // A zero signal reads mw_to_dbm(0) = -300 dBm with no fade, bit for bit
+  // the exact path's SINR, whatever the fade.
+  for (double fade_db : {0.0, 17.0, 1000.0, 4000.0, nan}) {
+    const ApproxSinr a =
+        approx_sinr(0.0, fade_db, 0.0, true, noise_mw, noise_dbm);
+    EXPECT_TRUE(a.in_domain) << fade_db;
+    EXPECT_EQ(a.clean_db,
+              reference_sinrs(0.0, fade_db, 0.0, true, noise_mw, noise_dbm)
+                  .clean_db)
+        << fade_db;
+    EXPECT_EQ(a.jam_db, a.clean_db) << fade_db;
+  }
 }
 
 }  // namespace

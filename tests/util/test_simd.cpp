@@ -118,12 +118,6 @@ TEST(SimdPrimitives, SelectsAreLanewise) {
   for (int i = 0; i < w; ++i) {
     EXPECT_EQ(got[i], a[i] < b[i] ? 1.0 : -1.0) << "lane " << i;
   }
-  select_eq(vdouble::load(a), vdouble::load(b), vdouble::broadcast(1.0),
-            vdouble::broadcast(-1.0))
-      .store(got);
-  for (int i = 0; i < w; ++i) {
-    EXPECT_EQ(got[i], a[i] == b[i] ? 1.0 : -1.0) << "lane " << i;
-  }
 }
 
 TEST(SimdPrimitives, Exp2iBuildsExactPowersOfTwo) {
@@ -145,45 +139,10 @@ TEST(SimdPrimitives, Exp2iBuildsExactPowersOfTwo) {
   }
 }
 
-TEST(SimdPrimitives, ExponentMantissaMatchFrexp) {
-  const double in[] = {1.0,    0.5,     2.0,      0.75,    1e-300,
-                       1e300,  3.14159, 123456.0, 7.5e-12, 0.9999999};
-  for (double x : in) {
-    int se = 0;
-    const double sm = std::frexp(x, &se);
-    constexpr int w = native_width;
-    double ge[w], gm[w];
-    exponent_part(vdouble::broadcast(x)).store(ge);
-    mantissa_part(vdouble::broadcast(x)).store(gm);
-    for (int i = 0; i < w; ++i) {
-      EXPECT_EQ(ge[i], static_cast<double>(se)) << "x=" << x;
-      EXPECT_EQ(gm[i], sm) << "x=" << x;
-      // Reconstruction is exact: x = m * 2^e.
-      EXPECT_EQ(std::ldexp(gm[i], static_cast<int>(ge[i])), x);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Polynomial math kernels at width 1. detail:: kernels are instantiable at
-// width 1 on every build (including DIMMER_SIMD=scalar), so these accuracy
-// pins run everywhere.
-
-TEST(SimdMathKernels, PolyExpWithinUlpOfStd) {
-  for (double x = -705.0; x <= 705.0; x += 0.7734) {
-    const double got = detail::poly_exp(s1(x)).v;
-    const double want = std::exp(x);
-    EXPECT_LE(ulp_diff(got, want), 4) << "x=" << x << " got=" << got
-                                      << " want=" << want;
-  }
-}
-
-TEST(SimdMathKernels, PolyExpFlushesAndSaturates) {
-  EXPECT_EQ(detail::poly_exp(s1(-800.0)).v, 0.0);
-  EXPECT_EQ(detail::poly_exp(s1(-1.0e4)).v, 0.0);
-  EXPECT_EQ(detail::poly_exp(s1(800.0)).v,
-            std::numeric_limits<double>::infinity());
-}
+// The exp10 kernel at width 1. detail::poly_exp10 is instantiable at width 1
+// on every build (including DIMMER_SIMD=scalar), so these accuracy pins run
+// everywhere.
 
 TEST(SimdMathKernels, PolyExp10WithinUlpOfStd) {
   for (double x = -305.0; x <= 305.0; x += 0.3117) {
@@ -200,61 +159,13 @@ TEST(SimdMathKernels, PolyExp10FlushesAndSaturates) {
             std::numeric_limits<double>::infinity());
 }
 
-TEST(SimdMathKernels, PolyExp2WithinUlpOfStd) {
-  for (double x = -1020.0; x <= 1020.0; x += 1.37) {
-    const double got = detail::poly_exp2(s1(x)).v;
-    const double want = std::exp2(x);
-    EXPECT_LE(ulp_diff(got, want), 4) << "x=" << x;
-  }
-}
-
-TEST(SimdMathKernels, PolyLog2WithinUlpOfStd) {
-  // Log-spaced sweep across the positive normals the PHY feeds log2
-  // (mW powers spanning roughly 1e-30 .. 1e3, plus a wide safety margin).
-  for (double e = -280.0; e <= 280.0; e += 1.83) {
-    const double x = std::pow(10.0, e / 10.0) * 1.2345;
-    const double got = detail::poly_log2(s1(x)).v;
-    const double want = std::log2(x);
-    EXPECT_LE(ulp_diff(got, want), 4) << "x=" << x;
-  }
-  // Near 1.0 the result approaches zero; the compensated assembly keeps the
-  // *absolute* error tiny there (relative ulp is the wrong yardstick at 0).
-  for (double x : {0.999, 0.9999999, 1.0, 1.0000001, 1.001}) {
-    EXPECT_NEAR(detail::poly_log2(s1(x)).v, std::log2(x), 1e-16) << "x=" << x;
-  }
-}
-
-TEST(SimdMathKernels, PolyPowPositiveWithinRelativeTolerance) {
-  // The flood engine's exponents: base = 1 - BER in (0.5, 1], y = bits up to
-  // a few thousand. |y*log2(x)| stays < ~2100, where the exp2(y*log2(x))
-  // construction holds ~1e-13 relative error.
-  for (double base : {0.5000001, 0.75, 0.9, 0.99, 0.999999, 1.0}) {
-    for (double bits : {0.0, 1.0, 8.0, 288.0, 1024.0, 2040.0}) {
-      const double got = detail::poly_pow_positive(s1(base), s1(bits)).v;
-      const double want = std::pow(base, bits);
-      EXPECT_NEAR(got, want, std::abs(want) * 1e-11 + 1e-300)
-          << "base=" << base << " bits=" << bits;
-    }
-  }
-  // pow(x, +0.0) == 1.0 exactly — the identity the branchless
-  // frame_success_kernel relies on for the jam_fraction == 0/1 cases.
-  for (double base : {0.5000001, 0.9, 1.0}) {
-    EXPECT_EQ(detail::poly_pow_positive(s1(base), s1(0.0)).v, 1.0);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Public dispatch: width 1 must be the literal std:: call (bit-identity is
 // the scalar backend's whole determinism story).
 
 TEST(SimdMathDispatch, WidthOneIsBitwiseStd) {
   for (double x = -50.0; x <= 50.0; x += 0.917) {
-    EXPECT_EQ(exp(s1(x)).v, std::exp(x));
     EXPECT_EQ(exp10(s1(x * 3.0)).v, std::pow(10.0, x * 3.0));
-  }
-  for (double x : {1e-20, 0.3, 1.0, 2.5, 1e15}) {
-    EXPECT_EQ(log2(s1(x)).v, std::log2(x));
-    EXPECT_EQ(pow_positive(s1(x), s1(2.75)).v, std::pow(x, 2.75));
   }
 }
 
@@ -268,11 +179,11 @@ TEST(SimdMathNative, ResultsAreLanePositionIndependent) {
   double base[w];
   for (int i = 0; i < w; ++i) base[i] = -3.0 + 1.618 * i;
   double ref[w];
-  exp(vdouble::load(base)).store(ref);
+  exp10(vdouble::load(base)).store(ref);
   for (int rot = 1; rot < w; ++rot) {
     double in[w], out[w];
     for (int i = 0; i < w; ++i) in[i] = base[(i + rot) % w];
-    exp(vdouble::load(in)).store(out);
+    exp10(vdouble::load(in)).store(out);
     for (int i = 0; i < w; ++i) {
       EXPECT_EQ(out[i], ref[(i + rot) % w]) << "rot=" << rot << " lane=" << i;
     }
@@ -280,15 +191,16 @@ TEST(SimdMathNative, ResultsAreLanePositionIndependent) {
 }
 
 TEST(SimdMathNative, NativeExpMatchesStdWithinUlp) {
-  // On the scalar backend this is exact (std::exp IS the implementation);
-  // on wider backends the polynomial kernel must stay within a few ulp.
+  // exp10, the one exp kernel. On the scalar backend this is exact
+  // (std::pow IS the implementation); on wider backends the polynomial
+  // kernel must stay within a few ulp.
   const std::int64_t bound = native_width == 1 ? 0 : 4;
   constexpr int w = native_width;
   for (double x = -40.0; x <= 40.0; x += 0.73) {
     double got[w];
-    exp(vdouble::broadcast(x)).store(got);
+    exp10(vdouble::broadcast(x)).store(got);
     for (int i = 0; i < w; ++i) {
-      EXPECT_LE(ulp_diff(got[i], std::exp(x)), bound) << "x=" << x;
+      EXPECT_LE(ulp_diff(got[i], std::pow(10.0, x)), bound) << "x=" << x;
     }
   }
 }
