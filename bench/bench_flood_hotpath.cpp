@@ -7,7 +7,7 @@
 // BENCH_flood_hotpath.json with floods/sec, ns/step and the speedup per
 // scenario. The refactor's acceptance bar is a >= 1.5x speedup on the
 // office18 workloads. office18 and dcube48 run on full link rows (the
-// lanewise sweep); the construction-culled campus runs on partial rows
+// contiguous sweep); the construction-culled campus runs on partial rows
 // (the scatter) with listeners no link reaches, so its digest also pins the
 // engine's draws for unreachable listeners to the reference's. dcube48
 // under D-Cube WiFi level 2 (8 APs) pins the engine's interference table
@@ -33,7 +33,6 @@
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
-#include "util/simd/simd.hpp"
 #include "util/wallclock.hpp"
 
 using namespace dimmer;
@@ -152,9 +151,6 @@ int main() {
 
   std::string rows;
   bool identical = true;
-  // Which util/simd backend the optimized engine was compiled against —
-  // speedups are only comparable within a backend.
-  std::printf("simd backend: %s\n\n", util::simd::backend_name());
   std::printf("%-18s %12s %12s %10s %10s %8s\n", "scenario", "ref fl/s",
               "opt fl/s", "ref ns/st", "opt ns/st", "speedup");
   for (const Scenario& sc : scenarios) {
@@ -195,9 +191,7 @@ int main() {
   try {
     util::write_file_atomic(
         path, "{\"bench\": \"flood_hotpath\", \"schema_version\": 1, "
-              "\"simd_backend\": " +
-                  util::json_quote(util::simd::backend_name()) +
-                  ", \"scenarios\": [" + rows + "]}\n");
+              "\"scenarios\": [" + rows + "]}\n");
   } catch (const std::exception& e) {
     std::cerr << "cannot write " << path << ": " << e.what() << "\n";
     return 1;

@@ -66,7 +66,12 @@ inline std::string policy_cache_path() {
   return p != nullptr && *p != '\0' ? p : "dimmer_dqn.mlp";
 }
 
+/// The deployed policy, loaded from policy_cache_path() or trained there.
+/// DIMMER_BENCH_SCALE and DIMMER_JOBS are parsed first, so a malformed knob
+/// fails the bench at once rather than after minutes of training.
 inline rl::Mlp shared_policy() {
+  static_cast<void>(scale());
+  static_cast<void>(exp::jobs_from_env());
   core::PretrainedOptions opt;
   return core::load_or_train_policy(policy_cache_path(), opt, &std::cerr);
 }

@@ -9,7 +9,6 @@
 #include "phy/propagation.hpp"
 #include "phy/sparse_link_model.hpp"
 #include "util/check.hpp"
-#include "util/simd/simd.hpp"
 
 namespace dimmer::flood {
 
@@ -231,24 +230,12 @@ void GlossyFlood::run_into(phy::NodeId initiator,
         const std::size_t end = links.row_end(tx);
         if (end - begin == un) {
           // A full row: columns are strictly ascending in [0, n), so
-          // col[k] == k and the row is a contiguous mW vector. Lanewise
-          // add/max with no cross-lane reduction performs the exact IEEE ops
-          // of the scatter below, so this branch is bit-identical on every
-          // backend (DESIGN.md §12).
+          // col[k] == k and the row is a contiguous mW array. The plain
+          // loop performs the scatter's IEEE add and max on the same
+          // values in the same order, so the sums are bit-identical; it
+          // skips the column loads (DESIGN.md §12).
           const double* row = links.mw + begin;
-          using util::simd::vdouble;
-          constexpr int kW = util::simd::native_width;
-          int i = 0;
-          // The next three NOLINTs sanction a name-resolution artifact:
-          // `vdouble::load` (a register load, no allocation) shares its name
-          // with `rl::Mlp::load`, and the call graph widens by name.
-          for (; i + kW <= n; i += kW) {
-            const vdouble p = vdouble::load(row + i);  // NOLINT-DIMMER(hot-no-alloc)
-            (vdouble::load(total + i) + p).store(total + i);  // NOLINT-DIMMER(hot-no-alloc)
-            util::simd::max(vdouble::load(strongest + i), p)  // NOLINT-DIMMER(hot-no-alloc)
-                .store(strongest + i);
-          }
-          for (; i < n; ++i) {  // scalar tail: the same add/max ops
+          for (int i = 0; i < n; ++i) {
             const double p_mw = row[i];
             total[i] += p_mw;
             strongest[i] = std::max(strongest[i], p_mw);
@@ -269,12 +256,11 @@ void GlossyFlood::run_into(phy::NodeId initiator,
     //     gather (all RNG draws, in the historical per-listener order:
     //     fading normal first, Bernoulli uniform second, listeners
     //     ascending), one batched evaluation of the reception chain
-    //     (phy::reception_success_batch — one per-lane loop on every
-    //     backend, in which a lane settled from bounded-error SINRs takes
-    //     the decision the exact scalar chain would, DESIGN.md §12), then
-    //     decision application. rng.bernoulli(p) is exactly uniform() < p,
-    //     so pre-drawing the uniform leaves the stream and the decisions
-    //     bit-identical.
+    //     (phy::reception_success_batch — one per-lane loop, in which a
+    //     lane settled from bounded-error SINRs takes the decision the
+    //     exact chain would, DESIGN.md §12), then decision application.
+    //     rng.bernoulli(p) is exactly uniform() < p, so pre-drawing the
+    //     uniform leaves the stream and the decisions bit-identical.
     //     Interference: the step's first listener runs the one activity
     //     pass (no listener, no activity() call, as with per-listener
     //     sampling); every listener then sums its table row over the active

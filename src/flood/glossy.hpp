@@ -19,13 +19,13 @@
 // precomputed linear-domain (mW) CSR rows — rather than per-reception
 // dBm->mW conversions, and all per-flood scratch lives in a caller-owned
 // FloodWorkspace so `run_into` allocates nothing in steady state. Full rows
-// are swept lanewise, partial rows scattered; a view may also let the step
-// loop skip listeners no stored link reaches. Interference goes through a
-// phy::BoundInterference: source-to-node powers are tabulated once per
-// engine and source activity is evaluated once per step, not once per
-// listener. Without the skip, results are bit-identical to the historical
-// direct-Topology engine (asserted by tests/flood/test_differential.cpp
-// against a frozen reference copy).
+// are swept as contiguous arrays, partial rows scattered; a view may also
+// let the step loop skip listeners no stored link reaches. Interference
+// goes through a phy::BoundInterference: source-to-node powers are
+// tabulated once per engine and source activity is evaluated once per
+// step, not once per listener. Without the skip, results are
+// bit-identical to the historical direct-Topology engine (asserted by
+// tests/flood/test_differential.cpp against a frozen reference copy).
 #pragma once
 
 #include <memory>

@@ -9,29 +9,8 @@
 
 #include "phy/propagation.hpp"
 #include "util/check.hpp"
-#include "util/simd/simd.hpp"
 
 namespace dimmer::phy {
-
-void dbm_to_mw_batch(const double* dbm, double* mw, int count) {
-  // Tail policy: the remainder (count % kW) is copied into a benign stack
-  // pad and run through the *same* kernel, so a value's result never
-  // depends on whether it landed in a full chunk or the tail.
-  using util::simd::vdouble;
-  constexpr int kW = util::simd::native_width;
-  const vdouble ten = vdouble::broadcast(10.0);
-  int i = 0;
-  for (; i + kW <= count; i += kW) {
-    util::simd::exp10(vdouble::load(dbm + i) / ten).store(mw + i);
-  }
-  if (i < count) {
-    double pad_in[kW] = {};
-    double pad_out[kW];
-    std::copy(dbm + i, dbm + count, pad_in);
-    util::simd::exp10(vdouble::load(pad_in) / ten).store(pad_out);
-    std::copy(pad_out, pad_out + (count - i), mw + i);
-  }
-}
 
 namespace {
 
@@ -130,7 +109,7 @@ struct LnOkTable {
   double floor_hi;                         // ln kFloorOneMinusBer
 };
 
-// Built once, read-only after: the same for every frame, backend and thread.
+// Built once, read-only after: the same for every frame and thread.
 const LnOkTable& ln_ok_table() {
   static const LnOkTable table = [] {
     LnOkTable t{};
@@ -236,7 +215,7 @@ ReceptionCounts reception_success_batch(ReceptionBatch& b,
   for (int l = 0; l < count; ++l) {
     const auto i = static_cast<std::size_t>(l);
     const double s = b.strongest_mw[i];
-    // One signal for both paths, so contraction cannot split them.
+    // One signal feeds both paths.
     double sig = s + coherence_gain * (b.total_mw[i] - s);
     const double fade = b.fade_db[i];
     const double interf = b.interf_mw[i];

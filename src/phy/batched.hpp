@@ -1,16 +1,10 @@
-// Batched PHY evaluators for the Glossy step loop.
+// Batched reception for the Glossy step loop (DESIGN.md §12).
 //
-// Two entry points, with different determinism contracts (DESIGN.md §12):
-//  - dbm_to_mw_batch rebuilds link rows over the util/simd value type. At
-//    width 1 it is bitwise std::pow(10, dbm/10); wider backends run the
-//    bounded-ulp exp10 kernel of util/simd/math.hpp, lanewise, with the tail
-//    through the same kernel, so a value's result never depends on its lane.
-//  - reception_success_batch decides a step's receptions in one plain
-//    per-lane loop, the same source on every backend. Each lane's decision
-//    is a scalar function of its inputs and equals the decision of the
-//    historical scalar chain (exact SINRs via std::pow / std::log10, then
-//    frame_success_prob) on that lane. Only FMA contraction, which avx512
-//    builds allow, can change the bits of an exact SINR between builds.
+// reception_success_batch decides a step's receptions in one per-lane
+// loop. Each lane's decision is a function of that lane's inputs alone and
+// equals the decision of the historical per-listener chain (exact SINRs via
+// std::pow / std::log10, then frame_success_prob) on the same draws, so
+// results never depend on batch size or lane position.
 #pragma once
 
 #include <vector>
@@ -18,11 +12,6 @@
 #include "phy/per.hpp"
 
 namespace dimmer::phy {
-
-/// Batch phy::dbm_to_mw: mw[i] = 10^(dbm[i]/10) for i in [0, count).
-/// Scalar backend: bitwise std::pow(10.0, dbm/10.0). May run in place
-/// (dbm == mw): each chunk is loaded before it is stored.
-void dbm_to_mw_batch(const double* dbm, double* mw, int count);
 
 /// The bracket of the settled receptions (DESIGN.md §12). A lane whose
 /// uniform is at least kFloorMinUniform (every nonzero Pcg32::uniform() is)
@@ -50,11 +39,11 @@ inline constexpr double kBracketMarginPerBit = 0x1p-32;
 /// saturation rule and the bracket, both widened by kApproxSinrErrorDb; the
 /// bracket's margin grows by kApproxLnUniformError for ln(uniform) from the
 /// same log2. The bounds cover approx_log2's error plus the exact path's
-/// rounding, with or without FMA contraction, at ~5e5x and ~5000x the worst
-/// measured error (ApproxSinr.* in tests/phy/test_batched.cpp). The guarded
-/// domain keeps every operand a positive normal and every SINR small enough
-/// that one rounding of it is far below the bound; a lane outside it, or
-/// one the widened tests cannot settle, takes the exact path.
+/// rounding at ~5e5x and ~5000x the worst measured error (ApproxSinr.* in
+/// tests/phy/test_batched.cpp). The guarded domain keeps every operand a
+/// positive normal and every SINR small enough that one rounding of it is
+/// far below the bound; a lane outside it, or one the widened tests cannot
+/// settle, takes the exact path.
 inline constexpr double kApproxSinrErrorDb = 0x1p-20;
 inline constexpr double kApproxLnUniformError = 0x1p-30;
 inline constexpr double kApproxMinPowerMw = 0x1p-600;

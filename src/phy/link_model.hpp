@@ -12,8 +12,8 @@
 //
 // — so flood results stay bit-identical to evaluating the Topology inline.
 // CSR is the only link format: a row holds the links its Topology stores,
-// and a full row (a Topology that kept every link) is swept lanewise
-// (DESIGN.md §10, §13).
+// and a full row (a Topology that kept every link) is swept as one
+// contiguous array indexed by listener (DESIGN.md §10, §13).
 //
 // The seam also decouples the flood engine from the Topology class itself:
 // alternate backends (trace-driven gain matrices, GPU-resident batches,

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "phy/batched.hpp"
+#include "phy/propagation.hpp"
 #include "util/check.hpp"
 
 namespace dimmer::phy {
@@ -17,14 +17,12 @@ SparseLinkModel::SparseLinkModel(const Topology& topo, Listeners listeners)
 void SparseLinkModel::rebuild(double tx_power_dbm) {
   const GainCsr csr = topo_->gain_csr();
   for (NodeId tx = 0; tx < topo_->size(); ++tx) {
-    // The exact direct expression rx_power_dbm (TX power + stored gain) per
-    // stored link, then the batch dBm->mW kernel in place at the row's
-    // offset.
+    // The exact direct expression dbm_to_mw(rx_power_dbm) (TX power +
+    // stored gain) per stored link, at the row's offset.
     const GainRow row = topo_->gain_row(tx);
     double* mw = mw_.data() + csr.row_ptr[static_cast<std::size_t>(tx)];
     for (std::size_t k = 0; k < row.size; ++k)
-      mw[k] = tx_power_dbm + row.gain_db[k];
-    dbm_to_mw_batch(mw, mw, static_cast<int>(row.size));
+      mw[k] = dbm_to_mw(tx_power_dbm + row.gain_db[k]);
   }
 }
 

@@ -2,19 +2,19 @@
 //
 // Every flood runs on CSR rows (phy/link_model.hpp). The model holds exactly
 // the links its Topology stores: all n listeners per row when nothing was
-// culled at construction, which the flood engine sweeps lanewise. At city
-// scale almost all (tx, rx) pairs are so far apart that their received power
-// is orders of magnitude below the noise floor and can never influence a
-// reception decision; the Topology drops those at construction (its
-// gain_floor_db, usually gain_cull_floor_db), the one place links are culled.
+// culled at construction, which the flood engine reads as one contiguous
+// array. At city scale almost all (tx, rx) pairs are so far apart that their
+// received power is orders of magnitude below the noise floor and can never
+// influence a reception decision; the Topology drops those at construction
+// (its gain_floor_db, usually gain_cull_floor_db), the one place links are
+// culled.
 // The view borrows the Topology's row offsets and column ids; the model
 // stores one mW value per stored link, recomputed when the TX power changes.
 //
 // Determinism contract (DESIGN.md §13):
 //  - Stored links hold the *exact* double of the direct expression
-//    dbm_to_mw(topo.rx_power_dbm(tx, rx, power)) on the scalar backend, and
-//    the same dbm_to_mw_batch bits on every backend (the kernel is lanewise
-//    pure, so a link's mW bits do not depend on its neighbors in the row).
+//    dbm_to_mw(topo.rx_power_dbm(tx, rx, power)), computed per link, so a
+//    link's mW bits do not depend on its neighbors in the row.
 //  - Links the Topology does not store are never stored: every stored power
 //    is positive.
 //  - With Listeners::kDrawAll, a flood engine driven by this backend is

@@ -9,7 +9,7 @@
 //
 // Each input runs through two engines, which between them pin both step-3a
 // branches: the owning engine (unculled CSR, full rows on a dense topology,
-// so the lanewise sweep; partial rows on the construction-culled campus, so
+// so the full-row sweep; partial rows on the construction-culled campus, so
 // the scatter and the draws for unreachable listeners) and one over
 // DiagonalFreeLinkModel, whose rows are n-1 long, so every input also takes
 // the scatter.

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -11,12 +10,11 @@
 #include "phy/topology.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
-#include "util/simd/simd.hpp"
 
 namespace dimmer::phy {
 namespace {
 
-TEST(LinkModel, EntriesMatchTopologyPerBackendContract) {
+TEST(LinkModel, EntriesMatchTopologyBitwise) {
   Topology topo = make_office18_topology();
   const int n = topo.size();
   SparseLinkModel model(topo);
@@ -31,18 +29,10 @@ TEST(LinkModel, EntriesMatchTopologyPerBackendContract) {
       for (NodeId rx = 0; rx < n; ++rx) {
         const std::size_t k = v.row_begin(tx) + static_cast<std::size_t>(rx);
         ASSERT_EQ(v.col[k], rx);
-        double want = dbm_to_mw(topo.rx_power_dbm(tx, rx, power));
-        if (util::simd::native_width == 1) {
-          // Scalar backend: bit-identity, not tolerance — the rows must
-          // hold the exact double the historical per-reception expression
-          // produced (DESIGN.md §12).
-          EXPECT_EQ(v.mw[k], want) << "tx=" << tx << " rx=" << rx;
-        } else {
-          // Vector backends build rows through the bounded-ulp exp10
-          // kernel; DESIGN.md §12 documents this site as tolerance-checked.
-          EXPECT_NEAR(v.mw[k], want, std::abs(want) * 1e-13)
-              << "tx=" << tx << " rx=" << rx;
-        }
+        // Bit-identity, not tolerance: the rows must hold the exact double
+        // the historical per-reception expression produced (DESIGN.md §12).
+        EXPECT_EQ(v.mw[k], dbm_to_mw(topo.rx_power_dbm(tx, rx, power)))
+            << "tx=" << tx << " rx=" << rx;
       }
     }
   }

@@ -1,5 +1,5 @@
-// Property tests for frame_success_prob, pinning the two contracts the
-// SIMD frame_success_kernel's branchless form leans on (DESIGN.md §12):
+// Property tests for frame_success_prob, pinning two of its contracts
+// (DESIGN.md §12):
 //
 //  1. Monotonicity: with the jammed SINR no better than the clean SINR,
 //     success probability is non-increasing in jam_fraction.

@@ -1,7 +1,7 @@
 // SparseLinkModel unit + property suite (DESIGN.md §13).
 //
 // Four contracts are pinned here: (a) on a dense topology every CSR row is
-// full and bitwise equal to the full-row dBm->mW batch conversion, and links
+// full and bitwise equal to dbm_to_mw(rx_power_dbm) per listener, and links
 // the topology does not store are never stored, (b) the rows are the
 // Topology's own rows — its offsets and columns, the links at or above its
 // construction-time floor — and every stored link keeps its full-row bits,
@@ -19,7 +19,6 @@
 #include "core/scenarios.hpp"
 #include "flood/glossy.hpp"
 #include "flood/workspace.hpp"
-#include "phy/batched.hpp"
 #include "phy/link_model.hpp"
 #include "phy/propagation.hpp"
 #include "phy/sparse_link_model.hpp"
@@ -30,15 +29,14 @@
 namespace dimmer::phy {
 namespace {
 
-/// Every listener's mW power for a transmission from `tx`: the full dBm row
-/// through the batch kernel, the expression an unculled row stores.
+/// Every listener's mW power for a transmission from `tx`: the expression
+/// an unculled row stores, dbm_to_mw(rx_power_dbm) per listener.
 std::vector<double> full_row_mw(const Topology& topo, NodeId tx,
                                 double power) {
-  const auto un = static_cast<std::size_t>(topo.size());
-  std::vector<double> dbm(un), mw(un);
+  std::vector<double> mw(static_cast<std::size_t>(topo.size()));
   for (NodeId rx = 0; rx < topo.size(); ++rx)
-    dbm[static_cast<std::size_t>(rx)] = topo.rx_power_dbm(tx, rx, power);
-  dbm_to_mw_batch(dbm.data(), mw.data(), topo.size());
+    mw[static_cast<std::size_t>(rx)] =
+        dbm_to_mw(topo.rx_power_dbm(tx, rx, power));
   return mw;
 }
 
@@ -85,8 +83,8 @@ TEST(SparseLinkModel, NoCullingRowsBitwiseMatchDense) {
         for (NodeId rx = 0; rx < n; ++rx) {
           const std::size_t k = begin + static_cast<std::size_t>(rx);
           EXPECT_EQ(got.col[k], rx);  // full row, ascending listener ids
-          // Exact bits, not NEAR: same rx_power_dbm expression through the
-          // same dbm_to_mw_batch kernel.
+          // Exact bits, not NEAR: the same dbm_to_mw(rx_power_dbm)
+          // expression.
           EXPECT_EQ(got.mw[k], row[static_cast<std::size_t>(rx)])
               << "tx " << tx << " rx " << rx;
         }

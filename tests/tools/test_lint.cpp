@@ -66,13 +66,13 @@ std::string slurp(const std::string& path) {
 // Rule table
 // ---------------------------------------------------------------------------
 
-TEST(LintRules, TableListsAllEightRules) {
+TEST(LintRules, TableListsAllSevenRules) {
   std::vector<std::string> ids;
   for (const auto& r : dimmer::lint::rules()) ids.push_back(r.id);
   const std::vector<std::string> expected = {"det-clock",  "det-umap-iter",
                                              "hot-no-alloc", "fp-accumulate",
                                              "err-swallow", "nodiscard-result",
-                                             "simd-fp-order", "rng-discipline"};
+                                             "rng-discipline"};
   EXPECT_EQ(ids, expected);
   for (const auto& id : expected) EXPECT_TRUE(dimmer::lint::is_rule(id)) << id;
   EXPECT_FALSE(dimmer::lint::is_rule("no-such-rule"));
@@ -177,26 +177,6 @@ TEST(LintFpAccumulate, FpOrderOkAnnotationAndNolintSuppress) {
   EXPECT_EQ(suppressed, (std::vector<int>{16, 20}));
   // The explicit loop at the bottom is invisible to the rule.
   EXPECT_EQ(count_rule(fs, "fp-accumulate"), 4);
-}
-
-// ---------------------------------------------------------------------------
-// simd-fp-order
-// ---------------------------------------------------------------------------
-
-TEST(LintSimdFpOrder, FiresOnlyInsideHotRegions) {
-  auto fs = scan_fixture("simd_fp_order.cpp");
-  auto active = lines_of(fs, "simd-fp-order", /*suppressed=*/false);
-  // reduce_add and the _mm512 intrinsic inside the region; the calls before
-  // `hot-path begin` are clean.
-  EXPECT_EQ(active, (std::vector<int>{15, 16}));
-}
-
-TEST(LintSimdFpOrder, AnnotationAndNolintReportAsSuppressed) {
-  auto fs = scan_fixture("simd_fp_order.cpp");
-  auto suppressed = lines_of(fs, "simd-fp-order", /*suppressed=*/true);
-  // previous-line and same-line `simd-fp-order-ok`, plus a NOLINTNEXTLINE.
-  EXPECT_EQ(suppressed, (std::vector<int>{18, 19, 21}));
-  EXPECT_EQ(count_rule(fs, "simd-fp-order"), 5);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // dimmer-lint pass 1: the repo-wide function index and call graph.
 //
 // The line-local rules in lint.cpp prove contracts one source line at a
-// time; the bit-identity guarantees this repo ships (scalar-vs-SIMD BENCH
+// time; the bit-identity guarantees this repo ships (the frozen BENCH
 // artifacts, shards=1-vs-N campaign journals, federation worker-count
 // invariance) are *transitive* properties: a hot region that calls a helper
 // which calls a helper which allocates is just as broken as one that calls

@@ -26,7 +26,6 @@ const char* kHotNoAlloc = "hot-no-alloc";
 const char* kFpAccumulate = "fp-accumulate";
 const char* kErrSwallow = "err-swallow";
 const char* kNodiscardResult = "nodiscard-result";
-const char* kSimdFpOrder = "simd-fp-order";
 const char* kRngDiscipline = "rng-discipline";
 
 }  // namespace
@@ -53,10 +52,6 @@ const std::vector<Rule>& rules() {
       {kNodiscardResult,
        "result struct defined without [[nodiscard]]: dropped results are how "
        "a bench silently diverges from what it reports"},
-      {kSimdFpOrder,
-       "cross-lane SIMD reduction inside a hot-path region: lane order "
-       "changes floating-point results; keep reductions lanewise or annotate "
-       "`dimmer-lint: simd-fp-order-ok`"},
       {kRngDiscipline,
        "RNG fork without a hash_u64-keyed tag, or a protocol-module "
        "(core/lwb/flood/rl) call into a fault/exp/bench function whose "
@@ -248,50 +243,6 @@ void rule_fp_accumulate(const std::string& path, const std::vector<Tok>& toks,
                         "()` hides the floating-point reduction order; write "
                         "an explicit loop or annotate `// dimmer-lint: "
                         "fp-order-ok`",
-                    "", /*suppressed=*/ok, false});
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: simd-fp-order
-// ---------------------------------------------------------------------------
-//
-// The util/simd determinism contract (DESIGN.md §12) keeps every hot-path
-// kernel *lanewise*: a value's result may not depend on its lane position.
-// A horizontal (cross-lane) reduction breaks that — its summation order is
-// the lane order, which changes with backend width — so any such call inside
-// a `dimmer-lint: hot-path` region must carry an explicit
-// `dimmer-lint: simd-fp-order-ok` annotation (same line or the line above)
-// documenting why the order is acceptable. Annotated calls are reported as
-// suppressed, keeping them visible in the JSON report.
-
-void rule_simd_fp_order(const std::string& path, const std::vector<Tok>& toks,
-                        const Directives& dir, std::vector<Finding>* out) {
-  // Named lane reductions (ours or a library's), plus the raw intrinsics
-  // (_mm*_hadd_*, _mm512_reduce_*, ...).
-  static const std::set<std::string> kLaneReducers = {
-      "reduce_add",     "reduce_sum", "reduce_max",
-      "reduce_min",     "hadd",       "horizontal_add",
-      "horizontal_sum", "horizontal_max", "horizontal_min"};
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    int line = toks[i].line;
-    if (line >= static_cast<int>(dir.hot.size()) || !dir.hot[line]) continue;
-    const std::string& t = toks[i].text;
-    bool intrinsic = has_prefix(t, "_mm") &&
-                     (t.find("hadd") != std::string::npos ||
-                      t.find("reduce") != std::string::npos);
-    if (!kLaneReducers.count(t) && !intrinsic) continue;
-    if (tok_at(toks, i + 1) != "(") continue;
-    bool ok =
-        (line < static_cast<int>(dir.simd_ok.size()) && dir.simd_ok[line]) ||
-        (line >= 2 && line - 1 < static_cast<int>(dir.simd_ok.size()) &&
-         dir.simd_ok[line - 1]);
-    out->push_back({path, line, kSimdFpOrder,
-                    "`" + t +
-                        "()` reduces across SIMD lanes inside a hot-path "
-                        "region: lane order is backend-dependent; keep the "
-                        "kernel lanewise or annotate `// dimmer-lint: "
-                        "simd-fp-order-ok`",
                     "", /*suppressed=*/ok, false});
   }
 }
@@ -520,7 +471,6 @@ std::vector<Finding> scan_source(const std::string& path,
   rule_hot_no_alloc(path, toks, dir, &out);
   out.insert(out.end(), dir.region_errors.begin(), dir.region_errors.end());
   rule_fp_accumulate(path, toks, dir, &out);
-  rule_simd_fp_order(path, toks, dir, &out);
   rule_err_swallow(path, toks, &out);
   rule_nodiscard_result(path, toks, opt, &out);
   rule_rng_discipline(path, toks, graph, &out);

@@ -61,14 +61,6 @@
 //                    RoundResult) without [[nodiscard]]: a silently dropped
 //                    result is how a bench diverges from what it reports.
 //
-//   simd-fp-order    Cross-lane SIMD reductions (reduce_add / hadd /
-//                    horizontal_* and the matching _mm* intrinsics) inside a
-//                    hot-path region.  The util/simd contract (DESIGN.md
-//                    §12) keeps hot kernels lanewise so results cannot
-//                    depend on backend width; a justified reduction must be
-//                    annotated `// dimmer-lint: simd-fp-order-ok` (same line
-//                    or the line above) and stays visible as suppressed.
-//
 //   rng-discipline   RNG forking and flow discipline (the PR 3/PR 8
 //                    invariant that fault and backoff randomness never
 //                    perturbs protocol lockstep).  (a) A `.fork(...)` /

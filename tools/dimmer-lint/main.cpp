@@ -148,8 +148,6 @@ int main(int argc, char** argv) {
            "region\n"
            "    // dimmer-lint: fp-order-ok          sanction one fp "
            "reduction\n"
-           "    // dimmer-lint: simd-fp-order-ok     sanction one lane "
-           "reduction\n"
            "    // dimmer-lint: pure(<prop>)         stop a transitive "
            "property at this\n"
            "                                         function (reported as "

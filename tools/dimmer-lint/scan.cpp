@@ -157,14 +157,11 @@ Directives scan_directives(const std::string& path,
   Directives d;
   d.hot.assign(lines.size() + 2, false);
   d.fp_ok.assign(lines.size() + 2, false);
-  d.simd_ok.assign(lines.size() + 2, false);
   int begin_line = -1;
   for (std::size_t li = 0; li < lines.size(); ++li) {
     const std::string& c = lines[li].comment;
     int ln = static_cast<int>(li + 1);
     if (comment_has(c, "dimmer-lint: fp-order-ok")) d.fp_ok[li + 1] = true;
-    if (comment_has(c, "dimmer-lint: simd-fp-order-ok"))
-      d.simd_ok[li + 1] = true;
     if (comment_has(c, "dimmer-lint: hot-path begin")) {
       if (begin_line >= 0) {
         d.region_errors.push_back({path, ln, "hot-no-alloc",

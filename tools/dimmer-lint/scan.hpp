@@ -50,7 +50,6 @@ std::vector<Tok> tokenize(const std::vector<LineInfo>& lines);
 struct Directives {
   std::vector<bool> hot;    ///< per line (1-based index): inside hot-path region
   std::vector<bool> fp_ok;  ///< line carries `dimmer-lint: fp-order-ok`
-  std::vector<bool> simd_ok;  ///< line carries `dimmer-lint: simd-fp-order-ok`
   std::vector<Finding> region_errors;  ///< unbalanced begin/end
 };
 
