@@ -37,9 +37,8 @@ core::TraceDataset make_dataset(std::size_t steps, std::uint64_t seed,
       util::hash_u64(seed, 0xAB1ULL));
   return core::collect_traces(topo, field, tc);
 }
-}  // namespace
 
-int main() {
+int bench_main() {
   const int models = bench::scaled(2);
   const auto train_steps = static_cast<std::size_t>(bench::scaled(50000));
   const double c_values[] = {0.0, 0.15, 0.3, 0.6, 0.9};
@@ -105,6 +104,9 @@ int main() {
   table.print(std::cout);
   std::cout << "\n(expected: radio-on time decreases with C — higher C"
                " trades reliability for energy)\n";
-  exp::write_json("ablation_reward", trials, {}, &std::cerr);
-  return 0;
+  return exp::write_json("ablation_reward", trials, {}, &std::cerr) ? 0 : 1;
 }
+
+}  // namespace
+
+int main() { return bench::run_main(bench_main); }

@@ -51,9 +51,8 @@ core::TraceDataset make_dataset(std::size_t steps, std::uint64_t seed,
   }
   return core::collect_traces(topo, field, tc);
 }
-}  // namespace
 
-int main() {
+int bench_main() {
   std::cerr << "[tabular] building datasets...\n";
   core::TraceDataset train = make_dataset(
       static_cast<std::size_t>(bench::scaled(2200)), 61, sim::hours(9), false);
@@ -157,6 +156,9 @@ int main() {
             << "(the coarse table collapses the continuous per-node feedback"
                " the DQN exploits; the paper's\n full input space would need"
                " a table exponential in K and is unrepresentable)\n";
-  exp::write_json("ablation_tabular", trials, {}, &std::cerr);
-  return 0;
+  return exp::write_json("ablation_tabular", trials, {}, &std::cerr) ? 0 : 1;
 }
+
+}  // namespace
+
+int main() { return bench::run_main(bench_main); }

@@ -69,9 +69,7 @@ int deepest_cell(const core::Federation& fed) {
   return best;
 }
 
-}  // namespace
-
-int main() {
+int bench_main() {
   const int epochs = bench::scaled(240, 20);  // 16 min of 4 s rounds
   const int kill_epoch = epochs / 3;
   const int workers = bench::fed_workers();
@@ -230,6 +228,9 @@ int main() {
                " every backup at epoch " << kill_epoch
             << "; the federation hands its flows to the parent cell via the"
                " shared gateway)\n";
-  exp::write_json("city_scale", trials, {}, &std::cerr);
-  return 0;
+  return exp::write_json("city_scale", trials, {}, &std::cerr) ? 0 : 1;
 }
+
+}  // namespace
+
+int main() { return bench::run_main(bench_main); }

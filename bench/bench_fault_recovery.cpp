@@ -110,9 +110,7 @@ exp::TrialResult run_trial(const exp::TrialSpec& spec, util::Pcg32& rng,
   return r;
 }
 
-}  // namespace
-
-int main() {
+int bench_main() {
   const int rounds = bench::scaled(120, 80);
   const int seeds = bench::scaled(5, 2);
 
@@ -172,6 +170,9 @@ int main() {
                " 'dip' is the worst single-round reliability after the"
                " crash;\n'resync' counts rounds from takeover until every"
                " alive node holds a schedule again.\n";
-  exp::write_json("fault_recovery", trials, {}, &std::cerr);
-  return 0;
+  return exp::write_json("fault_recovery", trials, {}, &std::cerr) ? 0 : 1;
 }
+
+}  // namespace
+
+int main() { return bench::run_main(bench_main); }

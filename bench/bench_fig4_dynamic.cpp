@@ -37,9 +37,8 @@ const char* phase_at(double t_min) {
   if (t_min < 22) return "5% jam";
   return "calm";
 }
-}  // namespace
 
-int main() {
+int bench_main() {
   const sim::TimeUs origin = sim::hours(10);
   const int rounds = 27 * 60 / 4;  // 27 minutes at 4 s rounds
 
@@ -143,6 +142,9 @@ int main() {
   std::cout << "(paper: Dimmer and PID both 99.3% reliable; Dimmer 12.3 ms"
                " vs PID 14.4 ms radio-on —\n the PID overshoots to N_max"
                " under light interference, Dimmer finds the setpoint)\n";
-  exp::write_json("fig4_dynamic", trials, {}, &std::cerr);
-  return 0;
+  return exp::write_json("fig4_dynamic", trials, {}, &std::cerr) ? 0 : 1;
 }
+
+}  // namespace
+
+int main() { return bench::run_main(bench_main); }

@@ -67,9 +67,7 @@ ConfigResult run_config(const core::TraceDataset& train,
   return out;
 }
 
-}  // namespace
-
-int main() {
+int bench_main() {
   const int models = bench::scaled(3);
   const auto train_steps = static_cast<std::size_t>(bench::scaled(50000));
   const int episodes = bench::scaled(60);
@@ -133,3 +131,7 @@ int main() {
                " specifics and behaves worse on unseen dynamics)\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run_main(bench_main); }

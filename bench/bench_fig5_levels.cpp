@@ -29,7 +29,9 @@
 
 using namespace dimmer;
 
-int main() {
+namespace {
+
+int bench_main() {
   rl::Mlp policy = bench::shared_policy();
   core::PretrainedOptions popt;
 
@@ -116,6 +118,9 @@ int main() {
                " needs less energy below ~15% for similar reliability;\n"
                " LWB's reliability degrades but some slots fit between"
                " bursts)\n";
-  exp::write_json("fig5_levels", trials, {}, &std::cerr);
-  return 0;
+  return exp::write_json("fig5_levels", trials, {}, &std::cerr) ? 0 : 1;
 }
+
+}  // namespace
+
+int main() { return bench::run_main(bench_main); }

@@ -22,7 +22,9 @@
 
 using namespace dimmer;
 
-int main() {
+namespace {
+
+int bench_main() {
   phy::Topology topo = phy::make_office18_topology();
   auto sources = bench::all_to_all_sources(topo);
   const int rounds = bench::scaled(5 * 3600 / 4);  // 5 hours at 4 s rounds
@@ -101,3 +103,7 @@ int main() {
                " vs 11.04 ms without)\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run_main(bench_main); }

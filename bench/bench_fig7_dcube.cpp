@@ -35,7 +35,9 @@
 
 using namespace dimmer;
 
-int main() {
+namespace {
+
+int bench_main() {
   rl::Mlp policy = bench::shared_policy();
   core::PretrainedOptions popt;
 
@@ -148,6 +150,9 @@ int main() {
   table.print(std::cout);
   std::cout << "\n(paper: LWB 100/93.6/27%; Dimmer 100/98.3/95.8% without"
                " retraining; Crystal 100/100/99%)\n";
-  exp::write_json("fig7_dcube", trials, {}, &std::cerr);
-  return 0;
+  return exp::write_json("fig7_dcube", trials, {}, &std::cerr) ? 0 : 1;
 }
+
+}  // namespace
+
+int main() { return bench::run_main(bench_main); }

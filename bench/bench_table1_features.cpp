@@ -6,10 +6,13 @@
 #include <deque>
 #include <iostream>
 
+#include "bench/common.hpp"
 #include "core/features.hpp"
 #include "util/table.hpp"
 
-int main() {
+namespace {
+
+int bench_main() {
   using namespace dimmer;
   core::FeatureConfig cfg;  // K=10, M=2, N_max=8: the paper's configuration
   core::FeatureBuilder fb(cfg);
@@ -56,3 +59,7 @@ int main() {
   std::cout << '\n';
   return 0;
 }
+
+}  // namespace
+
+int main() { return dimmer::bench::run_main(bench_main); }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -31,6 +32,19 @@
 #include "util/wallclock.hpp"
 
 namespace dimmer::bench {
+
+/// A bench's exit status: `body()`'s, or 2 when an exception escapes it. The
+/// exception (a malformed knob's util::RequireError, say) is printed as
+/// `error: <what>` on stderr instead of aborting through std::terminate.
+/// Every bench's main is `return bench::run_main(bench_main);`.
+inline int run_main(int (*body)()) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
+}
 
 /// DIMMER_BENCH_SCALE, strictly parsed (exp::env_positive_double): the old
 /// std::atof read "0.1x" as 0.1 and silently ran "0" or "abc" at full scale.

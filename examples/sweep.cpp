@@ -92,6 +92,5 @@ int main() {
   table.print(std::cout);
   std::cout << "\n15% jamming: reliability climbs with N_TX while radio-on"
                " cost grows — the trade-off Dimmer's DQN navigates.\n";
-  exp::write_json("example_sweep", trials, {}, &std::cout);
-  return 0;
+  return exp::write_json("example_sweep", trials, {}, &std::cout) ? 0 : 1;
 }

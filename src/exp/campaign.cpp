@@ -78,7 +78,7 @@ std::string checkpoint_json(const CampaignOptions& opt,
                             const obs::MetricsRegistry& counters) {
   std::ostringstream os;
   os << "{\"version\": 1, \"shards\": " << opt.shards
-     << ", \"master_seed\": " << opt.master_seed
+     << ", \"master_seed\": " << kMasterSeed
      << ", \"max_attempts\": " << opt.max_attempts
      << ", \"specs_digest\": " << digest
      << ", \"counters\": " << counters.to_json() << ", \"specs\": [";
@@ -182,7 +182,7 @@ class DirLock {
 
     // Fork *all* trials' generators in global spec order and use only this
     // shard's: every trial's stream is independent of the shard count.
-    std::vector<util::Pcg32> rngs = fork_trial_rngs(ck.specs, opt.master_seed);
+    std::vector<util::Pcg32> rngs = fork_trial_rngs(ck.specs);
 
     TrialWatchdog watchdog(resolve_trial_timeout(opt.trial_timeout_s));
 
@@ -287,7 +287,7 @@ CampaignReport Campaign::run(const std::vector<TrialSpec>& specs,
     DIMMER_REQUIRE(ck.shards == opt_.shards,
                    "campaign: resuming with a different shard count than the "
                    "checkpoint (journal layout would not match)");
-    DIMMER_REQUIRE(ck.master_seed == opt_.master_seed,
+    DIMMER_REQUIRE(ck.master_seed == kMasterSeed,
                    "campaign: resuming with a different master_seed");
     DIMMER_REQUIRE(ck.max_attempts == opt_.max_attempts,
                    "campaign: resuming with a different max_attempts");
@@ -436,7 +436,7 @@ CampaignReport Campaign::run(const std::vector<TrialSpec>& specs,
       const int exponent = w.deaths > 16 ? 16 : w.deaths;
       const double jitter =
           0.5 + util::pure_uniform(util::hash_u64(
-                    opt_.master_seed, static_cast<std::uint64_t>(s),
+                    kMasterSeed, static_cast<std::uint64_t>(s),
                     static_cast<std::uint64_t>(w.deaths)));
       w.respawn_at = clock.seconds() + opt_.retry_backoff_s *
                                            std::ldexp(1.0, exponent - 1) *

@@ -53,21 +53,18 @@ inline constexpr int kJournalLockedExit = 87;
 struct CampaignOptions {
   /// Campaign directory: checkpoint.json, campaign.lock, shard_NNN.jsonl
   /// journals and shard_NNN.attempts.jsonl sidecars. Created if missing
-  /// (parent must exist). Resuming requires the same shards / master_seed /
-  /// max_attempts / spec matrix the directory was created with.
+  /// (parent must exist). Resuming requires the same shards / max_attempts /
+  /// spec matrix the directory was created with, and the same kMasterSeed.
   std::string dir;
   int shards = 1;        ///< worker process count, in [1, 999]
   int max_attempts = 3;  ///< per-trial attempt budget (>= 1)
   /// Base respawn backoff (seconds); doubles per consecutive death of the
-  /// same shard, jittered by a pure hash of (master_seed, shard, deaths).
+  /// same shard, jittered by a pure hash of (kMasterSeed, shard, deaths).
   double retry_backoff_s = 0.05;
   /// Per-trial deadline inside workers (exp/watchdog.hpp): a trial that
   /// exceeds it kills its worker, which the supervisor treats like any
   /// crash. < 0 = DIMMER_TRIAL_TIMEOUT_S; 0 = disabled.
   double trial_timeout_s = -1.0;
-  /// Root of the per-trial RNG fork tree (must match exp::Runner's for
-  /// bit-identical results between the two engines).
-  std::uint64_t master_seed = 0xD133E201ULL;
   /// Give up on the campaign after this many *consecutive* worker deaths
   /// of one shard with zero new journal or attempt bytes (a crash loop
   /// outside any trial, e.g. a corrupt directory).

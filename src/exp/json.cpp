@@ -150,9 +150,8 @@ bool write_json(const std::string& bench, const std::vector<Trial>& trials,
     // leaves the previous BENCH_*.json intact, never a truncated artifact.
     util::write_file_atomic(path, to_json(bench, trials, opt));
   } catch (const std::exception& e) {  // NOLINT-DIMMER(err-swallow):
-    // recorded, not swallowed — the sweep's tables have already been
-    // printed by the time the JSON artifact is written; a bad
-    // DIMMER_BENCH_OUT must not abort the run.
+    // recorded, not swallowed — printed here and returned as false, which
+    // callers turn into a failing exit status after their tables.
     std::cerr << "[exp] ERROR: cannot write " << path << ": " << e.what()
               << " (check DIMMER_BENCH_OUT)\n";
     return false;

@@ -62,9 +62,11 @@ std::string output_path(const std::string& bench);
 
 /// Serialize and write to output_path(bench); logs the path to `log` if
 /// given. Returns false (after printing to stderr) if the file cannot be
-/// opened — the metrics artifact is best-effort, it must never abort a
-/// finished sweep.
-bool write_json(const std::string& bench, const std::vector<Trial>& trials,
-                const JsonOptions& opt = {}, std::ostream* log = nullptr);
+/// written. It never throws, so a finished sweep is never aborted: a caller
+/// prints its tables first, then turns false into a failing exit status.
+[[nodiscard]] bool write_json(const std::string& bench,
+                              const std::vector<Trial>& trials,
+                              const JsonOptions& opt = {},
+                              std::ostream* log = nullptr);
 
 }  // namespace dimmer::exp

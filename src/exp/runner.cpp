@@ -83,9 +83,8 @@ TrialResult execute_trial(const TrialFn& fn, const TrialSpec& spec,
   return r;
 }
 
-std::vector<util::Pcg32> fork_trial_rngs(const std::vector<TrialSpec>& specs,
-                                         std::uint64_t master_seed) {
-  util::Pcg32 root(master_seed);
+std::vector<util::Pcg32> fork_trial_rngs(const std::vector<TrialSpec>& specs) {
+  util::Pcg32 root(kMasterSeed);
   std::vector<util::Pcg32> rngs;
   rngs.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i)
@@ -97,13 +96,12 @@ Runner::Runner() : Runner(Options{}) {}
 
 Runner::Runner(Options opt)
     : jobs_(opt.jobs > 0 ? opt.jobs : jobs_from_env()),
-      master_seed_(opt.master_seed),
       trial_timeout_s_(resolve_trial_timeout(opt.trial_timeout_s)) {}
 
 std::vector<Trial> Runner::run(std::vector<TrialSpec> specs,
                                const TrialFn& fn) const {
   // Fork every trial's generator *before* dispatch (see fork_trial_rngs).
-  std::vector<util::Pcg32> rngs = fork_trial_rngs(specs, master_seed_);
+  std::vector<util::Pcg32> rngs = fork_trial_rngs(specs);
 
   std::vector<Trial> out(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i)

@@ -113,21 +113,22 @@ TrialResult execute_trial(const TrialFn& fn, const TrialSpec& spec,
                           std::size_t index, util::Pcg32& rng,
                           TrialWatchdog& watchdog);
 
+/// Root of every sweep's per-trial RNG fork tree. Fixed, so a sweep's RNG
+/// streams are reproducible across runs, machines and the two engines
+/// (Runner and Campaign).
+inline constexpr std::uint64_t kMasterSeed = 0xD133E201ULL;
+
 /// Fork every trial's generator from one root in spec order: the stream a
-/// trial sees is a function of (master_seed, its index, its seed) only,
+/// trial sees is a function of (kMasterSeed, its index, its seed) only,
 /// never of which worker picks it up or when. Shared by Runner::run and the
 /// campaign shard workers — a worker forks *all* trials' generators and
 /// uses only its shard's, so sharding cannot shift anyone's stream.
-std::vector<util::Pcg32> fork_trial_rngs(const std::vector<TrialSpec>& specs,
-                                         std::uint64_t master_seed);
+std::vector<util::Pcg32> fork_trial_rngs(const std::vector<TrialSpec>& specs);
 
 class Runner {
  public:
   struct Options {
     int jobs = 0;  ///< 0 = jobs_from_env()
-    /// Root of the per-trial fork tree; fixed so a sweep's RNG streams are
-    /// reproducible across runs and machines.
-    std::uint64_t master_seed = 0xD133E201ULL;
     /// Per-trial wall-clock deadline; a trial that exceeds it kills the
     /// whole process (exit kTrialTimeoutExit — see exp/watchdog.hpp).
     /// < 0 = trial_timeout_from_env(); 0 = explicitly disabled.
@@ -146,7 +147,6 @@ class Runner {
 
  private:
   int jobs_;
-  std::uint64_t master_seed_;
   double trial_timeout_s_;
 };
 

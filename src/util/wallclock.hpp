@@ -13,15 +13,6 @@
 
 namespace dimmer::util {
 
-/// Monotonic wall-clock reading in seconds since an arbitrary epoch.
-/// Reporting only: never feed this into a simulation, a seed, or anything
-/// that ends up in a byte-compared artifact.
-inline double wallclock_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Blocks the calling thread for (at least) `s` seconds. For supervision
 /// paths only — worker respawn backoff, poll loops in the campaign engine —
 /// never inside a simulation: like every wall-clock read, a sleep can shift

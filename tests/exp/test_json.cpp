@@ -155,7 +155,7 @@ TEST(Json, MetricsSectionMergesTrialRegistries) {
 TEST(Json, WriteJsonHonoursOutputDirEnv) {
   ASSERT_EQ(setenv("DIMMER_BENCH_OUT", "/tmp", 1), 0);
   EXPECT_EQ(output_path("unit"), "/tmp/BENCH_unit.json");
-  write_json("unit", sample_trials());
+  ASSERT_TRUE(write_json("unit", sample_trials()));
   std::ifstream f("/tmp/BENCH_unit.json");
   ASSERT_TRUE(f.good());
   std::stringstream ss;

@@ -4,8 +4,8 @@
 // Topology::rx_power_dbm, std::find over the transmitter list, and a budget
 // lambda evaluated per call. It must never be "optimised" — its only job is
 // to stay byte-for-byte equivalent to the shipped engine so the differential
-// suite (test_differential.cpp) and the hot-path benchmark can prove the
-// refactor bit-identical and quantify the speedup.
+// suite (test_differential.cpp) can prove the engine bit-identical and
+// bench/perf can time the engine against it (flood.speedup_vs_reference).
 #pragma once
 
 #include "flood/glossy.hpp"

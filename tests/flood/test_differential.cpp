@@ -25,6 +25,10 @@
 // a training schedule (dozens of windowed jammers, many silent steps) and a
 // restricted() cell under its parent's WiFi APs.
 //
+// A long-run case pushes 200 consecutive floods per input through one
+// engine, workspace, result and RNG: office18 and dcube48 clean and
+// interfered, and a 64-node culled campus.
+//
 // The settled-reception inputs (phy::reception_success_batch, DESIGN.md
 // §12) sweep frames of 7-133 B over dcube48 under WiFi level 2, with fading
 // on and off, and over office18 under 30% static jamming, whose partial
@@ -552,6 +556,49 @@ TEST(FloodDifferential, RunIntoReusedBuffersMatchFreshRuns) {
           reference::run(c.topo, c.field, init, cfgs, p, rng_ref);
       engines[e].run_into(init, cfgs, p, rng_new, ws, reused);
       expect_identical(want, reused);
+    }
+    expect_same_rng_state(rng_ref, rng_new);
+  }
+}
+
+TEST(FloodDifferential, LongRunsOnOneWorkspaceMatchTheReference) {
+  // 200 consecutive floods per input through one engine, workspace, result
+  // and RNG, with the initiator rotating over every node and slots 25 ms
+  // apart: anything a flood leaves behind in the reused buffers, or any
+  // drift between the two RNG streams, shows in a later flood.
+  struct LongRun {
+    const char* name;
+    Case c;
+    int n_tx;
+  };
+  std::vector<LongRun> runs;
+  runs.push_back({"office18/clean", make_case("office18", 0.0), 3});
+  runs.push_back({"office18/jam30", make_case("office18", 0.3), 3});
+  runs.push_back({"dcube48/clean", make_case("dcube48", 0.0), 2});
+  runs.push_back({"dcube48/wifi2", dcube_wifi_case(2), 2});
+  runs.push_back({"campus64-culled",
+                  Case{phy::make_campus_topology_culled(64, 1,
+                                                        kCampusGainFloorDb),
+                       phy::InterferenceField{}},
+                  3});
+  for (const LongRun& run : runs) {
+    SCOPED_TRACE(run.name);
+    const int n = run.c.topo.size();
+    const auto cfgs = uniform_configs(n, run.n_tx);
+    GlossyFlood engine(run.c.topo, run.c.field);
+    FloodWorkspace ws;
+    FloodResult got;
+    util::Pcg32 rng_ref(1234);
+    util::Pcg32 rng_new(1234);
+    for (int k = 0; k < 200; ++k) {
+      SCOPED_TRACE("flood " + std::to_string(k));
+      FloodParams p;
+      p.slot_start_us = k * sim::ms(25);
+      const FloodResult want =
+          reference::run(run.c.topo, run.c.field, k % n, cfgs, p, rng_ref);
+      engine.run_into(k % n, cfgs, p, rng_new, ws, got);
+      expect_identical(want, got);
+      if (::testing::Test::HasFailure()) return;  // report the first only
     }
     expect_same_rng_state(rng_ref, rng_new);
   }

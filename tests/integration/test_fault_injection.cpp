@@ -418,7 +418,7 @@ std::string faulted_sweep_json(int jobs) {
     spec.fault_plan.crash_coordinator(10).blackout(20, 25, 0.35).crash(15, 9);
     specs.push_back(std::move(spec));
   }
-  exp::Runner runner(exp::Runner::Options{jobs, 0xFA57EEDULL});
+  exp::Runner runner(exp::Runner::Options{jobs});
   std::vector<exp::Trial> trials = runner.run(std::move(specs), faulted_trial);
   for (const exp::Trial& t : trials) EXPECT_TRUE(t.result.ok) << t.result.error;
   exp::JsonOptions opt;

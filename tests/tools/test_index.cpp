@@ -22,7 +22,6 @@ using dimmer::lint::FileIndex;
 using dimmer::lint::Finding;
 using dimmer::lint::FunctionDef;
 using dimmer::lint::index_source;
-using dimmer::lint::Options;
 using dimmer::lint::Prop;
 
 namespace {
@@ -74,7 +73,7 @@ struct TransitiveFixtures {
   std::vector<Finding> scan(const std::string& rel) const {
     for (const auto& [path, contents] : sources)
       if (path == rel)
-        return dimmer::lint::scan_source(path, contents, Options(), &graph);
+        return dimmer::lint::scan_source(path, contents, &graph);
     ADD_FAILURE() << "no such fixture source: " << rel;
     return {};
   }

@@ -1,9 +1,8 @@
 // Tests for tools/dimmer-lint pass 2: every rule proven to fire on a fixture
 // and to honour its suppression mechanism, the JSON report pinned against a
-// golden file, the shipped baseline proven empty, baseline snapshotting
-// (--update-baseline semantics) proven atomic and refusal-safe, and — the
-// point of the tool — the real src/, bench/, examples/ and tools/ trees
-// proven clean under the full two-pass (call-graph-aware) analysis.
+// golden file, and — the point of the tool — the real src/, bench/,
+// examples/ and tools/ trees proven clean under the full two-pass
+// (call-graph-aware) analysis.
 //
 // Pass-1 machinery (extractor, fixpoint) is covered in test_index.cpp.
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,7 +22,6 @@
 
 namespace fs = std::filesystem;
 using dimmer::lint::Finding;
-using dimmer::lint::Options;
 
 namespace {
 
@@ -235,8 +232,7 @@ TEST(LintRngDiscipline, ProtocolToConsumerPcgFlowFires) {
   idx.push_back(dimmer::lint::index_source("src/flood/proto.cpp", proto));
   auto graph = dimmer::lint::build_call_graph(idx);
 
-  auto fs = dimmer::lint::scan_source("src/flood/proto.cpp", proto, Options(),
-                                      &graph);
+  auto fs = dimmer::lint::scan_source("src/flood/proto.cpp", proto, &graph);
   auto active = lines_of(fs, "rng-discipline", /*suppressed=*/false);
   ASSERT_EQ(active, (std::vector<int>{2}));
   for (const auto& f : fs) {
@@ -247,7 +243,7 @@ TEST(LintRngDiscipline, ProtocolToConsumerPcgFlowFires) {
   }
 
   auto cfs = dimmer::lint::scan_source("src/fault/consumer.cpp", consumer,
-                                       Options(), &graph);
+                                       &graph);
   EXPECT_EQ(count_rule(cfs, "rng-discipline"), 0);
 }
 
@@ -263,10 +259,9 @@ TEST(LintRngDiscipline, FlowOutsideProtocolModulesIsClean) {
       "void drive(Pcg32& rng) { consume_noise(rng); }\n";
   std::vector<dimmer::lint::FileIndex> idx;
   idx.push_back(dimmer::lint::index_source("src/fault/consumer.cpp", consumer));
-  idx.push_back(dimmer::lint::index_source("src/exp/driver.cpp", other));
+  idx.push_back(dimmer::lint::index_source("src/exp/trial_loop.cpp", other));
   auto graph = dimmer::lint::build_call_graph(idx);
-  auto fs = dimmer::lint::scan_source("src/exp/driver.cpp", other, Options(),
-                                      &graph);
+  auto fs = dimmer::lint::scan_source("src/exp/trial_loop.cpp", other, &graph);
   EXPECT_EQ(count_rule(fs, "rng-discipline"), 0);
 }
 
@@ -290,135 +285,6 @@ TEST(LintSuppression, UnrelatedRuleListDoesNotSuppress) {
   ASSERT_EQ(fs.size(), 1u);
   EXPECT_FALSE(fs[0].suppressed);
   EXPECT_TRUE(dimmer::lint::has_active(fs));
-}
-
-// ---------------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------------
-
-TEST(LintBaseline, KeyIsContentHashedNotLineNumbered) {
-  const std::string a = "int f() { return std::rand(); }\n";
-  const std::string b = "// a new comment shifts every line\n\n\n" + a;
-  auto fa = dimmer::lint::scan_source("x.cpp", a);
-  auto fb = dimmer::lint::scan_source("x.cpp", b);
-  ASSERT_EQ(fa.size(), 1u);
-  ASSERT_EQ(fb.size(), 1u);
-  EXPECT_NE(fa[0].line, fb[0].line);
-  EXPECT_EQ(dimmer::lint::baseline_key(fa[0]), dimmer::lint::baseline_key(fb[0]));
-}
-
-TEST(LintBaseline, ApplyMarksMatchingFindingsInactive) {
-  auto fs = dimmer::lint::scan_source("x.cpp",
-                                      "int f() { return std::rand(); }\n");
-  ASSERT_EQ(fs.size(), 1u);
-  std::set<std::string> baseline = {dimmer::lint::baseline_key(fs[0])};
-  dimmer::lint::apply_baseline(fs, baseline);
-  EXPECT_TRUE(fs[0].baselined);
-  EXPECT_FALSE(dimmer::lint::has_active(fs));
-}
-
-TEST(LintBaseline, ShippedBaselineIsEmpty) {
-  // The contract: the repo lints clean, so the checked-in baseline carries
-  // zero keys. Grandfathering a violation requires a visible diff here.
-  auto keys = dimmer::lint::load_baseline(DIMMER_LINT_BASELINE_FILE);
-  EXPECT_TRUE(keys.empty())
-      << "baseline.txt must stay empty; fix or NOLINT new findings instead";
-}
-
-TEST(LintBaseline, MissingFileYieldsEmptySet) {
-  EXPECT_TRUE(dimmer::lint::load_baseline("/nonexistent/baseline").empty());
-}
-
-TEST(LintBaseline, KeySurvivesReindentation) {
-  // The excerpt is whitespace-normalized before hashing, so a pure
-  // reformatting pass (re-indentation, alignment churn) keeps every
-  // baselined key stable.
-  const std::string a = "int f() { return std::rand(); }\n";
-  const std::string b = "      int   f()  {  return   std::rand();   }\n";
-  auto fa = dimmer::lint::scan_source("x.cpp", a);
-  auto fb = dimmer::lint::scan_source("x.cpp", b);
-  ASSERT_EQ(fa.size(), 1u);
-  ASSERT_EQ(fb.size(), 1u);
-  EXPECT_NE(fa[0].excerpt, fb[0].excerpt);
-  EXPECT_EQ(dimmer::lint::baseline_key(fa[0]),
-            dimmer::lint::baseline_key(fb[0]));
-}
-
-TEST(LintBaseline, NormalizeWsCollapsesRunsAndTrims) {
-  EXPECT_EQ(dimmer::lint::normalize_ws("  a \t b\r\n  c  "), "a b c");
-  EXPECT_EQ(dimmer::lint::normalize_ws(""), "");
-  EXPECT_EQ(dimmer::lint::normalize_ws(" \t "), "");
-}
-
-// ---------------------------------------------------------------------------
-// --update-baseline semantics: sorted/deduped snapshot, written atomically,
-// refused outright when the scan itself is broken.
-// ---------------------------------------------------------------------------
-
-TEST(LintUpdateBaseline, WritesSortedDedupedKeys) {
-  const fs::path out = fs::temp_directory_path() / "dimmer_lint_ub1.txt";
-  fs::remove(out);
-  // Two distinct findings plus a duplicate (the same line content repeated
-  // further down hashes to the same key) and a suppressed one that must NOT
-  // be snapshotted.
-  auto findings = dimmer::lint::scan_source(
-      "src/core/b.cpp",
-      "int f() { return std::rand(); }\n"
-      "int g() { return std::rand(); }\n"
-      "int f() { return std::rand(); }\n"
-      "int h() { return std::rand(); }  // NOLINT-DIMMER\n");
-  ASSERT_EQ(findings.size(), 4u);
-  ASSERT_TRUE(dimmer::lint::update_baseline(findings, out.string()));
-  auto keys = dimmer::lint::load_baseline(out.string());
-  // f and g have different excerpts -> two keys (the repeated f line dedupes
-  // into the first); the suppressed h is absent.
-  EXPECT_EQ(keys.size(), 2u);
-  for (const auto& k : keys)
-    EXPECT_EQ(k.find("src/core/b.cpp|det-clock|"), 0u) << k;
-  // The on-disk order is sorted (load_baseline's set would hide that).
-  std::string text = slurp(out.string());
-  std::vector<std::string> lines;
-  std::stringstream ss(text);
-  std::string l;
-  while (std::getline(ss, l))
-    if (!l.empty() && l[0] != '#') lines.push_back(l);
-  EXPECT_TRUE(std::is_sorted(lines.begin(), lines.end()));
-  fs::remove(out);
-}
-
-TEST(LintUpdateBaseline, RoundTripSilencesTheGate) {
-  const fs::path out = fs::temp_directory_path() / "dimmer_lint_ub2.txt";
-  fs::remove(out);
-  const std::string src = "int f() { return std::rand(); }\n";
-  auto findings = dimmer::lint::scan_source("src/core/c.cpp", src);
-  ASSERT_TRUE(dimmer::lint::has_active(findings));
-  ASSERT_TRUE(dimmer::lint::update_baseline(findings, out.string()));
-  auto again = dimmer::lint::scan_source("src/core/c.cpp", src);
-  dimmer::lint::apply_baseline(again, dimmer::lint::load_baseline(out.string()));
-  EXPECT_FALSE(dimmer::lint::has_active(again));
-  fs::remove(out);
-}
-
-TEST(LintUpdateBaseline, RefusesOnParseErrorAndLeavesTargetUntouched) {
-  const fs::path out = fs::temp_directory_path() / "dimmer_lint_ub3.txt";
-  {
-    std::ofstream prev(out);
-    prev << "# sentinel\nexisting|det-clock|0\n";
-  }
-  // An unterminated hot-path region is a parse error: the scan cannot be
-  // trusted as a complete picture, so snapshotting must refuse.
-  auto findings = dimmer::lint::scan_source(
-      "src/core/d.cpp", "// dimmer-lint: hot-path begin\nint x;\n");
-  ASSERT_FALSE(findings.empty());
-  EXPECT_FALSE(dimmer::lint::update_baseline(findings, out.string()));
-  EXPECT_NE(slurp(out.string()).find("sentinel"), std::string::npos)
-      << "refusal must leave the existing baseline byte-identical";
-  fs::remove(out);
-}
-
-TEST(LintUpdateBaseline, AtomicWriteRefusesUnwritableDirectory) {
-  EXPECT_FALSE(dimmer::lint::update_baseline(
-      {}, "/nonexistent-dir/deeper/baseline.txt"));
 }
 
 // ---------------------------------------------------------------------------
@@ -483,12 +349,10 @@ TEST(LintRepo, SrcBenchExamplesToolsHaveNoActiveFindings) {
   auto files = repo_sources();
   ASSERT_GT(files.size(), 50u);  // sanity: we really walked the tree
   auto graph = repo_graph(files);
-  auto baseline = dimmer::lint::load_baseline(DIMMER_LINT_BASELINE_FILE);
-  auto found = dimmer::lint::scan_sources(files, Options(), &graph);
-  dimmer::lint::apply_baseline(found, baseline);
+  auto found = dimmer::lint::scan_sources(files, &graph);
   int active = 0;
   for (const auto& d : found) {
-    if (!d.suppressed && !d.baselined) {
+    if (!d.suppressed) {
       ++active;
       ADD_FAILURE() << d.file << ":" << d.line << ": [" << d.rule << "] "
                     << d.message;
@@ -546,10 +410,5 @@ TEST(LintCli, SeededTransitiveViolationExitsOneNamingTheChain) {
             std::string::npos)
       << out;
   EXPECT_FALSE(slurp((root / "r1.json").string()).empty());
-  // --update-baseline snapshots the violation, after which the gate passes.
-  EXPECT_EQ(run("--baseline accepted.txt --update-baseline src "
-                "> /dev/null 2>&1"),
-            0);
-  EXPECT_EQ(run("--baseline accepted.txt src > /dev/null 2>&1"), 0);
   fs::remove_all(root);
 }

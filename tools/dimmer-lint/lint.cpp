@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <exception>
 #include <fstream>
 #include <map>
 #include <sstream>
 
 #include "index.hpp"
 #include "scan.hpp"
-#include "util/atomic_file.hpp"
 #include "util/json.hpp"
 
 namespace dimmer::lint {
@@ -73,12 +71,17 @@ namespace {
 // Rule: det-clock
 // ---------------------------------------------------------------------------
 
+// The one path prefix (after '\' -> '/' normalization) where det-clock is
+// allowed: the audited wall-clock seam itself. The lint tool is *not* exempt
+// — it lints itself in CI.
+constexpr const char* kClockExemptPrefix = "src/util/";
+
 void rule_det_clock(const std::string& path, const std::vector<Tok>& toks,
-                    const Options& opt, std::vector<Finding>* out) {
+                    std::vector<Finding>* out) {
   std::string np = norm_path(path);
-  for (const std::string& prefix : opt.clock_exempt_prefixes)
-    if (has_prefix(np, prefix) || np.find("/" + prefix) != std::string::npos)
-      return;
+  if (has_prefix(np, kClockExemptPrefix) ||
+      np.find(std::string("/") + kClockExemptPrefix) != std::string::npos)
+    return;
   const std::set<std::string>& bare = clock_bare_tokens();
   const std::set<std::string>& qual = clock_qual_tokens();
   for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -89,7 +92,7 @@ void rule_det_clock(const std::string& path, const std::vector<Tok>& toks,
                           "` outside src/util/: route timing through "
                           "util/wallclock.hpp and randomness through forked "
                           "util::Pcg32",
-                      "", false, false});
+                      "", false});
       continue;
     }
     if (!qual.count(t)) continue;
@@ -101,7 +104,7 @@ void rule_det_clock(const std::string& path, const std::vector<Tok>& toks,
                       "`" + t +
                           "()` outside src/util/: simulation code must not "
                           "read ambient time or randomness",
-                      "", false, false});
+                      "", false});
   }
 }
 
@@ -166,7 +169,7 @@ void detail_rule_det_umap_iter(const std::string& path,
                         "range-for over unordered container `" + t +
                             "`: iteration order is implementation-defined; "
                             "iterate sorted keys or use std::map",
-                        "", false, false});
+                        "", false});
         break;
       }
     }
@@ -186,7 +189,7 @@ void detail_rule_det_umap_iter(const std::string& path,
       out->push_back({path, toks[i].line, kDetUmapIter,
                       "iterator traversal of unordered container `" +
                           toks[i].text + "` (order is implementation-defined)",
-                      "", false, false});
+                      "", false});
   }
 }
 
@@ -207,7 +210,7 @@ void rule_hot_no_alloc(const std::string& path, const std::vector<Tok>& toks,
       out->push_back({path, line, kHotNoAlloc,
                       "`new` inside hot-path region: steady-state floods must "
                       "not allocate (use the caller-owned workspace)",
-                      "", false, false});
+                      "", false});
     } else if (kGrowers.count(t) &&
                (tok_at(toks, i + 1) == "(" ||
                 // templated form: make_unique<T>(...)
@@ -216,7 +219,7 @@ void rule_hot_no_alloc(const std::string& path, const std::vector<Tok>& toks,
                       "`" + t +
                           "()` inside hot-path region may allocate; "
                           "pre-size buffers outside the region",
-                      "", false, false});
+                      "", false});
     }
   }
 }
@@ -243,7 +246,7 @@ void rule_fp_accumulate(const std::string& path, const std::vector<Tok>& toks,
                         "()` hides the floating-point reduction order; write "
                         "an explicit loop or annotate `// dimmer-lint: "
                         "fp-order-ok`",
-                    "", /*suppressed=*/ok, false});
+                    "", /*suppressed=*/ok});
   }
 }
 
@@ -263,12 +266,12 @@ void rule_err_swallow(const std::string& path, const std::vector<Tok>& toks,
       out->push_back({path, toks[i].line, kErrSwallow,
                       "`catch (...)` can absorb any failure silently; catch "
                       "concrete types, or record the error and annotate",
-                      "", false, false});
+                      "", false});
       continue;
     }
     if (tok_at(toks, close + 1) == "{" && tok_at(toks, close + 2) == "}")
       out->push_back({path, toks[i].line, kErrSwallow,
-                      "empty catch handler swallows the error", "", false,
+                      "empty catch handler swallows the error", "",
                       false});
   }
 }
@@ -278,10 +281,11 @@ void rule_err_swallow(const std::string& path, const std::vector<Tok>& toks,
 // ---------------------------------------------------------------------------
 
 void rule_nodiscard_result(const std::string& path,
-                           const std::vector<Tok>& toks, const Options& opt,
+                           const std::vector<Tok>& toks,
                            std::vector<Finding>* out) {
-  std::set<std::string> types(opt.nodiscard_types.begin(),
-                              opt.nodiscard_types.end());
+  // The result types that must be declared [[nodiscard]].
+  static const std::set<std::string> kTypes = {"FloodResult", "TrialResult",
+                                               "RoundResult"};
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].text != "struct" && toks[i].text != "class") continue;
     std::size_t j = i + 1;
@@ -294,7 +298,7 @@ void rule_nodiscard_result(const std::string& path,
       j += 2;  // skip "]]"
     }
     const std::string& name = tok_at(toks, j);
-    if (!types.count(name)) continue;
+    if (!kTypes.count(name)) continue;
     const std::string& next = tok_at(toks, j + 1);
     if (next != "{" && next != ":") continue;  // fwd decl / variable / member
     if (!nodiscard)
@@ -302,7 +306,7 @@ void rule_nodiscard_result(const std::string& path,
                       "result type `" + name +
                           "` must be declared `struct [[nodiscard]] " + name +
                           "` so discarded results warn at every call site",
-                      "", false, false});
+                      "", false});
   }
 }
 
@@ -344,7 +348,7 @@ void rule_rng_discipline(const std::string& path, const std::vector<Tok>& toks,
            "`rng.fork(util::hash_u64(a, b))` so stream identity is a pure "
            "function of (parent seed, tag), never of draw order or loop "
            "position",
-           "", false, false});
+           "", false});
   }
   // (b) Protocol modules must not hand RNG streams into consumer-module
   // signatures. Name-resolved against the call graph: a call in
@@ -370,7 +374,7 @@ void rule_rng_discipline(const std::string& path, const std::vector<Tok>& toks,
                ") takes util::Pcg32; fault/exp/bench randomness must stay "
                "out of protocol lockstep — pass a hash_u64-keyed fork the "
                "consumer owns instead",
-           "", false, false});
+           "", false});
     }
   }
 }
@@ -423,7 +427,7 @@ void rule_transitive_hot(const std::string& path, const std::vector<Tok>& toks,
                  (call ? "` through call chain: "
                        : "` through referenced function: ") +
                  graph.chain(node, p),
-             "", false, false});
+             "", false});
       }
     }
   }
@@ -447,7 +451,7 @@ void rule_trust_reports(const std::string& path, const CallGraph& graph,
            std::string("`pure(") + prop_name(pp) +
                ")` trust annotation on `" + graph.display(static_cast<int>(i)) +
                "` masks: " + graph.chain(static_cast<int>(i), pp),
-           "", /*suppressed=*/true, false});
+           "", /*suppressed=*/true});
     }
   }
 }
@@ -460,19 +464,19 @@ void rule_trust_reports(const std::string& path, const CallGraph& graph,
 
 std::vector<Finding> scan_source(const std::string& path,
                                  const std::string& contents,
-                                 const Options& opt, const CallGraph* graph) {
+                                 const CallGraph* graph) {
   std::vector<LineInfo> lines = split_channels(contents);
   std::vector<Tok> toks = tokenize(lines);
   Directives dir = scan_directives(path, lines);
 
   std::vector<Finding> out;
-  rule_det_clock(path, toks, opt, &out);
+  rule_det_clock(path, toks, &out);
   detail_rule_det_umap_iter(path, toks, &out);
   rule_hot_no_alloc(path, toks, dir, &out);
   out.insert(out.end(), dir.region_errors.begin(), dir.region_errors.end());
   rule_fp_accumulate(path, toks, dir, &out);
   rule_err_swallow(path, toks, &out);
-  rule_nodiscard_result(path, toks, opt, &out);
+  rule_nodiscard_result(path, toks, &out);
   rule_rng_discipline(path, toks, graph, &out);
   if (graph != nullptr) {
     rule_transitive_hot(path, toks, dir, *graph, &out);
@@ -509,108 +513,30 @@ std::vector<Finding> scan_source(const std::string& path,
 
 std::vector<Finding> scan_file(const std::string& path,
                                const std::string& report_as,
-                               const Options& opt, const CallGraph* graph) {
+                               const CallGraph* graph) {
+  const std::string& reported = report_as.empty() ? path : report_as;
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    Finding f{report_as.empty() ? path : report_as, 0, "io",
-              "cannot open file", "", false, false};
-    f.parse_error = true;
-    return {f};
-  }
+  if (!in) return {Finding{reported, 0, "io", "cannot open file", "", false}};
   std::stringstream ss;
   ss << in.rdbuf();
-  return scan_source(report_as.empty() ? path : report_as, ss.str(), opt,
-                     graph);
+  return scan_source(reported, ss.str(), graph);
 }
 
 std::vector<Finding> scan_sources(const std::vector<SourceFile>& files,
-                                  const Options& opt, const CallGraph* graph) {
+                                  const CallGraph* graph) {
   std::vector<Finding> out;
   for (const SourceFile& f : files) {
-    std::vector<Finding> found = scan_source(f.path, f.contents, opt, graph);
+    std::vector<Finding> found = scan_source(f.path, f.contents, graph);
     out.insert(out.end(), std::make_move_iterator(found.begin()),
                std::make_move_iterator(found.end()));
   }
   return out;
 }
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string normalize_ws(const std::string& s) {
-  std::string out;
-  bool pending = false;
-  for (char c : s) {
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      pending = !out.empty();
-      continue;
-    }
-    if (pending) out += ' ';
-    pending = false;
-    out += c;
-  }
-  return out;
-}
-
-std::string baseline_key(const Finding& f) {
-  std::ostringstream os;
-  os << norm_path(f.file) << "|" << f.rule << "|" << std::hex
-     << fnv1a(normalize_ws(f.excerpt));
-  return os.str();
-}
-
-std::set<std::string> load_baseline(const std::string& path) {
-  std::set<std::string> keys;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string t = trimmed_line(line);
-    if (t.empty() || t[0] == '#') continue;
-    keys.insert(t);
-  }
-  return keys;
-}
-
-void apply_baseline(std::vector<Finding>& findings,
-                    const std::set<std::string>& baseline) {
-  for (Finding& f : findings)
-    if (!f.suppressed && baseline.count(baseline_key(f))) f.baselined = true;
-}
-
 bool has_active(const std::vector<Finding>& findings) {
   for (const Finding& f : findings)
-    if (!f.suppressed && !f.baselined) return true;
+    if (!f.suppressed) return true;
   return false;
-}
-
-bool update_baseline(const std::vector<Finding>& findings,
-                     const std::string& path) {
-  for (const Finding& f : findings)
-    if (f.parse_error) return false;
-  // Everything unsuppressed goes in: active findings get accepted, findings
-  // already baselined keep their entry. std::set sorts and dedups.
-  std::set<std::string> keys;
-  for (const Finding& f : findings)
-    if (!f.suppressed) keys.insert(baseline_key(f));
-  std::ostringstream os;
-  os << "# dimmer-lint baseline — regenerate with `dimmer-lint "
-        "--update-baseline`.\n"
-     << "# One `path|rule|hash` key per line; the hash covers the "
-        "whitespace-normalized\n"
-     << "# finding excerpt, so pure reformatting does not churn keys.\n";
-  for (const std::string& k : keys) os << k << "\n";
-  try {
-    util::write_file_atomic(path, os.str());
-  } catch (const std::exception&) {
-    return false;
-  }
-  return true;
 }
 
 std::string json_report(std::vector<Finding> findings) {
@@ -622,19 +548,17 @@ std::string json_report(std::vector<Finding> findings) {
                    });
   std::map<std::string, int> counts;
   for (const Rule& r : rules()) counts[r.id] = 0;
-  int n_active = 0, n_suppressed = 0, n_baselined = 0;
+  int n_active = 0, n_suppressed = 0;
   for (const Finding& f : findings) {
-    if (f.suppressed)
+    if (f.suppressed) {
       ++n_suppressed;
-    else if (f.baselined)
-      ++n_baselined;
-    else {
+    } else {
       ++n_active;
       ++counts[f.rule];
     }
   }
   std::ostringstream os;
-  os << "{\n  \"tool\": \"dimmer-lint\",\n  \"version\": 2,\n  \"rules\": [\n";
+  os << "{\n  \"tool\": \"dimmer-lint\",\n  \"version\": 3,\n  \"rules\": [\n";
   for (std::size_t i = 0; i < rules().size(); ++i) {
     const Rule& r = rules()[i];
     os << "    {\"id\": " << util::json_quote(r.id)
@@ -650,7 +574,6 @@ std::string json_report(std::vector<Finding> findings) {
   os << "},\n";
   os << "  \"total_active\": " << n_active << ",\n";
   os << "  \"total_suppressed\": " << n_suppressed << ",\n";
-  os << "  \"total_baselined\": " << n_baselined << ",\n";
   os << "  \"findings\": [";
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
@@ -659,8 +582,7 @@ std::string json_report(std::vector<Finding> findings) {
        << ", \"line\": " << f.line << ", \"rule\": " << util::json_quote(f.rule)
        << ",\n     \"message\": " << util::json_quote(f.message)
        << ",\n     \"excerpt\": " << util::json_quote(f.excerpt)
-       << ", \"suppressed\": " << (f.suppressed ? "true" : "false")
-       << ", \"baselined\": " << (f.baselined ? "true" : "false") << "}";
+       << ", \"suppressed\": " << (f.suppressed ? "true" : "false") << "}";
   }
   os << (findings.empty() ? "" : "\n  ") << "]\n}\n";
   return os.str();

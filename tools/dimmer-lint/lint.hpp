@@ -87,14 +87,10 @@
 //   // NOLINT-DIMMER(rule[,rule]) suppress the named rules on this line
 //   // NOLINTNEXTLINE-DIMMER[(rules)]  same, for the following line
 //
-// Baseline: a checked-in file of `path|rule|hash` keys (see baseline_key);
-// matching findings are reported as baselined and do not fail the run. The
-// shipped baseline (tools/dimmer-lint/baseline.txt) is empty — the repo is
-// clean — and a test asserts it stays that way.
+// Every finding that is not suppressed fails the run, so a new finding is
+// fixed or suppressed in place, where the suppression stays visible.
 #pragma once
 
-#include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -124,23 +120,6 @@ struct Finding {
   std::string message;
   std::string excerpt;      ///< trimmed source line
   bool suppressed = false;  ///< hit an inline NOLINT-DIMMER annotation
-  bool baselined = false;   ///< matched the baseline file
-  /// The finding reports the *scan itself* going wrong (unreadable file,
-  /// unbalanced hot-path region) rather than a code-level violation. A report
-  /// containing parse errors cannot be trusted as a complete picture, so
-  /// update_baseline refuses to snapshot it.
-  bool parse_error = false;
-};
-
-/// Scanner configuration. Defaults encode this repo's policy.
-struct Options {
-  /// Path prefixes (after '\' -> '/' normalization) where det-clock is
-  /// allowed: only the audited wall-clock wrapper seam itself. The lint tool
-  /// is *not* exempt — it lints itself in CI.
-  std::vector<std::string> clock_exempt_prefixes = {"src/util/"};
-  /// Result types that must be declared [[nodiscard]].
-  std::vector<std::string> nodiscard_types = {"FloodResult", "TrialResult",
-                                              "RoundResult"};
 };
 
 /// Scans one translation unit. `path` is used for reporting and for the
@@ -149,14 +128,12 @@ struct Options {
 /// rules run too. Findings are ordered by line.
 std::vector<Finding> scan_source(const std::string& path,
                                  const std::string& contents,
-                                 const Options& opt = Options(),
                                  const CallGraph* graph = nullptr);
 
 /// Reads `path` from disk and scans it. `report_as`, if non-empty, replaces
 /// `path` in the findings (used to keep report paths repo-relative).
 std::vector<Finding> scan_file(const std::string& path,
                                const std::string& report_as = "",
-                               const Options& opt = Options(),
                                const CallGraph* graph = nullptr);
 
 /// One in-memory source file for the batch scanner.
@@ -168,45 +145,16 @@ struct SourceFile {
 /// Scans every file, one after another, and concatenates the findings in
 /// input order.
 std::vector<Finding> scan_sources(const std::vector<SourceFile>& files,
-                                  const Options& opt = Options(),
                                   const CallGraph* graph = nullptr);
 
-/// Collapses every run of whitespace in `s` to a single space and trims both
-/// ends (exposed for tests).
-std::string normalize_ws(const std::string& s);
-
-/// Stable baseline key: "path|rule|fnv1a(whitespace-normalized excerpt)".
-/// Content-hashed rather than line-numbered so unrelated edits above a
-/// baselined finding do not invalidate it, and whitespace-normalized so pure
-/// reformatting (re-indentation) does not churn keys.
-std::string baseline_key(const Finding& f);
-
-/// Parses a baseline file: one key per line, '#' comments and blank lines
-/// ignored. A missing file yields an empty set.
-std::set<std::string> load_baseline(const std::string& path);
-
-/// Marks findings whose baseline_key is in `baseline` as baselined.
-void apply_baseline(std::vector<Finding>& findings,
-                    const std::set<std::string>& baseline);
-
-/// True if any finding is active (neither suppressed nor baselined) — the
-/// process exit criterion.
+/// True if any finding is active (not suppressed) — the process exit
+/// criterion.
 bool has_active(const std::vector<Finding>& findings);
 
-/// Snapshots the current unsuppressed findings as a sorted, deduped baseline
-/// file, written with util::write_file_atomic. Refuses (returns false,
-/// touches nothing) when any finding is a parse error — a broken scan must
-/// not be immortalized as the accepted state — or when the write fails.
-bool update_baseline(const std::vector<Finding>& findings,
-                     const std::string& path);
-
 /// Machine-readable report: rule table, per-rule active counts, and every
-/// finding (including suppressed/baselined ones, flagged as such). Output is
+/// finding (including suppressed ones, flagged as such). Output is
 /// byte-deterministic: findings sorted by (file, line, rule), numbers
 /// emitted via util::json_number.
 std::string json_report(std::vector<Finding> findings);
-
-/// FNV-1a 64-bit over `s` (exposed for tests).
-std::uint64_t fnv1a(const std::string& s);
 
 }  // namespace dimmer::lint

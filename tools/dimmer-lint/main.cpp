@@ -1,14 +1,13 @@
 // dimmer-lint CLI. See lint.hpp for the rule catalogue.
 //
 // Usage:
-//   dimmer-lint [--root DIR] [--baseline FILE] [--json FILE]
-//               [--update-baseline] [--list-rules] [--quiet]
+//   dimmer-lint [--root DIR] [--json FILE] [--list-rules] [--quiet]
 //               <file-or-directory>...
 //
 // Directories are scanned recursively for .cpp/.cc/.hpp/.h files (build
 // trees and dotted directories are skipped). Paths in diagnostics and in the
 // JSON report are made relative to --root (default: the current directory)
-// so reports are machine-independent and baseline keys are stable.
+// so reports are machine-independent.
 //
 // Every run makes two passes over every collected file:
 //   1. index: each file is function-extracted into the cross-TU call graph
@@ -17,15 +16,9 @@
 //      the graph, one file after another.
 // Directories are walked in sorted order, so the report is deterministic.
 //
-// --update-baseline snapshots the current unsuppressed findings into the
-// --baseline file (sorted, deduped, written atomically) and exits 0; it
-// refuses — exit 2, baseline untouched — when the scan itself reported
-// errors (unreadable file, unbalanced hot-path region).
-//
-// Exit status: 0 if every finding is suppressed or baselined, 1 otherwise,
-// 2 on usage errors. CI runs:
-//   dimmer-lint --root . --baseline tools/dimmer-lint/baseline.txt
-//               --json lint-report.json src bench examples tools
+// Exit status: 0 if every finding is suppressed, 1 otherwise, 2 on usage
+// errors. CI runs:
+//   dimmer-lint --root . --json lint-report.json src bench examples tools
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -95,8 +88,8 @@ std::string relative_to(const fs::path& p, const fs::path& root) {
 
 int usage(int code) {
   std::cerr
-      << "usage: dimmer-lint [--root DIR] [--baseline FILE] [--json FILE]\n"
-         "                   [--update-baseline] [--list-rules] [--quiet]\n"
+      << "usage: dimmer-lint [--root DIR] [--json FILE] [--list-rules] "
+         "[--quiet]\n"
          "                   <path>...\n";
   return code;
 }
@@ -104,8 +97,8 @@ int usage(int code) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string root = ".", baseline_path, json_path;
-  bool list_rules = false, quiet = false, update_baseline = false;
+  std::string root = ".", json_path;
+  bool list_rules = false, quiet = false;
   std::vector<std::string> inputs;
 
   for (int i = 1; i < argc; ++i) {
@@ -119,12 +112,8 @@ int main(int argc, char** argv) {
     };
     if (a == "--root")
       root = next();
-    else if (a == "--baseline")
-      baseline_path = next();
     else if (a == "--json")
       json_path = next();
-    else if (a == "--update-baseline")
-      update_baseline = true;
     else if (a == "--list-rules")
       list_rules = true;
     else if (a == "--quiet")
@@ -162,10 +151,6 @@ int main(int argc, char** argv) {
     if (inputs.empty()) return 0;
   }
   if (inputs.empty()) return usage(2);
-  if (update_baseline && baseline_path.empty()) {
-    std::cerr << "dimmer-lint: --update-baseline needs --baseline FILE\n";
-    return 2;
-  }
 
   // Relative inputs are resolved against --root, so the CLI behaves the same
   // from any working directory (CI runs from the repo root; the CMake `lint`
@@ -180,17 +165,15 @@ int main(int argc, char** argv) {
   if (!inputs_ok) return 2;
 
   // Read every file once; both passes work from the same bytes. Unreadable
-  // files become parse-error findings so they fail the run (and block
-  // --update-baseline) instead of silently shrinking the scan.
+  // files become findings so they fail the run instead of silently
+  // shrinking the scan.
   std::vector<SourceFile> files;
   std::vector<Finding> findings;
   for (const fs::path& f : paths) {
     std::string rel = relative_to(f, root);
     std::ifstream in(f, std::ios::binary);
     if (!in) {
-      Finding err{rel, 0, "io", "cannot open file", "", false, false};
-      err.parse_error = true;
-      findings.push_back(err);
+      findings.push_back({rel, 0, "io", "cannot open file", "", false});
       continue;
     }
     std::stringstream ss;
@@ -207,34 +190,13 @@ int main(int argc, char** argv) {
       dimmer::lint::build_call_graph(std::move(index));
 
   // Pass 2: the rules, with transitive knowledge.
-  std::vector<Finding> scanned =
-      dimmer::lint::scan_sources(files, dimmer::lint::Options(), &graph);
+  std::vector<Finding> scanned = dimmer::lint::scan_sources(files, &graph);
   findings.insert(findings.end(), scanned.begin(), scanned.end());
 
-  if (update_baseline) {
-    if (!dimmer::lint::update_baseline(findings, baseline_path)) {
-      std::cerr << "dimmer-lint: refusing to update baseline: the report "
-                   "contains parse errors (or the write failed); fix the "
-                   "scan first\n";
-      return 2;
-    }
-    if (!quiet)
-      std::cerr << "dimmer-lint: baseline updated: " << baseline_path << "\n";
-    return 0;
-  }
-
-  if (!baseline_path.empty())
-    dimmer::lint::apply_baseline(findings,
-                                 dimmer::lint::load_baseline(baseline_path));
-
-  int active = 0, suppressed = 0, baselined = 0;
+  int active = 0, suppressed = 0;
   for (const Finding& f : findings) {
     if (f.suppressed) {
       ++suppressed;
-      continue;
-    }
-    if (f.baselined) {
-      ++baselined;
       continue;
     }
     ++active;
@@ -250,7 +212,6 @@ int main(int argc, char** argv) {
 
   if (!quiet)
     std::cerr << "dimmer-lint: " << files.size() << " files, " << active
-              << " active, " << suppressed << " suppressed, " << baselined
-              << " baselined\n";
+              << " active, " << suppressed << " suppressed\n";
   return dimmer::lint::has_active(findings) ? 1 : 0;
 }

@@ -168,16 +168,14 @@ Directives scan_directives(const std::string& path,
                                    "nested `hot-path begin` (previous region "
                                    "opened on line " +
                                        std::to_string(begin_line) + ")",
-                                   "", false, false});
-        d.region_errors.back().parse_error = true;
+                                   "", false});
       }
       begin_line = ln;
     } else if (comment_has(c, "dimmer-lint: hot-path end")) {
       if (begin_line < 0) {
         d.region_errors.push_back({path, ln, "hot-no-alloc",
                                    "`hot-path end` without a matching begin",
-                                   "", false, false});
-        d.region_errors.back().parse_error = true;
+                                   "", false});
       } else {
         for (int k = begin_line + 1; k < ln; ++k) d.hot[k] = true;
         begin_line = -1;
@@ -187,8 +185,7 @@ Directives scan_directives(const std::string& path,
   if (begin_line >= 0) {
     d.region_errors.push_back(
         {path, begin_line, "hot-no-alloc",
-         "unterminated `hot-path begin` region", "", false, false});
-    d.region_errors.back().parse_error = true;
+         "unterminated `hot-path begin` region", "", false});
   }
   return d;
 }
