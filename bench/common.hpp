@@ -25,6 +25,7 @@
 #include "core/controller.hpp"
 #include "core/pretrained.hpp"
 #include "exp/campaign.hpp"
+#include "exp/json.hpp"
 #include "exp/runner.hpp"
 #include "phy/topology.hpp"
 #include "rl/quantized.hpp"
@@ -33,23 +34,29 @@
 
 namespace dimmer::bench {
 
+/// DIMMER_BENCH_SCALE, strictly parsed (exp::env_positive_double): the old
+/// std::atof read "0.1x" as 0.1 and silently ran "0" or "abc" at full scale.
+inline double scale() {
+  return exp::env_positive_double("DIMMER_BENCH_SCALE").value_or(1.0);
+}
+
 /// A bench's exit status: `body()`'s, or 2 when an exception escapes it. The
 /// exception (a malformed knob's util::RequireError, say) is printed as
 /// `error: <what>` on stderr instead of aborting through std::terminate.
-/// Every bench's main is `return bench::run_main(bench_main);`.
+/// DIMMER_BENCH_SCALE and DIMMER_JOBS are parsed and the DIMMER_BENCH_OUT
+/// directory checked first, so a bad knob fails the bench at once rather
+/// than after minutes of training or a whole sweep. Every bench's main is
+/// `return bench::run_main(bench_main);`.
 inline int run_main(int (*body)()) {
   try {
+    static_cast<void>(scale());
+    static_cast<void>(exp::jobs_from_env());
+    exp::require_output_dir();
     return body();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
-}
-
-/// DIMMER_BENCH_SCALE, strictly parsed (exp::env_positive_double): the old
-/// std::atof read "0.1x" as 0.1 and silently ran "0" or "abc" at full scale.
-inline double scale() {
-  return exp::env_positive_double("DIMMER_BENCH_SCALE").value_or(1.0);
 }
 
 /// Federation worker threads for the city-scale bench: DIMMER_FED_WORKERS
@@ -81,11 +88,7 @@ inline std::string policy_cache_path() {
 }
 
 /// The deployed policy, loaded from policy_cache_path() or trained there.
-/// DIMMER_BENCH_SCALE and DIMMER_JOBS are parsed first, so a malformed knob
-/// fails the bench at once rather than after minutes of training.
 inline rl::Mlp shared_policy() {
-  static_cast<void>(scale());
-  static_cast<void>(exp::jobs_from_env());
   core::PretrainedOptions opt;
   return core::load_or_train_policy(policy_cache_path(), opt, &std::cerr);
 }

@@ -1,6 +1,9 @@
 #include "exp/json.hpp"
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <ostream>
 #include <sstream>
@@ -38,6 +41,12 @@ void emit_object(std::ostringstream& os, const Map& m, EmitValue&& ev) {
     ev(v);
   }
   os << "}";
+}
+
+// $DIMMER_BENCH_OUT, or "." when it is unset or empty.
+std::string output_dir() {
+  const char* dir = std::getenv("DIMMER_BENCH_OUT");
+  return dir && *dir ? dir : ".";
 }
 
 }  // namespace
@@ -136,10 +145,17 @@ std::string to_json(const std::string& bench, const std::vector<Trial>& trials,
 }
 
 std::string output_path(const std::string& bench) {
-  const char* dir = std::getenv("DIMMER_BENCH_OUT");
-  std::string d = dir && *dir ? dir : ".";
+  std::string d = output_dir();
   if (d.back() != '/') d += '/';
   return d + "BENCH_" + bench + ".json";
+}
+
+void require_output_dir() {
+  const std::string d = output_dir();
+  std::error_code ec;
+  DIMMER_REQUIRE(std::filesystem::is_directory(d, ec) &&
+                     ::access(d.c_str(), W_OK | X_OK) == 0,
+                 "DIMMER_BENCH_OUT: " + d + " is not a writable directory");
 }
 
 bool write_json(const std::string& bench, const std::vector<Trial>& trials,
@@ -149,8 +165,8 @@ bool write_json(const std::string& bench, const std::vector<Trial>& trials,
     // Atomic replacement (util/atomic_file.hpp): a bench killed mid-write
     // leaves the previous BENCH_*.json intact, never a truncated artifact.
     util::write_file_atomic(path, to_json(bench, trials, opt));
-  } catch (const std::exception& e) {  // NOLINT-DIMMER(err-swallow):
-    // recorded, not swallowed — printed here and returned as false, which
+  } catch (const std::exception& e) {
+    // Recorded, not swallowed: printed here and returned as false, which
     // callers turn into a failing exit status after their tables.
     std::cerr << "[exp] ERROR: cannot write " << path << ": " << e.what()
               << " (check DIMMER_BENCH_OUT)\n";

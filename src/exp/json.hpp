@@ -60,6 +60,12 @@ std::string to_json(const std::string& bench, const std::vector<Trial>& trials,
 /// $DIMMER_BENCH_OUT/BENCH_<bench>.json (default directory ".").
 std::string output_path(const std::string& bench);
 
+/// Throws util::RequireError naming DIMMER_BENCH_OUT unless output_path's
+/// directory exists and is writable. A bench calls it before its sweep
+/// (bench::run_main), so a bad directory fails at once; a write that still
+/// fails after the sweep is write_json's false.
+void require_output_dir();
+
 /// Serialize and write to output_path(bench); logs the path to `log` if
 /// given. Returns false (after printing to stderr) if the file cannot be
 /// written. It never throws, so a finished sweep is never aborted: a caller

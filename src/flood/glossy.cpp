@@ -4,9 +4,8 @@
 #include <cmath>
 #include <span>
 
-#include "phy/batched.hpp"
-#include "phy/per.hpp"
 #include "phy/propagation.hpp"
+#include "phy/reception.hpp"
 #include "phy/sparse_link_model.hpp"
 #include "util/check.hpp"
 
@@ -134,7 +133,8 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   const double fading_sigma = topo.path_loss().fading_sigma_db;
   const auto airtime_us =
       static_cast<sim::TimeUs>(std::llround(radio.airtime_us(params.payload_bytes)));
-  const double coherence_gain = params.coherence_gain;
+  const phy::Reception reception(params.coherence_gain, fading_sigma > 0.0,
+                                 noise_mw, noise_dbm, frame_bytes);
 
   // Linear-domain link powers for this flood's TX power as CSR rows; cached
   // across floods by the LinkModel (recomputed only when the power changes).
@@ -149,8 +149,6 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   ws.strongest_mw.resize(un);
   ws.transmitters.clear();
   ws.transmitters.reserve(un);
-  ws.rx_nodes.resize(un);
-  ws.rx_batch.resize(n);
   ws.active_sources.resize(interf_.source_count());
 
   out.nodes.assign(un, NodeFloodResult{});
@@ -252,29 +250,29 @@ void GlossyFlood::run_into(phy::NodeId initiator,
       }
     }
 
-    // 3b. Receptions for every awake listener, in three passes:
-    //     gather (all RNG draws, in the historical per-listener order:
-    //     fading normal first, Bernoulli uniform second, listeners
-    //     ascending), one batched evaluation of the reception chain
-    //     (phy::reception_success_batch — one per-lane loop, in which a
-    //     lane settled from bounded-error SINRs takes the decision the
-    //     exact chain would, DESIGN.md §12), then decision application.
-    //     rng.bernoulli(p) is exactly uniform() < p, so pre-drawing the
-    //     uniform leaves the stream and the decisions bit-identical.
+    // 3b. Receptions, one awake listener at a time, ascending: each draws
+    //     its fading normal, then its Bernoulli uniform (the historical
+    //     per-listener order), and is decided at once by
+    //     phy::Reception::success, which settles it from bounded-error SINRs
+    //     with the decision the exact chain would take (DESIGN.md §12).
+    //     rng.bernoulli(p) is exactly uniform() < p, so drawing the uniform
+    //     first leaves the stream and the decisions bit-identical. No
+    //     listener reads another's state, so deciding in place changes
+    //     nothing later in the step.
     //     Interference: the step's first listener runs the one activity
     //     pass (no listener, no activity() call, as with per-listener
     //     sampling); every listener then sums its table row over the active
     //     sources, bit-identical to InterferenceField::sample (DESIGN.md
     //     §10, "Interference binding").
-    int n_rx = 0;
     bool scanned = false;
     std::size_t n_active = 0;
     double exposure = 0.0;
     for (phy::NodeId i = 0; i < n; ++i) {
-      FloodWorkspace::NodeScratch& s = ws.state[static_cast<std::size_t>(i)];
+      const auto ui = static_cast<std::size_t>(i);
+      FloodWorkspace::NodeScratch& s = ws.state[ui];
       if (s.finished) continue;
       s.radio_on += step_len;  // TX or RX, the radio is on this step
-      if (ws.is_tx[static_cast<std::size_t>(i)] || !any_tx) continue;
+      if (ws.is_tx[ui] || !any_tx) continue;
       if (s.has_packet) continue;  // re-receptions only maintain sync
       // A listener no stored link reaches sees exactly zero concurrent
       // power, so its success probability is < 1e-86 — reachable only by a
@@ -283,16 +281,10 @@ void GlossyFlood::run_into(phy::NodeId initiator,
       // scale with the flood frontier instead of N. A view that does not
       // ask for the skip gets the draws the direct-Topology loop makes, so
       // the RNG stream stays bit-identical to it.
-      if (links.skip_unreached &&
-          ws.strongest_mw[static_cast<std::size_t>(i)] == 0.0)
-        continue;
+      if (links.skip_unreached && ws.strongest_mw[ui] == 0.0) continue;
 
-      const auto r = static_cast<std::size_t>(n_rx);
-      ws.rx_batch.strongest_mw[r] =
-          ws.strongest_mw[static_cast<std::size_t>(i)];
-      ws.rx_batch.total_mw[r] = ws.total_mw[static_cast<std::size_t>(i)];
       // Per-reception block fading at the listener.
-      ws.rx_batch.fade_db[r] =
+      const double fade_db =
           fading_sigma > 0.0 ? rng.normal(0.0, fading_sigma) : 0.0;
       if (!scanned) {
         n_active = interf_.scan(t0, t1, params.channel, ws.active_sources,
@@ -303,29 +295,16 @@ void GlossyFlood::run_into(phy::NodeId initiator,
         exposure_sum += exposure;
         ++exposure_n;
       }
-      ws.rx_batch.interf_mw[r] = interf_.power_mw(
+      const double interf_mw = interf_.power_mw(
           i, std::span(ws.active_sources).first(n_active));
-      ws.rx_batch.jam_fraction[r] = exposure;
-      ws.rx_batch.uniform[r] = rng.uniform();  // the Bernoulli draw
-      ws.rx_nodes[r] = i;
-      ++n_rx;
-    }
-    ws.rx_batch.count = n_rx;
-
-    if (n_rx > 0) {
-      phy::reception_success_batch(ws.rx_batch, coherence_gain,
-                                   fading_sigma > 0.0, noise_mw, noise_dbm,
-                                   frame_bytes);
-      for (int r = 0; r < n_rx; ++r) {
-        const auto ur = static_cast<std::size_t>(r);
-        if (ws.rx_batch.uniform[ur] < ws.rx_batch.p_ok[ur]) {
-          FloodWorkspace::NodeScratch& s =
-              ws.state[static_cast<std::size_t>(ws.rx_nodes[ur])];
-          s.has_packet = true;
-          s.first_step = t;
-          if (ws.budget[static_cast<std::size_t>(ws.rx_nodes[ur])] == 0)
-            s.finished = true;  // passive receiver: done
-        }
+      const double u = rng.uniform();  // the Bernoulli draw
+      const phy::Reception::Decision d =
+          reception.success(ws.strongest_mw[ui], ws.total_mw[ui], fade_db,
+                            interf_mw, exposure, u);
+      if (u < d.p_ok) {
+        s.has_packet = true;
+        s.first_step = t;
+        if (ws.budget[ui] == 0) s.finished = true;  // passive receiver: done
       }
     }
 

@@ -13,7 +13,6 @@
 
 #include <vector>
 
-#include "phy/batched.hpp"
 #include "phy/topology.hpp"
 #include "sim/time.hpp"
 
@@ -35,8 +34,6 @@ struct FloodWorkspace {
   std::vector<int> budget;                ///< effective per-node TX budgets
   std::vector<double> total_mw;           ///< combined concurrent power per rx
   std::vector<double> strongest_mw;       ///< strongest concurrent power per rx
-  phy::ReceptionBatch rx_batch;           ///< step-3b reception staging (SoA)
-  std::vector<phy::NodeId> rx_nodes;      ///< node id per rx_batch entry
   /// Interference sources active in the current step, ascending (a prefix
   /// written by phy::BoundInterference::scan; sized to the source count).
   std::vector<std::size_t> active_sources;
@@ -52,8 +49,6 @@ struct FloodWorkspace {
     budget.reserve(m);
     total_mw.reserve(m);
     strongest_mw.reserve(m);
-    rx_nodes.reserve(m);
-    rx_batch.resize(n);
     active_sources.reserve(sources);
   }
 };

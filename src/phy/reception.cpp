@@ -1,4 +1,4 @@
-#include "phy/batched.hpp"
+#include "phy/reception.hpp"
 
 #include <algorithm>
 #include <array>
@@ -12,16 +12,27 @@
 
 namespace dimmer::phy {
 
-namespace {
-
-// approx_log2's table (batched.hpp). Cell j covers the mantissas
+// approx_log2's table (reception.hpp). Cell j covers the mantissas
 // [1 + j/128, 1 + (j+1)/128) and holds c = 1/(its midpoint), rounded, with
 // -log2(c) of that rounded value, so that log2(m) = log2(m*c) - log2(c)
 // holds for the stored c and m*c - 1 lies within 2^-8 of 0.
-constexpr int kLog2CellBits = 7;
 struct Log2Cell {
   double neg_log2_inv, inv;
 };
+
+// The bracket (reception.hpp). Grid point k sits at kFloorSinrDb +
+// k / kLnOkStepsPerDb dB; the last one is kSaturatedSinrDb.
+constexpr int kLnOkLast = static_cast<int>(
+    (kSaturatedSinrDb - kFloorSinrDb) * kLnOkStepsPerDb);
+
+struct LnOkTable {
+  std::array<double, kLnOkLast + 1> grid;  // lambda at each grid point
+  double floor_hi;                         // ln kFloorOneMinusBer
+};
+
+namespace {
+
+constexpr int kLog2CellBits = 7;
 using Log2Table = std::array<Log2Cell, 1 << kLog2CellBits>;
 
 // Built once, read-only after, like the lambda table below.
@@ -42,7 +53,7 @@ const Log2Table& log2_table() {
 // log2(x) for a positive normal x: the exponent field, the cell's
 // -log2(c), and log2(1 + r) for r = m*c - 1 (|r| <= 2^-8) by the first four
 // terms of its series, which leave at most |r|^5 / (5 ln 2) < 2.7e-13.
-inline double log2_of(const Log2Table& t, double x) {
+inline double log2_of(const Log2Cell* t, double x) {
   constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
   constexpr std::uint64_t kOne = std::uint64_t{1023} << 52;
   constexpr double k1 = std::numbers::log2e;
@@ -61,9 +72,9 @@ inline double log2_of(const Log2Table& t, double x) {
 // dB per octave, 10 log10(2): 10 log10(x) = kDbPerLog2 * log2(x).
 constexpr double kDbPerLog2 = 3.01029995663981195214;
 
-// The approximate SINRs of one lane (batched.hpp, approx_sinr). `sig` is
-// the lane's coherent signal, the same double the exact path scales.
-inline ApproxSinr approx_sinr_of(const Log2Table& t, double sig, double fade,
+// The approximate SINRs of one listener (reception.hpp, approx_sinr).
+// `sig` is its coherent signal, the same double the exact path scales.
+inline ApproxSinr approx_sinr_of(const Log2Cell* t, double sig, double fade,
                                  double interf, bool apply_fading,
                                  double noise_mw, double noise_dbm) {
   ApproxSinr a{0.0, 0.0, false};
@@ -89,7 +100,7 @@ inline ApproxSinr approx_sinr_of(const Log2Table& t, double sig, double fade,
   return a;
 }
 
-// Rule 1 (per.hpp) over the whole lane: every SINR that carries bits (the
+// Rule 1 (per.hpp) over the whole listener: every SINR that carries bits (the
 // clean one unless the clamped exposure is 1, the jammed one unless it is
 // 0) is saturated, so every factor is exactly 1.0, and so is
 // frame_success_prob.
@@ -98,16 +109,7 @@ bool saturated(double sinr_clean_db, double sinr_jam_db, double jam_fraction) {
          (jam_fraction <= 0.0 || sinr_jam_db >= kSaturatedSinrDb);
 }
 
-// The bracket (batched.hpp). Grid point k sits at kFloorSinrDb +
-// k / kLnOkStepsPerDb dB; the last one is kSaturatedSinrDb.
-constexpr int kLnOkLast = static_cast<int>(
-    (kSaturatedSinrDb - kFloorSinrDb) * kLnOkStepsPerDb);
 constexpr double kLnMinUniform = -53.0 * std::numbers::ln2;  // ln 2^-53
-
-struct LnOkTable {
-  std::array<double, kLnOkLast + 1> grid;  // lambda at each grid point
-  double floor_hi;                         // ln kFloorOneMinusBer
-};
 
 // Built once, read-only after: the same for every frame and thread.
 const LnOkTable& ln_ok_table() {
@@ -144,7 +146,7 @@ LnOkBounds ln_ok_bounds(const LnOkTable& t, double sinr_db) {
   return {sinr_db, sinr_db};
 }
 
-// Where a lane's draw falls against the bracket on ln p_ok.
+// Where a listener's draw falls against the bracket on ln p_ok.
 enum class Bracket { kSuccess, kFailure, kInside };
 
 // The saturation rule, then, for a draw of at least kFloorMinUniform, the
@@ -153,8 +155,8 @@ enum class Bracket { kSuccess, kFailure, kInside };
 // plus err_db, which is sound because lambda is monotone. `ln` gives ln u
 // to within `ln_err`, which widens the margin. Clamps the exposure and
 // splits the bits as frame_success_prob does; the tests read !(f >= 1) and
-// !(f <= 0) so that a NaN exposure gives NaN bounds, and the lane stays
-// open.
+// !(f <= 0) so that a NaN exposure gives NaN bounds, and the listener
+// stays open.
 template <typename Ln>
 Bracket settle(const LnOkTable& t, double uniform, double clean, double jam,
                double jam_fraction, double bits, double err_db, double ln_err,
@@ -186,68 +188,63 @@ Bracket settle(const LnOkTable& t, double uniform, double clean, double jam,
 
 }  // namespace
 
-double approx_log2(double x) { return log2_of(log2_table(), x); }
+double approx_log2(double x) { return log2_of(log2_table().data(), x); }
 
 ApproxSinr approx_sinr(double signal_mw, double fade_db, double interf_mw,
                        bool apply_fading, double noise_mw, double noise_dbm) {
-  return approx_sinr_of(log2_table(), signal_mw, fade_db, interf_mw,
+  return approx_sinr_of(log2_table().data(), signal_mw, fade_db, interf_mw,
                         apply_fading, noise_mw, noise_dbm);
 }
 
-ReceptionCounts reception_success_batch(ReceptionBatch& b,
-                                        double coherence_gain,
-                                        bool apply_fading, double noise_mw,
-                                        double noise_dbm, int frame_bytes) {
-  // A settled lane skips frame_success_prob, which used to be the only
+Reception::Reception(double coherence_gain, bool apply_fading,
+                     double noise_mw, double noise_dbm, int frame_bytes)
+    : coherence_gain_(coherence_gain),
+      noise_mw_(noise_mw),
+      noise_dbm_(noise_dbm),
+      bits_(8.0 * frame_bytes),
+      frame_bytes_(frame_bytes),
+      apply_fading_(apply_fading),
+      log2_(log2_table().data()),
+      ln_ok_(&ln_ok_table()) {
+  // A settled listener skips frame_success_prob, which used to be the only
   // check of the frame length.
   DIMMER_REQUIRE(frame_bytes > 0, "frame_bytes must be positive");
-  const int count = b.count;
-  DIMMER_DEBUG_ASSERT(count <= static_cast<int>(b.strongest_mw.size()),
-                      "ReceptionBatch count exceeds its arrays");
-  const Log2Table& log2t = log2_table();
-  const LnOkTable& lambda = ln_ok_table();
-  const double bits = 8.0 * frame_bytes;
-  const auto approx_ln = [&log2t](double u) {
+}
+
+Reception::Decision Reception::success(double strongest_mw, double total_mw,
+                                       double fade_db, double interf_mw,
+                                       double jam_fraction,
+                                       double uniform) const {
+  const Log2Cell* log2t = log2_;
+  const auto approx_ln = [log2t](double u) {
     return std::numbers::ln2 * log2_of(log2t, u);
   };
   const auto exact_ln = [](double u) { return std::log(u); };
-  ReceptionCounts n;
-  for (int l = 0; l < count; ++l) {
-    const auto i = static_cast<std::size_t>(l);
-    const double s = b.strongest_mw[i];
-    // One signal feeds both paths.
-    double sig = s + coherence_gain * (b.total_mw[i] - s);
-    const double fade = b.fade_db[i];
-    const double interf = b.interf_mw[i];
-    const double frac = b.jam_fraction[i];
-    const double u = b.uniform[i];
-    // 1. The approximate SINRs, widened by their error bound.
-    const ApproxSinr a = approx_sinr_of(log2t, sig, fade, interf,
-                                        apply_fading, noise_mw, noise_dbm);
-    Bracket at = Bracket::kInside;
-    if (a.in_domain) {
-      at = settle(lambda, u, a.clean_db, a.jam_db, frac, bits,
-                  kApproxSinrErrorDb, kApproxLnUniformError, approx_ln);
-    }
-    // 2. Otherwise the exact path: the historical expressions, the same
-    //    two tests unwidened, then the chain.
-    if (at == Bracket::kInside) {
-      ++n.exact_sinr;
-      if (apply_fading) sig *= std::pow(10.0, fade / 10.0);
-      const double sig_dbm = mw_to_dbm(sig);
-      const double clean = sig_dbm - noise_dbm;
-      const double jam =
-          interf == 0.0 ? clean : sig_dbm - mw_to_dbm(noise_mw + interf);
-      at = settle(lambda, u, clean, jam, frac, bits, 0.0, 0.0, exact_ln);
-      if (at == Bracket::kInside) {
-        ++n.chain;
-        b.p_ok[i] = frame_success_prob(clean, jam, frac, frame_bytes);
-        continue;
-      }
-    }
-    b.p_ok[i] = at == Bracket::kSuccess ? 1.0 : 0.0;
+  // One signal feeds both paths.
+  double sig = strongest_mw + coherence_gain_ * (total_mw - strongest_mw);
+  // 1. The approximate SINRs, widened by their error bound.
+  const ApproxSinr a = approx_sinr_of(log2t, sig, fade_db, interf_mw,
+                                      apply_fading_, noise_mw_, noise_dbm_);
+  if (a.in_domain) {
+    const Bracket at =
+        settle(*ln_ok_, uniform, a.clean_db, a.jam_db, jam_fraction, bits_,
+               kApproxSinrErrorDb, kApproxLnUniformError, approx_ln);
+    if (at != Bracket::kInside)
+      return {at == Bracket::kSuccess ? 1.0 : 0.0, Path::kApproxSinr};
   }
-  return n;
+  // 2. Otherwise the exact path: the historical expressions, the same two
+  //    tests unwidened, then the chain.
+  if (apply_fading_) sig *= std::pow(10.0, fade_db / 10.0);
+  const double sig_dbm = mw_to_dbm(sig);
+  const double clean = sig_dbm - noise_dbm_;
+  const double jam =
+      interf_mw == 0.0 ? clean : sig_dbm - mw_to_dbm(noise_mw_ + interf_mw);
+  const Bracket at = settle(*ln_ok_, uniform, clean, jam, jam_fraction, bits_,
+                            0.0, 0.0, exact_ln);
+  if (at != Bracket::kInside)
+    return {at == Bracket::kSuccess ? 1.0 : 0.0, Path::kExactSinr};
+  return {frame_success_prob(clean, jam, jam_fraction, frame_bytes_),
+          Path::kChain};
 }
 
 }  // namespace dimmer::phy

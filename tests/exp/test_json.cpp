@@ -7,6 +7,7 @@
 #include <string>
 
 #include "exp/json.hpp"
+#include "util/check.hpp"
 #include "util/json_parse.hpp"
 
 namespace dimmer::exp {
@@ -166,11 +167,26 @@ TEST(Json, WriteJsonHonoursOutputDirEnv) {
 }
 
 TEST(Json, WriteJsonToUnwritableDirFailsGracefully) {
-  ASSERT_EQ(setenv("DIMMER_BENCH_OUT", "/tmp/no/such/dir", 1), 0);
-  // A bad output dir must not throw/abort: the sweep's results have
-  // already been printed by the time the artifact is written.
-  EXPECT_FALSE(write_json("unit", sample_trials()));
+  // A missing directory, and a file where the directory should be.
+  const std::string file = "/tmp/dimmer_json_not_a_dir";
+  std::ofstream(file) << "x";
+  for (const std::string& dir : {std::string("/tmp/no/such/dir"), file}) {
+    ASSERT_EQ(setenv("DIMMER_BENCH_OUT", dir.c_str(), 1), 0);
+    // A bad output dir must not throw/abort: the sweep's results have
+    // already been printed by the time the artifact is written.
+    EXPECT_FALSE(write_json("unit", sample_trials())) << dir;
+    // A bench checks it before the sweep instead, naming the knob.
+    try {
+      require_output_dir();
+      ADD_FAILURE() << dir << " accepted";
+    } catch (const util::RequireError& e) {
+      EXPECT_NE(std::string(e.what()).find("DIMMER_BENCH_OUT"),
+                std::string::npos);
+    }
+  }
+  std::remove(file.c_str());
   ASSERT_EQ(unsetenv("DIMMER_BENCH_OUT"), 0);
+  EXPECT_NO_THROW(require_output_dir());
   EXPECT_TRUE(write_json("unit", sample_trials()));
   std::remove("BENCH_unit.json");
 }

@@ -29,10 +29,10 @@
 // engine, workspace, result and RNG: office18 and dcube48 clean and
 // interfered, and a 64-node culled campus.
 //
-// The settled-reception inputs (phy::reception_success_batch, DESIGN.md
-// §12) sweep frames of 7-133 B over dcube48 under WiFi level 2, with fading
-// on and off, and over office18 under 30% static jamming, whose partial
-// exposures give lanes two different bit-carrying SINRs.
+// The settled-reception inputs (phy::Reception::success, DESIGN.md §12)
+// sweep frames of 7-133 B over dcube48 under WiFi level 2, with fading on
+// and off, and over office18 under 30% static jamming, whose partial
+// exposures give listeners two different bit-carrying SINRs.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -44,9 +44,9 @@
 #include "core/scenarios.hpp"
 #include "flood/glossy.hpp"
 #include "flood/workspace.hpp"
-#include "phy/batched.hpp"
 #include "phy/link_model.hpp"
 #include "phy/per.hpp"
+#include "phy/reception.hpp"
 #include "phy/sparse_link_model.hpp"
 #include "phy/topology.hpp"
 #include "reference_glossy.hpp"
@@ -423,7 +423,7 @@ TEST(FloodDifferential, SettledReceptionsAcrossFrameLengths) {
 }
 
 TEST(FloodDifferential, SettledReceptionsUnderPartialExposure) {
-  // office18 under 30% static jamming: two bit-carrying SINRs per lane.
+  // office18 under 30% static jamming: two bit-carrying SINRs per listener.
   Case c = make_case("office18", 0.3);
   const int n = c.topo.size();
   for (int payload : kSettledPayloads) {

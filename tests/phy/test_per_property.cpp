@@ -24,8 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "phy/batched.hpp"
 #include "phy/per.hpp"
+#include "phy/reception.hpp"
 
 namespace dimmer::phy {
 namespace {

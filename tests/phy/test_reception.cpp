@@ -4,15 +4,14 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <numbers>
 #include <string>
 #include <vector>
 
-#include "phy/batched.hpp"
 #include "phy/per.hpp"
 #include "phy/propagation.hpp"
+#include "phy/reception.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -20,8 +19,8 @@ namespace dimmer::phy {
 namespace {
 
 // ---------------------------------------------------------------------------
-// reception_success_batch: the full step-3b chain against a literal
-// transcription of the historical per-listener expressions.
+// Reception::success: the full step-3b chain against a literal transcription
+// of the historical per-listener expressions.
 
 struct Sinrs {
   double clean_db, jam_db;
@@ -49,89 +48,37 @@ double reference_reception(double strongest, double total, double fade_db,
   return frame_success_prob(s.clean_db, s.jam_db, jam_fraction, frame_bytes);
 }
 
-TEST(ReceptionBatch, MatchesReferenceChain) {
+TEST(Reception, MatchesReferenceChain) {
   const double noise_mw = dbm_to_mw(-87.0);
   const double noise_dbm = mw_to_dbm(noise_mw);
   for (bool fading : {false, true}) {
     SCOPED_TRACE(fading ? "fading on" : "fading off");
-    const int n = 26;
-    ReceptionBatch b;
-    b.resize(n);
-    b.count = n;
+    const Reception rx(0.2, fading, noise_mw, noise_dbm, 36);
     util::Pcg32 rng(1234);
-    for (int i = 0; i < n; ++i) {
-      const auto u = static_cast<std::size_t>(i);
-      b.strongest_mw[u] = dbm_to_mw(-90.0 + 30.0 * rng.uniform());
-      b.total_mw[u] = b.strongest_mw[u] * (1.0 + rng.uniform());
-      b.fade_db[u] = rng.normal(0.0, 3.0);
+    for (int i = 0; i < 26; ++i) {
+      const double strongest = dbm_to_mw(-90.0 + 30.0 * rng.uniform());
+      const double total = strongest * (1.0 + rng.uniform());
+      const double fade = rng.normal(0.0, 3.0);
       // Mix zero- and nonzero-interference listeners.
-      b.interf_mw[u] = (i % 3 == 0) ? 0.0 : dbm_to_mw(-95.0);
-      b.jam_fraction[u] = (i % 3 == 0) ? 0.0 : rng.uniform();
-    }
-    reception_success_batch(b, 0.2, fading, noise_mw, noise_dbm, 36);
-    for (int i = 0; i < n; ++i) {
-      const auto u = static_cast<std::size_t>(i);
+      const double interf = (i % 3 == 0) ? 0.0 : dbm_to_mw(-95.0);
+      const double frac = (i % 3 == 0) ? 0.0 : rng.uniform();
+      const double p_ok =
+          rx.success(strongest, total, fade, interf, frac, 0.0).p_ok;
       const double want = reference_reception(
-          b.strongest_mw[u], b.total_mw[u], b.fade_db[u], b.interf_mw[u],
-          b.jam_fraction[u], 0.2, fading, noise_mw, noise_dbm, 36);
-      // Draws of 0.0 run every unsaturated lane through the chain, so
+          strongest, total, fade, interf, frac, 0.2, fading, noise_mw,
+          noise_dbm, 36);
+      // Draws of 0.0 run every unsaturated listener through the chain, so
       // p_ok is the probability itself.
-      EXPECT_EQ(b.p_ok[u], want);
-      EXPECT_GE(b.p_ok[u], 0.0);
-      EXPECT_LE(b.p_ok[u], 1.0);
+      EXPECT_EQ(p_ok, want) << "listener " << i;
+      EXPECT_GE(p_ok, 0.0);
+      EXPECT_LE(p_ok, 1.0);
     }
   }
-}
-
-TEST(ReceptionBatch, CountPrefixIsPositionIndependent) {
-  const double noise_mw = dbm_to_mw(-87.0);
-  const double noise_dbm = mw_to_dbm(noise_mw);
-  const int n = 17;
-  ReceptionBatch full;
-  full.resize(n);
-  full.count = n;
-  util::Pcg32 rng(77);
-  for (int i = 0; i < n; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    full.strongest_mw[u] = dbm_to_mw(-80.0 + 2.0 * i);
-    full.total_mw[u] = full.strongest_mw[u] * 1.5;
-    full.fade_db[u] = rng.normal(0.0, 2.0);
-    full.interf_mw[u] = (i % 2 == 0) ? 0.0 : 1e-9;
-    full.jam_fraction[u] = (i % 2 == 0) ? 0.0 : 0.4;
-  }
-  reception_success_batch(full, 0.3, true, noise_mw, noise_dbm, 24);
-  // Each listener alone in a batch of one must reproduce its batched result
-  // bit-for-bit: a lane's decision depends on its own inputs only.
-  for (int i = 0; i < n; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    ReceptionBatch one;
-    one.resize(1);
-    one.count = 1;
-    one.strongest_mw[0] = full.strongest_mw[u];
-    one.total_mw[0] = full.total_mw[u];
-    one.fade_db[0] = full.fade_db[u];
-    one.interf_mw[0] = full.interf_mw[u];
-    one.jam_fraction[0] = full.jam_fraction[u];
-    reception_success_batch(one, 0.3, true, noise_mw, noise_dbm, 24);
-    EXPECT_EQ(one.p_ok[0], full.p_ok[u]) << "listener " << i;
-  }
-}
-
-TEST(ReceptionBatch, ResizeSizesAllArrays) {
-  ReceptionBatch b;
-  b.resize(13);
-  EXPECT_EQ(b.strongest_mw.size(), 13u);
-  EXPECT_EQ(b.total_mw.size(), 13u);
-  EXPECT_EQ(b.fade_db.size(), 13u);
-  EXPECT_EQ(b.interf_mw.size(), 13u);
-  EXPECT_EQ(b.jam_fraction.size(), 13u);
-  EXPECT_EQ(b.uniform.size(), 13u);
-  EXPECT_EQ(b.p_ok.size(), 13u);
 }
 
 // ---------------------------------------------------------------------------
-// Settled receptions (DESIGN.md §12): lanes decided from their SINRs before
-// the BER chain must take the decision the full chain takes.
+// Settled receptions (DESIGN.md §12): listeners decided from their SINRs
+// before the BER chain must take the decision the full chain takes.
 
 /// One listener's inputs, built from target SINRs: no fading, coherence
 /// gain 0, so the signal is `strongest`; `jam_db` below `clean_db` sets the
@@ -148,6 +95,14 @@ Lane lane_at(double clean_db, double jam_db, double jam_fraction) {
   const double interf_mw =
       jam_db < clean_db ? signal_mw / dbm_to_mw(jam_db) - noise_mw : 0.0;
   return {signal_mw, interf_mw, jam_fraction};
+}
+
+/// A lane's decision at draw `u`, under a Reception without fading or
+/// coherent combining.
+Reception::Decision lane_success(const Reception& rx, const Lane& l,
+                                 double u) {
+  return rx.success(l.strongest_mw, l.strongest_mw, 0.0, l.interf_mw,
+                    l.jam_fraction, u);
 }
 
 /// The lanes of every class: saturated (every bit-carrying SINR >= 7 dB),
@@ -169,25 +124,14 @@ std::vector<Lane> settled_mix() {
 }
 constexpr int kSaturatedLanes = 3;
 
-void load_lanes(ReceptionBatch& b, const std::vector<Lane>& lanes) {
-  b.resize(static_cast<int>(lanes.size()));
-  b.count = static_cast<int>(lanes.size());
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    b.strongest_mw[i] = lanes[i].strongest_mw;
-    b.total_mw[i] = lanes[i].strongest_mw;
-    b.fade_db[i] = 0.0;
-    b.interf_mw[i] = lanes[i].interf_mw;
-    b.jam_fraction[i] = lanes[i].jam_fraction;
-  }
-}
-
-TEST(ReceptionBatch, SettledLanesTakeTheFullChainDecision) {
+TEST(Reception, SettledLanesTakeTheFullChainDecision) {
   const double noise_mw = dbm_to_mw(kNoiseDbm);
   const double noise_dbm = mw_to_dbm(noise_mw);
   const std::vector<Lane> lanes = settled_mix();
   util::Pcg32 rng(2024);
   for (int frame_bytes : {14, 15}) {
     SCOPED_TRACE("frame_bytes " + std::to_string(frame_bytes));
+    const Reception rx(0.0, false, noise_mw, noise_dbm, frame_bytes);
     std::vector<double> want(lanes.size());
     for (std::size_t i = 0; i < lanes.size(); ++i) {
       const Lane& l = lanes[i];
@@ -195,89 +139,54 @@ TEST(ReceptionBatch, SettledLanesTakeTheFullChainDecision) {
                                     l.interf_mw, l.jam_fraction, 0.0, false,
                                     noise_mw, noise_dbm, frame_bytes);
     }
-    // How many lanes ran the chain, read off the returned count: at draws
-    // of 0.0 every lane but the saturated ones; at 0.5, none, since no
-    // lane's p_ok lies near 0.5.
-    ReceptionBatch probe;
-    load_lanes(probe, lanes);
-    EXPECT_EQ(reception_success_batch(probe, 0.0, false, noise_mw, noise_dbm,
-                                      frame_bytes)
-                  .chain,
+    // How many lanes ran the chain: at draws of 0.0 every lane but the
+    // saturated ones; at 0.5, none, since no lane's p_ok lies near 0.5.
+    const auto chain_runs = [&](double u) {
+      int runs = 0;
+      for (const Lane& l : lanes)
+        runs += lane_success(rx, l, u).path == Reception::Path::kChain;
+      return runs;
+    };
+    EXPECT_EQ(chain_runs(0.0),
               static_cast<int>(lanes.size()) - kSaturatedLanes);
-    for (double& u : probe.uniform) u = 0.5;
-    EXPECT_EQ(reception_success_batch(probe, 0.0, false, noise_mw, noise_dbm,
-                                      frame_bytes)
-                  .chain,
-              0);
-    // Each lane's decision at draws around its exact p_ok, among random
-    // neighbours.
+    EXPECT_EQ(chain_runs(0.5), 0);
+    // Each lane's decision at draws around its exact p_ok, and every other
+    // lane's at a random draw.
     for (std::size_t i = 0; i < lanes.size(); ++i) {
       for (double u : {0.0, 0x1p-53, std::nextafter(want[i], 0.0), want[i],
                        rng.uniform()}) {
-        ReceptionBatch b;
-        load_lanes(b, lanes);
-        for (double& v : b.uniform) v = rng.uniform();
-        b.uniform[i] = u;
-        reception_success_batch(b, 0.0, false, noise_mw, noise_dbm,
-                                frame_bytes);
-        EXPECT_EQ(b.uniform[i] < b.p_ok[i], u < want[i])
-            << "lane " << i << " u=" << u << " want=" << want[i];
+        for (std::size_t j = 0; j < lanes.size(); ++j) {
+          const double drawn = rng.uniform();
+          const double v = j == i ? u : drawn;
+          EXPECT_EQ(v < lane_success(rx, lanes[j], v).p_ok, v < want[j])
+              << "lane " << j << " u=" << v << " want=" << want[j];
+        }
       }
     }
   }
 }
 
-TEST(ReceptionBatch, SettledLanesArePositionIndependent) {
+TEST(Reception, RejectsNonPositiveFrame) {
   const double noise_mw = dbm_to_mw(kNoiseDbm);
   const double noise_dbm = mw_to_dbm(noise_mw);
-  // Three copies of the mix, so each lane class sits at several offsets,
-  // among different neighbours.
-  std::vector<Lane> lanes;
-  for (int rep = 0; rep < 3; ++rep)
-    for (const Lane& l : settled_mix()) lanes.push_back(l);
-  ReceptionBatch full;
-  load_lanes(full, lanes);
-  util::Pcg32 rng(31);
-  for (double& u : full.uniform) u = rng.uniform();
-  reception_success_batch(full, 0.0, false, noise_mw, noise_dbm, 15);
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    // Alone, and at the end of every strict prefix of the batch; -1.0
-    // marks an output the call did not write.
-    ReceptionBatch one;
-    load_lanes(one, {lanes[i]});
-    one.uniform[0] = full.uniform[i];
-    one.p_ok[0] = -1.0;
-    reception_success_batch(one, 0.0, false, noise_mw, noise_dbm, 15);
-    EXPECT_EQ(one.p_ok[0], full.p_ok[i]) << "lane " << i;
-    ReceptionBatch prefix = full;
-    prefix.count = static_cast<int>(i) + 1;
-    std::fill(prefix.p_ok.begin(), prefix.p_ok.end(), -1.0);
-    reception_success_batch(prefix, 0.0, false, noise_mw, noise_dbm, 15);
-    EXPECT_EQ(prefix.p_ok[i], full.p_ok[i]) << "prefix through lane " << i;
-  }
-}
-
-TEST(ReceptionBatch, RejectsNonPositiveFrameEvenWhenEveryLaneSettles) {
-  const double noise_mw = dbm_to_mw(kNoiseDbm);
-  const double noise_dbm = mw_to_dbm(noise_mw);
-  ReceptionBatch b;
-  load_lanes(b, {lane_at(25.0, 25.0, 0.0), lane_at(-30.0, -30.0, 0.0)});
-  b.uniform[0] = 0.5;
-  b.uniform[1] = 0.5;
+  // Both lanes settle without the chain at a valid length, so the check
+  // cannot be left to frame_success_prob: the constructor makes it.
+  const Reception valid(0.0, false, noise_mw, noise_dbm, 24);
+  for (const Lane& l : {lane_at(25.0, 25.0, 0.0), lane_at(-30.0, -30.0, 0.0)})
+    EXPECT_NE(lane_success(valid, l, 0.5).path, Reception::Path::kChain);
   for (int frame_bytes : {0, -24}) {
-    EXPECT_THROW(reception_success_batch(b, 0.0, false, noise_mw, noise_dbm,
-                                         frame_bytes),
+    EXPECT_THROW(Reception(0.0, false, noise_mw, noise_dbm, frame_bytes),
                  util::RequireError);
   }
 }
 
 // ---------------------------------------------------------------------------
-// The bracket (batched.hpp, DESIGN.md §12): a lane decided from bounds on
-// ln p_ok takes the decision of the chain on its exact SINRs.
+// The bracket (reception.hpp, DESIGN.md §12): a listener decided from
+// bounds on ln p_ok takes the decision of the chain on its exact SINRs.
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// The chain on one lane.
+/// The chain on one listener.
 double chain(double clean_db, double jam_db, double jam_fraction,
              int frame_bytes) {
   return frame_success_prob(clean_db, jam_db, jam_fraction, frame_bytes);
@@ -343,44 +252,31 @@ std::vector<double> bracket_sinrs() {
   return out;
 }
 
-/// One listener at clean SINR `clean_db`, under a batch whose signal is
-/// 1 mW (0 dBm exactly) and whose noise is `-clean_db` dBm: `jam_gap_db`
-/// below that sets the interference power, and 0 means none, so the
-/// jammed SINR equals the clean one.
+/// One listener at clean SINR `clean_db`: its signal is 1 mW (0 dBm
+/// exactly) and the noise is `-clean_db` dBm; `jam_gap_db` below that sets
+/// the interference power, and 0 means none, so the jammed SINR equals the
+/// clean one.
 struct Variant {
   double jam_fraction, jam_gap_db;
 };
 
-/// Single-SINR lanes (exposure 0, exposure 1, and equal SINRs under a
+/// Single-SINR listeners (exposure 0, exposure 1, and equal SINRs under a
 /// partial exposure), then mixed ones.
 constexpr Variant kVariants[] = {{0.0, 0.0},  {1.0, 0.0},  {0.37, 0.0},
                                  {0.3, 3.0},  {0.6, 12.0}, {1.0, 2.0},
                                  {0.05, 25.0}};
-constexpr int kNumVariants = static_cast<int>(std::size(kVariants));
 
-void load_variants(ReceptionBatch& b, double clean_db, int copies) {
-  b.resize(kNumVariants * copies);
-  b.count = kNumVariants * copies;
-  const double noise_mw = dbm_to_mw(-clean_db);
-  for (int v = 0; v < kNumVariants; ++v) {
-    for (int c = 0; c < copies; ++c) {
-      const auto i = static_cast<std::size_t>(v * copies + c);
-      b.strongest_mw[i] = 1.0;
-      b.total_mw[i] = 1.0;
-      b.fade_db[i] = 0.0;
-      b.interf_mw[i] =
-          kVariants[v].jam_gap_db > 0.0
-              ? dbm_to_mw(kVariants[v].jam_gap_db - clean_db) - noise_mw
-              : 0.0;
-      b.jam_fraction[i] = kVariants[v].jam_fraction;
-    }
-  }
+/// A variant's interference power at clean SINR `clean_db`.
+double variant_interf_mw(const Variant& v, double clean_db) {
+  return v.jam_gap_db > 0.0
+             ? dbm_to_mw(v.jam_gap_db - clean_db) - dbm_to_mw(-clean_db)
+             : 0.0;
 }
 
-TEST(ReceptionBatch, BracketTakesTheChainDecision) {
-  // Draws per lane: both bracket edges and their neighbours, half a margin
-  // either side of each edge, the exact p_ok and its neighbours, +-1e-9
-  // relative, and two random draws.
+TEST(Reception, BracketTakesTheChainDecision) {
+  // Draws per listener: both bracket edges and their neighbours, half a
+  // margin either side of each edge, the exact p_ok and its neighbours,
+  // +-1e-9 relative, and two random draws.
   constexpr int kDraws = 17;
   util::Pcg32 rng(4096);
   long checked = 0;
@@ -389,23 +285,17 @@ TEST(ReceptionBatch, BracketTakesTheChainDecision) {
     const double margin = 8.0 * frame_bytes * kBracketMarginPerBit;
     for (double clean_db : bracket_sinrs()) {
       const double noise_mw = dbm_to_mw(-clean_db);
-      ReceptionBatch b;
-      load_variants(b, clean_db, kDraws);
-      // Each variant's exact SINRs, from the transcription.
-      std::vector<double> want(kNumVariants), jam(kNumVariants);
-      for (int v = 0; v < kNumVariants; ++v) {
-        const auto i = static_cast<std::size_t>(v * kDraws);
-        const Sinrs exact = reference_sinrs(b.strongest_mw[i], b.fade_db[i],
-                                            b.interf_mw[i], false, noise_mw,
-                                            -clean_db);
+      const Reception rx(0.0, false, noise_mw, -clean_db, frame_bytes);
+      for (const Variant& v : kVariants) {
+        const double interf_mw = variant_interf_mw(v, clean_db);
+        const double f = v.jam_fraction;
+        // The exact SINRs, from the transcription.
+        const Sinrs exact =
+            reference_sinrs(1.0, 0.0, interf_mw, false, noise_mw, -clean_db);
         ASSERT_EQ(exact.clean_db, clean_db);
         const double jam_db = exact.jam_db;
-        jam[static_cast<std::size_t>(v)] = jam_db;
-        const double f = b.jam_fraction[i];
-        want[static_cast<std::size_t>(v)] =
-            chain(clean_db, jam_db, f, frame_bytes);
+        const double p = chain(clean_db, jam_db, f, frame_bytes);
         const Edges e = bracket_edges(clean_db, jam_db, f, frame_bytes);
-        const double p = want[static_cast<std::size_t>(v)];
         const double draws[kDraws] = {
             std::exp(e.lo), std::nextafter(std::exp(e.lo), 0.0),
             std::nextafter(std::exp(e.lo), 1.0), std::exp(e.hi),
@@ -415,34 +305,25 @@ TEST(ReceptionBatch, BracketTakesTheChainDecision) {
             std::exp(e.hi + margin / 2), std::nextafter(p, 0.0), p,
             std::nextafter(p, 1.0), p * (1.0 - 1e-9), p * (1.0 + 1e-9),
             rng.uniform(), rng.uniform()};
-        for (int d = 0; d < kDraws; ++d)
-          b.uniform[i + static_cast<std::size_t>(d)] = draws[d];
-      }
-      reception_success_batch(b, 0.0, false, noise_mw, -clean_db,
-                              frame_bytes);
-      for (int l = 0; l < b.count; ++l) {
-        const auto i = static_cast<std::size_t>(l);
-        const double u = b.uniform[i];
-        const double f = b.jam_fraction[i];
-        const double jam_db = jam[i / kDraws];
         const bool saturated =
             (f >= 1.0 || clean_db >= kSaturatedSinrDb) &&
             (f <= 0.0 || jam_db >= kSaturatedSinrDb);
-        // Draws outside [0, 1) never come from Pcg32::uniform(); saturated
-        // lanes are the saturation rule's, pinned above.
-        if (!(u >= 0.0 && u < 1.0) || saturated) continue;
-        const double p = want[i / kDraws];
-        ASSERT_EQ(u < b.p_ok[i], u < p)
-            << "clean=" << clean_db << " jam=" << jam_db << " f=" << f
-            << " u=" << u << " chain=" << p;
-        ++checked;
+        for (double u : draws) {
+          // Draws outside [0, 1) never come from Pcg32::uniform();
+          // saturated listeners are the saturation rule's, pinned above.
+          if (!(u >= 0.0 && u < 1.0) || saturated) continue;
+          ASSERT_EQ(u < rx.success(1.0, 1.0, 0.0, interf_mw, f, u).p_ok, u < p)
+              << "clean=" << clean_db << " jam=" << jam_db << " f=" << f
+              << " u=" << u << " chain=" << p;
+          ++checked;
+        }
       }
     }
   }
   EXPECT_GT(checked, 3000000);
 }
 
-TEST(ReceptionBatch, BracketEdgesSitWhereTheTranscriptionPutsThem) {
+TEST(Reception, BracketEdgesSitWhereTheTranscriptionPutsThem) {
   // Half a margin outside an edge the bracket decides; half a margin inside
   // it, with the other edge far away, the chain runs.
   for (int frame_bytes : {1, 18, 36, 133}) {
@@ -451,104 +332,110 @@ TEST(ReceptionBatch, BracketEdgesSitWhereTheTranscriptionPutsThem) {
     for (double clean_db : {-9.99, -6.3, -2.0, 0.7, 3.1}) {
       const Edges e = bracket_edges(clean_db, clean_db, 0.0, frame_bytes);
       if (e.hi + margin < std::log(kFloorMinUniform)) continue;
-      ReceptionBatch b;
-      load_variants(b, clean_db, 1);
-      b.count = 1;  // the f = 0 lane only
+      // The f = 0 variant: no interference.
+      const Reception rx(0.0, false, dbm_to_mw(-clean_db), -clean_db,
+                         frame_bytes);
       const auto runs = [&](double u) {
-        b.uniform[0] = u;
-        return reception_success_batch(b, 0.0, false, dbm_to_mw(-clean_db),
-                                       -clean_db, frame_bytes)
-            .chain;
+        return rx.success(1.0, 1.0, 0.0, 0.0, 0.0, u).path ==
+               Reception::Path::kChain;
       };
-      EXPECT_EQ(runs(std::exp(e.lo - margin / 2)), 0) << clean_db;
-      EXPECT_EQ(runs(std::exp(e.lo + margin / 2)), 1) << clean_db;
-      EXPECT_EQ(runs(std::exp(e.hi - margin / 2)), 1) << clean_db;
-      EXPECT_EQ(runs(std::exp(e.hi + margin / 2)), 0) << clean_db;
+      EXPECT_FALSE(runs(std::exp(e.lo - margin / 2))) << clean_db;
+      EXPECT_TRUE(runs(std::exp(e.lo + margin / 2))) << clean_db;
+      EXPECT_TRUE(runs(std::exp(e.hi - margin / 2))) << clean_db;
+      EXPECT_FALSE(runs(std::exp(e.hi + margin / 2))) << clean_db;
     }
   }
 }
 
-TEST(ReceptionBatch, BracketSkipsTheChainOnRandomDraws) {
+TEST(Reception, BracketSkipsTheChainOnRandomDraws) {
   // Random listeners over [-12, 9] dB, a third of them jammed under a
-  // partial exposure, at every frame length the benches use: at least 99%
-  // of the lanes are decided without the chain, and at least 99% from the
-  // approximate SINRs alone.
-  util::Pcg32 rng(99);
+  // partial exposure, at every frame length the benches use: each takes
+  // the reference chain's decision, at least 99% are decided without the
+  // chain, and at least 99% from the approximate SINRs alone. The second
+  // set adds fading (sigma 2 dB, the topology default) and coherent
+  // combining (gain 0.5 over a total of strongest x U[1, 2)), so that the
+  // approximate path's decisions are checked with both on.
   const double noise_mw = dbm_to_mw(kNoiseDbm);
   const double noise_dbm = mw_to_dbm(noise_mw);
   constexpr int kLanes = 4096;
-  for (int frame_bytes : {18, 20, 36}) {
-    ReceptionBatch b;
-    b.resize(kLanes);
-    b.count = kLanes;
-    for (int i = 0; i < kLanes; ++i) {
-      const auto u = static_cast<std::size_t>(i);
-      const double clean_db = -12.0 + 21.0 * rng.uniform();
-      const bool jammed = i % 3 == 0;
-      const Lane l = lane_at(clean_db, jammed ? clean_db - 15.0 * rng.uniform()
-                                              : clean_db,
-                             jammed ? rng.uniform() : 0.0);
-      b.strongest_mw[u] = l.strongest_mw;
-      b.total_mw[u] = l.strongest_mw;
-      b.fade_db[u] = 0.0;
-      b.interf_mw[u] = l.interf_mw;
-      b.jam_fraction[u] = l.jam_fraction;
-      b.uniform[u] = rng.uniform();
+  struct Set {
+    bool fading;
+    double coherence_gain;
+    std::uint64_t seed;
+  };
+  for (const Set set : {Set{false, 0.0, 99}, Set{true, 0.5, 100}}) {
+    SCOPED_TRACE(set.fading ? "fading, coherence 0.5" : "no fading");
+    util::Pcg32 rng(set.seed);
+    for (int frame_bytes : {18, 20, 36}) {
+      SCOPED_TRACE("frame_bytes " + std::to_string(frame_bytes));
+      const Reception rx(set.coherence_gain, set.fading, noise_mw, noise_dbm,
+                         frame_bytes);
+      int exact_sinr = 0, chain_runs = 0;
+      for (int i = 0; i < kLanes; ++i) {
+        const double clean_db = -12.0 + 21.0 * rng.uniform();
+        const bool jammed = i % 3 == 0;
+        const Lane l =
+            lane_at(clean_db,
+                    jammed ? clean_db - 15.0 * rng.uniform() : clean_db,
+                    jammed ? rng.uniform() : 0.0);
+        double total = l.strongest_mw, fade = 0.0;
+        if (set.fading) {
+          total = l.strongest_mw * (1.0 + rng.uniform());
+          fade = rng.normal(0.0, 2.0);
+        }
+        const double u = rng.uniform();
+        const Reception::Decision d =
+            rx.success(l.strongest_mw, total, fade, l.interf_mw,
+                       l.jam_fraction, u);
+        const double want = reference_reception(
+            l.strongest_mw, total, fade, l.interf_mw, l.jam_fraction,
+            set.coherence_gain, set.fading, noise_mw, noise_dbm, frame_bytes);
+        ASSERT_EQ(u < d.p_ok, u < want)
+            << "lane " << i << " u=" << u << " chain=" << want;
+        exact_sinr += d.path != Reception::Path::kApproxSinr;
+        chain_runs += d.path == Reception::Path::kChain;
+      }
+      EXPECT_LE(chain_runs, kLanes / 100);
+      EXPECT_LE(exact_sinr, kLanes / 100);
     }
-    const ReceptionCounts ran = reception_success_batch(
-        b, 0.0, false, noise_mw, noise_dbm, frame_bytes);
-    EXPECT_LE(ran.chain, kLanes / 100) << "frame_bytes " << frame_bytes;
-    EXPECT_LE(ran.exact_sinr, kLanes / 100) << "frame_bytes " << frame_bytes;
   }
 }
 
-TEST(ReceptionBatch, NanSinrRunsTheChain) {
+TEST(Reception, NanSinrRunsTheChain) {
   // A NaN noise level makes every SINR NaN. No bound holds there, so the
   // chain decides even the smallest frame at the smallest draw.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  ReceptionBatch b;
-  load_lanes(b, {lane_at(0.0, 0.0, 0.0)});
-  b.uniform[0] = 0x1p-40;
-  const ReceptionCounts ran =
-      reception_success_batch(b, 0.0, false, 1.0, nan, 1);
-  EXPECT_EQ(ran.exact_sinr, 1);
-  EXPECT_EQ(ran.chain, 1);
-  EXPECT_EQ(b.uniform[0] < b.p_ok[0], b.uniform[0] < chain(nan, nan, 0.0, 1));
+  const Reception rx(0.0, false, 1.0, nan, 1);
+  const double u = 0x1p-40;
+  const Reception::Decision d = lane_success(rx, lane_at(0.0, 0.0, 0.0), u);
+  EXPECT_EQ(d.path, Reception::Path::kChain);
+  EXPECT_EQ(u < d.p_ok, u < chain(nan, nan, 0.0, 1));
 }
 
-TEST(ReceptionBatch, ZeroSignalSkipsTheExactSinr) {
+TEST(Reception, ZeroSignalSkipsTheExactSinr) {
   // A listener no stored link reaches hears exactly 0 mW: -300 dBm on both
   // paths, with no fade, so its approximate SINRs are exact and settle it,
   // under fading and with or without interference.
   const double noise_mw = dbm_to_mw(kNoiseDbm);
   const double noise_dbm = mw_to_dbm(noise_mw);
-  ReceptionBatch b;
-  b.resize(3);
-  b.count = 3;
+  const Reception rx(0.3, true, noise_mw, noise_dbm, 36);
   const double fade[] = {6.5, -3.0, 1000.0};
   const double interf[] = {0.0, 1e-9, 0.0};
   const double frac[] = {0.0, 0.4, 1.0};
+  const double u = 0x1p-53;
   for (std::size_t i = 0; i < 3; ++i) {
-    b.strongest_mw[i] = 0.0;
-    b.total_mw[i] = 0.0;
-    b.fade_db[i] = fade[i];
-    b.interf_mw[i] = interf[i];
-    b.jam_fraction[i] = frac[i];
-    b.uniform[i] = 0x1p-53;
-  }
-  const ReceptionCounts ran =
-      reception_success_batch(b, 0.3, true, noise_mw, noise_dbm, 36);
-  EXPECT_EQ(ran.exact_sinr, 0);
-  for (std::size_t i = 0; i < 3; ++i) {
+    const Reception::Decision d =
+        rx.success(0.0, 0.0, fade[i], interf[i], frac[i], u);
+    EXPECT_EQ(d.path, Reception::Path::kApproxSinr) << "lane " << i;
     const double want = reference_reception(0.0, 0.0, fade[i], interf[i],
                                             frac[i], 0.3, true, noise_mw,
                                             noise_dbm, 36);
-    EXPECT_EQ(b.uniform[i] < b.p_ok[i], b.uniform[i] < want) << "lane " << i;
+    EXPECT_EQ(u < d.p_ok, u < want) << "lane " << i;
   }
 }
 
 // ---------------------------------------------------------------------------
-// The approximate SINRs (batched.hpp, DESIGN.md §12): within a thousandth of
+// The approximate SINRs (reception.hpp, DESIGN.md §12): within a thousandth of
 // their bound of the exact path's SINRs, as BracketMargin pins the chain's
 // drift, and ln u from the same log2 within a thousandth of its own bound.
 

@@ -11,8 +11,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -359,6 +361,36 @@ TEST(LintRepo, SrcBenchExamplesToolsHaveNoActiveFindings) {
     }
   }
   EXPECT_EQ(active, 0);
+}
+
+// Every inline suppression in src/, bench/ and examples/ still suppresses a
+// finding: a NOLINT-DIMMER line carries one, and so does the line after a
+// NOLINTNEXTLINE-DIMMER. dimmer-lint reports no marker that matches
+// nothing, so a stale one would otherwise stay unseen. tools/ is skipped:
+// its comments spell the syntax out.
+TEST(LintRepo, EveryNolintMarkerSuppressesAFinding) {
+  auto files = repo_sources();
+  auto graph = repo_graph(files);
+  std::set<std::pair<std::string, int>> suppressed;
+  for (const auto& d : dimmer::lint::scan_sources(files, &graph))
+    if (d.suppressed) suppressed.insert({d.file, d.line});
+  int markers = 0;
+  for (const auto& f : files) {
+    if (f.path.rfind("tools/", 0) == 0) continue;
+    std::istringstream in(f.contents);
+    std::string text;
+    for (int line = 1; std::getline(in, text); ++line) {
+      int target = line;
+      if (text.find("NOLINTNEXTLINE-DIMMER") != std::string::npos)
+        target = line + 1;
+      else if (text.find("NOLINT-DIMMER") == std::string::npos)
+        continue;
+      ++markers;
+      EXPECT_TRUE(suppressed.count({f.path, target}))
+          << f.path << ":" << line << ": the marker suppresses nothing";
+    }
+  }
+  EXPECT_GT(markers, 0);
 }
 
 // A seeded violation MUST make the gate fail — proves the CI job is not
