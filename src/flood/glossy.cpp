@@ -1,7 +1,9 @@
 #include "flood/glossy.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 
 #include "phy/propagation.hpp"
@@ -10,6 +12,26 @@
 #include "util/check.hpp"
 
 namespace dimmer::flood {
+namespace {
+
+/// The bit of node (or bit position) `i` within its 64-bit bitset word.
+constexpr std::uint64_t bit_of(std::size_t i) {
+  return std::uint64_t{1} << (i % 64);
+}
+
+/// The number of set bits in `x`. std::popcount is a libgcc call on the
+/// baseline x86-64 target (no popcnt instruction), and the scatter counts
+/// once per live link; this is the same count inline.
+constexpr int popcount64(std::uint64_t x) {
+  x = x - ((x >> 1) & 0x5555555555555555u);
+  x = (x & 0x3333333333333333u) + ((x >> 2) & 0x3333333333333333u);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+  return static_cast<int>((x * 0x0101010101010101u) >> 56);
+}
+static_assert(popcount64(0) == 0 && popcount64(~std::uint64_t{0}) == 64 &&
+              popcount64(0x8000'0000'0000'0101u) == 3);
+
+}  // namespace
 
 FloodResult::Summary FloodResult::summarize() const {
   Summary s;
@@ -136,19 +158,22 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   const phy::Reception reception(params.coherence_gain, fading_sigma > 0.0,
                                  noise_mw, noise_dbm, frame_bytes);
 
-  // Linear-domain link powers for this flood's TX power as CSR rows; cached
-  // across floods by the LinkModel (recomputed only when the power changes).
+  // Linear-domain link powers for this flood's TX power as CSR rows and
+  // their bitmaps; cached across floods by the LinkModel (recomputed only
+  // when the power changes).
   const phy::SparseLinkView& links = links_->prepare(params.tx_power_dbm);
+  DIMMER_REQUIRE(links.row_bits != nullptr && links.rank != nullptr,
+                 "link view without row bitmaps");
 
   // Per-node dynamic state, in caller-owned scratch.
   const auto un = static_cast<std::size_t>(n);
+  const std::size_t words = links.words();
   ws.state.assign(un, FloodWorkspace::NodeScratch{});
-  ws.is_tx.assign(un, 0);
   ws.budget.resize(un);
-  ws.total_mw.resize(un);
-  ws.strongest_mw.resize(un);
-  ws.transmitters.clear();
-  ws.transmitters.reserve(un);
+  ws.total_mw.assign(un, 0.0);
+  ws.strongest_mw.assign(un, 0.0);
+  ws.live.assign(words, 0);
+  for (auto& set : ws.armed) set.assign(words, 0);
   ws.active_sources.resize(interf_.source_count());
 
   out.nodes.assign(un, NodeFloodResult{});
@@ -156,19 +181,22 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   out.steps_simulated = 0;
   out.initiator = initiator;
 
-  for (int i = 0; i < n; ++i) {
-    const auto& cfg = configs[static_cast<std::size_t>(i)];
-    out.participated[static_cast<std::size_t>(i)] = cfg.participates;
-    if (!cfg.participates) ws.state[static_cast<std::size_t>(i)].finished = true;
+  for (std::size_t i = 0; i < un; ++i) {
+    const auto& cfg = configs[i];
+    const bool is_initiator = i == static_cast<std::size_t>(initiator);
+    out.participated[i] = cfg.participates;
+    // A non-participant joins neither set: it never listens or transmits.
+    if (cfg.participates && !is_initiator) ws.live[i / 64] |= bit_of(i);
     // The initiator sources the packet: it transmits at least once even if
     // its own budget says 0 (a passive role never applies to one's own slot).
-    ws.budget[static_cast<std::size_t>(i)] =
-        i == initiator ? std::max(1, cfg.n_tx) : cfg.n_tx;
+    ws.budget[i] = is_initiator ? std::max(1, cfg.n_tx) : cfg.n_tx;
   }
   {
-    auto& init = ws.state[static_cast<std::size_t>(initiator)];
+    const auto ui = static_cast<std::size_t>(initiator);
+    auto& init = ws.state[ui];
     init.has_packet = true;
     init.first_step = -1;  // transmits at even steps 0, 2, 4, ...
+    ws.armed[0][ui / 64] |= bit_of(ui);
   }
 
   // Observability accumulators; only touched when a sink is attached.
@@ -176,164 +204,170 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   double exposure_sum = 0.0;
   std::uint64_t exposure_n = 0;
 
+  std::uint64_t* const live = ws.live.data();
+  double* const total = ws.total_mw.data();
+  double* const strongest = ws.strongest_mw.data();
+
   // dimmer-lint: hot-path begin — the zero-allocation flood step loop; the
   // operator-new audit in tests/flood/test_workspace.cpp enforces the same
-  // contract at runtime.
+  // contract at runtime. Every set is walked word by word, lowest bit first,
+  // so nodes are visited in ascending id order.
   for (int t = 0; t < steps; ++t) {
     // 1. Who transmits at this step? Alternation: a node first involved at
-    //    step f transmits at f+1, f+3, ... while budget remains.
-    ws.transmitters.clear();
-    for (phy::NodeId i = 0; i < n; ++i) {
-      FloodWorkspace::NodeScratch& s = ws.state[static_cast<std::size_t>(i)];
-      if (s.finished || !s.has_packet) continue;
-      if ((t - s.first_step) % 2 == 1 &&
-          s.tx_done < ws.budget[static_cast<std::size_t>(i)]) {
-        // NOLINTNEXTLINE-DIMMER(hot-no-alloc): capacity reserved per flood
-        ws.transmitters.push_back(i);
-        ws.is_tx[static_cast<std::size_t>(i)] = 1;
-      }
+    //    step f transmits at f+1, f+3, ... while budget remains, so the
+    //    step's transmitters are the armed holders of its parity.
+    std::uint64_t* const tx_set =
+        ws.armed[static_cast<std::size_t>(t & 1)].data();
+    std::uint64_t* const next_set =
+        ws.armed[static_cast<std::size_t>((t + 1) & 1)].data();
+    bool any_tx = false;
+    bool any_armed = false;
+    for (std::size_t w = 0; w < words; ++w) {
+      any_tx |= tx_set[w] != 0;
+      any_armed |= (tx_set[w] | next_set[w]) != 0;
     }
-    const bool any_tx = !ws.transmitters.empty();
 
     // 2. Early exit: nobody transmits now, and nobody ever will again.
-    if (!any_tx) {
-      bool future_tx = false;
-      for (phy::NodeId i = 0; i < n && !future_tx; ++i) {
-        const FloodWorkspace::NodeScratch& s =
-            ws.state[static_cast<std::size_t>(i)];
-        future_tx = !s.finished && s.has_packet &&
-                    s.tx_done < ws.budget[static_cast<std::size_t>(i)];
-      }
-      if (!future_tx) {
-        out.steps_simulated = t;
-        break;
-      }
+    if (!any_armed) {
+      out.steps_simulated = t;
+      break;
     }
 
     const sim::TimeUs t0 = params.slot_start_us + t * step_len;
     const sim::TimeUs t1 = t0 + airtime_us;
 
-    // 3a. Concurrent powers at every node: one pass over each
-    //     transmitter's CSR row, transmitters ascending, listeners ascending
-    //     within a row — so every listener accumulates its transmitters in
-    //     the same ascending order as the historical per-listener loop, and
-    //     the floating-point sums are bit-identical (DESIGN.md §10).
     if (any_tx) {
-      std::fill(ws.total_mw.begin(), ws.total_mw.end(), 0.0);
-      std::fill(ws.strongest_mw.begin(), ws.strongest_mw.end(), 0.0);
-      double* total = ws.total_mw.data();
-      double* strongest = ws.strongest_mw.data();
-      for (phy::NodeId tx : ws.transmitters) {
-        const std::size_t begin = links.row_begin(tx);
-        const std::size_t end = links.row_end(tx);
-        if (end - begin == un) {
-          // A full row: columns are strictly ascending in [0, n), so
-          // col[k] == k and the row is a contiguous mW array. The plain
-          // loop performs the scatter's IEEE add and max on the same
-          // values in the same order, so the sums are bit-identical; it
-          // skips the column loads (DESIGN.md §12).
-          const double* row = links.mw + begin;
-          for (int i = 0; i < n; ++i) {
-            const double p_mw = row[i];
-            total[i] += p_mw;
-            strongest[i] = std::max(strongest[i], p_mw);
-          }
-        } else {
-          // A partial row (links the Topology does not store): scatter.
-          for (std::size_t k = begin; k < end; ++k) {
-            const double p_mw = links.mw[k];
-            const auto rx = static_cast<std::size_t>(links.col[k]);
-            total[rx] += p_mw;
-            strongest[rx] = std::max(strongest[rx], p_mw);
+      // 3a. Concurrent powers at the live listeners: each transmitter's row
+      //     bitmap, masked by `live`, names the stored links that reach a
+      //     listener still waiting for the packet, and the row's rank finds
+      //     each one's mW entry. Transmitters ascending, listeners
+      //     ascending within a row: every listener accumulates its
+      //     transmitters in the same ascending order as the historical
+      //     per-listener loop, so the floating-point sums are bit-identical
+      //     (DESIGN.md §10). Links to anyone else are never read.
+      for (std::size_t tw = 0; tw < words; ++tw) {
+        for (std::uint64_t txs = tx_set[tw]; txs != 0; txs &= txs - 1) {
+          const std::size_t tx =
+              64 * tw + static_cast<std::size_t>(std::countr_zero(txs));
+          const std::uint64_t* row_bits = links.row_bits + tx * words;
+          const std::uint32_t* rank = links.rank + tx * words;
+          const double* mw = links.mw + links.row_ptr[tx];
+          for (std::size_t w = 0; w < words; ++w) {
+            const std::uint64_t row = row_bits[w];
+            for (std::uint64_t rxs = row & live[w]; rxs != 0; rxs &= rxs - 1) {
+              const auto b = static_cast<std::size_t>(std::countr_zero(rxs));
+              const std::uint64_t below = row & (bit_of(b) - 1);
+              const double p_mw =
+                  mw[rank[w] + static_cast<std::size_t>(popcount64(below))];
+              const std::size_t rx = 64 * w + b;
+              total[rx] += p_mw;
+              strongest[rx] = std::max(strongest[rx], p_mw);
+            }
           }
         }
       }
-    }
 
-    // 3b. Receptions, one awake listener at a time, ascending: each draws
-    //     its fading normal, then its Bernoulli uniform (the historical
-    //     per-listener order), and is decided at once by
-    //     phy::Reception::success, which settles it from bounded-error SINRs
-    //     with the decision the exact chain would take (DESIGN.md §12).
-    //     rng.bernoulli(p) is exactly uniform() < p, so drawing the uniform
-    //     first leaves the stream and the decisions bit-identical. No
-    //     listener reads another's state, so deciding in place changes
-    //     nothing later in the step.
-    //     Interference: the step's first listener runs the one activity
-    //     pass (no listener, no activity() call, as with per-listener
-    //     sampling); every listener then sums its table row over the active
-    //     sources, bit-identical to InterferenceField::sample (DESIGN.md
-    //     §10, "Interference binding").
-    bool scanned = false;
-    std::size_t n_active = 0;
-    double exposure = 0.0;
-    for (phy::NodeId i = 0; i < n; ++i) {
-      const auto ui = static_cast<std::size_t>(i);
-      FloodWorkspace::NodeScratch& s = ws.state[ui];
-      if (s.finished) continue;
-      s.radio_on += step_len;  // TX or RX, the radio is on this step
-      if (ws.is_tx[ui] || !any_tx) continue;
-      if (s.has_packet) continue;  // re-receptions only maintain sync
-      // A listener no stored link reaches sees exactly zero concurrent
-      // power, so its success probability is < 1e-86 — reachable only by a
-      // uniform() draw of exactly 0.0 (p = 2^-53). Skipping it before the
-      // interference sample and both RNG draws is what makes the step cost
-      // scale with the flood frontier instead of N. A view that does not
-      // ask for the skip gets the draws the direct-Topology loop makes, so
-      // the RNG stream stays bit-identical to it.
-      if (links.skip_unreached && ws.strongest_mw[ui] == 0.0) continue;
+      // 3b. Receptions, one live listener at a time, ascending: each draws
+      //     its fading normal, then its Bernoulli uniform (the historical
+      //     per-listener order), and is decided at once by
+      //     phy::Reception::success, which settles it from bounded-error
+      //     SINRs with the decision the exact chain would take (DESIGN.md
+      //     §12). rng.bernoulli(p) is exactly uniform() < p, so drawing the
+      //     uniform first leaves the stream and the decisions bit-identical.
+      //     No listener reads another's state, so deciding in place changes
+      //     nothing later in the step. Each listener's accumulators are
+      //     reset as they are read, ready for the next scatter.
+      //     Interference: the step's first listener runs the one activity
+      //     pass (no listener, no activity() call, as with per-listener
+      //     sampling); every listener then sums its table row over the
+      //     active sources, bit-identical to InterferenceField::sample
+      //     (DESIGN.md §10, "Interference binding").
+      bool scanned = false;
+      std::size_t n_active = 0;
+      double exposure = 0.0;
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t rxs = live[w]; rxs != 0; rxs &= rxs - 1) {
+          const auto b = static_cast<std::size_t>(std::countr_zero(rxs));
+          const std::size_t ui = 64 * w + b;
+          const double rx_strongest = strongest[ui];
+          const double rx_total = total[ui];
+          strongest[ui] = 0.0;
+          total[ui] = 0.0;
+          // A listener no stored link reaches sees exactly zero concurrent
+          // power, so its success probability is < 1e-86 — reachable only
+          // by a uniform() draw of exactly 0.0 (p = 2^-53). Skipping it
+          // before the interference sample and both RNG draws lets a step
+          // cost the flood frontier instead of N. A view that does not ask
+          // for the skip gets the draws the direct-Topology loop makes, so
+          // the RNG stream stays bit-identical to it.
+          if (links.skip_unreached && rx_strongest == 0.0) continue;
 
-      // Per-reception block fading at the listener.
-      const double fade_db =
-          fading_sigma > 0.0 ? rng.normal(0.0, fading_sigma) : 0.0;
-      if (!scanned) {
-        n_active = interf_.scan(t0, t1, params.channel, ws.active_sources,
-                                exposure);
-        scanned = true;
+          // Per-reception block fading at the listener.
+          const double fade_db =
+              fading_sigma > 0.0 ? rng.normal(0.0, fading_sigma) : 0.0;
+          if (!scanned) {
+            n_active = interf_.scan(t0, t1, params.channel, ws.active_sources,
+                                    exposure);
+            scanned = true;
+          }
+          if (observed) {
+            exposure_sum += exposure;
+            ++exposure_n;
+          }
+          const double interf_mw =
+              interf_.power_mw(static_cast<phy::NodeId>(ui),
+                               std::span(ws.active_sources).first(n_active));
+          const double u = rng.uniform();  // the Bernoulli draw
+          const phy::Reception::Decision d = reception.success(
+              rx_strongest, rx_total, fade_db, interf_mw, exposure, u);
+          if (u < d.p_ok) {
+            FloodWorkspace::NodeScratch& s = ws.state[ui];
+            s.has_packet = true;
+            s.first_step = t;
+            live[w] &= ~bit_of(b);
+            if (ws.budget[ui] == 0)
+              s.fin_step = t;  // passive receiver: done
+            else
+              next_set[w] |= bit_of(b);  // transmits at t+1, t+3, ...
+          }
+        }
       }
-      if (observed) {
-        exposure_sum += exposure;
-        ++exposure_n;
-      }
-      const double interf_mw = interf_.power_mw(
-          i, std::span(ws.active_sources).first(n_active));
-      const double u = rng.uniform();  // the Bernoulli draw
-      const phy::Reception::Decision d =
-          reception.success(ws.strongest_mw[ui], ws.total_mw[ui], fade_db,
-                            interf_mw, exposure, u);
-      if (u < d.p_ok) {
-        s.has_packet = true;
-        s.first_step = t;
-        if (ws.budget[ui] == 0) s.finished = true;  // passive receiver: done
-      }
-    }
 
-    // 4. Transmitter bookkeeping (after receptions so a TX at step t is
-    //    heard at step t, not retroactively). Also clears the step's marks.
-    for (phy::NodeId tx : ws.transmitters) {
-      FloodWorkspace::NodeScratch& s = ws.state[static_cast<std::size_t>(tx)];
-      s.tx_done += 1;
-      if (s.tx_done >= ws.budget[static_cast<std::size_t>(tx)])
-        s.finished = true;
-      ws.is_tx[static_cast<std::size_t>(tx)] = 0;
+      // 4. Transmitter bookkeeping (after receptions so a TX at step t is
+      //    heard at step t, not retroactively): a spent budget disarms.
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t txs = tx_set[w]; txs != 0; txs &= txs - 1) {
+          const auto b = static_cast<std::size_t>(std::countr_zero(txs));
+          const std::size_t tx = 64 * w + b;
+          FloodWorkspace::NodeScratch& s = ws.state[tx];
+          if (++s.tx_done >= ws.budget[tx]) {
+            s.fin_step = t;
+            tx_set[w] &= ~bit_of(b);
+          }
+        }
+      }
     }
     out.steps_simulated = t + 1;
   }
   // dimmer-lint: hot-path end
 
-  // 5. Fill results. Nodes that never received and participated listened for
-  //    the whole slot (the paper's pessimistic radio-on accounting).
-  for (phy::NodeId i = 0; i < n; ++i) {
-    const FloodWorkspace::NodeScratch& s =
-        ws.state[static_cast<std::size_t>(i)];
-    NodeFloodResult& r = out.nodes[static_cast<std::size_t>(i)];
-    if (!out.participated[static_cast<std::size_t>(i)]) continue;
+  // 5. Fill results. A participant's radio is on from step 0 through the
+  //    step it finished in, or through the last simulated step. Nodes that
+  //    never received listened for the whole slot (the paper's pessimistic
+  //    radio-on accounting).
+  for (std::size_t i = 0; i < un; ++i) {
+    if (!out.participated[i]) continue;
+    const FloodWorkspace::NodeScratch& s = ws.state[i];
+    NodeFloodResult& r = out.nodes[i];
     r.received = s.has_packet;
-    r.first_rx_step = (i == initiator) ? 0 : (s.has_packet ? s.first_step : -1);
+    r.first_rx_step = i == static_cast<std::size_t>(initiator)
+                          ? 0
+                          : (s.has_packet ? s.first_step : -1);
     r.transmissions = s.tx_done;
-    bool heard = s.has_packet;
-    r.radio_on_us = heard ? std::min<sim::TimeUs>(s.radio_on, params.slot_len_us)
-                          : params.slot_len_us;
+    const int on_steps = s.fin_step >= 0 ? s.fin_step + 1 : out.steps_simulated;
+    r.radio_on_us = s.has_packet ? std::min<sim::TimeUs>(step_len * on_steps,
+                                                         params.slot_len_us)
+                                 : params.slot_len_us;
   }
 
   if (observed) record(out, params, exposure_sum, exposure_n);

@@ -16,11 +16,13 @@
 // control loop observes.
 //
 // Hot path (DESIGN.md §10, §13): link powers come from a phy::LinkModel —
-// precomputed linear-domain (mW) CSR rows — rather than per-reception
-// dBm->mW conversions, and all per-flood scratch lives in a caller-owned
-// FloodWorkspace so `run_into` allocates nothing in steady state. Full rows
-// are swept as contiguous arrays, partial rows scattered; a view may also
-// let the step loop skip listeners no stored link reaches. Interference
+// precomputed linear-domain (mW) CSR rows with a bitmap per row — rather
+// than per-reception dBm->mW conversions, and all per-flood scratch lives
+// in a caller-owned FloodWorkspace so `run_into` allocates nothing in
+// steady state. A step walks node bitsets, not all n nodes: its
+// transmitters, the links from them to listeners still waiting for the
+// packet, and those listeners; a view may also let the step loop skip
+// listeners no stored link reaches. Interference
 // goes through a phy::BoundInterference: source-to-node powers are
 // tabulated once per engine and source activity is evaluated once per
 // step, not once per listener. Without the skip, results are

@@ -11,10 +11,12 @@
 // Like a Pcg32, it must not be shared between concurrently running floods.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
+#include "phy/link_model.hpp"
 #include "phy/topology.hpp"
-#include "sim/time.hpp"
 
 namespace dimmer::flood {
 
@@ -24,16 +26,22 @@ struct FloodWorkspace {
     bool has_packet = false;
     int first_step = 0;  ///< step of first involvement; initiator uses -1
     int tx_done = 0;
-    bool finished = false;  ///< radio off for the rest of the slot
-    sim::TimeUs radio_on = 0;
+    int fin_step = -1;  ///< step after which the radio is off; -1 while on
   };
 
   std::vector<NodeScratch> state;
-  std::vector<phy::NodeId> transmitters;  ///< transmitters of the current step
-  std::vector<char> is_tx;                ///< per-step transmitter mark vector
-  std::vector<int> budget;                ///< effective per-node TX budgets
-  std::vector<double> total_mw;           ///< combined concurrent power per rx
-  std::vector<double> strongest_mw;       ///< strongest concurrent power per rx
+  std::vector<int> budget;  ///< effective per-node TX budgets
+  /// Combined and strongest concurrent power per listener. Zero at every
+  /// step start for each `live` listener: the scatter writes only those,
+  /// and each is reset as it is decided.
+  std::vector<double> total_mw;
+  std::vector<double> strongest_mw;
+  /// Node bitsets (phy::bitset_words words). `live`: participants without
+  /// the packet; members only ever leave. `armed[p]`: packet holders that
+  /// will still transmit, at steps of parity p; a step's transmitters are
+  /// armed[t & 1].
+  std::vector<std::uint64_t> live;
+  std::array<std::vector<std::uint64_t>, 2> armed;
   /// Interference sources active in the current step, ascending (a prefix
   /// written by phy::BoundInterference::scan; sized to the source count).
   std::vector<std::size_t> active_sources;
@@ -43,12 +51,13 @@ struct FloodWorkspace {
   /// calling this up front just front-loads the one-time allocations).
   void reserve(int n, std::size_t sources) {
     const auto m = static_cast<std::size_t>(n);
+    const std::size_t words = phy::bitset_words(n);
     state.reserve(m);
-    transmitters.reserve(m);
-    is_tx.reserve(m);
     budget.reserve(m);
     total_mw.reserve(m);
     strongest_mw.reserve(m);
+    live.reserve(words);
+    for (auto& set : armed) set.reserve(words);
     active_sources.reserve(sources);
   }
 };

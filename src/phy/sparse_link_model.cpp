@@ -8,9 +8,12 @@
 namespace dimmer::phy {
 
 SparseLinkModel::SparseLinkModel(const Topology& topo, Listeners listeners)
-    : topo_(&topo), mw_(topo.gain_nnz()) {
+    : topo_(&topo),
+      mw_(topo.gain_nnz()),
+      bitmaps_(topo.gain_csr().row_ptr, topo.gain_csr().col, topo.size()) {
   const GainCsr csr = topo.gain_csr();
-  view_ = SparseLinkView{csr.row_ptr, csr.col, mw_.data(), topo.size(),
+  view_ = SparseLinkView{csr.row_ptr, csr.col, mw_.data(), bitmaps_.bits(),
+                         bitmaps_.rank(), topo.size(),
                          listeners == Listeners::kSkipUnreached};
 }
 

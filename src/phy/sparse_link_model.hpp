@@ -2,14 +2,14 @@
 //
 // Every flood runs on CSR rows (phy/link_model.hpp). The model holds exactly
 // the links its Topology stores: all n listeners per row when nothing was
-// culled at construction, which the flood engine reads as one contiguous
-// array. At city scale almost all (tx, rx) pairs are so far apart that their
-// received power is orders of magnitude below the noise floor and can never
-// influence a reception decision; the Topology drops those at construction
-// (its gain_floor_db, usually gain_cull_floor_db), the one place links are
-// culled.
+// culled at construction. At city scale almost all (tx, rx) pairs are so
+// far apart that their received power is orders of magnitude below the
+// noise floor and can never influence a reception decision; the Topology
+// drops those at construction (its gain_floor_db, usually
+// gain_cull_floor_db), the one place links are culled.
 // The view borrows the Topology's row offsets and column ids; the model
-// stores one mW value per stored link, recomputed when the TX power changes.
+// stores one mW value per stored link, recomputed when the TX power changes,
+// and the rows' bitmaps and ranks, built once at construction.
 //
 // Determinism contract (DESIGN.md §13):
 //  - Stored links hold the *exact* double of the direct expression
@@ -50,15 +50,18 @@ class SparseLinkModel final : public LinkModel {
   /// Number of mW recomputations so far (test/bench introspection).
   int rebuilds() const { return rebuilds_; }
 
-  /// Bytes the model holds: 8 per stored link (the offsets and columns are
-  /// the Topology's).
-  std::size_t storage_bytes() const { return mw_.size() * sizeof(double); }
+  /// Bytes the model holds: 8 per stored link plus 12 per row word of the
+  /// bitmaps (the offsets and columns are the Topology's).
+  std::size_t storage_bytes() const {
+    return mw_.size() * sizeof(double) + bitmaps_.bytes();
+  }
 
  private:
   void rebuild(double tx_power_dbm);
 
   const Topology* topo_;
   std::vector<double> mw_;  // one received power per stored link
+  RowBitmaps bitmaps_;
   SparseLinkView view_;
   double cached_power_dbm_ = 0.0;
   bool valid_ = false;

@@ -7,16 +7,17 @@
 // radio timings — and (b) the two RNG streams end in the same state, so a
 // longer simulation embedding the flood would stay bit-identical too.
 //
-// Each input runs through two engines, which between them pin both step-3a
-// branches: the owning engine (unculled CSR, full rows on a dense topology,
-// so the full-row sweep; partial rows on the construction-culled campus, so
-// the scatter and the draws for unreachable listeners) and one over
-// DiagonalFreeLinkModel, whose rows are n-1 long, so every input also takes
-// the scatter.
+// Each input runs through two engines with different row bitmaps: the
+// owning engine (full rows on a dense topology; partial rows on the
+// construction-culled campuses, so the draws for unreachable listeners) and
+// one over DiagonalFreeLinkModel, whose rows are n-1 long, so no row of any
+// input is full there. The 130-node campuses take three bitmap words per
+// row, the last one partial, so a word boundary or a partial last word that
+// the step loop mishandles shows in their results.
 //
-// The SparseDifferential cases compare those two engines directly, scatter
-// against full-row sweep, from identical RNG states: the branch choice must
-// be invisible in every FloodResult field and in the RNG end-state.
+// The SparseDifferential cases compare those two engines directly, full rows
+// against diagonal-free rows, from identical RNG states: the bitmaps must be
+// invisible in every FloodResult field and in the RNG end-state.
 //
 // The interference inputs pin the engine's per-node interference table and
 // per-step activity pass (phy::BoundInterference) against the reference's
@@ -25,9 +26,9 @@
 // a training schedule (dozens of windowed jammers, many silent steps) and a
 // restricted() cell under its parent's WiFi APs.
 //
-// A long-run case pushes 200 consecutive floods per input through one
-// engine, workspace, result and RNG: office18 and dcube48 clean and
-// interfered, and a 64-node culled campus.
+// A long-run case pushes 200 consecutive floods per input through each
+// engine with one workspace, result and RNG: office18 and dcube48 clean and
+// interfered, a 64-node culled campus and the 130-node campuses.
 //
 // The settled-reception inputs (phy::Reception::success, DESIGN.md §12)
 // sweep frames of 7-133 B over dcube48 under WiFi level 2, with fading on
@@ -80,8 +81,8 @@ void expect_same_rng_state(util::Pcg32& a, util::Pcg32& b) {
 
 /// The unculled CSR rows without the diagonal. Exact: a transmitter's own
 /// accumulators are never read in its TX step, so dropping its self-link
-/// changes nothing observable — but rows become n-1 long, which moves every
-/// flood off the full-row sweep and onto the scatter.
+/// changes nothing observable — but rows become n-1 long, so every row
+/// bitmap and rank differs from the full row's.
 class DiagonalFreeLinkModel final : public phy::LinkModel {
  public:
   explicit DiagonalFreeLinkModel(const phy::Topology& topo)
@@ -102,8 +103,10 @@ class DiagonalFreeLinkModel final : public phy::LinkModel {
       }
       row_ptr_.push_back(col_.size());
     }
+    bitmaps_ = phy::RowBitmaps(row_ptr_.data(), col_.data(), full.n);
     view_ = phy::SparseLinkView{row_ptr_.data(), col_.data(), mw_.data(),
-                                full.n, full.skip_unreached};
+                                bitmaps_.bits(), bitmaps_.rank(), full.n,
+                                full.skip_unreached};
     return view_;
   }
 
@@ -112,6 +115,7 @@ class DiagonalFreeLinkModel final : public phy::LinkModel {
   std::vector<std::size_t> row_ptr_;
   std::vector<phy::NodeId> col_;
   std::vector<double> mw_;
+  phy::RowBitmaps bitmaps_;
   phy::SparseLinkView view_;
 };
 
@@ -119,6 +123,12 @@ class DiagonalFreeLinkModel final : public phy::LinkModel {
 /// path-loss exponent) do not exist, so on the ~70 m wide 60-node campus
 /// most listeners have no link to the initiator's corner.
 constexpr double kCampusGainFloorDb = -80.0;
+
+/// The inputs every clean and jammed case runs: the 130-node campuses are
+/// wider than one 64-bit bitmap word.
+constexpr const char* kTopologies[] = {
+    "line",          "grid",      "office18",        "dcube48", "campus",
+    "campus-culled", "campus130", "campus130-culled"};
 
 struct Case {
   phy::Topology topo;
@@ -132,6 +142,9 @@ phy::Topology topo_for(const std::string& name) {
   if (name == "campus") return phy::make_campus_topology(60);
   if (name == "campus-culled")
     return phy::make_campus_topology_culled(60, 1, kCampusGainFloorDb);
+  if (name == "campus130") return phy::make_campus_topology(130);
+  if (name == "campus130-culled")
+    return phy::make_campus_topology_culled(130, 1, kCampusGainFloorDb);
   return phy::make_dcube48_topology();
 }
 
@@ -250,16 +263,19 @@ std::set<std::size_t> active_sources(const phy::InterferenceField& field,
 }
 
 TEST(FloodDifferential, CulledCampusHasUnreachableListeners) {
-  // The culled input only exercises the unreachable-listener draws if some
+  // The culled inputs only exercise the unreachable-listener draws if some
   // link is missing — here, from the initiator (node 0) to the far corner.
-  Case c = make_case("campus-culled", 0.0);
-  const phy::NodeId far = c.topo.size() - 1;
-  EXPECT_EQ(c.topo.gain_db(0, far), -std::numeric_limits<double>::infinity());
+  for (const char* name : {"campus-culled", "campus130-culled"}) {
+    SCOPED_TRACE(name);
+    Case c = make_case(name, 0.0);
+    const phy::NodeId far = c.topo.size() - 1;
+    EXPECT_EQ(c.topo.gain_db(0, far),
+              -std::numeric_limits<double>::infinity());
+  }
 }
 
 TEST(FloodDifferential, CleanTopologies) {
-  for (const char* name :
-       {"line", "grid", "office18", "dcube48", "campus", "campus-culled"}) {
+  for (const char* name : kTopologies) {
     SCOPED_TRACE(name);
     Case c = make_case(name, 0.0);
     const int n = c.topo.size();
@@ -271,8 +287,7 @@ TEST(FloodDifferential, CleanTopologies) {
 }
 
 TEST(FloodDifferential, JammedTopologies) {
-  for (const char* name :
-       {"line", "grid", "office18", "dcube48", "campus", "campus-culled"}) {
+  for (const char* name : kTopologies) {
     SCOPED_TRACE(name);
     Case c = make_case(name, 0.3);
     const int n = c.topo.size();
@@ -531,30 +546,41 @@ TEST(FloodDifferential, AlternatingTxPowerRebindsCache) {
 }
 
 TEST(FloodDifferential, RunIntoReusedBuffersMatchFreshRuns) {
-  // run_into with dirty, reused workspace/result buffers must equal both the
-  // reference and a fresh run(): buffer reuse is invisible in the results.
-  Case c = make_case("office18", 0.3);
-  const int n = c.topo.size();
-  auto cfgs = uniform_configs(n, 3);
-  cfgs[4].n_tx = 0;
-  cfgs[9].participates = false;
+  // run_into with dirty, reused workspace/result buffers must equal the
+  // reference: buffer reuse is invisible in the results. The rounds
+  // alternate office18 (one bitset word per node set) with the 130-node
+  // campus (three), so the workspace shrinks and grows between floods.
+  const Case office = make_case("office18", 0.3);
+  const Case campus = make_case("campus130", 0.3);
+  const Case* cases[] = {&office, &campus};
+  std::vector<NodeFloodConfig> cfgs[2];
+  for (int k = 0; k < 2; ++k) {
+    cfgs[k] = uniform_configs(cases[k]->topo.size(), 3);
+    cfgs[k][4].n_tx = 0;
+    cfgs[k][9].participates = false;
+  }
 
-  Engines engines(c);
+  const Engines office_engines(office);
+  const Engines campus_engines(campus);
+  const Engines* engines[] = {&office_engines, &campus_engines};
   for (int e = 0; e < 2; ++e) {
     SCOPED_TRACE(Engines::kNames[e]);
     FloodWorkspace ws;
     FloodResult reused;
     util::Pcg32 rng_ref(88);
     util::Pcg32 rng_new(88);
-    for (int round = 0; round < 6; ++round) {
+    for (int round = 0; round < 8; ++round) {
+      const int k = round % 2;
+      const Case& c = *cases[k];
+      const int n = c.topo.size();
       SCOPED_TRACE("round " + std::to_string(round));
       FloodParams p;
       p.slot_start_us = round * sim::ms(40);
       phy::NodeId init = static_cast<phy::NodeId>((round * 3) % n);
-      if (!cfgs[static_cast<std::size_t>(init)].participates) init += 1;
+      if (!cfgs[k][static_cast<std::size_t>(init)].participates) init += 1;
       FloodResult want =
-          reference::run(c.topo, c.field, init, cfgs, p, rng_ref);
-      engines[e].run_into(init, cfgs, p, rng_new, ws, reused);
+          reference::run(c.topo, c.field, init, cfgs[k], p, rng_ref);
+      (*engines[k])[e].run_into(init, cfgs[k], p, rng_new, ws, reused);
       expect_identical(want, reused);
     }
     expect_same_rng_state(rng_ref, rng_new);
@@ -562,10 +588,11 @@ TEST(FloodDifferential, RunIntoReusedBuffersMatchFreshRuns) {
 }
 
 TEST(FloodDifferential, LongRunsOnOneWorkspaceMatchTheReference) {
-  // 200 consecutive floods per input through one engine, workspace, result
-  // and RNG, with the initiator rotating over every node and slots 25 ms
-  // apart: anything a flood leaves behind in the reused buffers, or any
-  // drift between the two RNG streams, shows in a later flood.
+  // 200 consecutive floods per input through each engine with one
+  // workspace, result and RNG, with the initiator rotating over every node
+  // and slots 25 ms apart: anything a flood leaves behind in the reused
+  // buffers, or any drift between the two RNG streams, shows in a later
+  // flood.
   struct LongRun {
     const char* name;
     Case c;
@@ -581,32 +608,36 @@ TEST(FloodDifferential, LongRunsOnOneWorkspaceMatchTheReference) {
                                                         kCampusGainFloorDb),
                        phy::InterferenceField{}},
                   3});
+  runs.push_back({"campus130", make_case("campus130", 0.0), 3});
+  runs.push_back({"campus130-culled", make_case("campus130-culled", 0.0), 3});
   for (const LongRun& run : runs) {
     SCOPED_TRACE(run.name);
     const int n = run.c.topo.size();
     const auto cfgs = uniform_configs(n, run.n_tx);
-    GlossyFlood engine(run.c.topo, run.c.field);
-    FloodWorkspace ws;
-    FloodResult got;
-    util::Pcg32 rng_ref(1234);
-    util::Pcg32 rng_new(1234);
-    for (int k = 0; k < 200; ++k) {
-      SCOPED_TRACE("flood " + std::to_string(k));
-      FloodParams p;
-      p.slot_start_us = k * sim::ms(25);
-      const FloodResult want =
-          reference::run(run.c.topo, run.c.field, k % n, cfgs, p, rng_ref);
-      engine.run_into(k % n, cfgs, p, rng_new, ws, got);
-      expect_identical(want, got);
-      if (::testing::Test::HasFailure()) return;  // report the first only
+    const Engines engines(run.c);
+    for (int e = 0; e < 2; ++e) {
+      SCOPED_TRACE(Engines::kNames[e]);
+      FloodWorkspace ws;
+      FloodResult got;
+      util::Pcg32 rng_ref(1234);
+      util::Pcg32 rng_new(1234);
+      for (int k = 0; k < 200; ++k) {
+        SCOPED_TRACE("flood " + std::to_string(k));
+        FloodParams p;
+        p.slot_start_us = k * sim::ms(25);
+        const FloodResult want =
+            reference::run(run.c.topo, run.c.field, k % n, cfgs, p, rng_ref);
+        engines[e].run_into(k % n, cfgs, p, rng_new, ws, got);
+        expect_identical(want, got);
+        if (::testing::Test::HasFailure()) return;  // report the first only
+      }
+      expect_same_rng_state(rng_ref, rng_new);
     }
-    expect_same_rng_state(rng_ref, rng_new);
   }
 }
 
-/// Runs the owning engine (full rows on an unculled topology: the sweep) and
-/// the diagonal-free engine (the scatter) from identical RNG states and
-/// asserts bit-identity.
+/// Runs the owning engine (full rows on an unculled topology) and the
+/// diagonal-free engine from identical RNG states and asserts bit-identity.
 void run_sparse_differential(const std::string& topo_name, double jam_duty,
                              const std::vector<NodeFloodConfig>& configs,
                              phy::NodeId initiator, const FloodParams& params,
@@ -669,7 +700,7 @@ TEST(SparseDifferential, MixedBudgetsAndPassiveReceivers) {
 
 TEST(SparseDifferential, AlternatingTxPowerRebindsCsr) {
   // Back-to-back floods at different TX powers through ONE engine per
-  // branch: both rebind their CSR rows per power.
+  // link model: both rebind their CSR rows per power.
   Case c = make_case("office18", 0.3);
   const int n = c.topo.size();
   auto cfgs = uniform_configs(n, 3);
@@ -689,8 +720,8 @@ TEST(SparseDifferential, AlternatingTxPowerRebindsCsr) {
 }
 
 TEST(SparseDifferential, RunIntoReusedBuffersMatchDense) {
-  // Reused workspace/result buffers through the scatter must be as
-  // invisible as fresh run()s through the full-row sweep.
+  // Reused workspace/result buffers on diagonal-free rows must be as
+  // invisible as fresh run()s on full rows.
   Case c = make_case("dcube48", 0.3);
   const int n = c.topo.size();
   auto cfgs = uniform_configs(n, 3);

@@ -114,7 +114,9 @@ class UniformLinkModel final : public LinkModel {
       }
       row_ptr_.push_back(col_.size());
     }
-    view_ = SparseLinkView{row_ptr_.data(), col_.data(), mw_.data(), n};
+    bitmaps_ = RowBitmaps(row_ptr_.data(), col_.data(), n);
+    view_ = SparseLinkView{row_ptr_.data(), col_.data(), mw_.data(),
+                           bitmaps_.bits(), bitmaps_.rank(), n};
   }
   const Topology& topology() const override { return *topo_; }
   const SparseLinkView& prepare(double) override { return view_; }
@@ -124,6 +126,7 @@ class UniformLinkModel final : public LinkModel {
   std::vector<std::size_t> row_ptr_;
   std::vector<NodeId> col_;
   std::vector<double> mw_;
+  RowBitmaps bitmaps_;
   SparseLinkView view_;
 };
 
@@ -152,6 +155,37 @@ TEST(LinkModel, CustomBackendDrivesFloodEngine) {
   util::Pcg32 rng2(17);
   flood::FloodResult r2 = deaf_engine.run(0, cfgs, flood::FloodParams{}, rng2);
   EXPECT_EQ(r2.receiver_count(), 0);
+}
+
+// A backend that hands out the CSR rows without their bitmaps and ranks.
+class BitmaplessLinkModel final : public LinkModel {
+ public:
+  explicit BitmaplessLinkModel(const Topology& topo) : inner_(topo) {}
+  const Topology& topology() const override { return inner_.topology(); }
+  const SparseLinkView& prepare(double tx_power_dbm) override {
+    view_ = inner_.prepare(tx_power_dbm);
+    view_.row_bits = nullptr;
+    view_.rank = nullptr;
+    return view_;
+  }
+
+ private:
+  SparseLinkModel inner_;
+  SparseLinkView view_;
+};
+
+TEST(LinkModel, ViewWithoutRowBitmapsIsRejected) {
+  // The step loop reaches links only through the row bitmaps, so a view
+  // without them is refused at flood entry instead of read through null.
+  Topology topo = make_office18_topology();
+  InterferenceField field;
+  BitmaplessLinkModel links(topo);
+  flood::GlossyFlood engine(links, field);
+  std::vector<flood::NodeFloodConfig> cfgs(
+      18, flood::NodeFloodConfig{3, true});
+  util::Pcg32 rng(5);
+  EXPECT_THROW((void)engine.run(0, cfgs, flood::FloodParams{}, rng),
+               util::RequireError);
 }
 
 TEST(LinkModel, OwningAndSeamConstructorsAgree) {

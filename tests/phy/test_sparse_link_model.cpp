@@ -8,12 +8,16 @@
 // (c) the power a listener loses to that floor is provably bounded: each
 // culled link sits below the floor, so the per-listener sum is below
 // floor_mw * fan-in, which a margin of headroom + 10*log10(n-1) dB keeps
-// under the noise floor itself, and (d) that bound shows up end to end:
-// floods on a culled topology deliver like unculled ones.
+// under the noise floor itself, (d) that bound shows up end to end:
+// floods on a culled topology deliver like unculled ones, and (e) each
+// row's bitmap and rank locate exactly its stored links.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/scenarios.hpp"
@@ -132,11 +136,13 @@ TEST(SparseLinkModel, CullingDropsExactlySubFloorLinks) {
   const double power = 0.0;
   const SparseLinkView& view = sparse.prepare(power);
   // The view borrows the Topology's offsets and columns; the model holds
-  // only the mW values.
+  // the mW values and 12 B (a bitmap word and its rank) per row word.
   EXPECT_EQ(view.row_ptr, topo.gain_csr().row_ptr);
   EXPECT_EQ(view.col, topo.gain_csr().col);
   EXPECT_EQ(view.nnz(), topo.gain_nnz());
-  EXPECT_EQ(sparse.storage_bytes(), sizeof(double) * topo.gain_nnz());
+  EXPECT_EQ(sparse.storage_bytes(),
+            sizeof(double) * topo.gain_nnz() +
+                12 * static_cast<std::size_t>(n) * bitset_words(n));
 
   ASSERT_LT(view.nnz(), static_cast<std::size_t>(n) * n / 4);
   ASSERT_GT(view.nnz(), 0u);
@@ -238,6 +244,43 @@ TEST(SparseLinkModel, RejectsNonFinitePowerWithoutRebuilding) {
   EXPECT_THROW((void)sparse.prepare(inf), util::RequireError);
   EXPECT_THROW((void)sparse.prepare(-inf), util::RequireError);
   EXPECT_EQ(sparse.rebuilds(), 0);
+}
+
+TEST(SparseLinkModel, RowBitmapsLocateEveryStoredLink) {
+  // 130 nodes: three bitmap words per row, the last holding ids 128 and
+  // 129. In every row the set bits are exactly the stored columns, and a
+  // set bit's rank plus the set bits below it in its word is its offset.
+  const Topology full = make_campus_topology(130);
+  const Topology culled = make_campus_topology_culled(130, 1, -80.0);
+  for (const Topology* topo : {&full, &culled}) {
+    SparseLinkModel model(*topo);
+    const SparseLinkView& v = model.prepare(0.0);
+    const std::size_t words = v.words();
+    ASSERT_EQ(words, 3u);
+    for (NodeId tx = 0; tx < topo->size(); ++tx) {
+      SCOPED_TRACE("row " + std::to_string(tx));
+      const std::size_t first = static_cast<std::size_t>(tx) * words;
+      std::vector<NodeId> listed;
+      for (std::size_t w = 0; w < words; ++w) {
+        const std::uint64_t row = v.row_bits[first + w];
+        for (unsigned b = 0; b < 64; ++b) {
+          if ((row >> b & 1) == 0) continue;
+          const auto rx = static_cast<NodeId>(64 * w + b);
+          const std::size_t k =
+              v.row_begin(tx) + v.rank[first + w] +
+              static_cast<std::size_t>(
+                  std::popcount(row & ((std::uint64_t{1} << b) - 1)));
+          ASSERT_LT(k, v.row_end(tx));
+          EXPECT_EQ(v.col[k], rx);
+          listed.push_back(rx);
+        }
+      }
+      EXPECT_EQ(listed, std::vector<NodeId>(v.col + v.row_begin(tx),
+                                            v.col + v.row_end(tx)));
+    }
+  }
+  // The culled rows are partial, so the ranks are not just 64 * w.
+  EXPECT_LT(culled.gain_nnz(), static_cast<std::size_t>(130) * 130);
 }
 
 TEST(SparseLinkModel, StorageScalesWithSurvivorsNotNodes) {

@@ -334,6 +334,53 @@ TEST(LintTransitive, PureAnnotationSuppressesTwoHopChainVisibly) {
   }
 }
 
+// The library under src/ links nothing from bench/, examples/ or tools/, so
+// a call made in src/ resolves only to src/ definitions: a bench/ helper
+// that happens to share a name with the callee does not reach the hot
+// region, but a src/ one still does.
+TEST(LintTransitive, SrcCallsResolveOnlyToSrcDefinitions) {
+  const std::string engine =
+      "void run_step(Reception& reception) {\n"
+      "  // dimmer-lint: hot-path begin\n"
+      "  reception.decide(1);\n"
+      "  // dimmer-lint: hot-path end\n"
+      "}\n";
+  const std::string growing_decide =
+      "int decide(std::vector<int>& v) { v.push_back(1); return 0; }\n";
+  const std::string bench_caller =
+      "void probe_step(Controller& c) { c.decide(2); }\n";
+
+  // Only bench/ defines an allocating `decide`: no finding, and the src/
+  // caller does not inherit the property. A bench/ caller still reaches it.
+  {
+    CallGraph g = build_call_graph(
+        {index_source("src/flood/engine.cpp", engine),
+         index_source("bench/perf/probe.cpp", growing_decide),
+         index_source("bench/perf/workloads.cpp", bench_caller)});
+    EXPECT_FALSE(g.has(node_of(g, "run_step"), Prop::kAllocate));
+    EXPECT_TRUE(g.has(node_of(g, "probe_step"), Prop::kAllocate));
+    auto fs = dimmer::lint::scan_source("src/flood/engine.cpp", engine, &g);
+    EXPECT_EQ(lines_of(fs, "hot-no-alloc", false), (std::vector<int>{}));
+  }
+  // An allocating src/ `decide`: the same call gets the chain.
+  {
+    CallGraph g = build_call_graph(
+        {index_source("src/flood/engine.cpp", engine),
+         index_source("bench/perf/probe.cpp", growing_decide),
+         index_source("src/phy/reception.cpp", growing_decide)});
+    EXPECT_TRUE(g.has(node_of(g, "run_step"), Prop::kAllocate));
+    auto fs = dimmer::lint::scan_source("src/flood/engine.cpp", engine, &g);
+    ASSERT_EQ(lines_of(fs, "hot-no-alloc", false), (std::vector<int>{3}));
+    for (const auto& f : fs) {
+      if (f.rule != "hot-no-alloc") continue;
+      EXPECT_NE(f.message.find("decide (`push_back` at src/phy/reception.cpp:1)"),
+                std::string::npos)
+          << f.message;
+      EXPECT_EQ(f.message.find("bench/"), std::string::npos) << f.message;
+    }
+  }
+}
+
 TEST(LintTransitive, VirtualDispatchWidensToTheAllocatingOverride) {
   TransitiveFixtures fx;
   // The override is flagged virtual in the index.

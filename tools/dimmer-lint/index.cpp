@@ -478,9 +478,27 @@ FileIndex index_source(const std::string& path, const std::string& contents) {
 // Call graph + fixpoint
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The file belongs to the library tree (src/), which links nothing from
+/// bench/, examples/ or tools/.
+bool in_src(const std::string& file) {
+  const std::string np = norm_path(file);
+  return has_prefix(np, "src/") || np.find("/src/") != std::string::npos;
+}
+
+}  // namespace
+
 const std::vector<int>* CallGraph::lookup(const std::string& name) const {
   auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : &it->second;
+}
+
+const std::vector<int>* CallGraph::resolve(const std::string& caller_file,
+                                           const std::string& name) const {
+  if (!in_src(caller_file)) return lookup(name);
+  auto it = src_by_name_.find(name);
+  return it == src_by_name_.end() ? nullptr : &it->second;
 }
 
 bool CallGraph::raw_has(int node, Prop p) const {
@@ -537,8 +555,11 @@ CallGraph build_call_graph(std::vector<FileIndex> files) {
       g.nodes_.push_back(std::move(n));
     }
   // Node order is (file, line) — files sorted above, functions in file order.
-  for (std::size_t i = 0; i < g.nodes_.size(); ++i)
-    g.by_name_[g.nodes_[i].def.name].push_back(static_cast<int>(i));
+  for (std::size_t i = 0; i < g.nodes_.size(); ++i) {
+    const FunctionDef& d = g.nodes_[i].def;
+    g.by_name_[d.name].push_back(static_cast<int>(i));
+    if (in_src(d.file)) g.src_by_name_[d.name].push_back(static_cast<int>(i));
+  }
 
   // Fixpoint: a property flows callee -> caller unless the callee trusts it
   // away. Witnesses are assigned once (first discovery in a deterministic
@@ -552,9 +573,9 @@ CallGraph build_call_graph(std::vector<FileIndex> files) {
       auto absorb = [&](const std::vector<std::pair<std::string, int>>& edges,
                         CallGraph::Why why) {
         for (const auto& [callee, line] : edges) {
-          auto it = g.by_name_.find(callee);
-          if (it == g.by_name_.end()) continue;
-          for (int t : it->second) {
+          const std::vector<int>* targets = g.resolve(n.def.file, callee);
+          if (targets == nullptr) continue;
+          for (int t : *targets) {
             if (t == static_cast<int>(i)) continue;
             const CallGraph::Node& tn = g.nodes_[static_cast<std::size_t>(t)];
             for (int p = 0; p < kNumProps; ++p) {

@@ -24,9 +24,11 @@
 //      dispatch and same-named overloads are over-approximated rather than
 //      missed — and address-taken references (`register_cb(&helper)`,
 //      `auto fp = helper;`) add edges the same way, so function-pointer
-//      indirection cannot hide a violation. Every propagated property keeps
-//      a witness edge, so findings can print the exact call chain down to
-//      the direct evidence.
+//      indirection cannot hide a violation. The one narrowing is by tree:
+//      the library under src/ links nothing from bench/, examples/ or
+//      tools/, so a call made in a src/ file reaches only src/ definitions.
+//      Every propagated property keeps a witness edge, so findings can print
+//      the exact call chain down to the direct evidence.
 //
 // Trust annotation: `// dimmer-lint: pure(<prop>[, <prop>...])` on a
 // function's signature line (or the line above) asserts the property does
@@ -118,6 +120,12 @@ class CallGraph {
   /// Node ids sharing `name`, in node order; nullptr if none.
   const std::vector<int>* lookup(const std::string& name) const;
 
+  /// Node ids a call to `name` made in `caller_file` may reach, in node
+  /// order; nullptr if none. Those are lookup(name), except that a caller
+  /// under src/ reaches only definitions under src/.
+  const std::vector<int>* resolve(const std::string& caller_file,
+                                  const std::string& name) const;
+
   /// The property holds, ignoring the node's own trust annotation. This is
   /// what the trust-reporting pass uses: an annotation only earns its
   /// suppressed finding if it actually masks something.
@@ -136,6 +144,7 @@ class CallGraph {
   friend CallGraph build_call_graph(std::vector<FileIndex> files);
   std::vector<Node> nodes_;
   std::map<std::string, std::vector<int>> by_name_;
+  std::map<std::string, std::vector<int>> src_by_name_;  ///< src/ nodes only
 };
 
 /// Merges per-file indexes and runs the fixpoint. Deterministic: node order,

@@ -361,7 +361,7 @@ void rule_rng_discipline(const std::string& path, const std::vector<Tok>& toks,
         std::isdigit(static_cast<unsigned char>(t[0])))
       continue;
     if (is_cpp_keyword(t) || tok_at(toks, i + 1) != "(") continue;
-    const std::vector<int>* nodes = graph->lookup(t);
+    const std::vector<int>* nodes = graph->resolve(path, t);
     if (nodes == nullptr) continue;
     for (int node : *nodes) {
       const FunctionDef& d = graph->nodes()[static_cast<std::size_t>(node)].def;
@@ -416,7 +416,7 @@ void rule_transitive_hot(const std::string& path, const std::vector<Tok>& toks,
       ref = addr || bare;
     }
     if (!call && !ref) continue;
-    const std::vector<int>* nodes = graph.lookup(t);
+    const std::vector<int>* nodes = graph.resolve(path, t);
     if (nodes == nullptr) continue;
     for (int node : *nodes) {
       for (Prop p : kHotProps) {
