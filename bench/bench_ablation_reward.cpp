@@ -38,16 +38,16 @@ core::TraceDataset make_dataset(std::size_t steps, std::uint64_t seed,
   return core::collect_traces(topo, field, tc);
 }
 
-int bench_main() {
-  const int models = bench::scaled(2);
-  const auto train_steps = static_cast<std::size_t>(bench::scaled(50000));
+int bench_main(const bench::Env& env) {
+  const int models = env.scaled(2);
+  const auto train_steps = static_cast<std::size_t>(env.scaled(50000));
   const double c_values[] = {0.0, 0.15, 0.3, 0.6, 0.9};
 
   std::cerr << "[ablation] building trace datasets...\n";
   core::TraceDataset train = make_dataset(
-      static_cast<std::size_t>(bench::scaled(2000)), 55, sim::hours(9));
+      static_cast<std::size_t>(env.scaled(2000)), 55, sim::hours(9));
   core::TraceDataset eval = make_dataset(
-      static_cast<std::size_t>(bench::scaled(800)), 99, sim::hours(11));
+      static_cast<std::size_t>(env.scaled(800)), 99, sim::hours(11));
 
   std::vector<exp::TrialSpec> specs;
   for (double c : c_values) {
@@ -71,7 +71,7 @@ int bench_main() {
     tr.seed = spec.seed;
     rl::Mlp net = core::train_dqn_on_traces(train, env_cfg, tr);
     core::PolicyEvaluation ev = core::evaluate_policy(
-        eval, rl::QuantizedMlp(net), env_cfg, bench::scaled(50),
+        eval, rl::QuantizedMlp(net), env_cfg, env.scaled(50),
         util::hash_u64(tr.seed, 0xE7ULL));
     exp::TrialResult r;
     r.metrics["reliability"] = ev.avg_reliability;
@@ -82,7 +82,8 @@ int bench_main() {
     return r;
   };
 
-  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
+  std::vector<exp::Trial> trials =
+      bench::run_sweep(env, std::move(specs), trial);
   bench::require_all_ok(trials);
 
   util::Table table({"C", "reliability", "radio-on [ms]", "mean N_TX",
@@ -104,7 +105,9 @@ int bench_main() {
   table.print(std::cout);
   std::cout << "\n(expected: radio-on time decreases with C — higher C"
                " trades reliability for energy)\n";
-  return exp::write_json("ablation_reward", trials, {}, &std::cerr) ? 0 : 1;
+  const bool wrote =
+      exp::write_json("ablation_reward", trials, {.dir = env.out}, &std::cerr);
+  return wrote ? 0 : 1;
 }
 
 }  // namespace

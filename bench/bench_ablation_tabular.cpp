@@ -52,18 +52,18 @@ core::TraceDataset make_dataset(std::size_t steps, std::uint64_t seed,
   return core::collect_traces(topo, field, tc);
 }
 
-int bench_main() {
+int bench_main(const bench::Env& env) {
   std::cerr << "[tabular] building datasets...\n";
   core::TraceDataset train = make_dataset(
-      static_cast<std::size_t>(bench::scaled(2200)), 61, sim::hours(9), false);
+      static_cast<std::size_t>(env.scaled(2200)), 61, sim::hours(9), false);
   core::TraceDataset eval_seen = make_dataset(
-      static_cast<std::size_t>(bench::scaled(800)), 67, sim::hours(10), false);
+      static_cast<std::size_t>(env.scaled(800)), 67, sim::hours(10), false);
   core::TraceDataset eval_unseen = make_dataset(
-      static_cast<std::size_t>(bench::scaled(800)), 71, sim::hours(11), true);
+      static_cast<std::size_t>(env.scaled(800)), 71, sim::hours(11), true);
 
   core::TraceEnv::Config env_cfg;
-  const auto steps = static_cast<std::size_t>(bench::scaled(120000));
-  const int episodes = bench::scaled(60);
+  const auto steps = static_cast<std::size_t>(env.scaled(120000));
+  const int episodes = env.scaled(60);
 
   struct Case {
     const char* key;
@@ -122,7 +122,8 @@ int bench_main() {
     return r;
   };
 
-  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
+  std::vector<exp::Trial> trials =
+      bench::run_sweep(env, std::move(specs), trial);
   bench::require_all_ok(trials);
   const exp::TrialResult& dq = trials[0].result;
   const exp::TrialResult& tb = trials[1].result;
@@ -156,7 +157,9 @@ int bench_main() {
             << "(the coarse table collapses the continuous per-node feedback"
                " the DQN exploits; the paper's\n full input space would need"
                " a table exponential in K and is unrepresentable)\n";
-  return exp::write_json("ablation_tabular", trials, {}, &std::cerr) ? 0 : 1;
+  const bool wrote =
+      exp::write_json("ablation_tabular", trials, {.dir = env.out}, &std::cerr);
+  return wrote ? 0 : 1;
 }
 
 }  // namespace

@@ -69,13 +69,13 @@ int deepest_cell(const core::Federation& fed) {
   return best;
 }
 
-int bench_main() {
-  const int epochs = bench::scaled(240, 20);  // 16 min of 4 s rounds
+int bench_main(const bench::Env& env) {
+  const int epochs = env.scaled(240, 20);  // 16 min of 4 s rounds
   const int kill_epoch = epochs / 3;
-  const int workers = bench::fed_workers();
+  const int workers = env.fed_workers;
   const char* protocols[] = {"lwb", "pid"};
   const char* scenarios[] = {"steady", "coord-kill"};
-  const int runs = bench::scaled(2, 1);
+  const int runs = env.scaled(2, 1);
 
   std::vector<exp::TrialSpec> specs;
   for (const char* scen : scenarios) {
@@ -192,7 +192,8 @@ int bench_main() {
     return r;
   };
 
-  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
+  std::vector<exp::Trial> trials =
+      bench::run_sweep(env, std::move(specs), trial);
   bench::require_all_ok(trials);
 
   util::Table t({"scenario", "protocol", "delivery", "mean rel", "min rel",
@@ -228,7 +229,9 @@ int bench_main() {
                " every backup at epoch " << kill_epoch
             << "; the federation hands its flows to the parent cell via the"
                " shared gateway)\n";
-  return exp::write_json("city_scale", trials, {}, &std::cerr) ? 0 : 1;
+  const bool wrote =
+      exp::write_json("city_scale", trials, {.dir = env.out}, &std::cerr);
+  return wrote ? 0 : 1;
 }
 
 }  // namespace

@@ -110,9 +110,9 @@ exp::TrialResult run_trial(const exp::TrialSpec& spec, util::Pcg32& rng,
   return r;
 }
 
-int bench_main() {
-  const int rounds = bench::scaled(120, 80);
-  const int seeds = bench::scaled(5, 2);
+int bench_main(const bench::Env& env) {
+  const int rounds = env.scaled(120, 80);
+  const int seeds = env.scaled(5, 2);
 
   struct Case {
     const char* faults;  ///< "baseline" | "kill" | "storm"
@@ -143,7 +143,8 @@ int bench_main() {
     return run_trial(spec, rng, rounds);
   };
 
-  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
+  std::vector<exp::Trial> trials =
+      bench::run_sweep(env, std::move(specs), trial);
   bench::require_all_ok(trials);
 
   util::Table out({"scenario", "pre rel.", "post rel.", "dip", "resync [rounds]",
@@ -170,7 +171,9 @@ int bench_main() {
                " 'dip' is the worst single-round reliability after the"
                " crash;\n'resync' counts rounds from takeover until every"
                " alive node holds a schedule again.\n";
-  return exp::write_json("fault_recovery", trials, {}, &std::cerr) ? 0 : 1;
+  const bool wrote =
+      exp::write_json("fault_recovery", trials, {.dir = env.out}, &std::cerr);
+  return wrote ? 0 : 1;
 }
 
 }  // namespace

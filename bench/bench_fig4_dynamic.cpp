@@ -38,11 +38,19 @@ const char* phase_at(double t_min) {
   return "calm";
 }
 
-int bench_main() {
+int bench_main(const bench::Env& env) {
   const sim::TimeUs origin = sim::hours(10);
   const int rounds = 27 * 60 / 4;  // 27 minutes at 4 s rounds
 
-  rl::Mlp policy = bench::shared_policy();
+  // DIMMER_TRACE=<path>: all trials share one JSONL sink; a per-trial
+  // TaggedSink labels each line with its scenario (the file sink is
+  // thread-safe, so lines interleave across workers but never tear). It is
+  // opened before the policy loads, so an unopenable path fails at once.
+  std::unique_ptr<obs::JsonlFileSink> trace;
+  if (!env.trace.empty())
+    trace = std::make_unique<obs::JsonlFileSink>(env.trace);
+
+  rl::Mlp policy = bench::shared_policy(env);
   core::PretrainedOptions popt;
 
   struct Run {
@@ -61,11 +69,6 @@ int bench_main() {
     s.tags["figure"] = run.figure;
     specs.push_back(std::move(s));
   }
-
-  // DIMMER_TRACE=<path>: all trials share one JSONL sink; a per-trial
-  // TaggedSink labels each line with its scenario (the file sink is
-  // thread-safe, so lines interleave across workers but never tear).
-  std::unique_ptr<obs::TraceSink> trace = obs::sink_from_env();
 
   auto trial = [&](const exp::TrialSpec& spec, util::Pcg32&) {
     phy::Topology topo = phy::make_office18_topology();
@@ -109,7 +112,8 @@ int bench_main() {
     return r;
   };
 
-  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
+  std::vector<exp::Trial> trials =
+      bench::run_sweep(env, std::move(specs), trial);
   bench::require_all_ok(trials);
 
   util::Table summary(
@@ -142,7 +146,9 @@ int bench_main() {
   std::cout << "(paper: Dimmer and PID both 99.3% reliable; Dimmer 12.3 ms"
                " vs PID 14.4 ms radio-on —\n the PID overshoots to N_max"
                " under light interference, Dimmer finds the setpoint)\n";
-  return exp::write_json("fig4_dynamic", trials, {}, &std::cerr) ? 0 : 1;
+  const bool wrote =
+      exp::write_json("fig4_dynamic", trials, {.dir = env.out}, &std::cerr);
+  return wrote ? 0 : 1;
 }
 
 }  // namespace

@@ -67,16 +67,16 @@ ConfigResult run_config(const core::TraceDataset& train,
   return out;
 }
 
-int bench_main() {
-  const int models = bench::scaled(3);
-  const auto train_steps = static_cast<std::size_t>(bench::scaled(50000));
-  const int episodes = bench::scaled(60);
+int bench_main(const bench::Env& env) {
+  const int models = env.scaled(3);
+  const auto train_steps = static_cast<std::size_t>(env.scaled(50000));
+  const int episodes = env.scaled(60);
 
   std::cerr << "[fig4b] building train/eval trace datasets...\n";
   core::TraceDataset train = make_dataset(
-      static_cast<std::size_t>(bench::scaled(2200)), 31, sim::hours(9));
+      static_cast<std::size_t>(env.scaled(2200)), 31, sim::hours(9));
   core::TraceDataset eval = make_dataset(
-      static_cast<std::size_t>(bench::scaled(900)), 77, sim::hours(10));
+      static_cast<std::size_t>(env.scaled(900)), 77, sim::hours(10));
 
   std::cout << "Fig. 4b(i): number of device inputs K (M = 2 fixed; " << models
             << " models per K)\n\n";
@@ -104,7 +104,7 @@ int bench_main() {
     env_cfg.episode_len = 2;  // paper: 1000 episodes of 2 decisions
     ConfigResult r =
         run_config(train, eval, env_cfg, models, train_steps,
-                   bench::scaled(500), 0x4B40 + static_cast<std::uint64_t>(m_hist));
+                   env.scaled(500), 0x4B40 + static_cast<std::uint64_t>(m_hist));
     t2.add_row({std::to_string(m_hist), util::Table::pct(r.rel.mean(), 2),
                 util::Table::pct(r.rel.stddev(), 2),
                 util::Table::num(r.radio.mean())});

@@ -31,12 +31,12 @@ using namespace dimmer;
 
 namespace {
 
-int bench_main() {
-  rl::Mlp policy = bench::shared_policy();
+int bench_main(const bench::Env& env) {
+  rl::Mlp policy = bench::shared_policy(env);
   core::PretrainedOptions popt;
 
-  const int runs = bench::scaled(3);
-  const int rounds_per_run = bench::scaled(30 * 60 / 4);  // 30-minute runs
+  const int runs = env.scaled(3);
+  const int rounds_per_run = env.scaled(30 * 60 / 4);  // 30-minute runs
   const double levels[] = {0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35};
   const char* protocols[] = {"dimmer", "pid", "lwb"};
 
@@ -87,7 +87,8 @@ int bench_main() {
     return res;
   };
 
-  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
+  std::vector<exp::Trial> trials =
+      bench::run_sweep(env, std::move(specs), trial);
   bench::require_all_ok(trials);
 
   util::Table t5a({"interference", "protocol", "reliability", "stddev"});
@@ -118,7 +119,9 @@ int bench_main() {
                " needs less energy below ~15% for similar reliability;\n"
                " LWB's reliability degrades but some slots fit between"
                " bursts)\n";
-  return exp::write_json("fig5_levels", trials, {}, &std::cerr) ? 0 : 1;
+  const bool wrote =
+      exp::write_json("fig5_levels", trials, {.dir = env.out}, &std::cerr);
+  return wrote ? 0 : 1;
 }
 
 }  // namespace

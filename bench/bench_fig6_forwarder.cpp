@@ -24,10 +24,10 @@ using namespace dimmer;
 
 namespace {
 
-int bench_main() {
+int bench_main(const bench::Env& env) {
   phy::Topology topo = phy::make_office18_topology();
   auto sources = bench::all_to_all_sources(topo);
-  const int rounds = bench::scaled(5 * 3600 / 4);  // 5 hours at 4 s rounds
+  const int rounds = env.scaled(5 * 3600 / 4);  // 5 hours at 4 s rounds
 
   phy::InterferenceField field;
   core::add_office_ambient(field, topo);  // night: nearly silent
@@ -41,7 +41,9 @@ int bench_main() {
                           std::make_unique<core::StaticController>(3), 0, 6);
 
   // DIMMER_TRACE=<path>: per-round / per-flood / exp3 events as JSONL.
-  std::unique_ptr<obs::TraceSink> trace = obs::sink_from_env();
+  std::unique_ptr<obs::JsonlFileSink> trace;
+  if (!env.trace.empty())
+    trace = std::make_unique<obs::JsonlFileSink>(env.trace);
   std::unique_ptr<obs::TaggedSink> tagged;
   if (trace) {
     tagged = std::make_unique<obs::TaggedSink>(trace.get(), "scenario", "mab");

@@ -37,12 +37,12 @@ using namespace dimmer;
 
 namespace {
 
-int bench_main() {
-  rl::Mlp policy = bench::shared_policy();
+int bench_main(const bench::Env& env) {
+  rl::Mlp policy = bench::shared_policy(env);
   core::PretrainedOptions popt;
 
-  const int runs = bench::scaled(3);
-  const long minutes = bench::scaled(8);
+  const int runs = env.scaled(3);
+  const long minutes = env.scaled(8);
   const char* protocols[] = {"lwb", "dimmer", "crystal"};
   const char* episodes[] = {"no interference", "WiFi level 1",
                             "WiFi level 2"};
@@ -121,7 +121,8 @@ int bench_main() {
     return r;
   };
 
-  std::vector<exp::Trial> trials = bench::run_sweep(std::move(specs), trial);
+  std::vector<exp::Trial> trials =
+      bench::run_sweep(env, std::move(specs), trial);
   bench::require_all_ok(trials);
 
   phy::EnergyModel energy;
@@ -150,7 +151,9 @@ int bench_main() {
   table.print(std::cout);
   std::cout << "\n(paper: LWB 100/93.6/27%; Dimmer 100/98.3/95.8% without"
                " retraining; Crystal 100/100/99%)\n";
-  return exp::write_json("fig7_dcube", trials, {}, &std::cerr) ? 0 : 1;
+  const bool wrote =
+      exp::write_json("fig7_dcube", trials, {.dir = env.out}, &std::cerr);
+  return wrote ? 0 : 1;
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 
 namespace {
 
-int bench_main() {
+int bench_main(const dimmer::bench::Env&) {
   using namespace dimmer;
   core::FeatureConfig cfg;  // K=10, M=2, N_max=8: the paper's configuration
   core::FeatureBuilder fb(cfg);

@@ -1,12 +1,13 @@
 // Minimal exp::Runner walkthrough: a seed sweep of static LWB at several
-// N_TX settings on the office topology, run on DIMMER_JOBS workers, printed
-// as a table and written to BENCH_example_sweep.json.
+// N_TX settings on the office topology, run on --jobs workers (default:
+// hardware concurrency), printed as a table and written to
+// ./BENCH_example_sweep.json.
 //
-//   DIMMER_JOBS=8 ./build/examples/sweep
+//   ./build/examples/sweep [--jobs 8]
 //
-// Results are bit-identical for every DIMMER_JOBS value: each trial owns
-// its topology/network, and aggregation happens in spec order after the
-// worker pool drains.
+// Results are bit-identical for every --jobs value: each trial owns its
+// topology/network, and aggregation happens in spec order after the worker
+// pool drains.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -17,12 +18,15 @@
 #include "exp/json.hpp"
 #include "exp/runner.hpp"
 #include "phy/topology.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace dimmer;
 
-int main() {
+int main(int argc, char** argv) {
+  util::Cli cli(argc, argv);
+  const int jobs = static_cast<int>(cli.get_int("jobs", 0));
   const int n_tx_values[] = {1, 2, 3, 5, 8};
   const int seeds_per_setting = 4;
   const int rounds = 60;  // 4 minutes at 4 s rounds
@@ -70,7 +74,7 @@ int main() {
     return res;
   };
 
-  exp::Runner runner;
+  const exp::Runner runner({.jobs = jobs});
   std::cout << "running " << specs.size() << " trials on " << runner.jobs()
             << " worker(s)...\n\n";
   std::vector<exp::Trial> trials = runner.run(std::move(specs), trial);

@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "exp/journal.hpp"
@@ -33,7 +32,7 @@ namespace dimmer::exp {
 
 namespace {
 
-// ---- small file / env helpers ---------------------------------------------
+// ---- small file helpers ----------------------------------------------------
 
 bool file_exists(const std::string& path) {
   struct stat st{};
@@ -173,8 +172,6 @@ class DirLock {
                    "campaign: worker re-read a checkpoint that does not "
                    "match the supervisor's spec matrix");
 
-    const std::optional<long> kill_after =
-        env_count("DIMMER_CAMPAIGN_KILL_AFTER");
     AppendLog journal(shard_journal_path(opt.dir, shard));
     AppendLog attempts_log(shard_attempts_path(opt.dir, shard));
     const JournalReplay done = replay_journal(journal.path());
@@ -184,12 +181,12 @@ class DirLock {
     // shard's: every trial's stream is independent of the shard count.
     std::vector<util::Pcg32> rngs = fork_trial_rngs(ck.specs);
 
-    TrialWatchdog watchdog(resolve_trial_timeout(opt.trial_timeout_s));
+    TrialWatchdog watchdog(opt.trial_timeout_s);
 
     long records_written = 0;
     auto after_record = [&] {
       ++records_written;
-      if (kill_after && records_written >= *kill_after)
+      if (opt.kill_after > 0 && records_written >= opt.kill_after)
         ::raise(SIGKILL);  // test hook: simulate a worker crash
     };
 
@@ -249,13 +246,6 @@ std::string campaign_checkpoint_path(const std::string& dir) {
   return dir + "/checkpoint.json";
 }
 
-int campaign_shards_from_env() {
-  const std::optional<long> v = env_count("DIMMER_CAMPAIGN_SHARDS");
-  if (!v) return 1;
-  DIMMER_REQUIRE(*v <= 999, "DIMMER_CAMPAIGN_SHARDS out of [1, 999]");
-  return static_cast<int>(*v);
-}
-
 // ---- supervisor ------------------------------------------------------------
 
 Campaign::Campaign(CampaignOptions opt) : opt_(std::move(opt)) {
@@ -268,6 +258,10 @@ Campaign::Campaign(CampaignOptions opt) : opt_(std::move(opt)) {
                  "campaign: retry_backoff_s must be finite and >= 0");
   DIMMER_REQUIRE(opt_.max_fruitless_deaths >= 1,
                  "campaign: max_fruitless_deaths must be >= 1");
+  DIMMER_REQUIRE(opt_.trial_timeout_s >= 0.0,
+                 "campaign: trial_timeout_s must be >= 0 (0 = off)");
+  DIMMER_REQUIRE(opt_.kill_after >= 0 && opt_.abort_after >= 0,
+                 "campaign: kill_after and abort_after must be >= 0 (0 = off)");
 }
 
 CampaignReport Campaign::run(const std::vector<TrialSpec>& specs,
@@ -333,8 +327,6 @@ CampaignReport Campaign::run(const std::vector<TrialSpec>& specs,
   }
   ctr.counter("campaign.resumed_trials") += records_at_start;
 
-  const std::optional<long> abort_after =
-      env_count("DIMMER_CAMPAIGN_ABORT_AFTER");
   auto total_records_now = [&] {
     std::size_t n = 0;
     for (int s = 0; s < opt_.shards; ++s)
@@ -342,8 +334,8 @@ CampaignReport Campaign::run(const std::vector<TrialSpec>& specs,
     return n;
   };
   auto maybe_abort = [&] {
-    if (abort_after &&
-        total_records_now() >= static_cast<std::size_t>(*abort_after))
+    if (opt_.abort_after > 0 &&
+        total_records_now() >= static_cast<std::size_t>(opt_.abort_after))
       ::raise(SIGKILL);  // test hook: simulate a supervisor crash
   };
 

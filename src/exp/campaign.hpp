@@ -29,11 +29,9 @@
 // (attempt counts, backoff, wall clocks) lives in sidecar files and
 // campaign counters, never in the journalled results.
 //
-// Fault injection for tests/CI (strict-parsed env, see campaign.cpp):
-//   DIMMER_CAMPAIGN_KILL_AFTER=N  — each worker SIGKILLs itself after
-//                                   appending N journal records;
-//   DIMMER_CAMPAIGN_ABORT_AFTER=N — the supervisor SIGKILLs itself once N
-//                                   records exist across all journals.
+// Fault injection for tests (CampaignOptions::kill_after / abort_after, both
+// off by default): a worker or the supervisor SIGKILLs itself after a given
+// number of journal records, so kill/resume identity can be exercised.
 #pragma once
 
 #include <cstdint>
@@ -63,12 +61,18 @@ struct CampaignOptions {
   double retry_backoff_s = 0.05;
   /// Per-trial deadline inside workers (exp/watchdog.hpp): a trial that
   /// exceeds it kills its worker, which the supervisor treats like any
-  /// crash. < 0 = DIMMER_TRIAL_TIMEOUT_S; 0 = disabled.
-  double trial_timeout_s = -1.0;
+  /// crash. 0 = off; negative or NaN is rejected.
+  double trial_timeout_s = 0.0;
   /// Give up on the campaign after this many *consecutive* worker deaths
   /// of one shard with zero new journal or attempt bytes (a crash loop
   /// outside any trial, e.g. a corrupt directory).
   int max_fruitless_deaths = 10;
+  /// Test hooks, 0 = off. Neither is written to the checkpoint, so a resume
+  /// without them still matches. kill_after: each worker SIGKILLs itself
+  /// after appending this many journal records. abort_after: the supervisor
+  /// SIGKILLs itself once this many records exist across all journals.
+  long kill_after = 0;
+  long abort_after = 0;
 };
 
 /// What a campaign run produced. `counters` is deliberately separate from
@@ -91,11 +95,6 @@ int shard_of(std::size_t trial, int shards);
 
 /// checkpoint.json under `dir`.
 std::string campaign_checkpoint_path(const std::string& dir);
-
-/// Shard count for bench campaign mode: DIMMER_CAMPAIGN_SHARDS if set
-/// (strict full-string parse, in [1, 999]), else 1. Same loud-failure
-/// discipline as jobs_from_env().
-int campaign_shards_from_env();
 
 class Campaign {
  public:

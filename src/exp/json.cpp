@@ -1,16 +1,11 @@
 #include "exp/json.hpp"
 
-#include <unistd.h>
-
-#include <cstdlib>
-#include <filesystem>
 #include <iostream>
 #include <ostream>
 #include <sstream>
 
 #include "exp/runner.hpp"
 #include "util/atomic_file.hpp"
-#include "util/check.hpp"
 #include "util/json.hpp"
 
 namespace dimmer::exp {
@@ -41,12 +36,6 @@ void emit_object(std::ostringstream& os, const Map& m, EmitValue&& ev) {
     ev(v);
   }
   os << "}";
-}
-
-// $DIMMER_BENCH_OUT, or "." when it is unset or empty.
-std::string output_dir() {
-  const char* dir = std::getenv("DIMMER_BENCH_OUT");
-  return dir && *dir ? dir : ".";
 }
 
 }  // namespace
@@ -136,7 +125,7 @@ std::string to_json(const std::string& bench, const std::vector<Trial>& trials,
   os << "\n  }";
 
   // Structured metrics merged across ok trials in spec order (bit-identical
-  // for any DIMMER_JOBS). Additive, optional key: absent when no trial
+  // for any job count). Additive, optional key: absent when no trial
   // recorded anything, so benches without instrumentation are unchanged.
   obs::MetricsRegistry merged = merged_metrics(trials);
   if (!merged.empty()) os << ",\n  \"metrics\": " << merged.to_json();
@@ -144,23 +133,11 @@ std::string to_json(const std::string& bench, const std::vector<Trial>& trials,
   return os.str();
 }
 
-std::string output_path(const std::string& bench) {
-  std::string d = output_dir();
-  if (d.back() != '/') d += '/';
-  return d + "BENCH_" + bench + ".json";
-}
-
-void require_output_dir() {
-  const std::string d = output_dir();
-  std::error_code ec;
-  DIMMER_REQUIRE(std::filesystem::is_directory(d, ec) &&
-                     ::access(d.c_str(), W_OK | X_OK) == 0,
-                 "DIMMER_BENCH_OUT: " + d + " is not a writable directory");
-}
-
 bool write_json(const std::string& bench, const std::vector<Trial>& trials,
                 const JsonOptions& opt, std::ostream* log) {
-  std::string path = output_path(bench);
+  const std::string path =
+      (opt.dir.empty() || opt.dir.back() == '/' ? opt.dir : opt.dir + '/') +
+      "BENCH_" + bench + ".json";
   try {
     // Atomic replacement (util/atomic_file.hpp): a bench killed mid-write
     // leaves the previous BENCH_*.json intact, never a truncated artifact.
@@ -169,7 +146,7 @@ bool write_json(const std::string& bench, const std::vector<Trial>& trials,
     // Recorded, not swallowed: printed here and returned as false, which
     // callers turn into a failing exit status after their tables.
     std::cerr << "[exp] ERROR: cannot write " << path << ": " << e.what()
-              << " (check DIMMER_BENCH_OUT)\n";
+              << "\n";
     return false;
   }
   if (log) *log << "[exp] wrote " << path << "\n";

@@ -28,12 +28,12 @@
 //     "metrics": {                              // omitted when empty
 //       "counters":   {"<name>": n, ...},       // merged across ok trials in
 //       "gauges":     {"<name>": v, ...},       //   spec order (bit-identical
-//       "histograms": {"<name>": {...}, ...}    //   for any DIMMER_JOBS)
+//       "histograms": {"<name>": {...}, ...}    //   for any job count)
 //     }
 //   }
 //
 // Doubles are printed with "%.17g" (round-trip exact); the serialization is
-// deterministic, so two runs of the same sweep — at any DIMMER_JOBS — yield
+// deterministic, so two runs of the same sweep — at any job count — yield
 // byte-identical files.
 #pragma once
 
@@ -51,25 +51,19 @@ struct JsonOptions {
   bool include_timing = false;
   int jobs = 0;
   double wall_seconds = 0.0;
+  /// Directory write_json writes BENCH_<bench>.json into; to_json ignores it.
+  std::string dir = ".";
 };
 
 /// Serialize a finished sweep.
 std::string to_json(const std::string& bench, const std::vector<Trial>& trials,
                     const JsonOptions& opt = {});
 
-/// $DIMMER_BENCH_OUT/BENCH_<bench>.json (default directory ".").
-std::string output_path(const std::string& bench);
-
-/// Throws util::RequireError naming DIMMER_BENCH_OUT unless output_path's
-/// directory exists and is writable. A bench calls it before its sweep
-/// (bench::run_main), so a bad directory fails at once; a write that still
-/// fails after the sweep is write_json's false.
-void require_output_dir();
-
-/// Serialize and write to output_path(bench); logs the path to `log` if
-/// given. Returns false (after printing to stderr) if the file cannot be
-/// written. It never throws, so a finished sweep is never aborted: a caller
-/// prints its tables first, then turns false into a failing exit status.
+/// Serialize and write to <opt.dir>/BENCH_<bench>.json; logs the path to
+/// `log` if given. Returns false (after printing to stderr) if the file
+/// cannot be written. It never throws, so a finished sweep is never aborted:
+/// a caller prints its tables first, then turns false into a failing exit
+/// status.
 [[nodiscard]] bool write_json(const std::string& bench,
                               const std::vector<Trial>& trials,
                               const JsonOptions& opt = {},

@@ -1,61 +1,14 @@
 #include "exp/runner.hpp"
 
 #include <atomic>
-#include <cmath>
-#include <cstdlib>
-#include <limits>
-#include <optional>
 #include <string>
 #include <thread>
 
 #include "exp/watchdog.hpp"
 #include "util/check.hpp"
-#include "util/cli.hpp"
 #include "util/wallclock.hpp"
 
 namespace dimmer::exp {
-
-std::optional<long> env_count(const char* name) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return std::nullopt;
-  const std::optional<long> v = util::parse_long(s);
-  DIMMER_REQUIRE(v.has_value(), std::string(name) + " is not a valid integer");
-  DIMMER_REQUIRE(*v >= 1, std::string(name) + " must be >= 1");
-  return v;
-}
-
-std::optional<double> env_positive_double(const char* name) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return std::nullopt;
-  const std::optional<double> v = util::parse_double(s);
-  DIMMER_REQUIRE(v.has_value(), std::string(name) + " is not a valid number");
-  DIMMER_REQUIRE(std::isfinite(*v) && *v > 0.0,
-                 std::string(name) + " must be a positive finite number");
-  return v;
-}
-
-int jobs_from_env() {
-  // Strict full-string parse. The old std::atoi silently accepted trailing
-  // garbage ("8x" -> 8), read "0x10" as 0 (a silent hardware-concurrency
-  // fallback), and is undefined on out-of-range input — all three now fail
-  // loudly so a mistyped override can't run a sweep at the wrong
-  // parallelism unnoticed.
-  if (const std::optional<long> v = env_count("DIMMER_JOBS")) {
-    DIMMER_REQUIRE(*v <= std::numeric_limits<int>::max(),
-                   "DIMMER_JOBS out of range [1, INT_MAX]");
-    return static_cast<int>(*v);
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-double trial_timeout_from_env() {
-  return env_positive_double("DIMMER_TRIAL_TIMEOUT_S").value_or(0.0);
-}
-
-double resolve_trial_timeout(double trial_timeout_s) {
-  return trial_timeout_s < 0.0 ? trial_timeout_from_env() : trial_timeout_s;
-}
 
 TrialResult execute_trial(const TrialFn& fn, const TrialSpec& spec,
                           std::size_t index, util::Pcg32& rng,
@@ -92,11 +45,20 @@ std::vector<util::Pcg32> fork_trial_rngs(const std::vector<TrialSpec>& specs) {
   return rngs;
 }
 
-Runner::Runner() : Runner(Options{}) {}
+namespace {
+int hardware_jobs() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
+}  // namespace
 
 Runner::Runner(Options opt)
-    : jobs_(opt.jobs > 0 ? opt.jobs : jobs_from_env()),
-      trial_timeout_s_(resolve_trial_timeout(opt.trial_timeout_s)) {}
+    : jobs_(opt.jobs > 0 ? opt.jobs : hardware_jobs()),
+      trial_timeout_s_(opt.trial_timeout_s) {
+  DIMMER_REQUIRE(opt.jobs >= 0, "Runner: jobs must be >= 0");
+  DIMMER_REQUIRE(opt.trial_timeout_s >= 0.0,
+                 "Runner: trial_timeout_s must be >= 0 (0 = off)");
+}
 
 std::vector<Trial> Runner::run(std::vector<TrialSpec> specs,
                                const TrialFn& fn) const {
@@ -118,7 +80,7 @@ std::vector<Trial> Runner::run(std::vector<TrialSpec> specs,
   std::size_t n_workers = static_cast<std::size_t>(jobs_);
   if (n_workers > out.size()) n_workers = out.size();
   if (n_workers <= 1) {
-    // Inline execution: no threads at DIMMER_JOBS=1, so single-job runs are
+    // Inline execution: no threads at jobs=1, so single-job runs are
     // debuggable with plain gdb/asan and trivially schedule-free.
     for (std::size_t i = 0; i < out.size(); ++i) run_one(i);
     return out;

@@ -6,8 +6,8 @@
 // vector of TrialSpecs on a fixed-size std::thread pool (an atomic index is
 // the work queue) and returns results in spec order.
 //
-// Determinism contract: results are bit-identical for every DIMMER_JOBS
-// value and any thread schedule, because
+// Determinism contract: results are bit-identical for every job count and
+// any thread schedule, because
 //  (a) each trial derives its RNG by Pcg32::fork *before* dispatch, in spec
 //      order, so the stream a trial sees depends only on its index;
 //  (b) trials share nothing mutable (shared inputs — a trained policy, a
@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,7 +61,7 @@ struct [[nodiscard]] TrialResult {
   /// Structured counters/gauges/histograms (see obs/metrics.hpp). Each trial
   /// fills its own registry (point an obs::Instrumentation at it), and
   /// merged_metrics() combines them in spec order after the pool drains, so
-  /// the merged registry is bit-identical for any DIMMER_JOBS value.
+  /// the merged registry is bit-identical for any job count.
   obs::MetricsRegistry registry;
   double wall_seconds = 0.0;
   bool ok = true;
@@ -77,31 +76,6 @@ struct Trial {
 /// A trial receives its spec plus a private, pre-forked generator. It must
 /// not touch global mutable state; it may read shared const inputs.
 using TrialFn = std::function<TrialResult(const TrialSpec&, util::Pcg32&)>;
-
-/// Strict-parsed positive integer from the environment variable `name`:
-/// the whole string must be a base-10 integer (util::parse_long: no leading
-/// whitespace, no trailing characters, no overflow) and >= 1, else
-/// util::RequireError naming the variable. std::nullopt when the variable is
-/// unset.
-std::optional<long> env_count(const char* name);
-
-/// Strict-parsed positive finite number from the environment variable
-/// `name` (util::parse_double, the same full-string discipline as
-/// env_count); std::nullopt when the variable is unset.
-std::optional<double> env_positive_double(const char* name);
-
-/// Worker count: DIMMER_JOBS if set (env_count, at most INT_MAX), else
-/// std::thread::hardware_concurrency() (at least 1).
-int jobs_from_env();
-
-/// Per-trial wall-clock deadline in seconds: DIMMER_TRIAL_TIMEOUT_S if set
-/// (strict full-string parse; must be a positive finite number), else 0
-/// (watchdog disabled). Same loud-failure discipline as jobs_from_env().
-double trial_timeout_from_env();
-
-/// A configured per-trial deadline resolved: < 0 = trial_timeout_from_env(),
-/// otherwise itself (0 = disabled).
-double resolve_trial_timeout(double trial_timeout_s);
 
 class TrialWatchdog;  // exp/watchdog.hpp
 
@@ -128,14 +102,14 @@ std::vector<util::Pcg32> fork_trial_rngs(const std::vector<TrialSpec>& specs);
 class Runner {
  public:
   struct Options {
-    int jobs = 0;  ///< 0 = jobs_from_env()
-    /// Per-trial wall-clock deadline; a trial that exceeds it kills the
-    /// whole process (exit kTrialTimeoutExit — see exp/watchdog.hpp).
-    /// < 0 = trial_timeout_from_env(); 0 = explicitly disabled.
-    double trial_timeout_s = -1.0;
+    /// Worker threads; 0 = std::thread::hardware_concurrency() (at least 1).
+    int jobs = 0;
+    /// Per-trial wall-clock deadline in seconds; a trial that exceeds it
+    /// kills the whole process (exit kTrialTimeoutExit — see
+    /// exp/watchdog.hpp). 0 = off; negative or NaN is rejected.
+    double trial_timeout_s = 0.0;
   };
 
-  Runner();  ///< default Options
   explicit Runner(Options opt);
 
   int jobs() const { return jobs_; }

@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -108,14 +107,6 @@ void TaggedSink::emit(const TraceEvent& e) {
   TraceEvent tagged = e;
   tagged.tag(key_, value_);
   parent_->emit(tagged);
-}
-
-// ---- Environment wiring ----------------------------------------------------
-
-std::unique_ptr<TraceSink> sink_from_env() {
-  const char* path = std::getenv("DIMMER_TRACE");
-  if (!path || !*path) return nullptr;
-  return std::make_unique<JsonlFileSink>(path);
 }
 
 }  // namespace dimmer::obs

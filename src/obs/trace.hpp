@@ -138,10 +138,6 @@ class TaggedSink : public TraceSink {
   std::string key_, value_;
 };
 
-/// $DIMMER_TRACE=<path> -> a JsonlFileSink on that path; null when the
-/// variable is unset or empty.
-std::unique_ptr<TraceSink> sink_from_env();
-
 /// What instrumented components carry: an optional event sink and an
 /// optional metrics registry. Default-constructed = fully off; both
 /// pointers are borrowed (the owner must outlive the component's use).

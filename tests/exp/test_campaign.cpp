@@ -11,6 +11,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -50,19 +51,6 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-/// Sets an env var for one scope; restores "unset" on exit so kill-injection
-/// knobs can never leak into later tests.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
 /// Deterministic, cheap trial: a few RNG draws plus spec echoes — enough
 /// surface (metrics/stats/series/registry) to catch any round-trip drift.
 TrialResult cheap_trial(const TrialSpec& spec, Pcg32& rng) {
@@ -85,7 +73,7 @@ TrialResult cheap_trial(const TrialSpec& spec, Pcg32& rng) {
 }
 
 /// Same results as cheap_trial (wall_seconds aside), but slow enough that a
-/// supervisor armed with DIMMER_CAMPAIGN_ABORT_AFTER reliably dies *mid*
+/// supervisor armed with CampaignOptions::abort_after reliably dies *mid*
 /// campaign instead of after the workers already drained every trial.
 TrialResult slow_trial(const TrialSpec& spec, Pcg32& rng) {
   dimmer::util::sleep_seconds(0.03);
@@ -137,7 +125,6 @@ CampaignOptions fast_options(const std::string& dir, int shards) {
   opt.dir = dir;
   opt.shards = shards;
   opt.retry_backoff_s = 0.0;  // keep kill-storm tests quick
-  opt.trial_timeout_s = 0.0;
   return opt;
 }
 
@@ -157,32 +144,22 @@ TEST(Campaign, ShardOfIsRoundRobin) {
   EXPECT_THROW(dimmer::exp::shard_of(0, 0), dimmer::util::RequireError);
 }
 
-TEST(Campaign, TimeoutEnvIsStrictlyParsed) {
-  EXPECT_DOUBLE_EQ(dimmer::exp::trial_timeout_from_env(), 0.0);  // unset
-  {
-    ScopedEnv env("DIMMER_TRIAL_TIMEOUT_S", "2.5");
-    EXPECT_DOUBLE_EQ(dimmer::exp::trial_timeout_from_env(), 2.5);
+TEST(Campaign, RejectsNegativeTimeoutsAndHooks) {
+  // 0 is off for all three; a negative or NaN value is a caller's mistake,
+  // not a request to read anything from elsewhere.
+  const std::string dir = make_temp_dir();
+  for (double bad : {-1.0, std::nan("")}) {
+    CampaignOptions opt = fast_options(dir, 1);
+    opt.trial_timeout_s = bad;
+    EXPECT_THROW(Campaign{opt}, dimmer::util::RequireError) << bad;
   }
-  for (const char* bad : {"abc", "-1", "0", " 5", "5s", "inf"}) {
-    ScopedEnv env("DIMMER_TRIAL_TIMEOUT_S", bad);
-    EXPECT_THROW(dimmer::exp::trial_timeout_from_env(),
-                 dimmer::util::RequireError)
-        << bad;
-  }
-}
-
-TEST(Campaign, ShardsEnvIsStrictlyParsed) {
-  EXPECT_EQ(dimmer::exp::campaign_shards_from_env(), 1);  // unset
-  {
-    ScopedEnv env("DIMMER_CAMPAIGN_SHARDS", "8");
-    EXPECT_EQ(dimmer::exp::campaign_shards_from_env(), 8);
-  }
-  for (const char* bad : {"0", "-2", "1000", "two"}) {
-    ScopedEnv env("DIMMER_CAMPAIGN_SHARDS", bad);
-    EXPECT_THROW(dimmer::exp::campaign_shards_from_env(),
-                 dimmer::util::RequireError)
-        << bad;
-  }
+  CampaignOptions kill = fast_options(dir, 1);
+  kill.kill_after = -1;
+  EXPECT_THROW(Campaign{kill}, dimmer::util::RequireError);
+  CampaignOptions abort = fast_options(dir, 1);
+  abort.abort_after = -1;
+  EXPECT_THROW(Campaign{abort}, dimmer::util::RequireError);
+  EXPECT_NO_THROW(Campaign{fast_options(dir, 1)});
 }
 
 TEST(Campaign, MatchesRunnerForAnyShardCount) {
@@ -211,11 +188,9 @@ TEST(Campaign, WorkerKillStormStillMatchesAndJournalsAreByteStable) {
   // Every worker SIGKILLs itself after each journal record: the sweep limps
   // through on respawns, one trial per worker lifetime.
   const std::string storm_dir = make_temp_dir();
-  CampaignReport storm;
-  {
-    ScopedEnv env("DIMMER_CAMPAIGN_KILL_AFTER", "1");
-    storm = Campaign(fast_options(storm_dir, 2)).run(specs, cheap_trial);
-  }
+  CampaignOptions storm_opt = fast_options(storm_dir, 2);
+  storm_opt.kill_after = 1;
+  const CampaignReport storm = Campaign(storm_opt).run(specs, cheap_trial);
   EXPECT_GE(counter_of(storm, "campaign.worker_deaths"), specs.size() - 2);
   EXPECT_EQ(counter_of(storm, "campaign.trials_failed"), 0u);
   EXPECT_EQ(canon_all(storm.trials), canon_all(clean.trials));
@@ -236,15 +211,14 @@ TEST(CampaignDeathTest, SupervisorKilledMidRunResumesExactly) {
   const std::string dir = make_temp_dir();
   // Leg 1 (in the death-test child): the supervisor SIGKILLs itself once
   // three records exist across the journals — mid-campaign, workers live.
-  EXPECT_EXIT(
-      {
-        ::setenv("DIMMER_CAMPAIGN_ABORT_AFTER", "3", 1);
-        Campaign(fast_options(dir, 2)).run(specs, slow_trial);
-      },
-      ::testing::KilledBySignal(SIGKILL), "");
+  CampaignOptions aborting = fast_options(dir, 2);
+  aborting.abort_after = 3;
+  EXPECT_EXIT(Campaign(aborting).run(specs, slow_trial),
+              ::testing::KilledBySignal(SIGKILL), "");
 
-  // Leg 2: plain resume. Only the missing trials run; the replayed ones are
-  // parsed back from the journals.
+  // Leg 2: plain resume, without the hook (it is not in the checkpoint).
+  // Only the missing trials run; the replayed ones are parsed back from the
+  // journals.
   const CampaignReport resumed =
       Campaign(fast_options(dir, 2)).run(specs, slow_trial);
   EXPECT_TRUE(resumed.resumed);

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "bench/common.hpp"
 #include "exp/json.hpp"
 #include "util/check.hpp"
 #include "util/json_parse.hpp"
@@ -154,16 +155,20 @@ TEST(Json, MetricsSectionMergesTrialRegistries) {
 }
 
 TEST(Json, WriteJsonHonoursOutputDirEnv) {
-  ASSERT_EQ(setenv("DIMMER_BENCH_OUT", "/tmp", 1), 0);
-  EXPECT_EQ(output_path("unit"), "/tmp/BENCH_unit.json");
-  ASSERT_TRUE(write_json("unit", sample_trials()));
-  std::ifstream f("/tmp/BENCH_unit.json");
-  ASSERT_TRUE(f.good());
-  std::stringstream ss;
-  ss << f.rdbuf();
-  EXPECT_EQ(ss.str(), to_json("unit", sample_trials()));
-  std::remove("/tmp/BENCH_unit.json");
-  ASSERT_EQ(unsetenv("DIMMER_BENCH_OUT"), 0);
+  // A bench hands DIMMER_BENCH_OUT, as bench::parse_env read it, to
+  // write_json as JsonOptions::dir; with or without a trailing slash, the
+  // artifact lands in that directory.
+  const char* envp[] = {"DIMMER_BENCH_OUT=/tmp", nullptr};
+  const std::string dir = bench::parse_env(envp).out;
+  for (const std::string& d : {dir, dir + "/"}) {
+    ASSERT_TRUE(write_json("unit", sample_trials(), {.dir = d})) << d;
+    std::ifstream f("/tmp/BENCH_unit.json");
+    ASSERT_TRUE(f.good()) << d;
+    std::stringstream ss;
+    ss << f.rdbuf();
+    EXPECT_EQ(ss.str(), to_json("unit", sample_trials())) << d;
+    std::remove("/tmp/BENCH_unit.json");
+  }
 }
 
 TEST(Json, WriteJsonToUnwritableDirFailsGracefully) {
@@ -171,23 +176,13 @@ TEST(Json, WriteJsonToUnwritableDirFailsGracefully) {
   const std::string file = "/tmp/dimmer_json_not_a_dir";
   std::ofstream(file) << "x";
   for (const std::string& dir : {std::string("/tmp/no/such/dir"), file}) {
-    ASSERT_EQ(setenv("DIMMER_BENCH_OUT", dir.c_str(), 1), 0);
     // A bad output dir must not throw/abort: the sweep's results have
-    // already been printed by the time the artifact is written.
-    EXPECT_FALSE(write_json("unit", sample_trials())) << dir;
-    // A bench checks it before the sweep instead, naming the knob.
-    try {
-      require_output_dir();
-      ADD_FAILURE() << dir << " accepted";
-    } catch (const util::RequireError& e) {
-      EXPECT_NE(std::string(e.what()).find("DIMMER_BENCH_OUT"),
-                std::string::npos);
-    }
+    // already been printed by the time the artifact is written. (A bench
+    // checks DIMMER_BENCH_OUT before its sweep: bench::parse_env.)
+    EXPECT_FALSE(write_json("unit", sample_trials(), {.dir = dir})) << dir;
   }
   std::remove(file.c_str());
-  ASSERT_EQ(unsetenv("DIMMER_BENCH_OUT"), 0);
-  EXPECT_NO_THROW(require_output_dir());
-  EXPECT_TRUE(write_json("unit", sample_trials()));
+  EXPECT_TRUE(write_json("unit", sample_trials()));  // default dir "."
   std::remove("BENCH_unit.json");
 }
 

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
+#include <cmath>
 #include <thread>
 
 #include "exp/json.hpp"
@@ -114,29 +114,16 @@ TEST(Runner, CapturesTrialExceptions) {
   EXPECT_EQ(failed, 1);
 }
 
-TEST(Runner, JobsFromEnvParsesOverride) {
-  ASSERT_EQ(setenv("DIMMER_JOBS", "3", 1), 0);
-  EXPECT_EQ(jobs_from_env(), 3);
-  ASSERT_EQ(setenv("DIMMER_JOBS", "64", 1), 0);
-  EXPECT_EQ(jobs_from_env(), 64);
-  ASSERT_EQ(unsetenv("DIMMER_JOBS"), 0);
-  EXPECT_GE(jobs_from_env(), 1);  // hardware_concurrency fallback
-}
-
-TEST(Runner, JobsFromEnvRejectsMalformedValues) {
-  // Regression: the old std::atoi parse silently accepted trailing garbage
-  // ("8x" ran 8 jobs), read hex-looking values as their decimal prefix
-  // ("0x10" -> 0 -> silent hardware fallback), and was UB on out-of-range
-  // input. Every malformed override must now fail loudly instead of running
-  // a sweep at an unintended parallelism.
-  const char* bad[] = {"8x",      "0x10", "garbage", "",   " 8",
-                       "3.5",     "1e2",  "0",       "-2", "99999999999999999999"};
-  for (const char* v : bad) {
-    ASSERT_EQ(setenv("DIMMER_JOBS", v, 1), 0);
-    EXPECT_THROW((void)jobs_from_env(), util::RequireError)
-        << "DIMMER_JOBS=\"" << v << "\" must be rejected";
-  }
-  ASSERT_EQ(unsetenv("DIMMER_JOBS"), 0);
+TEST(Runner, ZeroJobsAndTimeoutAreDefaultsAndNegativesAreRejected) {
+  // jobs 0 is hardware concurrency and a timeout of 0 is off; neither
+  // option reads a value from anywhere else.
+  const Runner runner(Runner::Options{});
+  EXPECT_GE(runner.jobs(), 1);
+  EXPECT_EQ(runner.trial_timeout_s(), 0.0);
+  EXPECT_EQ(Runner({.jobs = 3}).jobs(), 3);
+  EXPECT_THROW(Runner({.jobs = -1}), util::RequireError);
+  for (double bad : {-1.0, std::nan("")})
+    EXPECT_THROW(Runner({.trial_timeout_s = bad}), util::RequireError) << bad;
 }
 
 TEST(Aggregation, MetricStatsGroupsByScenario) {

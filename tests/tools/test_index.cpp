@@ -337,7 +337,7 @@ TEST(LintTransitive, PureAnnotationSuppressesTwoHopChainVisibly) {
 // The library under src/ links nothing from bench/, examples/ or tools/, so
 // a call made in src/ resolves only to src/ definitions: a bench/ helper
 // that happens to share a name with the callee does not reach the hot
-// region, but a src/ one still does.
+// region or trip rng-discipline, but a src/ one still does.
 TEST(LintTransitive, SrcCallsResolveOnlyToSrcDefinitions) {
   const std::string engine =
       "void run_step(Reception& reception) {\n"
@@ -378,6 +378,30 @@ TEST(LintTransitive, SrcCallsResolveOnlyToSrcDefinitions) {
           << f.message;
       EXPECT_EQ(f.message.find("bench/"), std::string::npos) << f.message;
     }
+  }
+  // rng-discipline (b) resolves the same way: a protocol call into a bench/
+  // function that takes a Pcg32 finds no definition, so it cannot fire. A
+  // src/fault/ definition of the same function does.
+  const std::string proto =
+      "struct Pcg32;\n"
+      "void run_round(Pcg32& rng) { consume_noise(rng); }\n";
+  const std::string consumer =
+      "struct Pcg32;\n"
+      "double consume_noise(Pcg32& rng) { return 0.0; }\n";
+  {
+    CallGraph g = build_call_graph(
+        {index_source("src/flood/proto.cpp", proto),
+         index_source("bench/perf/probe.cpp", consumer)});
+    auto fs = dimmer::lint::scan_source("src/flood/proto.cpp", proto, &g);
+    EXPECT_EQ(lines_of(fs, "rng-discipline", false), (std::vector<int>{}));
+  }
+  {
+    CallGraph g = build_call_graph(
+        {index_source("src/flood/proto.cpp", proto),
+         index_source("bench/perf/probe.cpp", consumer),
+         index_source("src/fault/consumer.cpp", consumer)});
+    auto fs = dimmer::lint::scan_source("src/flood/proto.cpp", proto, &g);
+    EXPECT_EQ(lines_of(fs, "rng-discipline", false), (std::vector<int>{2}));
   }
 }
 

@@ -21,6 +21,7 @@
 
 #include "index.hpp"
 #include "lint.hpp"
+#include "scan.hpp"
 
 namespace fs = std::filesystem;
 using dimmer::lint::Finding;
@@ -391,6 +392,29 @@ TEST(LintRepo, EveryNolintMarkerSuppressesAFinding) {
     }
   }
   EXPECT_GT(markers, 0);
+}
+
+// The benches' DIMMER_* knobs have one reader, bench::parse_env: the
+// identifiers that read the process environment appear in code (comments
+// and string literals do not count) in bench/common.hpp and nowhere else in
+// src/, bench/, examples/ or tools/. The library takes every such value as
+// an explicit option.
+TEST(LintRepo, OnlyBenchCommonReadsTheEnvironment) {
+  const std::set<std::string> readers = {"getenv", "secure_getenv",
+                                         "environ"};
+  int in_common = 0;
+  for (const auto& f : repo_sources()) {
+    for (const auto& tok :
+         dimmer::lint::tokenize(dimmer::lint::split_channels(f.contents))) {
+      if (readers.count(tok.text) == 0) continue;
+      if (f.path == "bench/common.hpp")
+        ++in_common;
+      else
+        ADD_FAILURE() << f.path << ":" << tok.line << ": `" << tok.text
+                      << "` outside bench/common.hpp";
+    }
+  }
+  EXPECT_GT(in_common, 0);  // the reader itself is still found
 }
 
 // A seeded violation MUST make the gate fail — proves the CI job is not

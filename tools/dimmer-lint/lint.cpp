@@ -52,7 +52,7 @@ const std::vector<Rule>& rules() {
        "a bench silently diverges from what it reports"},
       {kRngDiscipline,
        "RNG fork without a hash_u64-keyed tag, or a protocol-module "
-       "(core/lwb/flood/rl) call into a fault/exp/bench function whose "
+       "(core/lwb/flood/rl) call into a fault/exp function whose "
        "signature takes util::Pcg32: consumer randomness must never perturb "
        "protocol lockstep"},
   };
@@ -324,8 +324,7 @@ Module module_of(const std::string& path) {
   };
   if (in("src/core/") || in("src/lwb/") || in("src/flood/") || in("src/rl/"))
     return Module::kProtocol;
-  if (in("src/fault/") || in("src/exp/") || in("bench/"))
-    return Module::kConsumer;
+  if (in("src/fault/") || in("src/exp/")) return Module::kConsumer;
   return Module::kOther;
 }
 
@@ -352,8 +351,8 @@ void rule_rng_discipline(const std::string& path, const std::vector<Tok>& toks,
   }
   // (b) Protocol modules must not hand RNG streams into consumer-module
   // signatures. Name-resolved against the call graph: a call in
-  // core/lwb/flood/rl to any indexed function defined under fault/, exp/ or
-  // bench/ that takes a util::Pcg32 parameter is flagged, conservatively.
+  // core/lwb/flood/rl to any indexed function defined under fault/ or exp/
+  // that takes a util::Pcg32 parameter is flagged, conservatively.
   if (graph == nullptr || module_of(path) != Module::kProtocol) return;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const std::string& t = toks[i].text;
@@ -371,7 +370,7 @@ void rule_rng_discipline(const std::string& path, const std::vector<Tok>& toks,
            "protocol-module RNG reference may flow into consumer signature: "
            "`" + graph->display(node) + "` (" + d.file + ":" +
                std::to_string(d.line) +
-               ") takes util::Pcg32; fault/exp/bench randomness must stay "
+               ") takes util::Pcg32; fault/exp randomness must stay "
                "out of protocol lockstep — pass a hash_u64-keyed fork the "
                "consumer owns instead",
            "", false});
