@@ -5,6 +5,7 @@
 //   ./examples/dcube_collection [--protocol dimmer|lwb|crystal]
 //                               [--wifi 0|1|2] [--minutes 10] [--seed 9]
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "baselines/crystal.hpp"
@@ -15,12 +16,13 @@
 #include "rl/quantized.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
-  using namespace dimmer;
-  util::Cli cli(argc, argv);
+using namespace dimmer;
+
+int example_main(const util::Cli& cli) {
   const std::string protocol = cli.get("protocol", "dimmer");
-  const int wifi = static_cast<int>(cli.get_int("wifi", 2));
-  const long minutes = cli.get_int("minutes", 10);
+  const int wifi = static_cast<int>(cli.get_int("wifi", 2, 0, 2));
+  const long minutes =
+      cli.get_int("minutes", 10, 1, std::numeric_limits<int>::max());
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 9));
 
   phy::Topology topo = phy::make_dcube48_topology();
@@ -76,4 +78,8 @@ int main(int argc, char** argv) {
             << "%), radio duty " << res.radio_duty * 100 << "%, mean N_TX "
             << res.avg_n_tx << '\n';
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, example_main);
 }

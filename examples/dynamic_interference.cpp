@@ -17,9 +17,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace dimmer;
-  util::Cli cli(argc, argv);
+using namespace dimmer;
+
+int example_main(const util::Cli& cli) {
   const std::string kind = cli.get("controller", "dqn");
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
 
@@ -75,4 +75,8 @@ int main(int argc, char** argv) {
             << ", radio-on " << util::Table::num(radio_all.mean())
             << " ms (paper: both ~99.3%; Dimmer 12.3 ms vs PID 14.4 ms)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, example_main);
 }

@@ -6,6 +6,7 @@
 //
 //   ./examples/forwarder_selection [--hours 5] [--seed 6]
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "core/protocol.hpp"
@@ -14,10 +15,12 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace dimmer;
-  util::Cli cli(argc, argv);
-  const long hours = cli.get_int("hours", 5);
+using namespace dimmer;
+
+int example_main(const util::Cli& cli) {
+  // 900 rounds of 4 s per hour, counted in an int.
+  const long hours =
+      cli.get_int("hours", 5, 1, std::numeric_limits<int>::max() / 900);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 6));
 
   phy::Topology topo = phy::make_office18_topology();
@@ -68,4 +71,8 @@ int main(int argc, char** argv) {
             << "(paper: 99.9% reliability; 9.55 ms with forwarder selection"
                " vs 11.04 ms without)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, example_main);
 }

@@ -7,6 +7,7 @@
 // This touches the main public surfaces: topology factories, interference
 // fields, DimmerNetwork with a StaticController, and the round metrics.
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "core/protocol.hpp"
@@ -16,10 +17,11 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace dimmer;
-  util::Cli cli(argc, argv);
-  const int rounds = static_cast<int>(cli.get_int("rounds", 100));
+using namespace dimmer;
+
+int example_main(const util::Cli& cli) {
+  const int rounds = static_cast<int>(
+      cli.get_int("rounds", 100, 1, std::numeric_limits<int>::max()));
   const double duty = cli.get_double("duty", 0.30);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
 
@@ -62,4 +64,8 @@ int main(int argc, char** argv) {
                " energy cost —\nthe trade-off Dimmer's DQN learns to navigate"
                " automatically.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, example_main);
 }

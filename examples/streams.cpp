@@ -4,6 +4,7 @@
 //
 //   ./examples/streams [--minutes 3] [--seed 4]
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "core/protocol.hpp"
@@ -15,10 +16,11 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace dimmer;
-  util::Cli cli(argc, argv);
-  const long minutes = cli.get_int("minutes", 3);
+using namespace dimmer;
+
+int example_main(const util::Cli& cli) {
+  const long minutes =
+      cli.get_int("minutes", 3, 1, std::numeric_limits<int>::max());
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 4));
 
   phy::Topology topo = phy::make_office18_topology();
@@ -74,4 +76,8 @@ int main(int argc, char** argv) {
             << "(node 9's slots go silent after its crash — the scheduler "
                "keeps serving the rest)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, example_main);
 }

@@ -9,6 +9,7 @@
 // topology/network, and aggregation happens in spec order after the worker
 // pool drains.
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,9 +25,9 @@
 
 using namespace dimmer;
 
-int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
-  const int jobs = static_cast<int>(cli.get_int("jobs", 0));
+int example_main(const util::Cli& cli) {
+  const int jobs = static_cast<int>(
+      cli.get_int("jobs", 0, 0, std::numeric_limits<int>::max()));
   const int n_tx_values[] = {1, 2, 3, 5, 8};
   const int seeds_per_setting = 4;
   const int rounds = 60;  // 4 minutes at 4 s rounds
@@ -97,4 +98,8 @@ int main(int argc, char** argv) {
   std::cout << "\n15% jamming: reliability climbs with N_TX while radio-on"
                " cost grows — the trade-off Dimmer's DQN navigates.\n";
   return exp::write_json("example_sweep", trials, {}, &std::cout) ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, example_main);
 }

@@ -7,6 +7,7 @@
 //                        [--train-steps 120000] [--seed 2021]
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "core/pretrained.hpp"
 #include "rl/export.hpp"
@@ -16,15 +17,15 @@
 #include "rl/quantized.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
-  using namespace dimmer;
-  util::Cli cli(argc, argv);
+using namespace dimmer;
 
+int example_main(const util::Cli& cli) {
+  constexpr long kMaxSteps = std::numeric_limits<int>::max();
   core::PretrainedOptions opt;
-  opt.trace_steps =
-      static_cast<std::size_t>(cli.get_int("trace-steps", 2500));
-  opt.train_steps =
-      static_cast<std::size_t>(cli.get_int("train-steps", 200000));
+  opt.trace_steps = static_cast<std::size_t>(
+      cli.get_int("trace-steps", 2500, 1, kMaxSteps));
+  opt.train_steps = static_cast<std::size_t>(
+      cli.get_int("train-steps", 200000, 1, kMaxSteps));
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2021));
   const std::string out = cli.get("out", "dimmer_dqn.mlp");
 
@@ -76,4 +77,8 @@ int main(int argc, char** argv) {
             << ", reliability " << ev.avg_reliability * 100 << "%, radio-on "
             << ev.avg_radio_on_ms << " ms, mean N_TX " << ev.avg_n_tx << '\n';
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, example_main);
 }

@@ -174,6 +174,7 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   ws.strongest_mw.assign(un, 0.0);
   ws.live.assign(words, 0);
   for (auto& set : ws.armed) set.assign(words, 0);
+  ws.slot_sources.resize(interf_.source_count());
   ws.active_sources.resize(interf_.source_count());
 
   out.nodes.assign(un, NodeFloodResult{});
@@ -203,6 +204,12 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   const bool observed = instr_.active();
   double exposure_sum = 0.0;
   std::uint64_t exposure_n = 0;
+
+  // The interference sources that can burst in this slot, selected at the
+  // flood's first listener over the span that holds every step window.
+  const sim::TimeUs slot_end_us = params.slot_start_us + steps * step_len;
+  bool selected = false;
+  std::size_t n_selected = 0;
 
   std::uint64_t* const live = ws.live.data();
   double* const total = ws.total_mw.data();
@@ -277,11 +284,13 @@ void GlossyFlood::run_into(phy::NodeId initiator,
       //     No listener reads another's state, so deciding in place changes
       //     nothing later in the step. Each listener's accumulators are
       //     reset as they are read, ready for the next scatter.
-      //     Interference: the step's first listener runs the one activity
-      //     pass (no listener, no activity() call, as with per-listener
-      //     sampling); every listener then sums its table row over the
-      //     active sources, bit-identical to InterferenceField::sample
-      //     (DESIGN.md §10, "Interference binding").
+      //     Interference: the flood's first listener selects the sources
+      //     that can burst in the slot, and the step's first listener runs
+      //     the one activity pass over that selection (no listener, no
+      //     activity() call, as with per-listener sampling); every listener
+      //     then sums its table row over the active sources, bit-identical
+      //     to InterferenceField::sample (DESIGN.md §10, "Interference
+      //     binding").
       bool scanned = false;
       std::size_t n_active = 0;
       double exposure = 0.0;
@@ -306,8 +315,15 @@ void GlossyFlood::run_into(phy::NodeId initiator,
           const double fade_db =
               fading_sigma > 0.0 ? rng.normal(0.0, fading_sigma) : 0.0;
           if (!scanned) {
-            n_active = interf_.scan(t0, t1, params.channel, ws.active_sources,
-                                    exposure);
+            if (!selected) {
+              n_selected = interf_.select(params.slot_start_us, slot_end_us,
+                                          params.channel, ws.slot_sources);
+              selected = true;
+            }
+            n_active = interf_.scan(
+                t0, t1, params.channel,
+                std::span(ws.slot_sources).first(n_selected),
+                ws.active_sources, exposure);
             scanned = true;
           }
           if (observed) {

@@ -24,8 +24,9 @@
 // packet, and those listeners; a view may also let the step loop skip
 // listeners no stored link reaches. Interference
 // goes through a phy::BoundInterference: source-to-node powers are
-// tabulated once per engine and source activity is evaluated once per
-// step, not once per listener. Without the skip, results are
+// tabulated once per engine, the sources that can burst in a slot are
+// selected once per flood, and their activity is evaluated once per step,
+// not once per listener. Without the skip, results are
 // bit-identical to the historical direct-Topology engine (asserted by
 // tests/flood/test_differential.cpp against a frozen reference copy).
 #pragma once

@@ -42,8 +42,11 @@ struct FloodWorkspace {
   /// armed[t & 1].
   std::vector<std::uint64_t> live;
   std::array<std::vector<std::uint64_t>, 2> armed;
-  /// Interference sources active in the current step, ascending (a prefix
-  /// written by phy::BoundInterference::scan; sized to the source count).
+  /// Interference sources that can burst in this flood's slot, ascending (a
+  /// prefix written once per flood by phy::BoundInterference::select), and
+  /// the subset of them active in the current step (a prefix written by
+  /// phy::BoundInterference::scan). Both are sized to the source count.
+  std::vector<std::size_t> slot_sources;
   std::vector<std::size_t> active_sources;
 
   /// Pre-sizes every buffer for an `n`-node topology under a field of
@@ -58,6 +61,7 @@ struct FloodWorkspace {
     strongest_mw.reserve(m);
     live.reserve(words);
     for (auto& set : armed) set.reserve(words);
+    slot_sources.reserve(sources);
     active_sources.reserve(sources);
   }
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -23,6 +24,11 @@ bool clip_window(sim::TimeUs& t0, sim::TimeUs& t1, sim::TimeUs start,
   t0 = std::max(t0, start);
   if (stop >= 0) t1 = std::min(t1, stop);
   return t1 > t0;
+}
+
+/// The scenario window clip_window() clips to, as a TimeWindow.
+TimeWindow scenario_window(sim::TimeUs start, sim::TimeUs stop) {
+  return {start, stop >= 0 ? stop : std::numeric_limits<sim::TimeUs>::max()};
 }
 
 /// The placement every source constructor checks: a NaN power or position
@@ -91,6 +97,10 @@ double BurstJammer::activity(sim::TimeUs t0, sim::TimeUs t1,
   return static_cast<double>(occupied) / static_cast<double>(len);
 }
 
+TimeWindow BurstJammer::active_window() const {
+  return scenario_window(cfg_.start_us, cfg_.stop_us);
+}
+
 // ---- WifiInterferer --------------------------------------------------------
 
 WifiInterferer::WifiInterferer(Config cfg) : cfg_(std::move(cfg)) {
@@ -138,6 +148,10 @@ double WifiInterferer::activity(sim::TimeUs t0, sim::TimeUs t1,
   for (std::int64_t frame = f0; frame <= f1; ++frame)
     occupied += frame_overlap(w0, w1, frame);
   return occupied / static_cast<double>(len);
+}
+
+TimeWindow WifiInterferer::active_window() const {
+  return scenario_window(cfg_.start_us, cfg_.stop_us);
 }
 
 // ---- AmbientInterferer -----------------------------------------------------
@@ -217,6 +231,9 @@ BoundInterference::BoundInterference(const InterferenceField& field,
   for (NodeId rx = 0; rx < topo.size(); ++rx)
     for (std::size_t s = 0; s < sources_; ++s)
       mw_.push_back(received_mw(field.source(s), rx, topo));
+  windows_.reserve(sources_);
+  for (std::size_t s = 0; s < sources_; ++s)
+    windows_.push_back(field.source(s).active_window());
 }
 
 void BoundInterference::require_unchanged() const {
@@ -224,13 +241,31 @@ void BoundInterference::require_unchanged() const {
                  "interference field changed after an engine bound it");
 }
 
+std::size_t BoundInterference::select(sim::TimeUs t0, sim::TimeUs t1,
+                                      Channel ch,
+                                      std::span<std::size_t> selected) const {
+  DIMMER_DEBUG_ASSERT(selected.size() >= sources_, "selection too short");
+  std::size_t count = 0;
+  for (std::size_t s = 0; s < sources_; ++s) {
+    // Contract 1: a window the span misses reads 0.0; contract 2: a source
+    // silent over the span is silent at each of its steps.
+    if (!windows_[s].meets(t0, t1)) continue;
+    if (field_->source(s).activity(t0, t1, ch) <= 0.0) continue;
+    selected[count++] = s;
+  }
+  return count;
+}
+
 std::size_t BoundInterference::scan(sim::TimeUs t0, sim::TimeUs t1,
-                                    Channel ch, std::span<std::size_t> active,
+                                    Channel ch,
+                                    std::span<const std::size_t> selected,
+                                    std::span<std::size_t> active,
                                     double& exposure) const {
-  DIMMER_DEBUG_ASSERT(active.size() >= sources_, "active list too short");
+  DIMMER_DEBUG_ASSERT(active.size() >= selected.size(),
+                      "active list too short");
   std::size_t count = 0;
   exposure = 0.0;
-  for (std::size_t s = 0; s < sources_; ++s) {
+  for (std::size_t s : selected) {
     const double act = field_->source(s).activity(t0, t1, ch);
     if (act <= 0.0) continue;
     active[count++] = s;

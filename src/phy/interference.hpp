@@ -5,6 +5,15 @@
 // the source occupies. Purity (no mutable state) lets the flood engine query
 // arbitrary time windows in any order while staying fully deterministic.
 //
+// Two further contracts let a flood skip the sources that cannot burst in
+// its slot (BoundInterference::select, DESIGN.md §10), and every source type
+// keeps both (tests/phy/test_interference.cpp checks them on random windows
+// over all 16 channels):
+//  1. activity() is 0.0 over any window that misses active_window().
+//  2. A source that is silent (activity() == 0.0) over a window is silent
+//     over every sub-window of it. All three types sum non-negative integer
+//     overlaps with bursts that are fixed in time, whatever the window.
+//
 // Three families mirror the paper's scenarios:
 //  - BurstJammer: JamLab-style periodic 13 ms bursts (controlled 802.15.4
 //    interference, §V-A), plus on/off scenario windows.
@@ -15,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -27,12 +37,28 @@
 
 namespace dimmer::phy {
 
+/// A half-open span of time [start_us, stop_us); by default the whole
+/// timeline.
+struct TimeWindow {
+  sim::TimeUs start_us = std::numeric_limits<sim::TimeUs>::min();
+  sim::TimeUs stop_us = std::numeric_limits<sim::TimeUs>::max();
+
+  /// True when the non-empty [t0,t1) shares a microsecond with the window.
+  bool meets(sim::TimeUs t0, sim::TimeUs t1) const {
+    return t0 < stop_us && start_us < t1;
+  }
+};
+
 class InterferenceSource {
  public:
   virtual ~InterferenceSource() = default;
 
   /// Fraction of [t0,t1) during which the source transmits on `ch`, in [0,1].
   virtual double activity(sim::TimeUs t0, sim::TimeUs t1, Channel ch) const = 0;
+
+  /// The span outside which activity() is 0.0 on every channel (contract 1
+  /// above): the whole timeline unless the source has a scenario window.
+  virtual TimeWindow active_window() const { return {}; }
 
   virtual Vec2 position() const = 0;
   virtual double tx_power_dbm() const = 0;
@@ -60,6 +86,8 @@ class BurstJammer : public InterferenceSource {
   explicit BurstJammer(Config cfg);
 
   double activity(sim::TimeUs t0, sim::TimeUs t1, Channel ch) const override;
+  /// [start_us, stop_us), open-ended when stop_us < 0.
+  TimeWindow active_window() const override;
   Vec2 position() const override { return cfg_.position; }
   double tx_power_dbm() const override { return cfg_.tx_power_dbm; }
   std::uint64_t shadow_tag() const override { return cfg_.tag; }
@@ -96,6 +124,8 @@ class WifiInterferer : public InterferenceSource {
   explicit WifiInterferer(Config cfg);
 
   double activity(sim::TimeUs t0, sim::TimeUs t1, Channel ch) const override;
+  /// [start_us, stop_us), open-ended when stop_us < 0.
+  TimeWindow active_window() const override;
   Vec2 position() const override { return cfg_.position; }
   double tx_power_dbm() const override { return cfg_.tx_power_dbm; }
   std::uint64_t shadow_tag() const override { return cfg_.tag; }
@@ -172,15 +202,21 @@ class InterferenceField {
 };
 
 /// An InterferenceField bound to one Topology: sample() split into a
-/// per-step and a per-listener half for the flood hot path (DESIGN.md §10).
+/// per-flood, a per-step and a per-listener part for the flood hot path
+/// (DESIGN.md §10, "Interference binding").
 ///
 /// Binding computes once the received power of every source at every node,
-/// node-major (n rows of S mW entries), with the expression sample() uses.
-/// scan() then runs one activity pass per step window, listing the active
-/// sources in ascending order with their max activity as the exposure, and
-/// power_mw() sums a listener's row over that list starting from 0.0. These
-/// are the adds sample() performs, in its order, so the pair is bit-identical
-/// to sample(t0, t1, ch, rx, topo); activity() is pure and does not depend on
+/// node-major (n rows of S mW entries), with the expression sample() uses,
+/// and copies each source's active_window(). Once per flood, select() keeps
+/// the sources whose window meets the flood's step span and whose
+/// activity() over that span is above 0, in ascending id order. By the two
+/// source contracts every other source reads 0.0 at every step of the flood,
+/// and sample() skips a 0.0. scan() then runs one activity pass per step
+/// window over that selection, listing the active sources in ascending order
+/// with their max activity as the exposure, and power_mw() sums a listener's
+/// row over that list starting from 0.0. These are the adds sample()
+/// performs, in its order, so the three are bit-identical to
+/// sample(t0, t1, ch, rx, topo); activity() is pure and does not depend on
 /// the listener, so one pass serves every listener of the step.
 ///
 /// The table is a snapshot: the field must not gain or lose sources while
@@ -196,11 +232,20 @@ class BoundInterference {
   /// binding.
   void require_unchanged() const;
 
-  /// One activity pass over [t0,t1) on `ch`: writes the ids of the active
-  /// sources to the front of `active` in ascending order and returns how
-  /// many there are; `exposure` receives their max activity (0 if none).
-  /// `active` must hold source_count() ids.
+  /// Once per flood, over its whole step span [t0,t1) on `ch`: writes the
+  /// ids of the sources that can be active in the span to the front of
+  /// `selected` in ascending order and returns how many there are.
+  /// `selected` must hold source_count() ids.
+  std::size_t select(sim::TimeUs t0, sim::TimeUs t1, Channel ch,
+                     std::span<std::size_t> selected) const;
+
+  /// One activity pass over [t0,t1) on `ch` across `selected`, the prefix
+  /// select() wrote for a span that contains [t0,t1) on the same channel:
+  /// writes the ids of the active sources to the front of `active` in
+  /// ascending order and returns how many there are; `exposure` receives
+  /// their max activity (0 if none). `active` must hold selected.size() ids.
   std::size_t scan(sim::TimeUs t0, sim::TimeUs t1, Channel ch,
+                   std::span<const std::size_t> selected,
                    std::span<std::size_t> active, double& exposure) const;
 
   /// Summed received power at `rx` from the sources in `active` (a prefix
@@ -218,7 +263,8 @@ class BoundInterference {
  private:
   const InterferenceField* field_;
   std::size_t sources_;
-  std::vector<double> mw_;  ///< mw_[rx * sources_ + s]
+  std::vector<double> mw_;           ///< mw_[rx * sources_ + s]
+  std::vector<TimeWindow> windows_;  ///< windows_[s]: active_window()
 };
 
 /// D-Cube style controlled WiFi interference profiles (§V-E): level 1 is

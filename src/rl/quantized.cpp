@@ -35,7 +35,7 @@ std::vector<std::int32_t> QuantizedMlp::forward_fixed(
   for (const auto& l : layers_) {
     next.assign(static_cast<std::size_t>(l.out), 0);
     for (int o = 0; o < l.out; ++o) {
-      // 32-bit accumulator at scale^2; bias pre-scaled to match.
+      // 64-bit accumulator at scale^2; bias pre-scaled to match.
       std::int64_t acc = static_cast<std::int64_t>(
                              l.b[static_cast<std::size_t>(o)]) *
                          scale_;

@@ -1,11 +1,15 @@
 // The embedded DQN inference engine (paper §IV-B "Embedded DQN").
 //
 // Weights are quantized to 16-bit fixed-point integers with a decimal scale
-// of 100 ("two floating digits"), and all intermediate computation uses
-// 32-bit accumulators — exactly the arithmetic an FPU-less 16-bit MCU (the
-// TelosB's MSP430) would run. The paper reports 2.1 kB of flash for weights
-// and 400 B of RAM for intermediaries; flash_bytes()/ram_bytes() let tests
-// and benches check our budget against those numbers.
+// of 100 ("two floating digits"), activations are stored as 32-bit integers,
+// and each neuron's products accumulate in a 64-bit integer, so no weight
+// set can overflow the sum. The deployed policy's worst-case sums fit in 32
+// bits (test_quantized.cpp bounds the committed weights), so the integer-only
+// arithmetic of an FPU-less 16-bit MCU (the TelosB's MSP430) with 32-bit
+// accumulators, as in the C header rl/export.cpp writes, gives the same
+// Q-values. The paper reports 2.1 kB of flash
+// for weights and 400 B of RAM for intermediaries; flash_bytes()/ram_bytes()
+// let tests and benches check our budget against those numbers.
 #pragma once
 
 #include <cstdint>

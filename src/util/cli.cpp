@@ -4,6 +4,8 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <exception>
+#include <iostream>
 
 #include "util/check.hpp"
 
@@ -72,6 +74,14 @@ long Cli::get_int(const std::string& key, long fallback) const {
   throw RequireError("flag --" + key + " is not an integer: " + it->second);
 }
 
+long Cli::get_int(const std::string& key, long fallback, long lo,
+                  long hi) const {
+  const long v = get_int(key, fallback);
+  if (v >= lo && v <= hi) return v;
+  throw RequireError("flag --" + key + " out of [" + std::to_string(lo) +
+                     ", " + std::to_string(hi) + "]: " + std::to_string(v));
+}
+
 double Cli::get_double(const std::string& key, double fallback) const {
   auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
@@ -88,6 +98,15 @@ bool Cli::get_bool(const std::string& key, bool fallback) const {
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   throw RequireError("flag --" + key + " is not a boolean: " + v);
+}
+
+int run_main(int argc, const char* const* argv, int (*body)(const Cli&)) {
+  try {
+    return body(Cli(argc, argv));
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }
 
 }  // namespace dimmer::util

@@ -28,6 +28,9 @@ class Cli {
   /// Numeric flags parse strictly (parse_long / parse_double) and throw
   /// RequireError on malformed values; get_double also rejects inf and NaN.
   long get_int(const std::string& key, long fallback) const;
+  /// get_int, and throws RequireError unless the value lies in [lo, hi]:
+  /// a count flag's range, so no out-of-range value reaches a cast.
+  long get_int(const std::string& key, long fallback, long lo, long hi) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
@@ -40,5 +43,13 @@ class Cli {
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };
+
+/// An example's exit status: `body(Cli(argc, argv))`'s, or 2 when the
+/// arguments do not parse or an exception escapes the body. The exception
+/// (a malformed flag's RequireError, say) is printed as `error: <what>` on
+/// stderr instead of aborting through std::terminate, as bench::run_main
+/// does for the benches. Every example's main is
+/// `return util::run_main(argc, argv, example_main);`.
+int run_main(int argc, const char* const* argv, int (*body)(const Cli&));
 
 }  // namespace dimmer::util

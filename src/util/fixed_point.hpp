@@ -1,6 +1,7 @@
 // Fixed-point arithmetic matching the paper's embedded DQN (§IV-B):
 // weights are stored as 16-bit integers with a decimal scale of 100 (two
-// fractional digits), and intermediate results use 32-bit accumulators.
+// fractional digits); rl::QuantizedMlp keeps 32-bit activations and sums
+// each neuron in a 64-bit accumulator.
 #pragma once
 
 #include <cstdint>

@@ -86,18 +86,30 @@ TEST(Json, CheckedInExpectationsAreValidJson) {
 }
 
 // perf/trajectory.jsonl holds one JSON object per perf-affecting change,
-// one per line.
+// one per line. Only the last line may have a null "commit": a change
+// cannot name its own commit, and the next one fills it in.
 TEST(Json, PerfTrajectoryLinesAreValidJson) {
   std::ifstream in(DIMMER_TRAJECTORY_FILE);
   ASSERT_TRUE(in) << DIMMER_TRAJECTORY_FILE;
   std::string line;
   int n = 0;
+  int last_null_commit = 0;
   while (std::getline(in, line)) {
     ++n;
+    EXPECT_EQ(last_null_commit, 0)
+        << "line " << last_null_commit << " has a null commit but is not last";
     util::json::Value doc;
     ASSERT_NO_THROW(doc = util::json::parse(line)) << "line " << n;
     EXPECT_NE(doc.find("pr"), nullptr) << "line " << n;
     EXPECT_NE(doc.find("medians"), nullptr) << "line " << n;
+    const util::json::Value* commit = doc.find("commit");
+    ASSERT_NE(commit, nullptr) << "line " << n;
+    using Kind = util::json::Value::Kind;
+    if (commit->kind() == Kind::kNull) {
+      last_null_commit = n;
+    } else {
+      EXPECT_EQ(commit->kind(), Kind::kString) << "line " << n;
+    }
   }
   EXPECT_GT(n, 0);
 }

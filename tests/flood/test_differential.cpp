@@ -23,8 +23,11 @@
 // per-step activity pass (phy::BoundInterference) against the reference's
 // per-listener InterferenceField::sample: static jamming, office ambient,
 // D-Cube WiFi levels 1 and 2 on two channels (different AP subsets active),
-// a training schedule (dozens of windowed jammers, many silent steps) and a
-// restricted() cell under its parent's WiFi APs.
+// a training schedule (dozens of windowed jammers, many silent steps), the
+// dynamic timeline with slots that cross its phase edges (a jammer's window
+// opens or closes inside the slot, so the per-flood source selection keeps
+// a source that is silent at some of its steps) and a restricted() cell
+// under its parent's WiFi APs.
 //
 // A long-run case pushes 200 consecutive floods per input through each
 // engine with one workspace, result and RNG: office18 and dcube48 clean and
@@ -205,6 +208,38 @@ Case training_case() {
   return c;
 }
 
+/// office18 under Fig. 4's timeline from 10 h: the office ambient (sources
+/// 0-2, work hours) and the dynamic jamming phases (sources 3-6: 30% from 7
+/// to 12 min, 5% from 17 to 22 min). Slots start before each phase edge
+/// and cross it; at the 7 and 12 min edges a burst is in progress, so the
+/// scenario window cuts it inside the slot.
+constexpr sim::TimeUs kDynamicOrigin = sim::hours(10);
+constexpr int kDynamicEdgeMinutes[] = {7, 12, 17, 22};
+constexpr sim::TimeUs kDynamicEdgeOffsets[] = {-19'000, -12'345, -5'000, -156};
+
+/// Short slots of 2-4 steps whose last step alone straddles the 7 min edge:
+/// the 30% jammer can burst in that step only, so a per-flood source
+/// selection over less than the whole slot would miss it.
+constexpr int kShortSlotSteps[] = {2, 3, 4};
+constexpr std::uint64_t kShortSlotSeeds[] = {4, 404, 4040, 40404};
+
+FloodParams last_step_edge_params(const phy::Topology& topo, int slot_steps) {
+  FloodParams p;
+  const sim::TimeUs step = GlossyFlood::step_len_us(p, topo.radio());
+  p.slot_len_us = slot_steps * step;
+  p.slot_start_us =
+      kDynamicOrigin + sim::minutes(7) - (slot_steps - 1) * step - 100;
+  return p;
+}
+
+Case dynamic_jamming_case() {
+  Case c{phy::make_office18_topology(), phy::InterferenceField{}};
+  core::add_office_ambient(c.field, c.topo);
+  core::add_dynamic_jamming(c.field, c.topo, phy::kControlChannel,
+                            kDynamicOrigin);
+  return c;
+}
+
 Case make_case(const std::string& name, double jam_duty) {
   Case c{topo_for(name), phy::InterferenceField{}};
   if (jam_duty > 0.0 &&
@@ -321,6 +356,50 @@ TEST(FloodDifferential, InterferenceInputsCoverTheirClaims) {
                              phy::kControlChannel)
                   .empty();
   EXPECT_GT(silent, 0);
+  // A dynamic-timeline slot starting 5 ms before the 7 min edge has no
+  // jammer active at its first step and one at its fifth, the first step
+  // after the edge.
+  Case d = dynamic_jamming_case();
+  ASSERT_EQ(d.field.size(), 7u);
+  const FloodParams p;
+  const sim::TimeUs step = GlossyFlood::step_len_us(p, d.topo.radio());
+  const sim::TimeUs airtime = step - p.processing_us;
+  const sim::TimeUs slot = kDynamicOrigin + sim::minutes(7) - 5'000;
+  auto jammers_at = [&](int t) {
+    int n = 0;
+    for (std::size_t s : active_sources(d.field, slot + t * step,
+                                        slot + t * step + airtime, p.channel))
+      n += s >= 3;
+    return n;
+  };
+  EXPECT_EQ(jammers_at(0), 0);
+  EXPECT_GT(jammers_at(4), 0);
+  // In the short slots a jammer is active at the last step only, and some
+  // of their floods decide a listener there (it first receives at that
+  // step).
+  const int n = d.topo.size();
+  int last_step_rx = 0;
+  for (int slot_steps : kShortSlotSteps) {
+    const FloodParams sp = last_step_edge_params(d.topo, slot_steps);
+    const sim::TimeUs last = sp.slot_start_us + (slot_steps - 1) * step;
+    int jammed_steps = 0;
+    for (int t = 0; t < slot_steps; ++t) {
+      const sim::TimeUs t0 = sp.slot_start_us + t * step;
+      for (std::size_t s : active_sources(d.field, t0, t0 + airtime, sp.channel))
+        jammed_steps += s >= 3;
+    }
+    EXPECT_EQ(jammed_steps, 1) << slot_steps << " steps";
+    EXPECT_FALSE(active_sources(d.field, last, last + airtime, sp.channel)
+                     .empty());
+    for (std::uint64_t seed : kShortSlotSeeds) {
+      util::Pcg32 rng(seed);
+      const FloodResult r = reference::run(d.topo, d.field, (7 + 5) % n,
+                                           uniform_configs(n, 3), sp, rng);
+      for (const NodeFloodResult& node : r.nodes)
+        last_step_rx += node.first_rx_step == slot_steps - 1;
+    }
+  }
+  EXPECT_GT(last_step_rx, 0);
 }
 
 TEST(FloodDifferential, DcubeWifiLevelsOnTwoChannels) {
@@ -465,6 +544,31 @@ TEST(FloodDifferential, TrainingScheduleWindowedJammers) {
       run_differential(c, uniform_configs(n, 3),
                        static_cast<phy::NodeId>(at / sim::minutes(7)) % n, p,
                        seed);
+    }
+  }
+}
+
+TEST(FloodDifferential, DynamicJammingSlotsCrossPhaseEdges) {
+  Case c = dynamic_jamming_case();
+  const int n = c.topo.size();
+  for (int minute : kDynamicEdgeMinutes) {
+    for (sim::TimeUs offset : kDynamicEdgeOffsets) {
+      for (std::uint64_t seed : {4ULL, 404ULL}) {
+        SCOPED_TRACE("edge " + std::to_string(minute) + " min, offset " +
+                     std::to_string(offset) + " us, seed " +
+                     std::to_string(seed));
+        FloodParams p;
+        p.slot_start_us = kDynamicOrigin + sim::minutes(minute) + offset;
+        run_differential(c, uniform_configs(n, 3), (minute + 5) % n, p, seed);
+      }
+    }
+  }
+  for (int slot_steps : kShortSlotSteps) {
+    for (std::uint64_t seed : kShortSlotSeeds) {
+      SCOPED_TRACE(std::to_string(slot_steps) + "-step slot, seed " +
+                   std::to_string(seed));
+      run_differential(c, uniform_configs(n, 3), (7 + 5) % n,
+                       last_step_edge_params(c.topo, slot_steps), seed);
     }
   }
 }

@@ -143,6 +143,37 @@ TEST(FloodWorkspaceAlloc, ManySourcesRunIntoIsAllocationFreeAfterWarmup) {
   EXPECT_TRUE(result.nodes.size() == 48u);
 }
 
+TEST(FloodWorkspaceAlloc, TrainingFieldRunIntoIsAllocationFreeAfterWarmup) {
+  // Trace collection's field: a ten-hour training schedule of 150+ sources.
+  // Each flood selects the few that can burst in its slot into workspace
+  // capacity sized at flood entry.
+  phy::Topology topo = phy::make_office18_topology();
+  phy::InterferenceField field;
+  core::add_training_schedule(field, topo, sim::hours(10), 0x5C4EDULL);
+  ASSERT_GE(field.size(), 150u);
+  GlossyFlood engine(topo, field);
+  std::vector<NodeFloodConfig> cfgs(18, NodeFloodConfig{3, true});
+
+  FloodWorkspace ws;
+  FloodResult result;
+  util::Pcg32 rng(19);
+
+  FloodParams params;
+  params.slot_start_us = sim::hours(9) + sim::minutes(30);
+  engine.run_into(0, cfgs, params, rng, ws, result);
+
+  const long before = g_allocs.load(std::memory_order_relaxed);
+  for (int k = 0; k < 50; ++k) {
+    params.slot_start_us = sim::hours(9) + sim::minutes(30) + k * sim::ms(4'025);
+    engine.run_into(k % 18, cfgs, params, rng, ws, result);
+  }
+  const long after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0)
+      << "steady-state floods under the training field must not allocate "
+         "(got " << (after - before) << " allocations over 50 floods)";
+  EXPECT_TRUE(result.nodes.size() == 18u);
+}
+
 TEST(FloodWorkspaceAlloc, RoundExecutorSteadyStateIsAllocationFree) {
   phy::Topology topo = phy::make_office18_topology();
   phy::InterferenceField field;

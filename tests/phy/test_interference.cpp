@@ -246,50 +246,232 @@ TEST(DCubeProfiles, InvalidLevelThrows) {
   EXPECT_THROW(add_dcube_wifi_level(f, t, 3), util::RequireError);
 }
 
-// ---- BoundInterference -----------------------------------------------------
+// ---- Source contracts (interference.hpp) -----------------------------------
 
-/// How many (window, channel) pairs had any active source, and how many had
-/// none: a sweep is only a test of the table if it hits both.
-struct SweepCounts {
-  int active = 0;
+/// How many (window, channel) pairs of a contract sweep missed the source's
+/// active_window(), read silent and read active: a sweep tests a contract
+/// only if it hits the case the contract is about.
+struct ContractCounts {
+  int missed = 0;
   int silent = 0;
+  int active = 0;
 };
 
-/// Asserts that scan() + power_mw() equal sample() bit for bit at every
-/// node, on channels 11-26, over step-sized windows: 64 at a sub-frame
-/// stride from `origin` and 64 spread across [origin, origin + horizon).
-SweepCounts expect_binding_matches_sample(const InterferenceField& field,
-                                          const Topology& topo,
-                                          sim::TimeUs origin,
-                                          sim::TimeUs horizon) {
-  SweepCounts counts;
-  const BoundInterference bound(field, topo);
-  EXPECT_EQ(bound.source_count(), field.size());
-  std::vector<std::size_t> active(field.size());
-  const sim::TimeUs airtime = 1376;  // a 30 B payload frame
-  std::vector<sim::TimeUs> starts;
-  for (int k = 0; k < 64; ++k) starts.push_back(origin + k * 3301);
-  for (int k = 0; k < 64; ++k) starts.push_back(origin + k * (horizon / 64) + 997);
-  for (sim::TimeUs t0 : starts) {
+/// Checks both source contracts of interference.hpp on 300 seeded random
+/// windows of 1 us to 60 ms within 80 ms of one of `anchors` (scenario edges,
+/// burst phases, day/night edges), on all 16 channels:
+///  1. a window that misses active_window() reads 0.0;
+///  2. a window that reads 0.0 reads 0.0 over every sub-window: eight random
+///     ones and the step windows of a flood over it (30 B frames, 25 us
+///     processing).
+ContractCounts expect_source_contracts(const InterferenceSource& src,
+                                       std::span<const sim::TimeUs> anchors,
+                                       std::uint64_t seed) {
+  ContractCounts counts;
+  util::Pcg32 rng(seed);
+  const TimeWindow window = src.active_window();
+  const sim::TimeUs airtime = 1376, step = airtime + 25;
+  const int last_anchor = static_cast<int>(anchors.size()) - 1;
+  for (int i = 0; i < 300; ++i) {
+    const sim::TimeUs anchor = anchors[rng.uniform_int(0, last_anchor)];
+    const sim::TimeUs t0 = anchor + rng.uniform_int(-80'000, 80'000);
+    const sim::TimeUs t1 = t0 + rng.uniform_int(1, 60'000);
     for (Channel ch = kFirstChannel; ch <= kLastChannel; ++ch) {
-      double exposure = -1.0;
-      const std::size_t k = bound.scan(t0, t0 + airtime, ch, active, exposure);
-      (k > 0 ? counts.active : counts.silent) += 1;
-      for (NodeId rx = 0; rx < topo.size(); ++rx) {
-        const InterferenceSample want =
-            field.sample(t0, t0 + airtime, ch, rx, topo);
-        const double got = bound.power_mw(rx, std::span(active).first(k));
-        if (got != want.power_mw || exposure != want.exposure) {
-          ADD_FAILURE() << "t0 " << t0 << " ch " << int{ch} << " rx " << rx
-                        << ": power " << got << " vs " << want.power_mw
-                        << ", exposure " << exposure << " vs "
-                        << want.exposure;
+      const double act = src.activity(t0, t1, ch);
+      if (!window.meets(t0, t1)) {
+        ++counts.missed;
+        if (act != 0.0) {
+          ADD_FAILURE() << "contract 1: [" << t0 << ", " << t1 << ") ch "
+                        << int{ch} << " misses the active window but reads "
+                        << act;
+          return counts;
+        }
+      }
+      if (act > 0.0) {
+        ++counts.active;
+        continue;
+      }
+      ++counts.silent;
+      std::vector<std::pair<sim::TimeUs, sim::TimeUs>> subs;
+      for (int k = 0; k < 8; ++k) {
+        const sim::TimeUs a =
+            t0 + rng.uniform_int(0, static_cast<int>(t1 - t0 - 1));
+        subs.emplace_back(a, a + rng.uniform_int(1, static_cast<int>(t1 - a)));
+      }
+      for (sim::TimeUs a = t0; a + airtime <= t1; a += step)
+        subs.emplace_back(a, a + airtime);
+      for (const auto& [a, b] : subs) {
+        if (src.activity(a, b, ch) != 0.0) {
+          ADD_FAILURE() << "contract 2: [" << t0 << ", " << t1 << ") ch "
+                        << int{ch} << " is silent but its sub-window [" << a
+                        << ", " << b << ") reads " << src.activity(a, b, ch);
           return counts;
         }
       }
     }
   }
   return counts;
+}
+
+TEST(SourceContracts, BurstJammerWindowedAndOpenEnded) {
+  auto cfg = basic_jammer();
+  cfg.channels = {15, 26};
+  cfg.period_us = sim::ms(37);
+  cfg.phase_us = sim::ms(5);
+  cfg.start_us = sim::seconds(10) + 123;
+  cfg.stop_us = sim::seconds(20) - 77;
+  const BurstJammer windowed(cfg);
+  EXPECT_EQ(windowed.active_window().start_us, cfg.start_us);
+  EXPECT_EQ(windowed.active_window().stop_us, cfg.stop_us);
+  // Both scenario edges, and burst edges inside and near them.
+  const sim::TimeUs edges[] = {cfg.start_us,         cfg.stop_us,
+                               sim::seconds(15),     sim::ms(15'005),
+                               sim::ms(15'005 + 13), sim::seconds(10) - sim::ms(60)};
+  ContractCounts c = expect_source_contracts(windowed, edges, 1);
+  EXPECT_GT(c.missed, 0);
+  EXPECT_GT(c.silent, 0);
+  EXPECT_GT(c.active, 0);
+
+  cfg.stop_us = -1;  // never stops: the window is open-ended
+  const BurstJammer open(cfg);
+  EXPECT_EQ(open.active_window().start_us, cfg.start_us);
+  EXPECT_EQ(open.active_window().stop_us,
+            std::numeric_limits<sim::TimeUs>::max());
+  c = expect_source_contracts(open, edges, 2);
+  EXPECT_GT(c.missed, 0);
+  EXPECT_GT(c.silent, 0);
+  EXPECT_GT(c.active, 0);
+}
+
+TEST(SourceContracts, WifiInterfererWindowedAndOpen) {
+  WifiInterferer::Config cfg;
+  cfg.wifi_channel = 8;  // 802.15.4 channels 16-19; the rest read 0.0
+  cfg.duty = 0.35;
+  cfg.start_us = sim::seconds(3) + 41;
+  cfg.stop_us = sim::seconds(9) + 7'001;
+  const WifiInterferer windowed(cfg);
+  EXPECT_EQ(windowed.active_window().start_us, cfg.start_us);
+  EXPECT_EQ(windowed.active_window().stop_us, cfg.stop_us);
+  const sim::TimeUs edges[] = {cfg.start_us, cfg.stop_us, sim::seconds(6),
+                               sim::seconds(6) + sim::ms(40)};
+  ContractCounts c = expect_source_contracts(windowed, edges, 3);
+  EXPECT_GT(c.missed, 0);
+  EXPECT_GT(c.silent, 0);
+  EXPECT_GT(c.active, 0);
+
+  cfg.start_us = 0;
+  cfg.stop_us = -1;
+  const WifiInterferer open(cfg);
+  EXPECT_EQ(open.active_window().stop_us,
+            std::numeric_limits<sim::TimeUs>::max());
+  c = expect_source_contracts(open, edges, 4);
+  EXPECT_GT(c.silent, 0);
+  EXPECT_GT(c.active, 0);
+}
+
+TEST(SourceContracts, AmbientAcrossTheDayNightEdges) {
+  AmbientInterferer::Config cfg;
+  cfg.seed = 21;
+  const AmbientInterferer ambient(cfg);
+  // No scenario window: the whole timeline.
+  EXPECT_EQ(ambient.active_window().start_us,
+            std::numeric_limits<sim::TimeUs>::min());
+  EXPECT_EQ(ambient.active_window().stop_us,
+            std::numeric_limits<sim::TimeUs>::max());
+  // The 08:00 and 19:00 edges on two days, work hours and night.
+  const sim::TimeUs edges[] = {sim::hours(8),  sim::hours(19),
+                               sim::hours(32), sim::hours(43),
+                               sim::hours(12), sim::hours(2)};
+  const ContractCounts c = expect_source_contracts(ambient, edges, 5);
+  EXPECT_EQ(c.missed, 0);
+  EXPECT_GT(c.silent, 0);
+  EXPECT_GT(c.active, 0);
+}
+
+// ---- BoundInterference -----------------------------------------------------
+
+/// What a binding sweep saw: (step, channel) pairs with and without an
+/// active source, and the sources select() dropped from a slot because
+/// their window missed it or because they were silent over it. A sweep is
+/// only a test of the binding if it hits each case it claims.
+struct SweepCounts {
+  int active = 0;
+  int silent = 0;
+  int window_pruned = 0;
+  int silent_pruned = 0;
+};
+
+/// Asserts, for a flood slot of 14 steps (30 B frames, 25 us processing:
+/// 19.6 ms) at each of `slot_starts` on channels 11-26, that select()
+/// keeps exactly the sources whose window meets the slot and whose
+/// activity over it is above 0, in ascending order, and that scan() over
+/// that selection plus power_mw() equal sample() bit for bit at every node
+/// and every step.
+SweepCounts expect_slots_match_sample(const InterferenceField& field,
+                                      const Topology& topo,
+                                      std::span<const sim::TimeUs> slot_starts) {
+  SweepCounts counts;
+  const BoundInterference bound(field, topo);
+  EXPECT_EQ(bound.source_count(), field.size());
+  std::vector<std::size_t> selected(field.size()), active(field.size());
+  const sim::TimeUs airtime = 1376, step = airtime + 25;
+  const int steps = 14;
+  for (sim::TimeUs slot : slot_starts) {
+    const sim::TimeUs slot_end = slot + steps * step;
+    for (Channel ch = kFirstChannel; ch <= kLastChannel; ++ch) {
+      const std::size_t n =
+          bound.select(slot, slot_end, ch, std::span(selected));
+      std::vector<std::size_t> want_selected;
+      for (std::size_t s = 0; s < field.size(); ++s) {
+        const InterferenceSource& src = field.source(s);
+        if (!src.active_window().meets(slot, slot_end))
+          ++counts.window_pruned;
+        else if (src.activity(slot, slot_end, ch) <= 0.0)
+          ++counts.silent_pruned;
+        else
+          want_selected.push_back(s);
+      }
+      if (std::vector(selected.begin(), selected.begin() + n) !=
+          want_selected) {
+        ADD_FAILURE() << "slot " << slot << " ch " << int{ch} << ": selected "
+                      << n << " sources, want " << want_selected.size();
+        return counts;
+      }
+      for (int t = 0; t < steps; ++t) {
+        const sim::TimeUs t0 = slot + t * step;
+        double exposure = -1.0;
+        const std::size_t k =
+            bound.scan(t0, t0 + airtime, ch, std::span(selected).first(n),
+                       std::span(active), exposure);
+        (k > 0 ? counts.active : counts.silent) += 1;
+        for (NodeId rx = 0; rx < topo.size(); ++rx) {
+          const InterferenceSample want =
+              field.sample(t0, t0 + airtime, ch, rx, topo);
+          const double got = bound.power_mw(rx, std::span(active).first(k));
+          if (got != want.power_mw || exposure != want.exposure) {
+            ADD_FAILURE() << "t0 " << t0 << " ch " << int{ch} << " rx " << rx
+                          << ": power " << got << " vs " << want.power_mw
+                          << ", exposure " << exposure << " vs "
+                          << want.exposure;
+            return counts;
+          }
+        }
+      }
+    }
+  }
+  return counts;
+}
+
+/// expect_slots_match_sample over 64 slots at a sub-frame stride from
+/// `origin` and 64 spread across [origin, origin + horizon).
+SweepCounts expect_binding_matches_sample(const InterferenceField& field,
+                                          const Topology& topo,
+                                          sim::TimeUs origin,
+                                          sim::TimeUs horizon) {
+  std::vector<sim::TimeUs> starts;
+  for (int k = 0; k < 64; ++k) starts.push_back(origin + k * 3301);
+  for (int k = 0; k < 64; ++k) starts.push_back(origin + k * (horizon / 64) + 997);
+  return expect_slots_match_sample(field, topo, starts);
 }
 
 TEST(BoundInterference, MatchesSampleForBurstJammers) {
@@ -362,13 +544,63 @@ TEST(BoundInterference, MatchesSampleOnRestrictedTopology) {
   EXPECT_GT(c.active, 0);
 }
 
+TEST(BoundInterference, MatchesSampleOnTheTrainingField) {
+  // Trace collection's field: a ten-hour training schedule of which a
+  // collection at 9-11 h sees a handful of sources in any slot.
+  Topology t = make_office18_topology();
+  InterferenceField f;
+  core::add_training_schedule(f, t, sim::hours(10), 0x5C4EDULL);
+  ASSERT_GE(f.size(), 150u);
+  SweepCounts c = expect_binding_matches_sample(f, t, sim::hours(9) +
+                                                          sim::minutes(30),
+                                                sim::minutes(20));
+  EXPECT_GT(c.active, 0);
+  EXPECT_GT(c.silent, 0);
+  EXPECT_GT(c.window_pruned, 0);
+  EXPECT_GT(c.silent_pruned, 0);
+}
+
+TEST(BoundInterference, MatchesSampleAcrossDynamicJammingEdges) {
+  // Slots that end before, straddle and start at each phase edge of the
+  // dynamic timeline (7, 12, 17 and 22 min): at 7 and 12 min a burst is
+  // in progress at the edge, so the scenario window cuts it.
+  Topology t = make_office18_topology();
+  const sim::TimeUs origin = sim::hours(10);
+  InterferenceField f;
+  core::add_dynamic_jamming(f, t, kControlChannel, origin);
+  const sim::TimeUs slot_len = 14 * 1401;
+  std::vector<sim::TimeUs> starts;
+  for (int minute : {7, 12, 17, 22}) {
+    const sim::TimeUs edge = origin + sim::minutes(minute);
+    for (sim::TimeUs offset :
+         {-3 * slot_len, -slot_len, -slot_len + 614, sim::TimeUs{-12'345},
+          sim::TimeUs{-5'000}, sim::TimeUs{-156}, sim::TimeUs{0},
+          sim::TimeUs{3'000}})
+      starts.push_back(edge + offset);
+  }
+  SweepCounts c = expect_slots_match_sample(f, t, starts);
+  EXPECT_GT(c.active, 0);
+  EXPECT_GT(c.silent, 0);
+  EXPECT_GT(c.window_pruned, 0);
+  EXPECT_GT(c.silent_pruned, 0);
+  // The slot starting 5 ms before the 7 min edge is silent at its first
+  // step and jammed at its fifth, the first after the edge.
+  const sim::TimeUs slot = origin + sim::minutes(7) - 5'000;
+  EXPECT_EQ(f.sample(slot, slot + 1376, kControlChannel, 0, t).exposure, 0.0);
+  EXPECT_GT(f.sample(slot + 4 * 1401, slot + 4 * 1401 + 1376, kControlChannel,
+                     0, t)
+                .exposure,
+            0.0);
+}
+
 TEST(BoundInterference, EmptyFieldIsSilent) {
   Topology t = make_office18_topology();
   InterferenceField f;
   BoundInterference bound(f, t);
   EXPECT_EQ(bound.source_count(), 0u);
   double exposure = -1.0;
-  EXPECT_EQ(bound.scan(0, sim::ms(1), 26, {}, exposure), 0u);
+  EXPECT_EQ(bound.select(0, sim::ms(1), 26, {}), 0u);
+  EXPECT_EQ(bound.scan(0, sim::ms(1), 26, {}, {}, exposure), 0u);
   EXPECT_EQ(exposure, 0.0);
   EXPECT_EQ(bound.power_mw(7, {}), 0.0);
   expect_binding_matches_sample(f, t, 0, sim::seconds(1));

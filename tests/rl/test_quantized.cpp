@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <vector>
 
 #include "rl/quantized.hpp"
@@ -96,6 +99,54 @@ TEST(QuantizedMlp, SaturatedWeightsAccumulateWithoutOverflow) {
   QuantizedMlp q(net);
   const std::vector<std::int32_t> want = {343576412, 0, 0};
   EXPECT_EQ(q.forward_fixed(std::vector<double>(31, 1.0)), want);
+}
+
+/// The worst-case |accumulator| of each layer of `q` for inputs within
+/// [-max_in, max_in] in scale units: |b|·scale + Σ|w|·max|a|, where max|a|
+/// is max_in for the first layer and, after it, the previous layer's bound
+/// divided by the scale (the activation forward_fixed stores). Every partial
+/// sum in any order is bounded by it too.
+std::vector<std::int64_t> worst_accumulators(const QuantizedMlp& q,
+                                             std::int64_t max_in) {
+  std::vector<std::int64_t> worst;
+  std::int64_t max_a = max_in;
+  for (const QuantizedLayer& l : q.layers()) {
+    std::int64_t layer_worst = 0;
+    for (int o = 0; o < l.out; ++o) {
+      const auto uo = static_cast<std::size_t>(o);
+      std::int64_t acc = std::abs(std::int64_t{l.b[uo]}) * q.scale();
+      for (int i = 0; i < l.in; ++i)
+        acc += std::abs(std::int64_t{l.w[uo * static_cast<std::size_t>(l.in) +
+                                         static_cast<std::size_t>(i)]}) *
+               max_a;
+      layer_worst = std::max(layer_worst, acc);
+    }
+    worst.push_back(layer_worst);
+    max_a = layer_worst / q.scale();
+  }
+  return worst;
+}
+
+TEST(QuantizedMlp, CommittedPolicyAccumulatesWithinInt32) {
+  // forward_fixed sums in int64_t. The deployed policy never needs the
+  // width: every layer's worst-case sum fits an int32, so an MCU's 32-bit
+  // arithmetic computes the same Q-values. For the committed weights the
+  // bounds read 109,900 and 1,020,971 over inputs in [-1, 1], and still
+  // fit with every input saturated at int16 max.
+  std::ifstream in(DIMMER_COMMITTED_POLICY);
+  ASSERT_TRUE(in) << DIMMER_COMMITTED_POLICY;
+  const QuantizedMlp q(Mlp::load(in));
+  ASSERT_EQ(q.layers().size(), 2u);
+  constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+  for (std::int64_t max_in :
+       {std::int64_t{q.scale()},
+        std::int64_t{std::numeric_limits<std::int16_t>::max()}}) {
+    SCOPED_TRACE("inputs up to " + std::to_string(max_in));
+    for (std::int64_t worst : worst_accumulators(q, max_in)) {
+      EXPECT_GT(worst, 0);
+      EXPECT_LE(worst, kInt32Max);
+    }
+  }
 }
 
 TEST(QuantizedMlp, RejectsWrongInputSize) {
