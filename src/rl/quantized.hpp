@@ -7,9 +7,9 @@
 // bits (test_quantized.cpp bounds the committed weights), so the integer-only
 // arithmetic of an FPU-less 16-bit MCU (the TelosB's MSP430) with 32-bit
 // accumulators, as in the C header rl/export.cpp writes, gives the same
-// Q-values. The paper reports 2.1 kB of flash
-// for weights and 400 B of RAM for intermediaries; flash_bytes()/ram_bytes()
-// let tests and benches check our budget against those numbers.
+// Q-values. The paper reports 2.1 kB of flash for weights and 400 B of RAM
+// for intermediaries; flash_bytes()/ram_bytes() let tests and benches check
+// our budget against those numbers.
 #pragma once
 
 #include <cstdint>
