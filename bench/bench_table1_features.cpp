@@ -3,7 +3,6 @@
 // Prints the paper's table (rows, normalization) from the live
 // FeatureBuilder, verifies the 31-element layout, and shows a worked example
 // of a snapshot being normalized, one-hot encoded, and history-tagged.
-#include <deque>
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -42,7 +41,7 @@ int bench_main(const dimmer::bench::Env&) {
     e.round = 7;
     e.ever_heard = i != 13;  // node 13 was never heard: pessimistic fill
   }
-  std::deque<bool> history = {false, true};  // losses last round
+  core::LossHistory history = {false, true};  // losses last round
   std::vector<double> x = fb.build(snap, /*n_tx=*/3, history);
 
   std::cout << "example input vector (worst node first):\n  radio-on:   ";

@@ -30,12 +30,9 @@ int DqnController::decide(const GlobalSnapshot& snapshot, bool round_lossless,
   // The finished round's loss bit enters the history window first: with
   // M = 2 and 4 s rounds this is the paper's "data about losses over the
   // last 8 sec".
-  history_.push_front(round_lossless);
-  while (static_cast<int>(history_.size()) >
-         std::max(1, features_.config().history))
-    history_.pop_back();
-
-  last_features_ = features_.build(snapshot, current_n_tx, history_);
+  history_.shift_in(round_lossless);
+  features_.build_into(snapshot, current_n_tx, history_, rows_,
+                       last_features_);
   auto action = static_cast<AdaptAction>(policy_.greedy_action(last_features_));
   int next_n_tx = apply_action(current_n_tx, action, features_.config().n_max);
 

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -83,7 +82,8 @@ class DqnController : public AdaptivityController {
  private:
   rl::QuantizedMlp policy_;
   FeatureBuilder features_;
-  std::deque<bool> history_;
+  LossHistory history_;
+  std::vector<FeatureRow> rows_;  ///< build_into's scratch
   std::vector<double> last_features_;
   obs::Instrumentation instr_;
   std::uint64_t decisions_ = 0;

@@ -6,9 +6,18 @@
 
 namespace dimmer::core {
 
+LossHistory::LossHistory(std::initializer_list<bool> lossless_most_recent_first) {
+  int m = 0;
+  for (bool lossless : lossless_most_recent_first) {
+    if (m < kMaxDepth && !lossless) lossy_ |= std::uint64_t{1} << m;
+    ++m;
+  }
+}
+
 FeatureBuilder::FeatureBuilder(FeatureConfig cfg) : cfg_(cfg) {
   DIMMER_REQUIRE(cfg_.k >= 1, "K must be >= 1");
-  DIMMER_REQUIRE(cfg_.history >= 0, "M must be >= 0");
+  DIMMER_REQUIRE(cfg_.history >= 0 && cfg_.history <= LossHistory::kMaxDepth,
+                 "M must be in [0, 64]");
   DIMMER_REQUIRE(cfg_.n_max >= 1, "N_max must be >= 1");
   DIMMER_REQUIRE(cfg_.slot_ms > 0.0, "slot_ms must be positive");
 }
@@ -28,65 +37,61 @@ double FeatureBuilder::normalize_reliability(double reliability) {
   return std::clamp(v, -1.0, 1.0);
 }
 
-std::vector<double> FeatureBuilder::build(
-    const GlobalSnapshot& snapshot, int n_tx,
-    const std::deque<bool>& history) const {
-  DIMMER_REQUIRE(n_tx >= 0 && n_tx <= cfg_.n_max, "n_tx out of [0, N_max]");
+std::vector<double> FeatureBuilder::build(const GlobalSnapshot& snapshot,
+                                          int n_tx,
+                                          const LossHistory& history) const {
+  std::vector<FeatureRow> rows;
+  std::vector<double> x;
+  build_into(snapshot, n_tx, history, rows, x);
+  return x;
+}
 
-  // Effective per-node values: fresh feedback or pessimistic fill
-  // ("Absence of feedback is treated as 0% reliability, 100% radio-on").
-  struct Row {
-    phy::NodeId id;
-    double rel;
-    double radio_ms;
-  };
-  std::vector<Row> rows;
+void FeatureBuilder::build_into(const GlobalSnapshot& snapshot, int n_tx,
+                                const LossHistory& history,
+                                std::vector<FeatureRow>& rows,
+                                std::vector<double>& out) const {
+  rows.clear();
   rows.reserve(snapshot.entries.size());
   for (std::size_t i = 0; i < snapshot.entries.size(); ++i) {
     auto id = static_cast<phy::NodeId>(i);
     if (!snapshot.entries[i].accounted) continue;  // §IV-E subset rule
-    if (snapshot.fresh(id)) {
-      const auto& e = snapshot.entries[i];
-      rows.push_back({id, e.reliability, e.radio_on_ms});
-    } else {
-      rows.push_back({id, 0.0, cfg_.slot_ms});
-    }
+    const auto& e = snapshot.entries[i];
+    rows.push_back(snapshot.fresh(id) ? FeatureRow{id, e.reliability, e.radio_on_ms}
+                                      : silent_row(id));
   }
+  out.resize(static_cast<std::size_t>(input_size()));
+  encode(rows, n_tx, history, out);
+}
+
+void FeatureBuilder::encode(std::span<FeatureRow> rows, int n_tx,
+                            const LossHistory& history,
+                            std::span<double> out) const {
+  DIMMER_REQUIRE(n_tx >= 0 && n_tx <= cfg_.n_max, "n_tx out of [0, N_max]");
+  DIMMER_REQUIRE(out.size() == static_cast<std::size_t>(input_size()),
+                 "output size must be input_size()");
 
   // K devices with lowest reliability; deterministic tie-break on id.
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+  std::sort(rows.begin(), rows.end(), [](const FeatureRow& a, const FeatureRow& b) {
     return a.rel != b.rel ? a.rel < b.rel : a.id < b.id;
   });
   // Fewer accounted reporters than K (small networks or a restricted
   // feedback subset): repeat the available rows cyclically, worst first.
   // Oversampling real reporters keeps the vector inside the distribution the
   // DQN trained on, unlike padding with synthetic "perfect" rows.
-  if (rows.empty()) rows.push_back({-1, 0.0, cfg_.slot_ms});  // all silent
-  const std::size_t real_rows = rows.size();
-  for (std::size_t i = 0; static_cast<int>(rows.size()) < cfg_.k; ++i) {
-    Row repeat = rows[i % real_rows];
-    rows.push_back(repeat);
+  const FeatureRow all_silent = silent_row(-1);
+  const std::span<const FeatureRow> real =
+      rows.empty() ? std::span<const FeatureRow>(&all_silent, 1) : rows;
+  const auto k = static_cast<std::size_t>(cfg_.k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const FeatureRow& r = real[i % real.size()];
+    out[i] = normalize_radio_on(r.radio_ms, cfg_.slot_ms);
+    out[k + i] = normalize_reliability(r.rel);
   }
 
-  std::vector<double> x;
-  x.reserve(static_cast<std::size_t>(input_size()));
-  for (int i = 0; i < cfg_.k; ++i)
-    x.push_back(normalize_radio_on(rows[static_cast<std::size_t>(i)].radio_ms,
-                                   cfg_.slot_ms));
-  for (int i = 0; i < cfg_.k; ++i)
-    x.push_back(
-        normalize_reliability(rows[static_cast<std::size_t>(i)].rel));
-
-  for (int v = 0; v <= cfg_.n_max; ++v) x.push_back(v == n_tx ? 1.0 : 0.0);
-
-  for (int m = 0; m < cfg_.history; ++m) {
-    bool lossless =
-        m < static_cast<int>(history.size()) ? history[static_cast<std::size_t>(m)] : true;
-    x.push_back(lossless ? 1.0 : -1.0);
-  }
-
-  DIMMER_CHECK(static_cast<int>(x.size()) == input_size());
-  return x;
+  std::size_t at = 2 * k;
+  for (int v = 0; v <= cfg_.n_max; ++v) out[at++] = v == n_tx ? 1.0 : 0.0;
+  for (int m = 0; m < cfg_.history; ++m)
+    out[at++] = history.lossless(m) ? 1.0 : -1.0;
 }
 
 }  // namespace dimmer::core

@@ -1,5 +1,6 @@
 #include "core/trace_env.hpp"
 
+#include <deque>
 #include <memory>
 
 #include "core/protocol.hpp"
@@ -9,19 +10,18 @@ namespace dimmer::core {
 
 // ---- TraceDataset ----------------------------------------------------------
 
-GlobalSnapshot TraceDataset::to_snapshot(const TraceOutcome& o) const {
-  GlobalSnapshot snap(n_nodes_);
-  snap.current_round = 1;
-  for (int i = 0; i < n_nodes_; ++i) {
-    auto& e = snap.entries[static_cast<std::size_t>(i)];
-    if (o.fresh[static_cast<std::size_t>(i)]) {
-      e.reliability = o.reliability[static_cast<std::size_t>(i)];
-      e.radio_on_ms = o.radio_on_ms[static_cast<std::size_t>(i)];
-      e.round = 1;
-      e.ever_heard = true;
-    }
-  }
-  return snap;
+TraceDataset::TraceDataset(int n_nodes, double slot_ms)
+    : n_nodes_(n_nodes), slot_ms_(slot_ms) {
+  DIMMER_REQUIRE(n_nodes >= 0, "n_nodes must be >= 0");
+}
+
+void TraceDataset::push(TraceStep s) {
+  const auto n = static_cast<std::size_t>(n_nodes_);
+  for (const TraceOutcome& o : s.by_n_tx)
+    DIMMER_REQUIRE(o.reliability.size() == n && o.radio_on_ms.size() == n &&
+                       o.fresh.size() == n,
+                   "trace outcome needs one entry per node");
+  steps_.push_back(std::move(s));
 }
 
 // ---- Trace collection ------------------------------------------------------
@@ -85,7 +85,11 @@ TraceDataset collect_traces(const phy::Topology& topo,
 // ---- TraceEnv --------------------------------------------------------------
 
 TraceEnv::TraceEnv(const TraceDataset& dataset, Config cfg)
-    : ds_(&dataset), cfg_(cfg), features_(cfg.features) {
+    : ds_(&dataset),
+      cfg_(cfg),
+      features_(cfg.features),
+      rows_(static_cast<std::size_t>(dataset.n_nodes())),
+      state_(static_cast<std::size_t>(features_.input_size())) {
   DIMMER_REQUIRE(dataset.size() >= 2, "dataset too small");
   DIMMER_REQUIRE(cfg_.episode_len >= 1, "episode_len must be >= 1");
 }
@@ -95,24 +99,30 @@ int TraceEnv::action_count() const {
 }
 
 const TraceOutcome& TraceEnv::current_outcome() const {
-  return ds_->step(pos_).at(n_tx_);
+  return ds_->outcome(pos_, n_tx_);
 }
 
-std::vector<double> TraceEnv::observe() const {
-  GlobalSnapshot snap = ds_->to_snapshot(current_outcome());
+void TraceEnv::write_state() {
+  const TraceOutcome& o = current_outcome();
   // Feedback latency: blend radio-on with the previous round's parameter.
-  if (pos_ > 0 && prev_n_tx_ != n_tx_) {
-    const TraceOutcome& prev = ds_->step(pos_ - 1).at(prev_n_tx_);
-    for (std::size_t i = 0; i < snap.entries.size(); ++i) {
-      if (!prev.fresh[i]) continue;
-      snap.entries[i].radio_on_ms = 0.5 * snap.entries[i].radio_on_ms +
-                                    0.5 * static_cast<double>(prev.radio_on_ms[i]);
+  const TraceOutcome* prev = pos_ > 0 && prev_n_tx_ != n_tx_
+                                 ? &ds_->outcome(pos_ - 1, prev_n_tx_)
+                                 : nullptr;
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const auto id = static_cast<phy::NodeId>(i);
+    if (!o.fresh[i]) {
+      rows_[i] = features_.silent_row(id);
+      continue;
     }
+    auto radio_ms = static_cast<double>(o.radio_on_ms[i]);
+    if (prev != nullptr && prev->fresh[i])
+      radio_ms = 0.5 * radio_ms + 0.5 * static_cast<double>(prev->radio_on_ms[i]);
+    rows_[i] = {id, static_cast<double>(o.reliability[i]), radio_ms};
   }
-  return features_.build(snap, n_tx_, history_);
+  features_.encode(rows_, n_tx_, history_, state_);
 }
 
-std::vector<double> TraceEnv::reset(util::Pcg32& rng) {
+const std::vector<double>& TraceEnv::reset(util::Pcg32& rng) {
   // Random window with room for a full episode; random initial N_TX.
   std::size_t span = static_cast<std::size_t>(cfg_.episode_len) + 1;
   std::size_t max_start = ds_->size() > span ? ds_->size() - span : 0;
@@ -123,13 +133,17 @@ std::vector<double> TraceEnv::reset(util::Pcg32& rng) {
   prev_n_tx_ = n_tx_;
   steps_taken_ = 0;
   history_.clear();
-  history_.push_front(current_outcome().true_lossless);
+  history_.shift_in(current_outcome().true_lossless);
   if (instr_.metrics) instr_.metrics->counter("trace_env.episodes") += 1;
-  return observe();
+  write_state();
+  return state_;
 }
 
 TraceEnv::StepResult TraceEnv::step(int action) {
   DIMMER_REQUIRE(action >= 0 && action < action_count(), "action out of range");
+  StepResult out;
+  // dimmer-lint: hot-path begin — one trace step rewrites the env's own
+  // buffers; tests/core/test_policy_alloc.cpp counts its allocations.
   prev_n_tx_ = n_tx_;
   if (cfg_.action_per_value) {
     n_tx_ = action + 1;
@@ -142,17 +156,12 @@ TraceEnv::StepResult TraceEnv::step(int action) {
   ++steps_taken_;
   DIMMER_CHECK(pos_ < ds_->size());
   const TraceOutcome& o = current_outcome();
-
-  StepResult out;
   out.reward = dimmer_reward(o.true_lossless, n_tx_, cfg_.features.n_max,
                              cfg_.reward_c);
-  history_.push_front(o.true_lossless);
-  while (static_cast<int>(history_.size()) >
-         std::max(1, cfg_.features.history))
-    history_.pop_back();
-  out.state = observe();
-  out.done = steps_taken_ >= cfg_.episode_len ||
-             pos_ + 1 >= ds_->size();
+  history_.shift_in(o.true_lossless);
+  write_state();
+  out.done = steps_taken_ >= cfg_.episode_len || pos_ + 1 >= ds_->size();
+  // dimmer-lint: hot-path end
   if (instr_.metrics) {
     obs::MetricsRegistry& m = *instr_.metrics;
     m.counter("trace_env.steps") += 1;
@@ -198,18 +207,18 @@ rl::Mlp train_dqn_on_traces(const TraceDataset& dataset,
     window.pop_front();
   };
 
-  std::vector<double> state = env.reset(rng);
+  env.reset(rng);
   for (std::size_t t = 0; t < cfg.total_steps; ++t) {
-    int action = agent.select_action(state, rng);
+    int action = agent.select_action(env.state(), rng);
+    // The window keeps a copy: step() rewrites the env's state in place.
+    window.push_back(Pending{env.state(), action, 0.0});
     TraceEnv::StepResult sr = env.step(action);
-    window.push_back(Pending{state, action, sr.reward});
+    window.back().reward = sr.reward;
     if (static_cast<int>(window.size()) == cfg.n_step)
-      flush_front(sr.state, sr.done);
+      flush_front(env.state(), sr.done);
     if (sr.done) {
-      while (!window.empty()) flush_front(sr.state, true);
-      state = env.reset(rng);
-    } else {
-      state = sr.state;
+      while (!window.empty()) flush_front(env.state(), true);
+      env.reset(rng);
     }
   }
   return agent.online_network();
@@ -237,9 +246,9 @@ PolicyEvaluation evaluate_policy(
   PolicyEvaluation ev;
   long steps = 0, losses = 0;
   for (int e = 0; e < episodes; ++e) {
-    std::vector<double> state = env.reset(rng);
+    env.reset(rng);
     for (;;) {
-      int action = policy(state);
+      int action = policy(env.state());
       TraceEnv::StepResult sr = env.step(action);
       const TraceOutcome& o = env.current_outcome();
       ev.avg_reward += sr.reward;
@@ -249,7 +258,6 @@ PolicyEvaluation evaluate_policy(
       if (!o.true_lossless) ++losses;
       ++steps;
       if (sr.done) break;
-      state = sr.state;
     }
   }
   double inv = 1.0 / static_cast<double>(steps);
@@ -298,19 +306,17 @@ rl::TabularQ train_tabular_on_traces(const TraceDataset& dataset,
   rl::TabularQ agent(disc.n_states(), static_cast<std::size_t>(env.action_count()),
                      cfg.alpha, cfg.gamma);
   util::Pcg32 rng(util::hash_u64(cfg.seed, 0x7AB1ULL));
-  std::vector<double> state = env.reset(rng);
-  std::size_t s = disc.state(state);
+  std::size_t s = disc.state(env.reset(rng));
   for (std::size_t t = 0; t < cfg.total_steps; ++t) {
     double frac = std::min(
         1.0, static_cast<double>(t) / (0.5 * static_cast<double>(cfg.total_steps)));
     double eps = cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start);
     std::size_t a = agent.select(s, eps, rng);
     TraceEnv::StepResult sr = env.step(static_cast<int>(a));
-    std::size_t s2 = disc.state(sr.state);
+    std::size_t s2 = disc.state(env.state());
     agent.update(s, a, sr.reward, s2, sr.done);
     if (sr.done) {
-      state = env.reset(rng);
-      s = disc.state(state);
+      s = disc.state(env.reset(rng));
     } else {
       s = s2;
     }

@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -52,17 +51,19 @@ struct TraceStep {
 
 class TraceDataset {
  public:
-  TraceDataset(int n_nodes, double slot_ms)
-      : n_nodes_(n_nodes), slot_ms_(slot_ms) {}
+  TraceDataset(int n_nodes, double slot_ms);
 
   int n_nodes() const { return n_nodes_; }
   double slot_ms() const { return slot_ms_; }
   std::size_t size() const { return steps_.size(); }
   const TraceStep& step(std::size_t i) const { return steps_.at(i); }
-  void push(TraceStep s) { steps_.push_back(std::move(s)); }
-
-  /// Rebuild a GlobalSnapshot from a stored outcome (for feature building).
-  GlobalSnapshot to_snapshot(const TraceOutcome& o) const;
+  /// Step i's outcome under `n_tx`.
+  const TraceOutcome& outcome(std::size_t i, int n_tx) const {
+    return steps_.at(i).at(n_tx);
+  }
+  /// Appends a step; every outcome must hold one entry per node, which
+  /// TraceEnv reads by node index.
+  void push(TraceStep s);
 
  private:
   int n_nodes_;
@@ -116,15 +117,19 @@ class TraceEnv {
   int action_count() const;
 
   /// Start an episode at a random window with a random initial N_TX.
-  std::vector<double> reset(util::Pcg32& rng);
+  /// Returns state().
+  const std::vector<double>& reset(util::Pcg32& rng);
 
   struct StepResult {
-    std::vector<double> state;
     double reward = 0.0;
     bool done = false;
   };
+  /// Applies `action` and moves one trace step on; state() then holds the
+  /// next state. Allocates nothing.
   StepResult step(int action);
 
+  /// The Table-I state vector, rewritten in place by reset() and step().
+  const std::vector<double>& state() const { return state_; }
   int current_n_tx() const { return n_tx_; }
   const TraceOutcome& current_outcome() const;
 
@@ -133,7 +138,8 @@ class TraceEnv {
   void set_instrumentation(obs::Instrumentation instr) { instr_ = instr; }
 
  private:
-  std::vector<double> observe() const;
+  /// Writes the current outcome's state vector into state_.
+  void write_state();
 
   const TraceDataset* ds_;
   Config cfg_;
@@ -142,7 +148,9 @@ class TraceEnv {
   int steps_taken_ = 0;
   int n_tx_ = 3;
   int prev_n_tx_ = 3;  ///< parameter in effect one round earlier (lag model)
-  std::deque<bool> history_;
+  LossHistory history_;
+  std::vector<FeatureRow> rows_;  ///< one per node, rewritten each step
+  std::vector<double> state_;
   obs::Instrumentation instr_;
 };
 

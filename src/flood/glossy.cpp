@@ -73,11 +73,16 @@ GlossyFlood::GlossyFlood(const phy::Topology& topo,
                          const phy::InterferenceField& interf)
     : owned_links_(std::make_unique<phy::SparseLinkModel>(topo)),
       links_(owned_links_.get()),
-      interf_(interf, topo) {}
+      interf_(interf, topo),
+      noise_mw_(phy::dbm_to_mw(topo.radio().noise_floor_dbm)),
+      noise_dbm_(phy::mw_to_dbm(noise_mw_)) {}
 
 GlossyFlood::GlossyFlood(phy::LinkModel& links,
                          const phy::InterferenceField& interf)
-    : links_(&links), interf_(interf, links.topology()) {}
+    : links_(&links),
+      interf_(interf, links.topology()),
+      noise_mw_(phy::dbm_to_mw(links.topology().radio().noise_floor_dbm)),
+      noise_dbm_(phy::mw_to_dbm(noise_mw_)) {}
 
 sim::TimeUs GlossyFlood::step_len_us(const FloodParams& p,
                                      const phy::RadioConstants& radio) {
@@ -148,15 +153,13 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   const sim::TimeUs step_len = step_len_us(params, radio);
   const int steps = max_steps(params, radio);
   const int frame_bytes = params.payload_bytes + radio.phy_overhead_bytes;
-  const double noise_mw = phy::dbm_to_mw(radio.noise_floor_dbm);
   // Loop invariants, hoisted: each is the exact expression the step loop
   // historically evaluated per reception, so the bits are unchanged.
-  const double noise_dbm = phy::mw_to_dbm(noise_mw);
   const double fading_sigma = topo.path_loss().fading_sigma_db;
   const auto airtime_us =
       static_cast<sim::TimeUs>(std::llround(radio.airtime_us(params.payload_bytes)));
   const phy::Reception reception(params.coherence_gain, fading_sigma > 0.0,
-                                 noise_mw, noise_dbm, frame_bytes);
+                                 noise_mw_, noise_dbm_, frame_bytes);
 
   // Linear-domain link powers for this flood's TX power as CSR rows and
   // their bitmaps; cached across floods by the LinkModel (recomputed only

@@ -180,6 +180,10 @@ class GlossyFlood {
   std::unique_ptr<phy::LinkModel> owned_links_;
   phy::LinkModel* links_;
   phy::BoundInterference interf_;
+  // The radio's noise floor in mW and back in dBm: fixed by the topology,
+  // so converted once per engine.
+  double noise_mw_;
+  double noise_dbm_;
   obs::Instrumentation instr_;
 };
 

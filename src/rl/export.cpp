@@ -43,7 +43,7 @@ std::string export_quantized_c_header(const QuantizedMlp& net,
 
   os << "/* Generated by dimmer::rl::export_quantized_c_header.\n"
      << " * Fixed-point scale: " << net.scale()
-     << " (weights are value * scale, truncated).\n"
+     << " (weights are value * scale, rounded half away from zero).\n"
      << " * Inputs: int16 features at the same scale, e.g. +1.0 -> "
      << net.scale() << ".\n */\n"
      << "#ifndef " << guard << "_H\n#define " << guard << "_H\n\n"

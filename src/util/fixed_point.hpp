@@ -1,9 +1,12 @@
 // Fixed-point arithmetic matching the paper's embedded DQN (§IV-B):
 // weights are stored as 16-bit integers with a decimal scale of 100 (two
-// fractional digits); rl::QuantizedMlp keeps 32-bit activations and sums
-// each neuron in a 64-bit accumulator.
+// fractional digits). rl::QuantizedMlp keeps 32-bit activations; its
+// results equal per-neuron 64-bit integer sums, whatever order it adds
+// them in (DESIGN.md §17).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -14,15 +17,18 @@ namespace dimmer::util {
 /// The paper's fixed-point scale: "set to 100 (two floating digits)".
 constexpr std::int32_t kFixedPointScale = 100;
 
-/// Saturating conversion of a double to a scaled int16 weight.
+/// Saturating conversion of a double to a scaled int16 value, rounding half
+/// away from zero. A NaN has no fixed-point value: it throws RequireError.
 inline std::int16_t to_fixed16(double x,
                                std::int32_t scale = kFixedPointScale) {
-  double scaled = x * static_cast<double>(scale);
-  double r = scaled >= 0.0 ? scaled + 0.5 : scaled - 0.5;  // round half away
-  if (r > std::numeric_limits<std::int16_t>::max())
-    return std::numeric_limits<std::int16_t>::max();
-  if (r < std::numeric_limits<std::int16_t>::min())
-    return std::numeric_limits<std::int16_t>::min();
+  const double scaled = x * static_cast<double>(scale);
+  DIMMER_REQUIRE(!std::isnan(scaled), "cannot convert NaN to fixed point");
+  // copysign adds -0.5 to -0.0 where a sign test would add +0.5; both
+  // truncate to 0. Clamping before the cast keeps it in range.
+  const double r = std::clamp(
+      scaled + std::copysign(0.5, scaled),
+      static_cast<double>(std::numeric_limits<std::int16_t>::min()),
+      static_cast<double>(std::numeric_limits<std::int16_t>::max()));
   return static_cast<std::int16_t>(r);
 }
 

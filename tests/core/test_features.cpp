@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <deque>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -58,7 +57,7 @@ TEST(FeatureBuilder, SelectsLowestReliabilityNodes) {
   GlobalSnapshot snap = healthy_snapshot(6);
   snap.entries[3].reliability = 0.6;
   snap.entries[5].reliability = 0.8;
-  std::deque<bool> hist;
+  LossHistory hist;
   auto x = fb.build(snap, 3, hist);
   // Reliability rows are at positions [k, 2k): worst first.
   EXPECT_DOUBLE_EQ(x[2], FeatureBuilder::normalize_reliability(0.6));
@@ -71,7 +70,7 @@ TEST(FeatureBuilder, StaleFeedbackIsPessimistic) {
   FeatureBuilder fb(cfg);
   GlobalSnapshot snap = healthy_snapshot(4, /*round=*/10);
   snap.entries[2].round = 8;  // stale (freshness window = 1 round)
-  std::deque<bool> hist;
+  LossHistory hist;
   auto x = fb.build(snap, 3, hist);
   EXPECT_DOUBLE_EQ(x[0], 1.0);   // radio pessimistic: 20 ms -> +1
   EXPECT_DOUBLE_EQ(x[1], -1.0);  // reliability pessimistic: 0% -> -1
@@ -84,7 +83,7 @@ TEST(FeatureBuilder, FreshnessWindowWidens) {
   GlobalSnapshot snap = healthy_snapshot(4, 10);
   snap.freshness_rounds = 3;
   snap.entries[2].round = 8;  // within 3 rounds: still fresh
-  std::deque<bool> hist;
+  LossHistory hist;
   auto x = fb.build(snap, 3, hist);
   EXPECT_DOUBLE_EQ(x[1], 1.0);
 }
@@ -95,7 +94,7 @@ TEST(FeatureBuilder, NeverHeardIsPessimistic) {
   FeatureBuilder fb(cfg);
   GlobalSnapshot snap = healthy_snapshot(3);
   snap.entries[1].ever_heard = false;
-  std::deque<bool> hist;
+  LossHistory hist;
   auto x = fb.build(snap, 3, hist);
   EXPECT_DOUBLE_EQ(x[1], -1.0);
 }
@@ -108,7 +107,7 @@ TEST(FeatureBuilder, UnaccountedNodesAreSkipped) {
   snap.entries[0].reliability = 0.1;   // terrible, but unaccounted
   snap.entries[0].accounted = false;
   snap.entries[4].reliability = 0.9;
-  std::deque<bool> hist;
+  LossHistory hist;
   auto x = fb.build(snap, 3, hist);
   // Worst accounted node is 4 at 0.9; node 0 must not appear.
   EXPECT_DOUBLE_EQ(x[2], FeatureBuilder::normalize_reliability(0.9));
@@ -121,7 +120,7 @@ TEST(FeatureBuilder, CyclicPaddingRepeatsWorstRows) {
   FeatureBuilder fb(cfg);
   GlobalSnapshot snap = healthy_snapshot(2);
   snap.entries[1].reliability = 0.7;
-  std::deque<bool> hist;
+  LossHistory hist;
   auto x = fb.build(snap, 3, hist);
   // Two real rows (0.7 then 1.0), repeated cyclically: 0.7 1.0 0.7 1.0 0.7.
   double lo = FeatureBuilder::normalize_reliability(0.7);
@@ -135,7 +134,7 @@ TEST(FeatureBuilder, CyclicPaddingRepeatsWorstRows) {
 TEST(FeatureBuilder, OneHotEncodesCurrentN) {
   FeatureBuilder fb(FeatureConfig{});
   GlobalSnapshot snap = healthy_snapshot(18);
-  std::deque<bool> hist;
+  LossHistory hist;
   for (int n = 0; n <= 8; ++n) {
     auto x = fb.build(snap, n, hist);
     for (int v = 0; v <= 8; ++v)
@@ -147,7 +146,7 @@ TEST(FeatureBuilder, OneHotEncodesCurrentN) {
 TEST(FeatureBuilder, HistoryBitsAndColdStart) {
   FeatureBuilder fb(FeatureConfig{});  // M = 2
   GlobalSnapshot snap = healthy_snapshot(18);
-  std::deque<bool> hist = {false};  // one round known, losses
+  LossHistory hist = {false};  // one round known, losses
   auto x = fb.build(snap, 3, hist);
   EXPECT_DOUBLE_EQ(x[29], -1.0);  // most recent round had losses
   EXPECT_DOUBLE_EQ(x[30], 1.0);   // unknown history treated as lossless
@@ -156,7 +155,7 @@ TEST(FeatureBuilder, HistoryBitsAndColdStart) {
 TEST(FeatureBuilder, RejectsOutOfRangeN) {
   FeatureBuilder fb(FeatureConfig{});
   GlobalSnapshot snap = healthy_snapshot(18);
-  std::deque<bool> hist;
+  LossHistory hist;
   EXPECT_THROW(fb.build(snap, -1, hist), util::RequireError);
   EXPECT_THROW(fb.build(snap, 9, hist), util::RequireError);
 }
@@ -168,6 +167,28 @@ TEST(FeatureBuilder, RejectsBadConfig) {
   cfg = FeatureConfig{};
   cfg.history = -1;
   EXPECT_THROW(FeatureBuilder{cfg}, util::RequireError);
+  cfg.history = LossHistory::kMaxDepth + 1;
+  EXPECT_THROW(FeatureBuilder{cfg}, util::RequireError);
+  cfg.history = LossHistory::kMaxDepth;
+  EXPECT_NO_THROW(FeatureBuilder{cfg});
+}
+
+TEST(LossHistory, MostRecentFirstAndUnseenRoundsLossless) {
+  LossHistory h;
+  for (int m = 0; m < LossHistory::kMaxDepth + 3; ++m) EXPECT_TRUE(h.lossless(m));
+  h.shift_in(false);
+  h.shift_in(true);
+  EXPECT_TRUE(h.lossless(0));
+  EXPECT_FALSE(h.lossless(1));
+  EXPECT_TRUE(h.lossless(2));
+  const LossHistory listed = {true, false};
+  for (int m = 0; m < 4; ++m) EXPECT_EQ(listed.lossless(m), h.lossless(m));
+  h.clear();
+  EXPECT_TRUE(h.lossless(1));
+  // A round shifted out past the depth is forgotten.
+  h.shift_in(false);
+  for (int m = 0; m < LossHistory::kMaxDepth; ++m) h.shift_in(true);
+  for (int m = 0; m <= LossHistory::kMaxDepth; ++m) EXPECT_TRUE(h.lossless(m));
 }
 
 // Property: every feature is in [-1, 1] for arbitrary snapshots.
@@ -184,7 +205,7 @@ TEST_P(FeatureRangeProperty, AllFeaturesNormalized) {
     e.round = rng.bernoulli(0.8) ? 5 : 3;
     e.ever_heard = rng.bernoulli(0.9);
   }
-  std::deque<bool> hist = {rng.bernoulli(0.5), rng.bernoulli(0.5)};
+  LossHistory hist = {rng.bernoulli(0.5), rng.bernoulli(0.5)};
   auto x = fb.build(snap, rng.uniform_int(0, 8), hist);
   for (double v : x) {
     EXPECT_GE(v, -1.0);

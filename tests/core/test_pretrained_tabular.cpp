@@ -77,7 +77,7 @@ TEST(TabularDiscretizer, StateCountAndBounds) {
       e.round = 1;
       e.ever_heard = true;
     }
-    std::deque<bool> hist = {rng.bernoulli(0.5)};
+    LossHistory hist = {rng.bernoulli(0.5)};
     auto x = fb.build(snap, rng.uniform_int(0, 8), hist);
     EXPECT_LT(disc.state(x), disc.n_states());
   }
@@ -95,7 +95,7 @@ TEST(TabularDiscretizer, SeparatesTheAxesItEncodes) {
       e.round = 1;
       e.ever_heard = true;
     }
-    std::deque<bool> hist = {lossless};
+    LossHistory hist = {lossless};
     return disc.state(fb.build(snap, n, hist));
   };
   EXPECT_NE(make(1.0, 8.0, 3, true), make(0.3, 8.0, 3, true));   // reliability

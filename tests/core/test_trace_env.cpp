@@ -57,6 +57,27 @@ TEST(TraceCollection, HigherNIsMoreReliableUnderJamming) {
   EXPECT_GT(d8, d1);
 }
 
+TEST(TraceCollection, DatasetRejectsOutcomesWithoutOneEntryPerNode) {
+  // TraceEnv reads every outcome by node index: a short one would be read
+  // out of bounds.
+  EXPECT_THROW(TraceDataset(-1, 20.0), util::RequireError);
+  TraceDataset ds(3, 20.0);
+  TraceStep step;
+  for (TraceOutcome& o : step.by_n_tx) {
+    o.reliability.assign(3, 1.0f);
+    o.radio_on_ms.assign(3, 5.0f);
+    o.fresh.assign(3, 1);
+  }
+  ds.push(step);
+  step.by_n_tx[4].fresh.pop_back();
+  EXPECT_THROW(ds.push(step), util::RequireError);
+  step.by_n_tx[4].fresh.push_back(1);
+  step.by_n_tx[7].radio_on_ms.push_back(1.0f);
+  EXPECT_THROW(ds.push(step), util::RequireError);
+  EXPECT_THROW(ds.push(TraceStep{}), util::RequireError);
+  EXPECT_EQ(ds.size(), 1u);
+}
+
 TEST(TraceEnv, ResetAndEpisodeLength) {
   TraceDataset ds = small_dataset(30);
   TraceEnv::Config cfg;

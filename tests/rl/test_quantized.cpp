@@ -155,6 +155,28 @@ TEST(QuantizedMlp, RejectsWrongInputSize) {
   EXPECT_THROW(q.forward_fixed({1.0}), util::RequireError);
 }
 
+TEST(QuantizedMlp, RejectsNaNInputs) {
+  // A NaN feature (std::clamp in the normalizations passes one through)
+  // must not reach the int16 cast.
+  const QuantizedMlp q(Mlp({31, 30, 3}, 2));
+  std::vector<double> x(31, 0.5);
+  x[7] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(q.greedy_action(x), util::RequireError);
+  EXPECT_THROW(q.forward_fixed(x), util::RequireError);
+  EXPECT_THROW(q.forward(x), util::RequireError);
+}
+
+TEST(QuantizedMlp, RejectsNaNParameters) {
+  // An in-memory network that diverged: Mlp::load rejects non-finite
+  // values, the quantizing constructor must too.
+  Mlp net({4, 3, 2}, 1);
+  net.mutable_layers()[0].w[5] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(QuantizedMlp{net}, util::RequireError);
+  Mlp biased({4, 3, 2}, 1);
+  biased.mutable_layers()[1].b[1] = -std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(QuantizedMlp{biased}, util::RequireError);
+}
+
 TEST(QuantizedMlp, CustomScaleImprovesPrecision) {
   Mlp net({6, 8, 2}, 6);
   QuantizedMlp coarse(net, 100);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "util/fixed_point.hpp"
@@ -26,6 +27,24 @@ TEST(FixedPoint, SaturatesAtInt16Limits) {
   // Boundary: 327.67 is exactly representable, 327.68 saturates.
   EXPECT_EQ(to_fixed16(327.67), 32767);
   EXPECT_EQ(to_fixed16(327.68), 32767);
+}
+
+TEST(FixedPoint, NegativeZeroAndInfinities) {
+  EXPECT_EQ(to_fixed16(-0.0), 0);
+  EXPECT_EQ(to_fixed16(-0.004), 0);
+  EXPECT_EQ(to_fixed16(std::numeric_limits<double>::infinity()),
+            std::numeric_limits<std::int16_t>::max());
+  EXPECT_EQ(to_fixed16(-std::numeric_limits<double>::infinity()),
+            std::numeric_limits<std::int16_t>::min());
+}
+
+TEST(FixedPoint, NaNHasNoFixedPointValue) {
+  // The cast of a NaN to int16 is undefined behaviour (UBSan's
+  // float-cast-overflow reports it); the conversion refuses it instead.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(to_fixed16(nan), RequireError);
+  EXPECT_THROW(to_fixed16(-nan, 1000), RequireError);
+  EXPECT_THROW(to_fixed16(std::nan("1"), 1), RequireError);
 }
 
 TEST(FixedPoint, MulMatchesFloatWithinResolution) {
